@@ -73,7 +73,9 @@ using namespace hcl::bench;  // NOLINT
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  const Args args(argc, argv,
+                  {{"--clients", "concurrent client ranks"},
+                   {"--ops", "operations per client"}});
   const int clients = static_cast<int>(args.get("--clients", 16));
   const auto ops = args.get("--ops", 512);
 

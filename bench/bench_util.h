@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -23,22 +24,61 @@
 
 namespace hcl::bench {
 
-/// Minimal command-line flags: --name=value or --name value; --full.
+/// One accepted command-line flag: `--name value`/`--name=value` takes an
+/// integer; a switch (`takes_value == false`) stands alone.
+struct Flag {
+  const char* name;
+  const char* help;
+  bool takes_value = true;
+};
+
+inline constexpr Flag kFullFlag{"--full", "paper-scale parameters", false};
+inline constexpr Flag kNodesFlag{"--nodes",
+                                 "pin one node count instead of the sweep"};
+inline constexpr Flag kProcsFlag{"--procs-per-node", "ranks per node"};
+inline constexpr Flag kBudgetFlag{
+    "--budget-s", "wall-clock budget in seconds; exceeding it exits 3"};
+
+/// Command-line flags checked against the binary's declared set: `--help`
+/// lists them and exits 0; an unknown flag, a missing or non-integer value,
+/// or a stray argument prints the usage and exits 2 before any work starts,
+/// so a typo can never run the full bench and overwrite its BENCH_*.json.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, std::initializer_list<Flag> flags)
+      : flags_(flags) {
+    const char* prog = argc > 0 ? argv[0] : "bench";
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  [[nodiscard]] bool has(const std::string& name) const {
-    for (const auto& a : args_) {
-      if (a == name || a.rfind(name + "=", 0) == 0) return true;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      const std::string& a = args_[i];
+      if (a == "--help" || a == "-h") {
+        usage(stdout, prog);
+        std::exit(0);
+      }
+      const std::size_t eq = a.find('=');
+      const Flag* flag = find(a.substr(0, eq));
+      const char* error = nullptr;
+      if (flag == nullptr) {
+        error = "unknown argument";
+      } else if (!flag->takes_value) {
+        if (eq != std::string::npos) error = "takes no value";
+      } else if (eq == std::string::npos && i + 1 == args_.size()) {
+        error = "needs a value";
+      } else if (!is_integer(eq == std::string::npos ? args_[++i]
+                                                      : a.substr(eq + 1))) {
+        error = "needs an integer value";
+      }
+      if (error != nullptr) {
+        std::fprintf(stderr, "%s: %s: %s\n", prog, a.c_str(), error);
+        usage(stderr, prog);
+        std::exit(2);
+      }
     }
-    return false;
   }
 
   [[nodiscard]] std::int64_t get(const std::string& name,
                                  std::int64_t fallback) const {
+    declared(name);
     for (std::size_t i = 0; i < args_.size(); ++i) {
       if (args_[i].rfind(name + "=", 0) == 0) {
         return std::atoll(args_[i].c_str() + name.size() + 1);
@@ -50,9 +90,50 @@ class Args {
     return fallback;
   }
 
-  [[nodiscard]] bool full() const { return has("--full"); }
+  [[nodiscard]] bool full() const {
+    declared("--full");
+    for (const auto& a : args_) {
+      if (a == "--full") return true;
+    }
+    return false;
+  }
 
  private:
+  [[nodiscard]] const Flag* find(const std::string& name) const {
+    for (const auto& f : flags_) {
+      if (name == f.name) return &f;
+    }
+    return nullptr;
+  }
+
+  /// Reading a flag the binary never declared is a bug in the bench itself.
+  void declared(const std::string& name) const {
+    if (find(name) == nullptr) {
+      std::fprintf(stderr, "bench reads undeclared flag %s\n", name.c_str());
+      std::abort();
+    }
+  }
+
+  static bool is_integer(const std::string& v) {
+    std::size_t i = v.size() > 1 && (v[0] == '-' || v[0] == '+') ? 1 : 0;
+    if (i == v.size()) return false;
+    for (; i < v.size(); ++i) {
+      if (v[i] < '0' || v[i] > '9') return false;
+    }
+    return true;
+  }
+
+  void usage(std::FILE* out, const char* prog) const {
+    std::fprintf(out, "usage: %s [flags]\n", prog);
+    for (const auto& f : flags_) {
+      std::fprintf(out, "  %-22s %s\n",
+                   (std::string(f.name) + (f.takes_value ? " N" : "")).c_str(),
+                   f.help);
+    }
+    std::fprintf(out, "  %-22s %s\n", "--help", "print this list and exit");
+  }
+
+  std::vector<Flag> flags_;
   std::vector<std::string> args_;
 };
 

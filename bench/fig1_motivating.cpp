@@ -31,7 +31,11 @@ struct Breakdown {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  const Args args(argc, argv,
+                  {kFullFlag,
+                   {"--clients", "concurrent client ranks"},
+                   {"--ops", "operations per client"},
+                   {"--bytes", "payload bytes per op"}});
   const int clients = static_cast<int>(args.get("--clients", 40));
   const auto ops = args.get("--ops", args.full() ? 8192 : 2048);
   const std::int64_t op_bytes = args.get("--bytes", 4096);

@@ -124,7 +124,11 @@ int check_reconciliation(hcl::Context& ctx, int num_nodes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  const Args args(argc, argv,
+                  {kFullFlag,
+                   {"--clients", "concurrent client ranks"},
+                   {"--ops", "operations per client"},
+                   {"--bytes", "payload bytes per op"}});
   const int clients = static_cast<int>(args.get("--clients", 40));
   const auto ops = args.get("--ops", args.full() ? 8192 : 1024);
   const std::int64_t op_bytes = args.get("--bytes", 4096);

@@ -41,7 +41,10 @@ double gbps(double total_bytes, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  const Args args(argc, argv,
+                  {kFullFlag,
+                   {"--clients", "concurrent client ranks"},
+                   {"--ops", "operations per client"}});
   const int clients = static_cast<int>(args.get("--clients", 40));
   const auto base_ops = args.get("--ops", args.full() ? 8192 : 512);
 

@@ -27,7 +27,13 @@ double throughput(Context& ctx, std::int64_t total_ops) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  const Args args(argc, argv,
+                  {kFullFlag,
+                   kNodesFlag,
+                   kProcsFlag,
+                   kBudgetFlag,
+                   {"--ops", "operations per client"},
+                   {"--bytes", "payload bytes per op"}});
   const bool full = args.full();
   const int procs = static_cast<int>(args.get("--procs-per-node", full ? 40 : 4));
   const auto ops = args.get("--ops", full ? 8192 : 128);

@@ -19,7 +19,10 @@ using namespace hcl::bench;  // NOLINT
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
+  const Args args(argc, argv,
+                  {kFullFlag,
+                   {"--ops", "operations per client"},
+                   {"--bytes", "payload bytes per op"}});
   const bool full = args.full();
   const auto ops = args.get("--ops", full ? 8192 : 64);
   const std::int64_t op_bytes = args.get("--bytes", 64);

@@ -17,7 +17,17 @@ int main(int argc, char** argv) {
   using namespace hcl::bench;  // NOLINT
   using namespace hcl::apps;   // NOLINT
 
-  Args args(argc, argv);
+  const Args args(argc, argv,
+
+                  {kFullFlag,
+
+                   kNodesFlag,
+
+                   kProcsFlag,
+
+                   kBudgetFlag,
+
+                   {"--keys-per-rank", "ISx keys sorted per rank"}});
   const bool full = args.full();
   const int procs = static_cast<int>(args.get("--procs-per-node", 4));
   const auto keys = args.get("--keys-per-rank", full ? 1 << 14 : 1 << 10);

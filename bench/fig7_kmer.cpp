@@ -15,7 +15,13 @@ int main(int argc, char** argv) {
   using namespace hcl::bench;  // NOLINT
   using namespace hcl::apps;   // NOLINT
 
-  Args args(argc, argv);
+  const Args args(argc, argv,
+
+                  {kFullFlag,
+
+                   kProcsFlag,
+
+                   {"--ref-per-node", "synthetic reference length per node"}});
   const bool full = args.full();
   const int procs = static_cast<int>(args.get("--procs-per-node", 4));
   const auto ref_per_node = args.get("--ref-per-node", full ? 50'000 : 4'000);

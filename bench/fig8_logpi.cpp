@@ -53,7 +53,29 @@ int main(int argc, char** argv) {
   // when set explicitly.
   setenv("HCL_SIM_THREADS", "1", /*overwrite=*/0);
 
-  Args args(argc, argv);
+  const Args args(argc, argv,
+
+                  {kFullFlag,
+
+                   kNodesFlag,
+
+                   kProcsFlag,
+
+                   kBudgetFlag,
+
+                   {"--lines-per-rank", "log lines ingested per rank"},
+
+                   {"--tokens-per-line", "address tokens per line"},
+
+                   {"--vocab", "token universe size"},
+
+                   {"--theta-x100", "Zipfian skew theta x 100"},
+
+                   {"--queries-per-rank", "multi-term queries per rank"},
+
+                   {"--terms", "terms per AND/OR query"},
+
+                   {"--flush-lines", "lines buffered between insert_batch flushes"}});
   const bool full = args.full();
   const int procs = static_cast<int>(args.get("--procs-per-node", 4));
   // --nodes pins a single topology (paper-style headline: --nodes 64

@@ -52,7 +52,29 @@ int main(int argc, char** argv) {
   // explicitly.
   setenv("HCL_SIM_THREADS", "1", /*overwrite=*/0);
 
-  Args args(argc, argv);
+  const Args args(argc, argv,
+
+                  {kFullFlag,
+
+                   kNodesFlag,
+
+                   kProcsFlag,
+
+                   kBudgetFlag,
+
+                   {"--verts-per-rank", "vertices per rank"},
+
+                   {"--avg-degree", "average undirected degree"},
+
+                   {"--khop", "BFS traversal depth"},
+
+                   {"--bfs-sources", "BFS source vertices per run"},
+
+                   {"--degree-samples", "degree probes per rank"},
+
+                   {"--drainers-per-node", "ranks per node draining edge lanes"},
+
+                   {"--edges-per-txn", "edges per drain transaction"}});
   const bool full = args.full();
   const int procs = static_cast<int>(args.get("--procs-per-node", 4));
   // --nodes pins a single topology (paper-style headline: --nodes 64

@@ -46,8 +46,7 @@ int pick_key(C& container, Context& ctx, bool want_local) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args(argc, argv);
-  (void)args;
+  const Args args(argc, argv, {});  // no flags; --help still answers
   print_header("Table I", "per-operation cost accounting (F / L / R / W)");
 
   Context::Config cfg;

@@ -11,8 +11,8 @@
 3. Bench handbook coverage: every bench/fig*.cpp figure binary and every
    BENCH_*.json artifact a bench emits must be mentioned in
    EXPERIMENTS.md — a new figure or JSON record cannot land undocumented.
-4. Bench flag completeness: every --flag parsed by a bench binary (via
-   Args::get/has in bench/) must appear in README.md's bench flag
+4. Bench flag completeness: every --flag a bench binary declares (any
+   "--flag" literal in bench/) must appear in README.md's bench flag
    reference table, and every --flag row in that table must still be
    parsed somewhere in bench/ — same no-rot/no-invention contract as
    the env table.

@@ -43,7 +43,9 @@ class MappedFile {
 
   ~MappedFile() { close(); }
 
-  /// Open (creating if needed) `path` and map `size` bytes read/write.
+  /// Open (creating if needed) `path` and map it read/write: `size` bytes,
+  /// or the whole file when it already holds more. Reopening never truncates,
+  /// so a file that grew past its initial size keeps every byte.
   static Result<MappedFile> open(const std::string& path, std::size_t size) {
     MappedFile f;
     f.path_ = path;
@@ -51,7 +53,14 @@ class MappedFile {
     if (f.fd_ < 0) {
       return Status::Internal("open(" + path + "): " + std::strerror(errno));
     }
-    if (::ftruncate(f.fd_, static_cast<off_t>(size)) != 0) {
+    struct stat st {};
+    if (::fstat(f.fd_, &st) != 0) {
+      return Status::Internal("fstat(" + path + "): " + std::strerror(errno));
+    }
+    const auto existing = static_cast<std::size_t>(st.st_size);
+    if (existing >= size) {
+      size = existing;
+    } else if (::ftruncate(f.fd_, static_cast<off_t>(size)) != 0) {
       return Status::Internal("ftruncate(" + path + "): " + std::strerror(errno));
     }
     void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_SHARED, f.fd_, 0);

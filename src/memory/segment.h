@@ -67,7 +67,8 @@ class Segment {
     return s;
   }
 
-  /// Create a persistent segment backed by `path` (real mmap).
+  /// Create a persistent segment backed by `path` (real mmap). An existing
+  /// file larger than `bytes` is mapped, and charged, whole.
   static Result<Segment> create_persistent(NodeMemory& owner, std::size_t bytes,
                                            const std::string& path,
                                            SyncMode mode = SyncMode::kPerOp,
@@ -79,11 +80,19 @@ class Segment {
       owner.release(static_cast<std::int64_t>(bytes), t);
       return file.status();
     }
+    const std::size_t mapped = file->size();
+    if (mapped > bytes) {
+      st = owner.reserve(static_cast<std::int64_t>(mapped - bytes), t);
+      if (!st.ok()) {
+        owner.release(static_cast<std::int64_t>(bytes), t);
+        return st;
+      }
+    }
     Segment s;
     s.owner_ = &owner;
     s.file_ = std::make_unique<MappedFile>(std::move(file.value()));
     s.data_ = s.file_->data();
-    s.size_ = bytes;
+    s.size_ = mapped;
     s.sync_mode_ = mode;
     return s;
   }

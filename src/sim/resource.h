@@ -23,33 +23,43 @@
 // the fidelity of closed-loop benchmarks. Gap-filling serves each request at
 // its own simulated arrival whenever the unit was actually idle then.
 //
+// Lane store: each lane keeps its busy intervals in a sorted flat vector of
+// {start, end}. Lookups are binary searches; a reservation at or after the
+// lane's tail is answered in O(1) and appended; an interval that exactly
+// touches a neighbour is merged in place; anything else is inserted with one
+// memmove. Lanes hold thousands of intervals in steady state but first-fit
+// scans only a fraction of one past the lookup, so the contiguous buffer
+// (no per-reservation node allocation, no pointer chasing) is what keeps
+// reservation cheap on the host.
+//
 // Memory bound: when a lane accumulates more than kMaxIntervals busy
 // intervals, small idle gaps are swept and merged (smallest resolution
-// first, doubling until the count halves). This introduces phantom busy
-// time bounded by the sweep resolution per merged gap — nanoseconds against
-// microsecond-scale operations — and never penalizes whole timelines the
-// way a floor-based prune would.
+// first, doubling until the count halves) by one in-place compaction pass
+// per resolution. This introduces phantom busy time bounded by the sweep
+// resolution per merged gap — nanoseconds against microsecond-scale
+// operations — and never penalizes whole timelines the way a floor-based
+// prune would. reset() releases lane storage outright, so a drained
+// resource returns its memory between benchmark repetitions.
 //
-// Thread-safety: each lane's interval map is guarded by its own spinlock
-// (critical sections are a couple of ordered-map operations), so concurrent
-// ranks only collide when they genuinely contend for the same lane. One
-// global lock here used to funnel every rank in the cluster through a single
-// cache line — at paper-scale topologies (2560 ranks) that lock, not the
-// modelled hardware, was the bottleneck. Uncontended requests (a lane idle
-// at `now`) commit under a single lane lock, scanning from a per-thread
-// rotated origin so they spread across lanes instead of convoying on lane 0
-// — timing-invisible, since start == now on every idle lane. Only saturated
-// placements serialize on the arbiter mutex, which keeps scan+commit atomic
-// so simulated placement depends on reservation order, never on microtiming
-// between real threads (determinism of the bench JSON records relies on
-// this).
+// Thread-safety: each lane's interval buffer is guarded by its own spinlock
+// (critical sections are one binary search plus an append, in-place merge
+// or short memmove), so concurrent ranks only collide when they genuinely
+// contend for the same lane. One global lock here used to funnel every rank
+// in the cluster through a single cache line — at paper-scale topologies
+// (2560 ranks) that lock, not the modelled hardware, was the bottleneck.
+// Uncontended requests (a lane idle at `now`) commit under a single lane
+// lock, scanning from a per-thread rotated origin so they spread across
+// lanes instead of convoying on lane 0 — timing-invisible, since start ==
+// now on every idle lane. Only saturated placements serialize on the
+// arbiter mutex, which keeps scan+commit atomic so simulated placement
+// depends on reservation order, never on microtiming between real threads
+// (determinism of the bench JSON records relies on this).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -63,6 +73,12 @@ namespace hcl::sim {
 class Resource {
  public:
   static constexpr std::size_t kMaxIntervals = 1 << 18;  // per lane
+
+  /// One busy interval [start, end) on a lane.
+  struct Interval {
+    Nanos start;
+    Nanos end;
+  };
 
   /// `lanes` parallel servers. An optional TimeSeries receives per-bucket
   /// busy-time for utilization plots (Fig. 4a).
@@ -141,12 +157,19 @@ class Resource {
     Nanos h = 0;
     for (const auto& lane : lanes_state_) {
       std::lock_guard<SpinLock> guard(lane.lock);
-      if (!lane.busy.empty()) h = std::max(h, lane.busy.rbegin()->second);
+      if (!lane.busy.empty()) h = std::max(h, lane.busy.back().end);
     }
     return h;
   }
 
   [[nodiscard]] int lanes() const noexcept { return static_cast<int>(lanes_); }
+
+  /// Copy of one lane's busy intervals, sorted by start (diagnostics/tests).
+  [[nodiscard]] std::vector<Interval> intervals(int lane) const {
+    const Lane& l = lanes_state_.at(static_cast<std::size_t>(lane));
+    std::lock_guard<SpinLock> guard(l.lock);
+    return l.busy;
+  }
 
   /// Utilization in [0,1] over an elapsed window.
   [[nodiscard]] double utilization(Nanos elapsed) const noexcept {
@@ -155,11 +178,13 @@ class Resource {
            (static_cast<double>(elapsed) * static_cast<double>(lanes_));
   }
 
-  /// Reset all lanes and counters (between benchmark repetitions).
+  /// Reset all lanes and counters (between benchmark repetitions). Frees the
+  /// lane buffers rather than clearing them: a long run leaves thousands of
+  /// intervals of capacity per lane, which would otherwise stay resident.
   void reset() {
     for (auto& lane : lanes_state_) {
       std::lock_guard<SpinLock> guard(lane.lock);
-      lane.busy.clear();
+      std::vector<Interval>().swap(lane.busy);
     }
     busy_total_.store(0, std::memory_order_relaxed);
   }
@@ -167,69 +192,74 @@ class Resource {
  private:
   struct alignas(64) Lane {
     mutable SpinLock lock;
-    /// Non-overlapping busy intervals, keyed by start. Guarded by `lock`.
-    std::map<Nanos, Nanos> busy;
+    /// Non-overlapping busy intervals sorted by start. Guarded by `lock`.
+    std::vector<Interval> busy;
   };
 
   /// Earliest start >= now of an idle hole of `service` length.
   static Nanos earliest_fit(const Lane& lane, Nanos now, Nanos service) {
+    const auto& busy = lane.busy;
+    if (busy.empty() || busy.back().end <= now) return now;  // idle tail
     Nanos candidate = now;
     // First interval that could constrain candidate: the one before or at it.
-    auto it = lane.busy.upper_bound(candidate);
-    if (it != lane.busy.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > candidate) candidate = prev->second;
+    auto it = std::upper_bound(
+        busy.begin(), busy.end(), candidate,
+        [](Nanos v, const Interval& iv) { return v < iv.start; });
+    if (it != busy.begin() && std::prev(it)->end > candidate) {
+      candidate = std::prev(it)->end;
     }
-    while (it != lane.busy.end()) {
-      if (candidate + service <= it->first) break;  // fits in this gap
-      candidate = std::max(candidate, it->second);
-      ++it;
+    for (; it != busy.end(); ++it) {
+      if (candidate + service <= it->start) break;  // fits in this gap
+      candidate = std::max(candidate, it->end);
     }
     return candidate;
   }
 
   static void insert_interval(Lane& lane, Nanos start, Nanos end) {
+    auto& busy = lane.busy;
+    // First interval starting at or after `start`; the common append at the
+    // tail skips the search.
+    auto next = busy.empty() || busy.back().start < start
+                    ? busy.end()
+                    : std::lower_bound(busy.begin(), busy.end(), start,
+                                       [](const Interval& iv, Nanos v) {
+                                         return iv.start < v;
+                                       });
     // Merge with an adjacent predecessor/successor when exactly contiguous.
-    auto next = lane.busy.lower_bound(start);
-    if (next != lane.busy.begin()) {
+    if (next != busy.begin() && std::prev(next)->end == start) {
       auto prev = std::prev(next);
-      if (prev->second == start) {
-        prev->second = end;
-        if (next != lane.busy.end() && next->first == end) {
-          prev->second = next->second;
-          lane.busy.erase(next);
-        }
-        prune(lane);
-        return;
+      if (next != busy.end() && next->start == end) {
+        prev->end = next->end;
+        busy.erase(next);
+      } else {
+        prev->end = end;
       }
-    }
-    if (next != lane.busy.end() && next->first == end) {
-      const Nanos next_end = next->second;
-      lane.busy.erase(next);
-      lane.busy.emplace(start, next_end);
+    } else if (next != busy.end() && next->start == end) {
+      next->start = start;
     } else {
-      lane.busy.emplace(start, end);
+      busy.insert(next, Interval{start, end});
     }
     prune(lane);
   }
 
   /// Sweep-merge idle gaps smaller than a doubling resolution until the
-  /// interval count is comfortable again.
+  /// interval count is comfortable again. Each pass compacts in place,
+  /// folding every interval whose gap to the survivor before it is within
+  /// `epsilon` into that survivor.
   static void prune(Lane& lane) {
-    if (lane.busy.size() <= kMaxIntervals) return;
+    auto& busy = lane.busy;
+    if (busy.size() <= kMaxIntervals) return;
     Nanos epsilon = 64;
-    while (lane.busy.size() > kMaxIntervals / 2) {
-      auto it = lane.busy.begin();
-      while (it != lane.busy.end()) {
-        auto next = std::next(it);
-        if (next == lane.busy.end()) break;
-        if (next->first - it->second <= epsilon) {
-          it->second = next->second;
-          lane.busy.erase(next);
+    while (busy.size() > kMaxIntervals / 2) {
+      std::size_t kept = 0;
+      for (std::size_t i = 1; i < busy.size(); ++i) {
+        if (busy[i].start - busy[kept].end <= epsilon) {
+          busy[kept].end = busy[i].end;
         } else {
-          it = next;
+          busy[++kept] = busy[i];
         }
       }
+      busy.resize(kept + 1);
       epsilon *= 2;
     }
   }

@@ -63,6 +63,24 @@ TEST_F(MappedFileTest, ReopenSeesPreviousContents) {
   EXPECT_EQ(g->data()[0], std::byte{0xAB});
 }
 
+TEST_F(MappedFileTest, ReopenSmallerMapsWholeFile) {
+  // A file that grew past its initial size must not be truncated back to it
+  // on reopen.
+  auto path = track(temp_path("hcl_mf_reopen_grown.bin"));
+  {
+    auto f = MappedFile::open(path, 16);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(f->resize(8192).ok());
+    f->data()[8191] = std::byte{0x5A};
+    ASSERT_TRUE(f->sync().ok());
+  }
+  auto g = MappedFile::open(path, 16);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->size(), 8192u);
+  EXPECT_EQ(std::filesystem::file_size(path), 8192u);
+  EXPECT_EQ(g->data()[8191], std::byte{0x5A});
+}
+
 TEST_F(MappedFileTest, ResizeGrowsPreservingContents) {
   auto path = track(temp_path("hcl_mf_grow.bin"));
   auto f = MappedFile::open(path, 16);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <vector>
+
+#include "core/persist_log.h"
 
 namespace hcl::mem {
 namespace {
@@ -126,6 +130,67 @@ TEST(Segment, MoveTransfersBudgetOwnership) {
   EXPECT_EQ(node.used(), 512);
   t = Segment();
   EXPECT_EQ(node.used(), 0);
+}
+
+TEST(Segment, ReopenedPersistentSegmentChargesWholeFile) {
+  NodeMemory node(0, 1 << 20);
+  const auto path = temp_path("hcl_seg_reopen_grown.bin");
+  std::filesystem::remove(path);
+  {
+    auto s = Segment::create_persistent(node, 64, path, SyncMode::kPerOp);
+    ASSERT_TRUE(s.ok());
+    ASSERT_TRUE(s->resize(4096).ok());
+  }
+  EXPECT_EQ(node.used(), 0);
+  {
+    auto s = Segment::create_persistent(node, 64, path, SyncMode::kPerOp);
+    ASSERT_TRUE(s.ok());
+    EXPECT_EQ(s->size(), 4096u);
+    EXPECT_EQ(node.used(), 4096);
+  }
+  EXPECT_EQ(node.used(), 0);
+  NodeMemory tight(1, 1024);  // the grown file no longer fits this budget
+  auto refused = Segment::create_persistent(tight, 64, path, SyncMode::kPerOp);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(tight.used(), 0);
+  std::filesystem::remove(path);
+}
+
+TEST(PersistLog, JournalPastFirstMiBRecoversEveryRecordAfterReopen) {
+  // Regression: reopening used to truncate the journal file back to the
+  // log's 1 MiB initial size, dropping every record past it.
+  NodeMemory node(0, std::int64_t{64} << 20);
+  const auto path = temp_path("hcl_persist_log_grown.bin");
+  std::filesystem::remove(path);
+  constexpr int kRecords = 3'000;
+  std::vector<std::byte> payload(1'000);
+  std::size_t logged = 0;
+  {
+    auto log = core::PersistLog::open(node, path, SyncMode::kRelaxed);
+    ASSERT_TRUE(log.ok()) << log.status().to_string();
+    for (int i = 0; i < kRecords; ++i) {
+      std::memcpy(payload.data(), &i, sizeof(i));
+      ASSERT_TRUE((*log)->append(payload).ok());
+    }
+    ASSERT_TRUE((*log)->sync().ok());
+    logged = (*log)->bytes_logged();
+    ASSERT_GT(logged, std::size_t{1} << 20);
+  }
+  {
+    auto log = core::PersistLog::open(node, path, SyncMode::kRelaxed);
+    ASSERT_TRUE(log.ok()) << log.status().to_string();
+    EXPECT_EQ((*log)->bytes_logged(), logged);
+    int seen = 0;
+    (*log)->replay([&](std::span<const std::byte> rec) {
+      ASSERT_EQ(rec.size(), payload.size());
+      int id = -1;
+      std::memcpy(&id, rec.data(), sizeof(id));
+      EXPECT_EQ(id, seen);
+      ++seen;
+    });
+    EXPECT_EQ(seen, kRecords);
+  }  // unmap before unlink
+  std::filesystem::remove(path);
 }
 
 }  // namespace
