@@ -10,11 +10,14 @@
 //   hcl::set<K>               — distributed ordered set (§III.D.2)
 //   hcl::queue<T>             — distributed FIFO queue  (§III.D.3A)
 //   hcl::priority_queue<T>    — distributed priority queue (§III.D.3B)
+//
+// Each name is an alias template over one of two generic cores:
+// core::PartitionedMap<Store> (partitioned_map.h; the maps, and the sets
+// through core::PartitionedSet in sets.h) and core::HostedQueue<Store>
+// (hosted_queue.h; the queues), each over a store adapter (stores.h).
 #pragma once
 
 #include "core/context.h"
-#include "core/ordered_map.h"
-#include "core/priority_queue.h"
-#include "core/queue.h"
+#include "core/hosted_queue.h"
+#include "core/partitioned_map.h"
 #include "core/sets.h"
-#include "core/unordered_map.h"

@@ -121,6 +121,7 @@ concept InputArchive =
     Ar::is_loading && SerializerBackend<typename Ar::backend_type> &&
     requires(Ar& ar, void* p, std::size_t n) {
       { ar.u64() } -> std::same_as<std::uint64_t>;
+      { ar.remaining() } -> std::convertible_to<std::size_t>;
       ar.raw_bytes(p, n);
     };
 

@@ -111,6 +111,33 @@ inline constexpr bool has_constant_wire_size_v =
     std::is_arithmetic_v<T> || std::is_enum_v<T> || std::is_empty_v<T> ||
     is_fixed_wire_size_v<T>;
 
+/// Fewest bytes one serialized T occupies under any backend. load() bounds
+/// a wire-supplied element count by remaining() ÷ this before allocating.
+/// 0 — empty types, custom serialize members (whose encoding may be empty)
+/// — leaves the count unbounded.
+template <typename T>
+constexpr std::size_t min_wire_size() {
+  if constexpr (std::is_empty_v<T> ||
+                HasMemberSerialize<T, BasicOutArchive<RawBackend>>) {
+    return 0;
+  } else if constexpr (is_fixed_wire_size_v<T> || std::is_floating_point_v<T>) {
+    return sizeof(T);
+  } else if constexpr (is_spec_v<T, std::pair>) {
+    return min_wire_size<typename T::first_type>() +
+           min_wire_size<typename T::second_type>();
+  } else if constexpr (is_spec_v<T, std::tuple>) {
+    return []<typename... Es>(std::tuple<Es...>*) {
+      return (std::size_t{0} + ... + min_wire_size<Es>());
+    }(static_cast<T*>(nullptr));
+  } else if constexpr (is_std_array_v<T>) {
+    return std::tuple_size_v<T> * min_wire_size<typename T::value_type>();
+  } else {
+    // Integers, enums and bools take at least one varint byte; strings,
+    // containers, optionals and variants start with one.
+    return 1;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // save
 // ---------------------------------------------------------------------------
@@ -192,6 +219,17 @@ template <InputArchive Ar, typename V, std::size_t... Is>
 void load_variant_alt(Ar& ar, V& v, std::size_t index,
                       std::index_sequence<Is...>);
 
+/// A wire-supplied element count, rejected as an underflow when the input
+/// left cannot hold that many elements — checked before any allocation.
+template <InputArchive Ar>
+std::size_t load_count(Ar& ar, std::size_t min_element_bytes) {
+  const std::uint64_t n = ar.u64();
+  if (min_element_bytes > 0 && n > ar.remaining() / min_element_bytes) {
+    detail::underflow();
+  }
+  return static_cast<std::size_t>(n);
+}
+
 template <InputArchive Ar, typename T>
 void load(Ar& ar, T& v) {
   if constexpr (HasMemberSerialize<T, Ar>) {
@@ -214,15 +252,15 @@ void load(Ar& ar, T& v) {
   } else if constexpr (std::is_same_v<T, float>) {
     v = ar.f32();
   } else if constexpr (is_string_v<T>) {
-    const auto n = static_cast<std::size_t>(ar.u64());
+    const auto n = load_count(ar, sizeof(typename T::value_type));
     v.resize(n);
     ar.raw_bytes(v.data(), n * sizeof(typename T::value_type));
   } else if constexpr (std::is_same_v<T, std::vector<bool>>) {
-    const auto n = static_cast<std::size_t>(ar.u64());
+    const auto n = load_count(ar, 1);
     v.resize(n);
     for (std::size_t i = 0; i < n; ++i) v[i] = ar.u64() != 0;
   } else if constexpr (is_sequence_v<T>) {
-    const auto n = static_cast<std::size_t>(ar.u64());
+    const auto n = load_count(ar, min_wire_size<typename T::value_type>());
     v.resize(n);
     if constexpr (is_fixed_wire_size_v<typename T::value_type> &&
                   is_spec_v<T, std::vector>) {

@@ -1,0 +1,506 @@
+// The shared container contract, checked once over every instantiation of
+// the two generic cores: both maps (core::PartitionedMap over CuckooStore
+// and SkipListStore) and both queues (core::HostedQueue over FifoStore and
+// HeapStore). Store-specific behaviour — global key order, FIFO vs min
+// order, the O(log n) descent charge, the one-staged-pop rule — stays in
+// the per-container test files.
+#include "core/hosted_queue.h"
+#include "core/partitioned_map.h"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <memory>
+#include <optional>
+#include <string>
+#include <typeinfo>
+#include <vector>
+
+#include "fabric/fault_plan.h"
+#include "txn/txn.h"
+
+namespace hcl {
+namespace {
+
+using fabric::FaultPlan;
+using sim::Actor;
+
+Context::Config zero_config(int nodes, int procs,
+                            std::shared_ptr<FaultPlan> plan = nullptr) {
+  Context::Config cfg;
+  cfg.num_nodes = nodes;
+  cfg.procs_per_node = procs;
+  cfg.model = sim::CostModel::zero();
+  cfg.fault_plan = std::move(plan);
+  return cfg;
+}
+
+/// First key >= lo whose partition is `p`.
+template <typename Map>
+int key_in_partition(const Map& m, int p, int lo = 0) {
+  for (int k = lo;; ++k) {
+    if (m.partition_of(k) == p) return k;
+  }
+}
+
+/// A journal path private to one container type; every file it prefixes is
+/// removed on construction and destruction.
+template <typename T>
+class ScratchJournal {
+ public:
+  ScratchJournal()
+      : dir_(std::filesystem::temp_directory_path()),
+        base_("hcl_contract_" + std::to_string(typeid(T).hash_code())) {
+    clear();
+  }
+  ~ScratchJournal() { clear(); }
+  [[nodiscard]] std::string path() const { return (dir_ / base_).string(); }
+
+ private:
+  void clear() const {
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().filename().string().rfind(base_, 0) == 0) {
+        std::filesystem::remove(entry.path());
+      }
+    }
+  }
+  std::filesystem::path dir_;
+  std::string base_;
+};
+
+// ===========================================================================
+// Maps: hcl::unordered_map and hcl::map
+// ===========================================================================
+
+template <typename M>
+class MapContract : public ::testing::Test {};
+
+using MapTypes = ::testing::Types<unordered_map<int, int>, map<int, int>>;
+TYPED_TEST_SUITE(MapContract, MapTypes);
+
+TYPED_TEST(MapContract, ScalarOpsAcrossRanks) {
+  Context ctx(zero_config(2, 2));
+  TypeParam m(ctx);
+  ctx.run([&](Actor& self) {
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(m.insert(self.rank() * 100 + i, self.rank()));
+      EXPECT_FALSE(m.insert(self.rank() * 100 + i, -1));  // duplicate
+    }
+  });
+  ctx.run([&](Actor& self) {
+    const int neighbour = (self.rank() + 1) % ctx.topology().num_ranks();
+    for (int i = 0; i < 16; ++i) {
+      int v = -1;
+      ASSERT_TRUE(m.find(neighbour * 100 + i, &v));
+      EXPECT_EQ(v, neighbour);
+    }
+  });
+  EXPECT_EQ(m.size(), 4u * 16u);
+  ctx.run_one(0, [&](Actor&) {
+    EXPECT_FALSE(m.upsert(5, 55));  // overwrite: not fresh
+    EXPECT_TRUE(m.upsert(999, 9));  // fresh
+    int v = 0;
+    EXPECT_TRUE(m.find(5, &v));
+    EXPECT_EQ(v, 55);
+    EXPECT_TRUE(m.contains(999));
+    EXPECT_TRUE(m.erase(999));
+    EXPECT_FALSE(m.erase(999));
+    EXPECT_FALSE(m.contains(999));
+  });
+  EXPECT_EQ(m.size(), 4u * 16u);
+}
+
+TYPED_TEST(MapContract, BatchOpsMatchScalarSemantics) {
+  Context ctx(zero_config(2, 1));
+  TypeParam m(ctx);
+  ctx.run_one(0, [&](Actor&) {
+    // A duplicate inside one batch observes its earlier sibling.
+    const std::vector<int> keys{1, 2, 3, 4, 5, 3};
+    const std::vector<int> values{10, 20, 30, 40, 50, 99};
+    std::vector<Status> statuses;
+    const auto inserted = m.insert_batch(keys, values, &statuses);
+    EXPECT_EQ(inserted, (std::vector<bool>{true, true, true, true, true, false}));
+    for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.message();
+    const auto found = m.find_batch({1, 3, 6});
+    ASSERT_EQ(found.size(), 3u);
+    EXPECT_EQ(found[0], std::optional<int>(10));
+    EXPECT_EQ(found[1], std::optional<int>(30));
+    EXPECT_FALSE(found[2].has_value());
+    EXPECT_EQ(m.erase_batch({2, 6, 2}), (std::vector<bool>{true, false, false}));
+  });
+  EXPECT_EQ(m.size(), 4u);
+  EXPECT_THROW(m.insert_batch({1, 2}, {1}), HclError);
+}
+
+TYPED_TEST(MapContract, AsyncInsertAndFind) {
+  Context ctx(zero_config(2, 2));
+  TypeParam m(ctx);
+  ctx.run([&](Actor& self) {
+    std::vector<rpc::Future<bool>> futures;
+    for (int i = 0; i < 8; ++i) {
+      futures.push_back(m.async_insert(self.rank() * 100 + i, i));
+    }
+    for (auto& f : futures) EXPECT_TRUE(f.get(self));
+    auto found = m.async_find(self.rank() * 100 + 7).get(self);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(*found, 7);
+  });
+  EXPECT_EQ(m.size(), 4u * 8u);
+}
+
+TYPED_TEST(MapContract, RegisteredMutatorsApplyAndFetch) {
+  Context ctx(zero_config(2, 2));
+  TypeParam m(ctx);
+  const auto add = m.template register_mutator<int>(
+      [](int& value, const int& delta) { value += delta; });
+  const auto add_fetch = m.template register_mutator<int>(
+      [](int& value, const int& delta) { return value += delta; });
+  ctx.run([&](Actor&) {
+    for (int i = 0; i < 25; ++i) m.apply(7, add, 1, 0);
+  });
+  ctx.run_one(0, [&](Actor&) {
+    int v = 0;
+    ASSERT_TRUE(m.find(7, &v));
+    EXPECT_EQ(v, 4 * 25);  // one server-side RMW per call, none lost
+    EXPECT_EQ(m.template apply_fetch<int>(7, add_fetch, 5), 105);
+    EXPECT_TRUE(m.apply(8, add, 2, 40));  // fresh: init, then the mutator
+    EXPECT_TRUE(m.find(8, &v));
+    EXPECT_EQ(v, 42);
+    EXPECT_THROW(m.apply(9, 99, 1), HclError);  // unknown mutator id
+  });
+}
+
+TYPED_TEST(MapContract, ResizeKeepsContents) {
+  Context ctx(zero_config(2, 1));
+  TypeParam m(ctx);
+  ctx.run_one(0, [&](Actor&) {
+    for (int i = 0; i < 64; ++i) m.insert(i, i);
+    for (int p = 0; p < m.num_partitions(); ++p) EXPECT_TRUE(m.resize(p, 1024));
+    EXPECT_FALSE(m.resize(m.num_partitions(), 1024));
+    for (int i = 0; i < 64; ++i) {
+      int v = -1;
+      ASSERT_TRUE(m.find(i, &v));
+      EXPECT_EQ(v, i);
+    }
+  });
+}
+
+TYPED_TEST(MapContract, FailoverWithReplicationOne) {
+  auto plan = std::make_shared<FaultPlan>(21);
+  Context ctx(zero_config(3, 1, plan));
+  TypeParam m(ctx, {.num_partitions = 3, .replication = 1});
+  const int ka = key_in_partition(m, 1);
+  const int kb = key_in_partition(m, 1, ka + 1);
+  const int kc = key_in_partition(m, 1, kb + 1);
+  const int kd = key_in_partition(m, 1, kc + 1);
+  ctx.run_one(0, [&](Actor&) {
+    EXPECT_TRUE(m.insert(ka, 1));
+    EXPECT_TRUE(m.insert(kc, 3));
+  });
+  EXPECT_EQ(m.replica_size(2), 2u);  // partition 1's standby is partition 2
+
+  plan->fail_node(1);
+  ctx.run_one(0, [&](Actor&) {
+    int v = 0;
+    EXPECT_TRUE(m.find(ka, &v));  // served by the promoted standby
+    EXPECT_EQ(v, 1);
+    EXPECT_FALSE(m.upsert(ka, 2));
+    EXPECT_TRUE(m.insert(kb, 4));
+    EXPECT_TRUE(m.erase(kc));
+    const auto landed = m.insert_batch({kd}, {5});
+    EXPECT_TRUE(landed[0]);
+    const auto found = m.find_batch({ka, kc});
+    EXPECT_EQ(found[0], std::optional<int>(2));
+    EXPECT_FALSE(found[1].has_value());
+  });
+  EXPECT_TRUE(m.partition_promoted(1));
+  EXPECT_EQ(m.size(), 3u);  // route-aware: base + failover journal
+
+  plan->rejoin_node(1);
+  ctx.run_one(0, [&](Actor& self) {
+    m.heal(self);
+    int v = 0;
+    EXPECT_TRUE(m.find(ka, &v));  // answered by the repaired primary
+    EXPECT_EQ(v, 2);
+    EXPECT_TRUE(m.find(kb, &v));
+    EXPECT_EQ(v, 4);
+    EXPECT_TRUE(m.find(kd, &v));
+    EXPECT_EQ(v, 5);
+    EXPECT_FALSE(m.find(kc, &v));
+  });
+  EXPECT_FALSE(m.partition_promoted(1));
+  EXPECT_EQ(m.repair_backlog(1), 0u);
+  EXPECT_EQ(m.size(), 3u);
+}
+
+TYPED_TEST(MapContract, JournalReopenRecovers) {
+  const ScratchJournal<TypeParam> journal;
+  core::ContainerOptions options;
+  options.persist_path = journal.path();
+  {
+    Context ctx(zero_config(2, 1));
+    TypeParam m(ctx, options);
+    const auto add = m.template register_mutator<int>(
+        [](int& value, const int& delta) { value += delta; });
+    ctx.run_one(0, [&](Actor&) {
+      for (int i = 0; i < 40; ++i) m.insert(i, i);
+      m.erase(13);
+      m.upsert(7, 700);
+      m.apply(8, add, 1000);
+      m.insert_batch({100, 101}, {1, 2});
+      m.erase_batch({101});
+    });
+  }  // container and context destroyed: "crash"
+  Context ctx(zero_config(2, 1));
+  TypeParam m(ctx, options);
+  EXPECT_EQ(m.size(), 40u);
+  ctx.run_one(0, [&](Actor&) {
+    int v = 0;
+    EXPECT_FALSE(m.find(13, &v));
+    EXPECT_FALSE(m.find(101, &v));
+    ASSERT_TRUE(m.find(7, &v));
+    EXPECT_EQ(v, 700);
+    ASSERT_TRUE(m.find(8, &v));
+    EXPECT_EQ(v, 1008);
+    ASSERT_TRUE(m.find(100, &v));
+    EXPECT_EQ(v, 1);
+  });
+}
+
+TYPED_TEST(MapContract, TxnPutFindErase) {
+  Context ctx(zero_config(3, 1));
+  TypeParam m(ctx, {.num_partitions = 3});
+  txn::TxnCoordinator coord(ctx);
+  const int ka = key_in_partition(m, 0);
+  const int kb = key_in_partition(m, 1);
+  const int kc = key_in_partition(m, 2);
+  ctx.run_one(0, [&](Actor& self) {
+    EXPECT_TRUE(m.insert(kc, 3));
+    const Status st = coord.run(self, [&](txn::Txn& t) {
+      int v = 0;
+      EXPECT_FALSE(m.txn_find(self, t, ka, &v));
+      m.txn_put(t, ka, 1);
+      m.txn_put(t, kb, 2);
+      m.txn_put(t, kb, 22);  // last write per key wins
+      m.txn_erase(t, kc);
+      EXPECT_TRUE(m.txn_find(self, t, ka, &v));  // read-your-writes
+      EXPECT_EQ(v, 1);
+      EXPECT_FALSE(m.txn_find(self, t, kc, &v));
+    });
+    EXPECT_TRUE(st.ok()) << st.message();
+    int v = 0;
+    EXPECT_TRUE(m.find(ka, &v));
+    EXPECT_EQ(v, 1);
+    EXPECT_TRUE(m.find(kb, &v));
+    EXPECT_EQ(v, 22);
+    EXPECT_FALSE(m.find(kc, &v));
+    // A put over an existing key overwrites it.
+    EXPECT_TRUE(coord.run(self, [&](txn::Txn& t) { m.txn_put(t, ka, 11); }).ok());
+    EXPECT_TRUE(m.find(ka, &v));
+    EXPECT_EQ(v, 11);
+  });
+  EXPECT_EQ(coord.commits(), 2);
+  for (int p = 0; p < 3; ++p) EXPECT_FALSE(m.txn_slot_held(p));
+}
+
+TYPED_TEST(MapContract, SplitMergeMigrate) {
+  Context ctx(zero_config(3, 1));
+  core::ContainerOptions options;
+  options.num_partitions = 3;
+  options.rebalance.enabled = true;
+  options.rebalance.min_ops = 1;
+  options.rebalance.cooldown_ops = 1;
+  TypeParam m(ctx, options);
+  std::vector<int> keys;
+  for (int k = 0; keys.size() < 24; ++k) {
+    if (m.partition_of(k) == 0) keys.push_back(k);
+  }
+  const auto all_present = [&] {
+    for (int k : keys) {
+      int v = -1;
+      EXPECT_TRUE(m.find(k, &v)) << "key " << k;
+      EXPECT_EQ(v, k * 10);
+    }
+  };
+  ctx.run_one(0, [&](Actor&) {
+    for (int k : keys) ASSERT_TRUE(m.insert(k, k * 10));
+    all_present();  // heat on partition 0
+    EXPECT_GT(m.split(0), 0u);
+    all_present();
+    EXPECT_GT(m.merge(0, 2), 0u);
+    for (int k : keys) EXPECT_NE(m.partition_of(k), 0);
+    all_present();
+    EXPECT_TRUE(m.migrate(2, 0));
+    EXPECT_EQ(m.partition_owner(2), 0);
+    EXPECT_FALSE(m.migrate(2, 0));  // already there
+    all_present();
+  });
+  EXPECT_EQ(m.rebalances(), 2u);
+  EXPECT_EQ(m.size(), keys.size());
+}
+
+// ===========================================================================
+// Queues: hcl::queue and hcl::priority_queue. Elements are pushed in
+// ascending order, so FIFO order and min order agree.
+// ===========================================================================
+
+template <typename Q>
+class QueueContract : public ::testing::Test {};
+
+using QueueTypes = ::testing::Types<queue<int>, priority_queue<int>>;
+TYPED_TEST_SUITE(QueueContract, QueueTypes);
+
+/// Pop everything from `q`, in pop order.
+template <typename Q>
+std::vector<int> drain(Q& q) {
+  std::vector<int> out;
+  int v = 0;
+  while (q.pop(&v)) out.push_back(v);
+  return out;
+}
+
+TYPED_TEST(QueueContract, ScalarBulkAndBatchOps) {
+  Context ctx(zero_config(2, 1));
+  TypeParam q(ctx, {.first_node = 1});  // remote from rank 0
+  ctx.run_one(0, [&](Actor&) {
+    int v = 0;
+    EXPECT_FALSE(q.pop(&v));
+    for (int i = 1; i <= 4; ++i) EXPECT_TRUE(q.push(i));
+    EXPECT_TRUE(q.push(std::vector<int>{5, 6, 7}));
+    std::vector<Status> statuses;
+    EXPECT_EQ(q.push_batch({8, 9}, &statuses), (std::vector<bool>{true, true}));
+    for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.message();
+    EXPECT_EQ(q.size(), 9u);
+    EXPECT_TRUE(q.pop(&v));
+    EXPECT_EQ(v, 1);
+    std::vector<int> bulk;
+    EXPECT_EQ(q.pop(&bulk, 3), 3u);
+    EXPECT_EQ(bulk, (std::vector<int>{2, 3, 4}));
+    EXPECT_EQ(drain(q), (std::vector<int>{5, 6, 7, 8, 9}));
+    EXPECT_EQ(q.pop(&bulk, 3), 0u);
+  });
+  EXPECT_TRUE(q.empty());
+}
+
+TYPED_TEST(QueueContract, AsyncPushPopRemoteAndCoLocated) {
+  Context ctx(zero_config(2, 1));
+  TypeParam q(ctx);  // hosted on node 0
+  ctx.run([&](Actor& self) {
+    if (self.node() != 1) return;
+    auto a = q.async_push(1);
+    auto b = q.async_push(2);
+    EXPECT_TRUE(a.get(self));
+    EXPECT_TRUE(b.get(self));
+  });
+  ctx.run_one(0, [&](Actor& self) {  // co-located: resolved immediately
+    EXPECT_TRUE(q.async_push(3).get(self));
+    EXPECT_EQ(q.async_pop().get(self), std::optional<int>(1));
+  });
+  ctx.run([&](Actor& self) {
+    if (self.node() != 1) return;
+    EXPECT_EQ(q.async_pop().get(self), std::optional<int>(2));
+  });
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TYPED_TEST(QueueContract, FailoverWithReplicationOne) {
+  auto plan = std::make_shared<FaultPlan>(22);
+  Context ctx(zero_config(2, 1, plan));
+  TypeParam q(ctx, {.replication = 1});  // host node 0, mirror on node 1
+  const auto on_node1 = [&](auto body) {
+    ctx.run([&](Actor& self) {
+      if (self.node() == 1) body(self);
+    });
+  };
+  on_node1([&](Actor&) {
+    for (int i = 1; i <= 3; ++i) EXPECT_TRUE(q.push(i));
+  });
+  EXPECT_EQ(q.mirror_size(), 3u);
+
+  plan->fail_node(0);
+  on_node1([&](Actor&) {
+    int v = 0;
+    EXPECT_TRUE(q.pop(&v));  // served by the promoted mirror
+    EXPECT_EQ(v, 1);
+    EXPECT_TRUE(q.push(4));
+    EXPECT_TRUE(q.push(std::vector<int>{5}));
+    EXPECT_EQ(q.push_batch({6}), (std::vector<bool>{true}));
+  });
+  EXPECT_TRUE(q.promoted());
+  EXPECT_EQ(q.repair_backlog(), 4u);
+
+  plan->rejoin_node(0);
+  on_node1([&](Actor& self) {
+    q.heal(self);
+    EXPECT_EQ(drain(q), (std::vector<int>{2, 3, 4, 5, 6}));
+  });
+  EXPECT_FALSE(q.promoted());
+  EXPECT_EQ(q.repair_backlog(), 0u);
+}
+
+TYPED_TEST(QueueContract, JournalReopenRecovers) {
+  const ScratchJournal<TypeParam> journal;
+  core::ContainerOptions options;
+  options.persist_path = journal.path();
+  {
+    Context ctx(zero_config(1, 1));
+    TypeParam q(ctx, options);
+    ctx.run_one(0, [&](Actor&) {
+      for (int i = 1; i <= 6; ++i) q.push(i);
+      int v = 0;
+      q.pop(&v);
+      q.pop(&v);
+      q.push_batch({7, 8});
+    });
+  }  // "crash"
+  Context ctx(zero_config(1, 1));
+  TypeParam q(ctx, options);
+  EXPECT_EQ(q.size(), 6u);
+  ctx.run_one(0, [&](Actor&) {
+    EXPECT_EQ(drain(q), (std::vector<int>{3, 4, 5, 6, 7, 8}));
+  });
+}
+
+TYPED_TEST(QueueContract, TxnPushPop) {
+  Context ctx(zero_config(2, 1));
+  TypeParam q(ctx, {.first_node = 1});
+  txn::TxnCoordinator coord(ctx);
+  ctx.run_one(0, [&](Actor& self) {
+    EXPECT_TRUE(q.push(10));
+    EXPECT_TRUE(q.push(20));
+    const Status st = coord.run(self, [&](txn::Txn& t) {
+      int v = 0;
+      EXPECT_TRUE(q.txn_pop(self, t, &v));
+      EXPECT_EQ(v, 10);  // the pre-transaction front
+      q.txn_push(t, 30);
+    });
+    EXPECT_TRUE(st.ok()) << st.message();
+    EXPECT_EQ(drain(q), (std::vector<int>{20, 30}));
+    // An empty queue's txn_pop stages nothing and commits as a no-op.
+    const Status empty = coord.run(self, [&](txn::Txn& t) {
+      int v = 0;
+      EXPECT_FALSE(q.txn_pop(self, t, &v));
+    });
+    EXPECT_TRUE(empty.ok()) << empty.message();
+  });
+  EXPECT_EQ(coord.commits(), 2);
+  EXPECT_FALSE(q.txn_slot_held());
+}
+
+TYPED_TEST(QueueContract, MigrateMovesHostAndKeepsContents) {
+  Context ctx(zero_config(3, 1));
+  core::ContainerOptions options;
+  options.rebalance.enabled = true;
+  TypeParam q(ctx, options);
+  ctx.run_one(0, [&](Actor&) {
+    for (int i = 1; i <= 4; ++i) q.push(i);
+    EXPECT_FALSE(q.migrate(0));  // already hosted there
+    EXPECT_TRUE(q.migrate(2));
+    EXPECT_EQ(q.host_node(), 2);
+    EXPECT_EQ(q.standby_node(), 0);
+    EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3, 4}));  // now remote pops
+  });
+}
+
+}  // namespace
+}  // namespace hcl

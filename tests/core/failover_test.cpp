@@ -3,10 +3,8 @@
 // replays the promoted journal into the primary before it resumes
 // ownership, and the fenced epoch stream keeps cached leases from serving
 // pre-failover values.
-#include "core/ordered_map.h"
-#include "core/priority_queue.h"
-#include "core/queue.h"
-#include "core/unordered_map.h"
+#include "core/hosted_queue.h"
+#include "core/partitioned_map.h"
 
 #include <gtest/gtest.h>
 

@@ -1,9 +1,8 @@
-#include "core/ordered_map.h"
+#include "core/partitioned_map.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -92,19 +91,6 @@ TEST(OrderedMap, OrderedCostsMoreThanUnorderedWouldLocally) {
   EXPECT_GT(later_cost, first_cost);
 }
 
-TEST(OrderedMap, AsyncOps) {
-  Context ctx(zero_config(2, 1));
-  map<int, int> m(ctx);
-  ctx.run_one(0, [&](Actor& self) {
-    auto f = m.async_insert(1, 10);
-    EXPECT_TRUE(f.get(self));
-    auto g = m.async_find(1);
-    auto v = g.get(self);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 10);
-  });
-}
-
 TEST(OrderedMap, ResizeCharge) {
   Context ctx(zero_config(2, 1));
   map<int, int> m(ctx);
@@ -114,36 +100,6 @@ TEST(OrderedMap, ResizeCharge) {
     EXPECT_FALSE(m.resize(-1, 1024));
     EXPECT_FALSE(m.resize(99, 1024));
   });
-}
-
-TEST(OrderedMap, PersistenceRecovers) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "hcl_omap_persist").string();
-  for (int p = 0; p < 4; ++p) std::filesystem::remove(path + ".p" + std::to_string(p));
-  {
-    Context ctx(zero_config(2, 1));
-    core::ContainerOptions options;
-    options.persist_path = path;
-    map<int, int> m(ctx, options);
-    ctx.run_one(0, [&](Actor&) {
-      for (int i = 0; i < 20; ++i) m.insert(i, i * 3);
-      m.erase(4);
-    });
-  }
-  {
-    Context ctx(zero_config(2, 1));
-    core::ContainerOptions options;
-    options.persist_path = path;
-    map<int, int> m(ctx, options);
-    EXPECT_EQ(m.size(), 19u);
-    ctx.run_one(0, [&](Actor&) {
-      int v;
-      ASSERT_TRUE(m.find(17, &v));
-      EXPECT_EQ(v, 51);
-      EXPECT_FALSE(m.contains(4));
-    });
-  }
-  for (int p = 0; p < 4; ++p) std::filesystem::remove(path + ".p" + std::to_string(p));
 }
 
 TEST(OrderedMap, ReplicationLands) {

@@ -1,5 +1,4 @@
-#include "core/priority_queue.h"
-#include "core/queue.h"
+#include "core/hosted_queue.h"
 
 #include <gtest/gtest.h>
 
@@ -120,19 +119,6 @@ TEST(Queue, VariableLengthElements) {
     EXPECT_EQ(v.size(), 10u);
     ASSERT_TRUE(q.pop(&v));
     EXPECT_EQ(v.size(), 10'000u);
-  });
-}
-
-TEST(Queue, AsyncPushPop) {
-  Context ctx(zero_config(2, 1));
-  queue<int> q(ctx);
-  ctx.run_one(1, [&](Actor& self) {
-    auto f = q.async_push(9);
-    EXPECT_TRUE(f.get(self));
-    auto g = q.async_pop();
-    auto v = g.get(self);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 9);
   });
 }
 

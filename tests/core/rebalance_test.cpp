@@ -4,11 +4,9 @@
 // feature is fenced behind rebalance.enabled. Also covers the route-aware
 // introspection fixes (size/for_each across a kill -> promote -> rejoin
 // cycle) and the degenerate-replica-placement construction check.
-#include "core/ordered_map.h"
-#include "core/priority_queue.h"
-#include "core/queue.h"
+#include "core/hosted_queue.h"
+#include "core/partitioned_map.h"
 #include "core/sets.h"
-#include "core/unordered_map.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "core/unordered_map.h"
+#include "core/partitioned_map.h"
 
 #include <gtest/gtest.h>
 
@@ -102,21 +102,6 @@ TEST(UnorderedMap, CustomPartitionCountAndFirstNode) {
   EXPECT_EQ(map.num_partitions(), 2);
   EXPECT_EQ(map.partition_owner(0), 3);
   EXPECT_EQ(map.partition_owner(1), 0);  // wraps
-}
-
-TEST(UnorderedMap, AsyncInsertAndFind) {
-  Context ctx(zero_config(2, 2));
-  unordered_map<int, int> map(ctx);
-  ctx.run([&](Actor& self) {
-    std::vector<rpc::Future<bool>> futures;
-    for (int i = 0; i < 16; ++i) {
-      futures.push_back(map.async_insert(self.rank() * 100 + i, i));
-    }
-    for (auto& f : futures) EXPECT_TRUE(f.get(self));
-    auto found = map.async_find(self.rank() * 100 + 7).get(self);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, 7);
-  });
 }
 
 TEST(UnorderedMap, HybridLocalAccessIsCheaper) {

@@ -241,6 +241,64 @@ TEST(Archive, RemainingTracksCursor) {
   EXPECT_EQ(in.remaining(), 8u);
 }
 
+/// Decode `T` from `bytes`, returning the StatusCode it failed with (kOk on
+/// success). A std::bad_alloc escapes and fails the test.
+template <typename T, SerializerBackend B = RawBackend>
+StatusCode decode_code(const std::vector<std::byte>& bytes) {
+  try {
+    (void)unpack<T, B>(std::span<const std::byte>(bytes));
+    return StatusCode::kOk;
+  } catch (const HclError& e) {
+    return e.code();
+  }
+}
+
+TEST(BoundedDecode, HugeSequenceLengthIsInvalidArgumentNotBadAlloc) {
+  OutArchive out;
+  out.u64(std::uint64_t{1} << 36);  // 2^36 u64s claimed by an 8-byte buffer
+  ASSERT_EQ(out.size(), 8u);
+  EXPECT_EQ(decode_code<std::vector<std::uint64_t>>(out.buffer()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_code<std::vector<std::string>>(out.buffer()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_code<std::string>(out.buffer()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_code<std::vector<bool>>(out.buffer()),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BoundedDecode, LengthJustPastTheInputIsRejectedAndExactFitDecodes) {
+  OutArchive fits;
+  fits.u64(3);
+  fits.raw_bytes("abc", 3);
+  EXPECT_EQ(decode_code<std::string>(fits.buffer()), StatusCode::kOk);
+  OutArchive lies;
+  lies.u64(4);
+  lies.raw_bytes("abc", 3);
+  EXPECT_EQ(decode_code<std::string>(lies.buffer()),
+            StatusCode::kInvalidArgument);
+  // Packed varints: two one-byte u64 elements fit in two bytes.
+  const std::vector<std::uint64_t> small{1, 2};
+  auto packed = pack<std::vector<std::uint64_t>, PackedBackend>(small);
+  EXPECT_EQ((decode_code<std::vector<std::uint64_t>, PackedBackend>(packed)),
+            StatusCode::kOk);
+  packed.pop_back();
+  EXPECT_EQ((decode_code<std::vector<std::uint64_t>, PackedBackend>(packed)),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BoundedDecode, MinWireSizeFollowsTheEncoding) {
+  static_assert(min_wire_size<std::uint64_t>() == 1);
+  static_assert(min_wire_size<double>() == sizeof(double));
+  static_assert(min_wire_size<std::string>() == 1);
+  static_assert(min_wire_size<std::pair<int, double>>() == 1 + sizeof(double));
+  static_assert(min_wire_size<std::tuple<int, int, int>>() == 3);
+  static_assert(min_wire_size<std::array<std::uint32_t, 4>>() == 4);
+  struct Empty {};
+  static_assert(min_wire_size<Empty>() == 0);
+  SUCCEED();
+}
+
 // ---------------------------------------------------------------------------
 // Flat (arena) archives: the zero-allocation shm fast path (DESIGN.md §5i)
 // ---------------------------------------------------------------------------

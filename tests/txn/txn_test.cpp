@@ -13,11 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/ordered_map.h"
-#include "core/priority_queue.h"
-#include "core/queue.h"
+#include "core/hosted_queue.h"
+#include "core/partitioned_map.h"
 #include "core/sets.h"
-#include "core/unordered_map.h"
 #include "fabric/fault_plan.h"
 
 namespace hcl {
