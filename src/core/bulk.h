@@ -1,4 +1,5 @@
-// Shared bulk-operation plumbing for keyed containers (Table I's bulk rows).
+// Shared bulk-operation plumbing for both container cores (Table I's bulk
+// rows).
 //
 // Every *_batch API follows the same shape: co-located ops run inline on the
 // hybrid shared-memory path, remote ops enqueue into a per-destination
@@ -30,12 +31,12 @@
 
 namespace hcl::core {
 
-/// Most-general form: `rescue(i, status)` runs when a constituent fails,
-/// BEFORE the status is recorded or re-thrown. Returning true means the op
-/// was recovered out-of-band — the hook re-issued it (the failover path uses
-/// this when a node dies mid-bundle) and settled results[i] plus any cache
-/// bookkeeping itself — so the failure is swallowed and `post` is skipped
-/// for that op. Returning false falls through to the normal failure path.
+/// `rescue(i, status)` runs when a constituent fails, BEFORE the status is
+/// recorded or re-thrown. It may re-issue the op out-of-band — the failover
+/// path does when a node dies mid-bundle — and return the new future: when
+/// that settles, it fills results[i] and `post` sees it instead, and the
+/// failure is swallowed. An invalid future, or one that fails too, leaves
+/// the original failure standing.
 template <typename R, typename Results, typename Post, typename Rescue>
 void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
                   std::vector<std::pair<std::size_t, rpc::Future<R>>>& remote,
@@ -49,33 +50,26 @@ void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
     try {
       results[i] = future.get(self);
     } catch (const HclError& e) {
-      if (rescue(i, Status(e.code(), e.what()))) continue;
+      Status failure(e.code(), e.what());
+      try {
+        rpc::Future<R> again = rescue(i, failure);
+        if (again.valid()) {
+          results[i] = again.get(self);
+          post(i, again, true);
+          continue;
+        }
+      } catch (const HclError&) {
+        // Not rescued: the original failure stands.
+      }
       ok = false;
       if (statuses == nullptr) {
         post(i, future, ok);
         throw;
       }
-      (*statuses)[i] = Status(e.code(), e.what());
+      (*statuses)[i] = std::move(failure);
     }
     post(i, future, ok);
   }
-}
-
-template <typename R, typename Results, typename Post>
-void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
-                  std::vector<std::pair<std::size_t, rpc::Future<R>>>& remote,
-                  Results& results, std::vector<Status>* statuses, Post&& post) {
-  settle_batch(stats, batcher, self, remote, results, statuses,
-               std::forward<Post>(post),
-               [](std::size_t, const Status&) { return false; });
-}
-
-template <typename R, typename Results>
-void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
-                  std::vector<std::pair<std::size_t, rpc::Future<R>>>& remote,
-                  Results& results, std::vector<Status>* statuses) {
-  settle_batch(stats, batcher, self, remote, results, statuses,
-               [](std::size_t, const rpc::Future<R>&, bool) {});
 }
 
 }  // namespace hcl::core

@@ -270,6 +270,15 @@ inline sim::NodeId partition_node(const ContainerOptions& options,
   return (options.first_node + partition) % topology.num_nodes();
 }
 
+/// A replicated data op's two registry entries, bound from ONE server body
+/// (DESIGN.md §5f): `primary` serves the op where its data lives, and its
+/// failover twin `standby` serves it on the promoted standby while the
+/// primary is down.
+struct Twins {
+  rpc::FuncId primary = 0;
+  rpc::FuncId standby = 0;
+};
+
 /// log2-style level count for ordered-structure cost charging.
 inline int depth_levels(std::size_t n) {
   int levels = 1;

@@ -15,16 +15,22 @@
 // ordering cost (Table I: F + L·log N + W) through Store::descent(), while
 // pop-min stays F + L + R. The ISx kernel exploits exactly this: pushing
 // keys keeps them sorted "for free" behind the network (Fig. 7a).
+// With replication the standby mirrors the host and takes over while it is
+// down (DESIGN.md §5f); every op's server body is written once against a
+// serving side and bound twice, as its primary FuncId and failover twin.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "core/bulk.h"
 #include "core/context.h"
 #include "core/persist_log.h"
 #include "core/stores.h"
@@ -82,24 +88,13 @@ class HostedQueue {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
       charge_local(self, bytes_of(value), /*write=*/true);
-      apply_push(value);
-      mirror_push(self.now(), value);
+      apply_push(Side::kPrimary, value);
+      mirror(Side::kPrimary, self.now(), LogOp::kPush, &value);
       return true;
     }
-    return with_failover<bool>(
-        self,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          return ctx_->rpc().template invoke<bool>(self, node_, push_id_, value);
-        },
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto future = ctx_->rpc().template async_invoke_failover<bool>(
-              self, standby_node_, fo_push_id_, value);
-          return future.get(self);
-        });
+    return routed<bool>(
+        self, push_, [&](rpc::Future<bool>& future) { return future.get(self); },
+        value);
   }
 
   /// Bulk push (Table I: F + L + E·W) — one invocation, E elements.
@@ -111,26 +106,14 @@ class HostedQueue {
       charge_local(self, bytes, /*write=*/true,
                    static_cast<std::int64_t>(values.size()));
       for (const auto& v : values) {
-        apply_push(v);
-        mirror_push(self.now(), v);
+        apply_push(Side::kPrimary, v);
+        mirror(Side::kPrimary, self.now(), LogOp::kPush, &v);
       }
       return true;
     }
-    return with_failover<bool>(
-        self,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          return ctx_->rpc().template invoke<bool>(self, node_, push_bulk_id_,
-                                                   values);
-        },
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto future = ctx_->rpc().template async_invoke_failover<bool>(
-              self, standby_node_, fo_push_bulk_id_, values);
-          return future.get(self);
-        });
+    return routed<bool>(
+        self, push_bulk_,
+        [&](rpc::Future<bool>& future) { return future.get(self); }, values);
   }
 
   /// Coalesced bulk push: elements ship as per-op invocations bundled under
@@ -147,47 +130,48 @@ class HostedQueue {
     if (node_ == self.node()) {
       for (std::size_t i = 0; i < values.size(); ++i) {
         charge_local(self, bytes_of(values[i]), /*write=*/true);
-        apply_push(values[i]);
-        mirror_push(self.now(), values[i]);
+        apply_push(Side::kPrimary, values[i]);
+        mirror(Side::kPrimary, self.now(), LogOp::kPush, &values[i]);
         results[i] = true;
       }
       return results;
     }
     rpc::Batcher batcher(ctx_->rpc(), options_.batch,
                          ctx_->rpc().default_options());
-    const bool reroute = batch_reroute(self);
-    std::vector<rpc::Future<bool>> remote;
-    remote.reserve(values.size());
-    for (const auto& v : values) {
-      remote.push_back(reroute ? batcher.enqueue<bool>(self, standby_node_,
-                                                       fo_push_id_, v)
-                               : batcher.enqueue<bool>(self, node_, push_id_, v));
-    }
-    batcher.flush_all(self);
-    ctx_->op_stats().remote_invocations.fetch_add(batcher.flushes(),
-                                                  std::memory_order_relaxed);
-    for (std::size_t i = 0; i < remote.size(); ++i) {
-      try {
-        results[i] = remote[i].get(self);
-      } catch (const HclError& e) {
-        // Mid-bundle rescue (DESIGN.md §5f): when the host died under the
-        // bundle, re-issue the element against the live standby.
-        if (e.code() == StatusCode::kUnavailable &&
-            ctx_->fabric().node_down(node_) && standby_live()) {
-          ctx_->rpc().route().mark_down(node_);
-          try {
-            auto future = ctx_->rpc().template async_invoke_failover<bool>(
-                self, standby_node_, fo_push_id_, values[i]);
-            results[i] = future.get(self);
-            continue;
-          } catch (const HclError&) {
-            // fall through to the normal failure path
-          }
-        }
-        if (statuses == nullptr) throw;
-        (*statuses)[i] = Status(e.code(), e.what());
+    // Routed once per call: the whole bundle takes the failover twin while
+    // the host is marked down (repairing it first when a stale route mark
+    // outlived a rejoin).
+    bool standby = false;
+    auto& route = ctx_->rpc().route();
+    if (route.is_down(node_)) {
+      if (ctx_->fabric().node_down(node_)) {
+        standby = standby_live();
+      } else {
+        repair(self);
+        route.mark_up(node_);
       }
     }
+    std::vector<std::pair<std::size_t, rpc::Future<bool>>> remote;
+    remote.reserve(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      remote.emplace_back(
+          i, batcher.enqueue<bool>(self, standby ? standby_node_ : node_,
+                                   standby ? push_.standby : push_.primary,
+                                   values[i]));
+    }
+    core::settle_batch(
+        ctx_->op_stats(), batcher, self, remote, results, statuses,
+        [](std::size_t, const rpc::Future<bool>&, bool) {},
+        [&](std::size_t i, const Status& st) -> rpc::Future<bool> {
+          // Mid-bundle rescue (DESIGN.md §5f): when the host died under the
+          // bundle, re-issue the element against the live standby.
+          if (st.code() != StatusCode::kUnavailable ||
+              !ctx_->fabric().node_down(node_) || !standby_live()) {
+            return {};
+          }
+          route.mark_down(node_);
+          return send<bool>(self, /*standby=*/true, push_, values[i]);
+        });
     return results;
   }
 
@@ -196,29 +180,14 @@ class HostedQueue {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
       T tmp{};
-      const bool ok = apply_pop(&tmp);
+      const bool ok = apply_pop(Side::kPrimary, &tmp);
       charge_local(self, ok ? bytes_of(tmp) : 8, /*write=*/false);
-      if (ok) mirror_pop(self.now());
+      if (ok) mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
       if (ok && out != nullptr) *out = std::move(tmp);
       return ok;
     }
-    return with_failover<bool>(
-        self,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto result = ctx_->rpc().template invoke<std::optional<T>>(self, node_,
-                                                                      pop_id_);
-          if (!result.has_value()) return false;
-          if (out != nullptr) *out = std::move(*result);
-          return true;
-        },
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto future =
-              ctx_->rpc().template async_invoke_failover<std::optional<T>>(
-                  self, standby_node_, fo_pop_id_);
+    return routed<std::optional<T>>(
+        self, pop_, [&](rpc::Future<std::optional<T>>& future) {
           auto result = future.get(self);
           if (!result.has_value()) return false;
           if (out != nullptr) *out = std::move(*result);
@@ -233,38 +202,24 @@ class HostedQueue {
       const std::size_t before = out->size();
       std::int64_t bytes = 0;
       T tmp{};
-      while (out->size() - before < count && apply_pop(&tmp)) {
+      while (out->size() - before < count && apply_pop(Side::kPrimary, &tmp)) {
         bytes += bytes_of(tmp);
-        mirror_pop(self.now());
+        mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
         out->push_back(std::move(tmp));
       }
       charge_local(self, bytes > 0 ? bytes : 8, /*write=*/false,
                    static_cast<std::int64_t>(out->size() - before));
       return out->size() - before;
     }
-    return with_failover<std::size_t>(
-        self,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto got = ctx_->rpc().template invoke<std::vector<T>>(
-              self, node_, pop_bulk_id_, static_cast<std::uint64_t>(count));
-          const std::size_t n = got.size();
-          for (auto& v : got) out->push_back(std::move(v));
-          return n;
-        },
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto future =
-              ctx_->rpc().template async_invoke_failover<std::vector<T>>(
-                  self, standby_node_, fo_pop_bulk_id_,
-                  static_cast<std::uint64_t>(count));
+    return routed<std::vector<T>>(
+        self, pop_bulk_,
+        [&](rpc::Future<std::vector<T>>& future) {
           auto got = future.get(self);
           const std::size_t n = got.size();
           for (auto& v : got) out->push_back(std::move(v));
           return n;
-        });
+        },
+        static_cast<std::uint64_t>(count));
   }
 
   /// Async push. Co-located callers take the hybrid shared-memory path —
@@ -275,12 +230,13 @@ class HostedQueue {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
       charge_local(self, bytes_of(value), /*write=*/true);
-      apply_push(value);
-      mirror_push(self.now(), value);
+      apply_push(Side::kPrimary, value);
+      mirror(Side::kPrimary, self.now(), LogOp::kPush, &value);
       return ctx_->rpc().template resolved_future<bool>(self, node_, true);
     }
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
-    return ctx_->rpc().template async_invoke<bool>(self, node_, push_id_, value);
+    return ctx_->rpc().template async_invoke<bool>(self, node_, push_.primary,
+                                                   value);
   }
 
   /// Async pop (hybrid fast path as async_push; nullopt when empty).
@@ -288,15 +244,15 @@ class HostedQueue {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
       T tmp{};
-      const bool ok = apply_pop(&tmp);
+      const bool ok = apply_pop(Side::kPrimary, &tmp);
       charge_local(self, ok ? bytes_of(tmp) : 8, /*write=*/false);
-      if (ok) mirror_pop(self.now());
+      if (ok) mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
       return ctx_->rpc().template resolved_future<std::optional<T>>(
           self, node_, ok ? std::optional<T>(std::move(tmp)) : std::nullopt);
     }
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template async_invoke<std::optional<T>>(self, node_,
-                                                               pop_id_);
+                                                               pop_.primary);
   }
 
   // ---- transactions (DESIGN.md §5h) ---------------------------------
@@ -539,30 +495,60 @@ class HostedQueue {
     return sctx.finish;
   }
 
-  void apply_push(const T& value) {
-    impl_.push(value);
-    journal(LogOp::kPush, &value);
-    epoch_.fetch_add(1, std::memory_order_release);
+  // ---- serving sides (DESIGN.md §5f) ---------------------------------
+
+  /// Where one queue op executes. The primary side is the host: impl_, the
+  /// persist journal and epoch_, mirrored onto the standby. The standby
+  /// side is entered under fo_mutex_ once the host is confirmed down and
+  /// the mirror promoted (enter_standby): mirror_ plus the failover journal
+  /// the repair pass replays; it keeps no epoch and never mirrors.
+  enum class Side : std::uint8_t { kPrimary, kStandby };
+
+  [[nodiscard]] Store& store(Side s) {
+    return s == Side::kStandby ? mirror_ : impl_;
   }
-  bool apply_pop(T* out) {
+
+  /// Enter the standby side (fo_mutex_ stays held by the returned lock):
+  /// refuse with kFailedPrecondition while the host is up — the client
+  /// repairs and retries — and promote the mirror on first use.
+  [[nodiscard]] std::unique_lock<std::mutex> enter_standby() {
+    std::unique_lock<std::mutex> guard(fo_mutex_);
+    if (!ctx_->fabric().node_down(node_)) {
+      throw HclError(
+          Status::FailedPrecondition("queue host is up; repair and retry"));
+    }
+    fo_promoted_ = true;
+    return guard;
+  }
+
+  void apply_push(Side s, const T& value) {
+    store(s).push(value);
+    record(s, LogOp::kPush, &value);
+  }
+  bool apply_pop(Side s, T* out) {
     // pop_mutex_ serializes payload-moving pops against txn_peek's
     // traversal (MsQueue::peek's external-serialization contract) and keeps
     // a priority queue's min snapshot consistent with its captured epoch.
     std::lock_guard<std::mutex> guard(pop_mutex_);
-    const bool ok = impl_.pop(out);
-    if (ok) {
-      journal(LogOp::kPop, nullptr);
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
+    const bool ok = store(s).pop(out);
+    if (ok) record(s, LogOp::kPop, nullptr);
     return ok;
   }
 
-  void journal(LogOp op, const T* value) {
-    if (log_ == nullptr) return;
-    serial::OutArchive out;
-    out.u64(static_cast<std::uint64_t>(op));
-    if (value != nullptr) serial::save(out, *value);
-    throw_if_error(log_->append(std::span<const std::byte>(out.buffer())));
+  /// Journal one applied op: the persist log plus an epoch bump (primary),
+  /// or the failover journal (standby).
+  void record(Side s, LogOp op, const T* value) {
+    if (s == Side::kStandby) {
+      fo_journal_.push_back(FoRecord{op, value != nullptr ? *value : T{}});
+      return;
+    }
+    if (log_ != nullptr) {
+      serial::OutArchive out;
+      out.u64(static_cast<std::uint64_t>(op));
+      if (value != nullptr) serial::save(out, *value);
+      throw_if_error(log_->append(std::span<const std::byte>(out.buffer())));
+    }
+    epoch_.fetch_add(1, std::memory_order_release);
   }
 
   /// Sequential replay: a push inserts, a pop removes the then-front (or
@@ -583,6 +569,32 @@ class HostedQueue {
     });
   }
 
+  /// The one record-apply loop — txn_commit on either side and the repair
+  /// replay — in the order given. A pop that finds the store empty applies
+  /// nothing: a PLAIN pop raced the commit window, outside the txn-islands
+  /// guarantee. With `mirrored`, each applied op is mirrored at `ready`
+  /// (primary side only); the repair replay passes false, because the
+  /// mirror already holds every op it replays.
+  void apply_records(Side s, const std::vector<FoRecord>& recs,
+                     sim::Nanos ready, bool mirrored) {
+    for (const FoRecord& rec : recs) {
+      T scratch{};
+      if (rec.op == LogOp::kPush) {
+        apply_push(s, rec.value);
+      } else if (!apply_pop(s, &scratch)) {
+        continue;
+      }
+      if (mirrored) mirror(s, ready, rec.op, &rec.value);
+    }
+  }
+  static std::int64_t record_bytes(const std::vector<FoRecord>& recs) {
+    std::int64_t bytes = 0;
+    for (const FoRecord& rec : recs) {
+      bytes += rec.op == LogOp::kPush ? bytes_of(rec.value) : 8;
+    }
+    return bytes;
+  }
+
   // ---- failover & recovery (DESIGN.md §5f) --------------------------
   // Queues are single-partitioned, so replication means a whole-structure
   // mirror: with `options.replication >= 1` every push/pop on the host
@@ -600,27 +612,53 @@ class HostedQueue {
     return has_standby() && !ctx_->fabric().node_down(standby_node_);
   }
 
-  void mirror_push(sim::Nanos ready, const T& value) {
-    if (!has_standby()) return;
-    ctx_->rpc().server_invoke(node_, standby_node_, ready, replica_push_id_,
-                              value);
-  }
-  void mirror_pop(sim::Nanos ready) {
-    if (!has_standby()) return;
-    ctx_->rpc().server_invoke(node_, standby_node_, ready, replica_pop_id_);
+  /// Mirror one primary-side op onto the standby; the standby side never
+  /// mirrors.
+  void mirror(Side s, sim::Nanos ready, LogOp op, const T* value) {
+    if (s == Side::kStandby || !has_standby()) return;
+    if (op == LogOp::kPush) {
+      ctx_->rpc().server_invoke(node_, standby_node_, ready, replica_push_id_,
+                                *value);
+    } else {
+      ctx_->rpc().server_invoke(node_, standby_node_, ready, replica_pop_id_);
+    }
   }
 
-  template <typename R, typename Normal, typename Reroute>
-  R with_failover(sim::Actor& self, Normal&& normal, Reroute&& reroute) {
+  /// Ship op to the host, or its failover twin to the standby.
+  template <typename R, typename... Args>
+  rpc::Future<R> send(sim::Actor& self, bool standby, const core::Twins& op,
+                      const Args&... args) {
+    if (standby) {
+      return ctx_->rpc().template async_invoke_failover<R>(
+          self, standby_node_, op.standby, args...);
+    }
+    return ctx_->rpc().template async_invoke<R>(self, node_, op.primary,
+                                                args...);
+  }
+
+  /// The routed call every remote op makes (same flow as the maps'): count
+  /// it, send it, hand the future to `done`. A rejoined host is repaired
+  /// and unmarked first; on kUnavailable with the fabric confirming the
+  /// host dead, it is marked and the op reroutes to the standby exactly
+  /// once; the standby's kFailedPrecondition (the host rejoined meanwhile)
+  /// loops back once to repair and retry.
+  template <typename R, typename Done, typename... Args>
+  auto routed(sim::Actor& self, const core::Twins& op, Done&& done,
+              const Args&... args) {
+    auto call = [&](bool standby) {
+      ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+      auto future = send<R>(self, standby, op, args...);
+      return done(future);
+    };
+    auto& route = ctx_->rpc().route();
     for (int round = 0;; ++round) {
-      if (ctx_->rpc().route().is_down(node_) &&
-          !ctx_->fabric().node_down(node_)) {
+      if (route.is_down(node_) && !ctx_->fabric().node_down(node_)) {
         repair(self);
-        ctx_->rpc().route().mark_up(node_);
+        route.mark_up(node_);
       }
-      if (!ctx_->rpc().route().is_down(node_)) {
+      if (!route.is_down(node_)) {
         try {
-          return normal();
+          return call(false);
         } catch (const HclError& e) {
           if (round > 0 || e.code() != StatusCode::kUnavailable ||
               !ctx_->fabric().node_down(node_)) {
@@ -631,54 +669,28 @@ class HostedQueue {
       if (!standby_live()) {
         throw HclError(Status::Unavailable("queue host down and no live standby"));
       }
-      ctx_->rpc().route().mark_down(node_);
+      route.mark_down(node_);
       try {
-        return reroute();
+        return call(true);
       } catch (const HclError& e) {
         if (round > 0 || e.code() != StatusCode::kFailedPrecondition) throw;
       }
     }
   }
 
-  /// Batch-path routing decided once per bundle: true = ship the bundle's
-  /// ops to the standby's failover stub.
-  bool batch_reroute(sim::Actor& self) {
-    auto& route = ctx_->rpc().route();
-    if (!route.is_down(node_)) return false;
-    if (!ctx_->fabric().node_down(node_)) {
-      repair(self);
-      route.mark_up(node_);
-      return false;
-    }
-    return standby_live();
-  }
-
-  void require_host_down() const {
-    if (!ctx_->fabric().node_down(node_)) {
-      throw HclError(
-          Status::FailedPrecondition("queue host is up; repair and retry"));
-    }
-  }
-
   /// Anti-entropy repair: replay the promoted journal into the rejoined
   /// host as ONE repair RPC. fo_mutex_ is held across the RPC so racing
-  /// repairers serialize and failover stubs cannot append mid-replay.
+  /// repairers serialize and failover twins cannot append mid-replay.
   void repair(sim::Actor& self) {
     std::lock_guard<std::mutex> guard(fo_mutex_);
     if (!fo_promoted_) return;
     std::vector<FoRecord> delta;
     delta.swap(fo_journal_);
     fo_promoted_ = false;
-    serial::OutArchive out;
-    out.u64(static_cast<std::uint64_t>(delta.size()));
-    for (const FoRecord& rec : delta) {
-      out.u64(static_cast<std::uint64_t>(rec.op));
-      if (rec.op == LogOp::kPush) serial::save(out, rec.value);
-    }
     try {
       ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
       auto future = ctx_->rpc().template async_invoke_repair<std::uint64_t>(
-          self, node_, repair_id_, out.take());
+          self, node_, repair_id_, encode_intents(delta));
       (void)future.get(self);
     } catch (...) {
       fo_promoted_ = true;
@@ -703,14 +715,11 @@ class HostedQueue {
   }
   /// Commit order (see the public txn notes): every staged pop, then every
   /// staged push, each in staging order.
-  template <typename F>
-  static void in_commit_order(const std::vector<FoRecord>& intents, F&& fn) {
-    for (const FoRecord& rec : intents) {
-      if (rec.op == LogOp::kPop) fn(rec);
-    }
-    for (const FoRecord& rec : intents) {
-      if (rec.op == LogOp::kPush) fn(rec);
-    }
+  static std::vector<FoRecord> in_commit_order(std::vector<FoRecord> intents) {
+    std::stable_partition(
+        intents.begin(), intents.end(),
+        [](const FoRecord& rec) { return rec.op == LogOp::kPop; });
+    return intents;
   }
 
   static std::vector<FoRecord> decode_intents(
@@ -792,7 +801,7 @@ class HostedQueue {
       owner_->ctx_->op_stats().remote_invocations.fetch_add(
           1, std::memory_order_relaxed);
       commit_ = batch.template enqueue<std::uint64_t>(
-          self, owner_->node_, owner_->txn_commit_id_, txn_id);
+          self, owner_->node_, owner_->txn_commit_.primary, txn_id);
     }
 
     Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
@@ -800,10 +809,9 @@ class HostedQueue {
         try {
           (void)(round == 0 && prepare_.valid() && commit_.valid()
                      ? commit_.get(self)
-                     : owner_->ctx_->rpc()
-                           .template async_invoke<std::uint64_t>(
-                               self, owner_->node_, owner_->txn_commit_id_,
-                               txn_id)
+                     : owner_->template send<std::uint64_t>(
+                                  self, /*standby=*/false, owner_->txn_commit_,
+                                  txn_id)
                            .get(self));
           return Status::Ok();
         } catch (const HclError& e) {
@@ -848,11 +856,9 @@ class HostedQueue {
       }
       owner_->ctx_->rpc().route().mark_down(owner_->node_);
       try {
-        auto future =
-            owner_->ctx_->rpc().template async_invoke_failover<std::uint64_t>(
-                self, owner_->standby_node_, owner_->fo_txn_commit_id_,
-                txn_id);
-        (void)future.get(self);
+        (void)owner_->template send<std::uint64_t>(self, /*standby=*/true,
+                                                   owner_->txn_commit_, txn_id)
+            .get(self);
         return Status::Ok();
       } catch (const HclError& e) {
         return Status(e.code(), e.what());
@@ -874,45 +880,93 @@ class HostedQueue {
         this, 0, [&] { return std::make_unique<TxnParticipant>(this); });
   }
 
+  /// Bind one op's server body twice, from the one `body(sctx, side,
+  /// args...)`: as `primary` on the host, and as its failover twin
+  /// `standby` on the promoted mirror. Both take the same wire arguments.
+  template <typename R, typename... Args, typename Body>
+  core::Twins bind_twins(Body body) {
+    auto& engine = ctx_->rpc();
+    core::Twins op;
+    op.primary = engine.bind<R, Args...>(
+        [body](rpc::ServerCtx& sctx, const Args&... args) {
+          return body(sctx, Side::kPrimary, args...);
+        });
+    op.standby = engine.bind<R, Args...>(
+        [this, body](rpc::ServerCtx& sctx, const Args&... args) {
+          const auto guard = enter_standby();
+          return body(sctx, Side::kStandby, args...);
+        });
+    return op;
+  }
+
+  /// The intents a commit applies on side s, under txn_mutex_. The host
+  /// releases the slot its prepare validated; false means it already
+  /// committed txn_id (a re-sent commit after a lost response). The
+  /// standby — the host died after prepare-ack — takes the records that
+  /// prepare staged on it.
+  bool take_intents(Side s, std::uint64_t txn_id,
+                    std::vector<FoRecord>* intents) {
+    if (s == Side::kStandby) {
+      auto it = txn_staged_.find(txn_id);
+      if (it != txn_staged_.end()) {
+        *intents = std::move(it->second);
+        txn_staged_.erase(it);
+      }
+      return true;
+    }
+    if (last_committed_txn_ == txn_id) return false;
+    if (txn_holder_ != txn_id) {
+      throw HclError(Status::FailedPrecondition(
+          "txn commit: intent slot not held (presumed abort)"));
+    }
+    intents->swap(txn_intents_);
+    txn_holder_ = 0;
+    last_committed_txn_ = txn_id;
+    return true;
+  }
+
   void bind_handlers() {
     auto& engine = ctx_->rpc();
-    push_id_ = engine.bind<bool, T>([this](rpc::ServerCtx& sctx, const T& value) {
-      charge_server(sctx, bytes_of(value), /*write=*/true);
-      apply_push(value);
-      mirror_push(sctx.finish, value);
-      return true;
-    });
-    push_bulk_id_ = engine.bind<bool, std::vector<T>>(
-        [this](rpc::ServerCtx& sctx, const std::vector<T>& values) {
+    push_ = bind_twins<bool, T>(
+        [this](rpc::ServerCtx& sctx, Side s, const T& value) {
+          charge_server(sctx, bytes_of(value), /*write=*/true);
+          apply_push(s, value);
+          mirror(s, sctx.finish, LogOp::kPush, &value);
+          return true;
+        });
+    push_bulk_ = bind_twins<bool, std::vector<T>>(
+        [this](rpc::ServerCtx& sctx, Side s, const std::vector<T>& values) {
           std::int64_t bytes = 0;
           for (const auto& v : values) bytes += bytes_of(v);
           charge_server(sctx, bytes, /*write=*/true,
                         static_cast<std::int64_t>(values.size()));
           for (const auto& v : values) {
-            apply_push(v);
-            mirror_push(sctx.finish, v);
+            apply_push(s, v);
+            mirror(s, sctx.finish, LogOp::kPush, &v);
           }
           return true;
         });
-    pop_id_ = engine.bind<std::optional<T>>([this](rpc::ServerCtx& sctx) {
+    pop_ = bind_twins<std::optional<T>>([this](rpc::ServerCtx& sctx, Side s) {
       T v{};
-      const bool ok = apply_pop(&v);
+      const bool ok = apply_pop(s, &v);
       charge_server(sctx, ok ? bytes_of(v) : 8, /*write=*/false);
-      if (ok) mirror_pop(sctx.finish);
+      if (ok) mirror(s, sctx.finish, LogOp::kPop, nullptr);
       return ok ? std::optional<T>(std::move(v)) : std::nullopt;
     });
-    pop_bulk_id_ = engine.bind<std::vector<T>, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& count) {
+    pop_bulk_ = bind_twins<std::vector<T>, std::uint64_t>(
+        [this](rpc::ServerCtx& sctx, Side s, const std::uint64_t& count) {
           std::vector<T> got;
           T v{};
           std::int64_t bytes = 0;
-          while (got.size() < count && apply_pop(&v)) {
+          while (got.size() < count && apply_pop(s, &v)) {
             bytes += bytes_of(v);
             got.push_back(std::move(v));
           }
           charge_server(sctx, bytes > 0 ? bytes : 8, /*write=*/false,
                         static_cast<std::int64_t>(got.size()));
-          for (std::size_t i = 0; i < got.size(); ++i) mirror_pop(sctx.finish);
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            mirror(s, sctx.finish, LogOp::kPop, nullptr);
+          }
           return got;
         });
     // ---- mirror stubs (standby side): keep the standby's copy in
@@ -930,83 +984,14 @@ class HostedQueue {
       mirror_.pop(&scratch);
       return true;
     });
-    // ---- failover stubs (standby side): promotion is implicit on the
-    // first op, under fo_mutex_; every promoted op is journaled for the
-    // rejoin replay.
-    fo_push_id_ =
-        engine.bind<bool, T>([this](rpc::ServerCtx& sctx, const T& value) {
-          charge_server(sctx, bytes_of(value), /*write=*/true);
-          std::lock_guard<std::mutex> guard(fo_mutex_);
-          require_host_down();
-          fo_promoted_ = true;
-          mirror_.push(value);
-          fo_journal_.push_back(FoRecord{LogOp::kPush, value});
-          return true;
-        });
-    fo_push_bulk_id_ = engine.bind<bool, std::vector<T>>(
-        [this](rpc::ServerCtx& sctx, const std::vector<T>& values) {
-          std::int64_t bytes = 0;
-          for (const auto& v : values) bytes += bytes_of(v);
-          charge_server(sctx, bytes, /*write=*/true,
-                        static_cast<std::int64_t>(values.size()));
-          std::lock_guard<std::mutex> guard(fo_mutex_);
-          require_host_down();
-          fo_promoted_ = true;
-          for (const auto& v : values) {
-            mirror_.push(v);
-            fo_journal_.push_back(FoRecord{LogOp::kPush, v});
-          }
-          return true;
-        });
-    fo_pop_id_ = engine.bind<std::optional<T>>([this](rpc::ServerCtx& sctx) {
-      std::lock_guard<std::mutex> guard(fo_mutex_);
-      require_host_down();
-      fo_promoted_ = true;
-      T v{};
-      const bool ok = mirror_.pop(&v);
-      charge_server(sctx, ok ? bytes_of(v) : 8, /*write=*/false);
-      if (ok) fo_journal_.push_back(FoRecord{LogOp::kPop, T{}});
-      return ok ? std::optional<T>(std::move(v)) : std::nullopt;
-    });
-    fo_pop_bulk_id_ = engine.bind<std::vector<T>, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& count) {
-          std::lock_guard<std::mutex> guard(fo_mutex_);
-          require_host_down();
-          fo_promoted_ = true;
-          std::vector<T> got;
-          T v{};
-          std::int64_t bytes = 0;
-          while (got.size() < count && mirror_.pop(&v)) {
-            bytes += bytes_of(v);
-            fo_journal_.push_back(FoRecord{LogOp::kPop, T{}});
-            got.push_back(std::move(v));
-          }
-          charge_server(sctx, bytes > 0 ? bytes : 8, /*write=*/false,
-                        static_cast<std::int64_t>(got.size()));
-          return got;
-        });
-    // Anti-entropy repair (host side): replay through the journaling
-    // push/pop paths so the delta lands in the persist log too.
+    // Anti-entropy repair (host side): replay through the record-apply
+    // loop so the delta lands in the persist log too.
     repair_id_ = engine.bind<std::uint64_t, std::vector<std::byte>>(
-        [this](rpc::ServerCtx& sctx, const std::vector<std::byte>& delta) {
-          serial::InArchive in{std::span<const std::byte>(delta)};
-          const std::uint64_t count = in.u64();
-          std::int64_t bytes = 8;
-          for (std::uint64_t i = 0; i < count; ++i) {
-            const auto op = static_cast<LogOp>(in.u64());
-            if (op == LogOp::kPush) {
-              T v{};
-              serial::load(in, v);
-              bytes += bytes_of(v);
-              apply_push(v);
-            } else {
-              T scratch{};
-              apply_pop(&scratch);
-              bytes += 8;
-            }
-          }
-          charge_server(sctx, bytes, /*write=*/true,
-                        static_cast<std::int64_t>(count));
+        [this](rpc::ServerCtx& sctx, const std::vector<std::byte>& blob) {
+          const std::vector<FoRecord> delta = decode_intents(blob);
+          apply_records(Side::kPrimary, delta, sctx.start, /*mirrored=*/false);
+          charge_server(sctx, 8 + record_bytes(delta), /*write=*/true,
+                        static_cast<std::int64_t>(delta.size()));
           // Presumed abort (§5h): intent state from before the crash is dead.
           {
             std::lock_guard<std::mutex> guard(txn_mutex_);
@@ -1015,8 +1000,9 @@ class HostedQueue {
             txn_staged_.clear();
           }
           ctx_->fabric().nic(sctx.node).counters().repair_ops.fetch_add(
-              count, std::memory_order_relaxed);
-          return count;
+              static_cast<std::int64_t>(delta.size()),
+              std::memory_order_relaxed);
+          return static_cast<std::uint64_t>(delta.size());
         });
     // ---- transaction stubs (DESIGN.md §5h; protocol notes in
     // core::PartitionedMap). txn_mutex_ is released before standby fan-out.
@@ -1078,49 +1064,31 @@ class HostedQueue {
               sctx.epoch = cur;
               return cur;
             });
-    txn_commit_id_ = engine.bind<std::uint64_t, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
+    // Commit: the host applies the intents its prepare validated; the
+    // failover twin — the host died between prepare-ack and commit —
+    // replays the records that prepare staged on the standby.
+    txn_commit_ = bind_twins<std::uint64_t, std::uint64_t>(
+        [this](rpc::ServerCtx& sctx, Side s, const std::uint64_t& txn_id) {
           std::vector<FoRecord> intents;
           {
             std::lock_guard<std::mutex> guard(txn_mutex_);
-            if (last_committed_txn_ == txn_id) {
+            if (!take_intents(s, txn_id, &intents)) {
               charge_server(sctx, 16, /*write=*/true);
-              const std::uint64_t cur = epoch_.load(std::memory_order_acquire);
-              sctx.epoch = cur;
-              return cur;
+            } else {
+              charge_server(sctx, 16 + record_bytes(intents), /*write=*/true,
+                            static_cast<std::int64_t>(intents.size()));
+              apply_records(s, in_commit_order(intents), sctx.finish,
+                            /*mirrored=*/true);
             }
-            if (txn_holder_ != txn_id) {
-              throw HclError(Status::FailedPrecondition(
-                  "txn commit: intent slot not held (presumed abort)"));
-            }
-            intents.swap(txn_intents_);
-            txn_holder_ = 0;
-            last_committed_txn_ = txn_id;
-            std::int64_t bytes = 16;
-            for (const FoRecord& rec : intents) {
-              bytes += rec.op == LogOp::kPush ? bytes_of(rec.value) : 8;
-            }
-            charge_server(sctx, bytes, /*write=*/true,
-                          static_cast<std::int64_t>(intents.size()));
-            in_commit_order(intents, [&](const FoRecord& rec) {
-              if (rec.op == LogOp::kPush) {
-                apply_push(rec.value);
-                mirror_push(sctx.finish, rec.value);
-              } else {
-                T scratch{};
-                // A failed pop means a PLAIN pop raced the commit window —
-                // outside the txn-islands guarantee; nothing to undo.
-                if (apply_pop(&scratch)) mirror_pop(sctx.finish);
-              }
-            });
           }
-          if (has_standby() && !intents.empty()) {
+          if (s == Side::kPrimary && has_standby() && !intents.empty()) {
             ctx_->rpc().server_invoke(node_, standby_node_, sctx.finish,
                                       replica_txn_resolve_id_, txn_id);
           }
-          const std::uint64_t cur = epoch_.load(std::memory_order_acquire);
-          sctx.epoch = cur;
-          return cur;
+          // The promoted mirror keeps no epoch.
+          sctx.epoch =
+              s == Side::kPrimary ? epoch_.load(std::memory_order_acquire) : 0;
+          return sctx.epoch;
         });
     txn_abort_id_ = engine.bind<bool, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
@@ -1160,42 +1128,9 @@ class HostedQueue {
           txn_staged_.erase(txn_id);
           return true;
         });
-    fo_txn_commit_id_ = engine.bind<std::uint64_t, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          std::vector<FoRecord> intents;
-          {
-            std::lock_guard<std::mutex> guard(txn_mutex_);
-            auto it = txn_staged_.find(txn_id);
-            if (it != txn_staged_.end()) {
-              intents = std::move(it->second);
-              txn_staged_.erase(it);
-            }
-          }
-          std::int64_t bytes = 16;
-          for (const FoRecord& rec : intents) {
-            bytes += rec.op == LogOp::kPush ? bytes_of(rec.value) : 8;
-          }
-          charge_server(sctx, bytes, /*write=*/true,
-                        static_cast<std::int64_t>(intents.size()));
-          std::lock_guard<std::mutex> guard(fo_mutex_);
-          require_host_down();
-          fo_promoted_ = true;
-          std::uint64_t applied = 0;
-          in_commit_order(intents, [&](const FoRecord& rec) {
-            if (rec.op == LogOp::kPush) {
-              mirror_.push(rec.value);
-              fo_journal_.push_back(FoRecord{LogOp::kPush, rec.value});
-              ++applied;
-            } else {
-              T scratch{};
-              if (mirror_.pop(&scratch)) {
-                fo_journal_.push_back(FoRecord{LogOp::kPop, T{}});
-                ++applied;
-              }
-            }
-          });
-          return applied;
-        });
+    // The one failover stub without a shared body: dropping the records a
+    // prepare staged on the standby is not a failover write, so it never
+    // enters the standby side (no promotion).
     fo_txn_abort_id_ = engine.bind<bool, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
           charge_server(sctx, 16, /*write=*/true);
@@ -1204,14 +1139,13 @@ class HostedQueue {
           txn_staged_.erase(txn_id);
           return true;
         });
-    bound_ids_ = {push_id_,        push_bulk_id_, pop_id_,
-                  pop_bulk_id_,    replica_push_id_, replica_pop_id_,
-                  fo_push_id_,     fo_push_bulk_id_, fo_pop_id_,
-                  fo_pop_bulk_id_, repair_id_,
-                  txn_peek_id_,    txn_prepare_id_, txn_commit_id_,
-                  txn_abort_id_,   replica_txn_stage_id_,
-                  replica_txn_resolve_id_, fo_txn_commit_id_,
-                  fo_txn_abort_id_};
+    bound_ids_ = {push_.primary,     push_.standby,       push_bulk_.primary,
+                  push_bulk_.standby, pop_.primary,        pop_.standby,
+                  pop_bulk_.primary, pop_bulk_.standby,   replica_push_id_,
+                  replica_pop_id_,   repair_id_,          txn_peek_id_,
+                  txn_prepare_id_,   txn_commit_.primary, txn_commit_.standby,
+                  txn_abort_id_,     replica_txn_stage_id_,
+                  replica_txn_resolve_id_, fo_txn_abort_id_};
     // Per-container shm opt-out (DESIGN.md §5i): route this queue's ops over
     // RDMA even when pod-local.
     if (!options_.shm.enabled) ctx_->shm_opt_out(bound_ids_);
@@ -1223,7 +1157,7 @@ class HostedQueue {
   core::ContainerOptions options_;
   Store impl_;
   /// Standby-side mirror of impl_, maintained by the replica stubs and
-  /// served by the failover stubs while the host is down (DESIGN.md §5f).
+  /// served by the failover twins while the host is down (DESIGN.md §5f).
   Store mirror_;
   std::unique_ptr<core::PersistLog> log_;
   std::mutex fo_mutex_;
@@ -1242,12 +1176,12 @@ class HostedQueue {
   std::vector<FoRecord> txn_intents_;
   std::uint64_t last_committed_txn_ = 0;
   std::map<std::uint64_t, std::vector<FoRecord>> txn_staged_;
-  rpc::FuncId push_id_ = 0, push_bulk_id_ = 0, pop_id_ = 0, pop_bulk_id_ = 0,
-              replica_push_id_ = 0, replica_pop_id_ = 0, fo_push_id_ = 0,
-              fo_push_bulk_id_ = 0, fo_pop_id_ = 0, fo_pop_bulk_id_ = 0,
-              repair_id_ = 0, txn_peek_id_ = 0, txn_prepare_id_ = 0,
-              txn_commit_id_ = 0, txn_abort_id_ = 0, replica_txn_stage_id_ = 0,
-              replica_txn_resolve_id_ = 0, fo_txn_commit_id_ = 0,
+  /// Replicated ops: each primary FuncId and its failover twin, bound from
+  /// one server body (bind_twins).
+  core::Twins push_, push_bulk_, pop_, pop_bulk_, txn_commit_;
+  rpc::FuncId replica_push_id_ = 0, replica_pop_id_ = 0, repair_id_ = 0,
+              txn_peek_id_ = 0, txn_prepare_id_ = 0, txn_abort_id_ = 0,
+              replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0,
               fo_txn_abort_id_ = 0;
   std::vector<rpc::FuncId> bound_ids_;
 };

@@ -20,7 +20,10 @@
 //
 // Extras the paper describes and we implement:
 //   * asynchronous variants returning futures (§III.C.4),
-//   * asynchronous server-side replication (§III.A.4),
+//   * asynchronous server-side replication (§III.A.4), with failover to a
+//     promoted replica while a primary is down (DESIGN.md §5f): every
+//     replicated op's server body is written ONCE against a serving side
+//     and bound twice — its primary FuncId and its failover twin,
 //   * per-operation durability through a memory-mapped journal (§III.C.6),
 //   * explicit per-partition resize (Table I),
 //   * registered *mutators* — named server-side read-modify-write functions
@@ -149,18 +152,14 @@ class PartitionedMap {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
       charge_local_write(self, part, wire_bytes(key, value));
-      const bool ok = apply_insert(part, key, value, self.now());
-      if (ok) replicate_upsert(p, self.now(), key, value);
+      const Side s = primary_side(p);
+      const bool ok = apply_insert(s, key, value, self.now());
+      if (ok) replicate(s, self.now(), LogOp::kUpsert, key, &value);
       return ok;
     }
-    return with_failover<bool>(
-        self, p,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke<bool>(
-              self, part.node, insert_id_, p, key, value);
+    return routed<bool>(
+        self, p, insert_, /*write=*/true,
+        [&](rpc::Future<bool>& future) {
           const bool ok = future.get(self);
           // A rejected insert leaves someone else's value in place:
           // outcome unknown.
@@ -169,18 +168,7 @@ class PartitionedMap {
                                  ok ? &known : nullptr);
           return ok;
         },
-        [&](int q, sim::NodeId standby) {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke_failover<bool>(
-              self, standby, fo_insert_id_, p, q, key, value);
-          const bool ok = future.get(self);
-          const std::optional<V> known(value);
-          cache_->complete_write(self, p, key, future.response_epoch(),
-                                 ok ? &known : nullptr);
-          return ok;
-        });
+        key, value);
   }
 
   /// Insert-or-overwrite; true when newly inserted.
@@ -191,34 +179,20 @@ class PartitionedMap {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
       charge_local_write(self, part, wire_bytes(key, value));
-      const bool fresh = apply_upsert(part, key, value, self.now());
-      replicate_upsert(p, self.now(), key, value);
+      const Side s = primary_side(p);
+      const bool fresh = apply_upsert(s, key, value, self.now());
+      replicate(s, self.now(), LogOp::kUpsert, key, &value);
       return fresh;
     }
-    return with_failover<bool>(
-        self, p,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke<bool>(
-              self, part.node, upsert_id_, p, key, value);
+    return routed<bool>(
+        self, p, upsert_, /*write=*/true,
+        [&](rpc::Future<bool>& future) {
           const bool fresh = future.get(self);
           const std::optional<V> known(value);
           cache_->complete_write(self, p, key, future.response_epoch(), &known);
           return fresh;
         },
-        [&](int q, sim::NodeId standby) {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke_failover<bool>(
-              self, standby, fo_upsert_id_, p, q, key, value);
-          const bool fresh = future.get(self);
-          const std::optional<V> known(value);
-          cache_->complete_write(self, p, key, future.response_epoch(), &known);
-          return fresh;
-        });
+        key, value);
   }
 
   /// Lookup; returns true and fills `out`. Cost: F + L + R (remote) or
@@ -243,31 +217,16 @@ class PartitionedMap {
         return present;
       }
     }
-    return with_failover<bool>(
-        self, p,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto future = ctx_->rpc().template async_invoke<std::optional<V>>(
-              self, part.node, find_id_, p, key);
+    return routed<std::optional<V>>(
+        self, p, find_, /*write=*/false,
+        [&](rpc::Future<std::optional<V>>& future) {
           auto result = future.get(self);
           cache_->store_read(self, p, key, result, future.response_epoch());
           if (!result.has_value()) return false;
           if (out != nullptr) *out = std::move(*result);
           return true;
         },
-        [&](int q, sim::NodeId standby) {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          auto future =
-              ctx_->rpc().template async_invoke_failover<std::optional<V>>(
-                  self, standby, fo_find_id_, p, q, key);
-          auto result = future.get(self);
-          cache_->store_read(self, p, key, result, future.response_epoch());
-          if (!result.has_value()) return false;
-          if (out != nullptr) *out = std::move(*result);
-          return true;
-        });
+        key);
   }
 
   [[nodiscard]] bool contains(const K& key) { return find(key, nullptr); }
@@ -280,18 +239,14 @@ class PartitionedMap {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
       charge_local_write(self, part, key_bytes(key));
-      const bool ok = apply_erase(part, key);
-      replicate_erase(p, self.now(), key);
+      const Side s = primary_side(p);
+      const bool ok = apply_erase(s, key);
+      replicate(s, self.now(), LogOp::kErase, key, nullptr);
       return ok;
     }
-    return with_failover<bool>(
-        self, p,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke<bool>(
-              self, part.node, erase_id_, p, key);
+    return routed<bool>(
+        self, p, erase_, /*write=*/true,
+        [&](rpc::Future<bool>& future) {
           const bool ok = future.get(self);
           // After an erase the key is definitely absent (false = was
           // already gone).
@@ -299,17 +254,7 @@ class PartitionedMap {
           cache_->complete_write(self, p, key, future.response_epoch(), &absent);
           return ok;
         },
-        [&](int q, sim::NodeId standby) {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke_failover<bool>(
-              self, standby, fo_erase_id_, p, q, key);
-          const bool ok = future.get(self);
-          const std::optional<V> absent;
-          cache_->complete_write(self, p, key, future.response_epoch(), &absent);
-          return ok;
-        });
+        key);
   }
 
   /// Explicitly resize one partition (Table I: F + N(R + W); the ordered
@@ -364,22 +309,14 @@ class PartitionedMap {
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
         charge_local_write(self, part, wire_bytes(keys[i], values[i]));
-        const bool ok = apply_insert(part, keys[i], values[i], self.now());
-        if (ok) replicate_upsert(p, self.now(), keys[i], values[i]);
+        const Side s = primary_side(p);
+        const bool ok = apply_insert(s, keys[i], values[i], self.now());
+        if (ok) replicate(s, self.now(), LogOp::kUpsert, keys[i], &values[i]);
         results[i] = ok;
       } else {
         cache_->begin_write(self, p, keys[i]);
-        const int q = batch_route(self, p);
-        if (q >= 0) {
-          remote.emplace_back(
-              i, batcher.enqueue<bool>(
-                     self, partitions_[static_cast<std::size_t>(q)]->node,
-                     fo_insert_id_, p, q, keys[i], values[i]));
-        } else {
-          remote.emplace_back(i, batcher.enqueue<bool>(self, part.node,
-                                                       insert_id_, p, keys[i],
-                                                       values[i]));
-        }
+        remote.emplace_back(i, enqueue<bool>(self, batcher, p, insert_, keys[i],
+                                             values[i]));
       }
     }
     core::settle_batch(
@@ -391,22 +328,7 @@ class PartitionedMap {
                                  (ok && results[i]) ? &known : nullptr);
         },
         [&](std::size_t i, const Status& st) {
-          if (st.code() != StatusCode::kUnavailable) return false;
-          const int p = partition_of(keys[i]);
-          const int q = mark_down_and_standby(p);
-          if (q < 0) return false;
-          try {
-            auto future = ctx_->rpc().template async_invoke_failover<bool>(
-                self, partitions_[static_cast<std::size_t>(q)]->node,
-                fo_insert_id_, p, q, keys[i], values[i]);
-            results[i] = future.get(self);
-            const std::optional<V> known(values[i]);
-            cache_->complete_write(self, p, keys[i], future.response_epoch(),
-                                   results[i] ? &known : nullptr);
-            return true;
-          } catch (const HclError&) {
-            return false;
-          }
+          return rescue<bool>(self, st, insert_, keys[i], values[i]);
         });
     return results;
   }
@@ -436,16 +358,8 @@ class PartitionedMap {
         if (cache_->lookup(self, p, keys[i], &tmp, &present)) {
           if (present) results[i] = std::move(tmp);
         } else {
-          const int q = batch_route(self, p);
-          if (q >= 0) {
-            remote.emplace_back(
-                i, batcher.enqueue<std::optional<V>>(
-                       self, partitions_[static_cast<std::size_t>(q)]->node,
-                       fo_find_id_, p, q, keys[i]));
-          } else {
-            remote.emplace_back(i, batcher.enqueue<std::optional<V>>(
-                                       self, part.node, find_id_, p, keys[i]));
-          }
+          remote.emplace_back(
+              i, enqueue<std::optional<V>>(self, batcher, p, find_, keys[i]));
         }
       }
     }
@@ -457,22 +371,7 @@ class PartitionedMap {
                              future.response_epoch());
         },
         [&](std::size_t i, const Status& st) {
-          if (st.code() != StatusCode::kUnavailable) return false;
-          const int p = partition_of(keys[i]);
-          const int q = mark_down_and_standby(p);
-          if (q < 0) return false;
-          try {
-            auto future =
-                ctx_->rpc().template async_invoke_failover<std::optional<V>>(
-                    self, partitions_[static_cast<std::size_t>(q)]->node,
-                    fo_find_id_, p, q, keys[i]);
-            results[i] = future.get(self);
-            cache_->store_read(self, p, keys[i], results[i],
-                               future.response_epoch());
-            return true;
-          } catch (const HclError&) {
-            return false;
-          }
+          return rescue<std::optional<V>>(self, st, find_, keys[i]);
         });
     return results;
   }
@@ -492,21 +391,13 @@ class PartitionedMap {
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
         charge_local_write(self, part, key_bytes(keys[i]));
-        const bool ok = apply_erase(part, keys[i]);
-        replicate_erase(p, self.now(), keys[i]);
+        const Side s = primary_side(p);
+        const bool ok = apply_erase(s, keys[i]);
+        replicate(s, self.now(), LogOp::kErase, keys[i], nullptr);
         results[i] = ok;
       } else {
         cache_->begin_write(self, p, keys[i]);
-        const int q = batch_route(self, p);
-        if (q >= 0) {
-          remote.emplace_back(
-              i, batcher.enqueue<bool>(
-                     self, partitions_[static_cast<std::size_t>(q)]->node,
-                     fo_erase_id_, p, q, keys[i]));
-        } else {
-          remote.emplace_back(
-              i, batcher.enqueue<bool>(self, part.node, erase_id_, p, keys[i]));
-        }
+        remote.emplace_back(i, enqueue<bool>(self, batcher, p, erase_, keys[i]));
       }
     }
     core::settle_batch(
@@ -517,22 +408,7 @@ class PartitionedMap {
                                  future.response_epoch(), ok ? &absent : nullptr);
         },
         [&](std::size_t i, const Status& st) {
-          if (st.code() != StatusCode::kUnavailable) return false;
-          const int p = partition_of(keys[i]);
-          const int q = mark_down_and_standby(p);
-          if (q < 0) return false;
-          try {
-            auto future = ctx_->rpc().template async_invoke_failover<bool>(
-                self, partitions_[static_cast<std::size_t>(q)]->node,
-                fo_erase_id_, p, q, keys[i]);
-            results[i] = future.get(self);
-            const std::optional<V> absent;
-            cache_->complete_write(self, p, keys[i], future.response_epoch(),
-                                   &absent);
-            return true;
-          } catch (const HclError&) {
-            return false;
-          }
+          return rescue<bool>(self, st, erase_, keys[i]);
         });
     return results;
   }
@@ -572,8 +448,8 @@ class PartitionedMap {
     cache_->begin_write(self, p, key);
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template async_invoke<bool>(
-        self, partitions_[static_cast<std::size_t>(p)]->node, insert_id_, p, key,
-        value);
+        self, partitions_[static_cast<std::size_t>(p)]->node, insert_.primary, p,
+        key, value);
   }
 
   rpc::Future<std::optional<V>> async_find(const K& key) {
@@ -582,7 +458,8 @@ class PartitionedMap {
     const int p = partition_of(key);
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template async_invoke<std::optional<V>>(
-        self, partitions_[static_cast<std::size_t>(p)]->node, find_id_, p, key);
+        self, partitions_[static_cast<std::size_t>(p)]->node, find_.primary, p,
+        key);
   }
 
   // ------------------------------------------------------------------
@@ -631,34 +508,18 @@ class PartitionedMap {
     auto raw = out.take();
     if (part.node == self.node()) {
       charge_local_write(self, part, key_bytes(key) + raw.size());
-      return apply_mutator(part, key, mutator, raw, init).fresh;
+      return apply_mutator(primary_side(p), key, mutator, raw, init).fresh;
     }
-    return with_failover<bool>(
-        self, p,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke<bool>(
-              self, part.node, apply_id_, p, key,
-              static_cast<std::uint32_t>(mutator), raw, init);
+    return routed<bool>(
+        self, p, apply_, /*write=*/true,
+        [&](rpc::Future<bool>& future) {
           const bool fresh = future.get(self);
           // Mutator outcome is server-computed: note the epoch, never
           // re-cache.
           cache_->complete_write(self, p, key, future.response_epoch(), nullptr);
           return fresh;
         },
-        [&](int q, sim::NodeId standby) {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future = ctx_->rpc().template async_invoke_failover<bool>(
-              self, standby, fo_apply_id_, p, q, key,
-              static_cast<std::uint32_t>(mutator), raw, init);
-          const bool fresh = future.get(self);
-          cache_->complete_write(self, p, key, future.response_epoch(), nullptr);
-          return fresh;
-        });
+        key, static_cast<std::uint32_t>(mutator), raw, init);
   }
 
   /// Like apply(), but returns the value the mutator computed (fetch-and-
@@ -674,46 +535,25 @@ class PartitionedMap {
     serial::OutArchive out;
     serial::save(out, arg);
     auto raw = out.take();
+    std::vector<std::byte> bytes;
     if (part.node == self.node()) {
       charge_local_write(self, part, key_bytes(key) + raw.size());
-      auto outcome = apply_mutator(part, key, mutator, raw, init);
-      serial::InArchive in{std::span<const std::byte>(outcome.result)};
-      R result{};
-      serial::load(in, result);
-      return result;
+      bytes = apply_mutator(primary_side(p), key, mutator, raw, init).result;
+    } else {
+      bytes = routed<std::vector<std::byte>>(
+          self, p, apply_fetch_, /*write=*/true,
+          [&](rpc::Future<std::vector<std::byte>>& future) {
+            auto fetched = future.get(self);
+            cache_->complete_write(self, p, key, future.response_epoch(),
+                                   nullptr);
+            return fetched;
+          },
+          key, static_cast<std::uint32_t>(mutator), raw, init);
     }
-    return with_failover<R>(
-        self, p,
-        [&] {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future =
-              ctx_->rpc().template async_invoke<std::vector<std::byte>>(
-                  self, part.node, apply_fetch_id_, p, key,
-                  static_cast<std::uint32_t>(mutator), raw, init);
-          auto bytes = future.get(self);
-          cache_->complete_write(self, p, key, future.response_epoch(), nullptr);
-          serial::InArchive in{std::span<const std::byte>(bytes)};
-          R result{};
-          serial::load(in, result);
-          return result;
-        },
-        [&](int q, sim::NodeId standby) {
-          ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                        std::memory_order_relaxed);
-          cache_->begin_write(self, p, key);
-          auto future =
-              ctx_->rpc().template async_invoke_failover<std::vector<std::byte>>(
-                  self, standby, fo_apply_fetch_id_, p, q, key,
-                  static_cast<std::uint32_t>(mutator), raw, init);
-          auto bytes = future.get(self);
-          cache_->complete_write(self, p, key, future.response_epoch(), nullptr);
-          serial::InArchive in{std::span<const std::byte>(bytes)};
-          R result{};
-          serial::load(in, result);
-          return result;
-        });
+    serial::InArchive in{std::span<const std::byte>(bytes)};
+    R result{};
+    serial::load(in, result);
+    return result;
   }
 
   // ------------------------------------------------------------------
@@ -770,7 +610,7 @@ class PartitionedMap {
       ctx_->op_stats().remote_invocations.fetch_add(1,
                                                     std::memory_order_relaxed);
       auto future = ctx_->rpc().template async_invoke<std::optional<V>>(
-          self, part.node, find_id_, p, key);
+          self, part.node, find_.primary, p, key);
       auto result = future.get(self);
       tp.note_epoch(future.response_epoch());
       if (!result.has_value()) return false;
@@ -1112,10 +952,10 @@ class PartitionedMap {
     /// last_committed_txn makes commit idempotent against re-sent bundles.
     /// txn_staged holds OTHER partitions' intents staged onto this replica
     /// host, keyed by (txn id, primary partition), so a standby promotion
-    /// can replay a prepared-but-uncommitted txn (fo_txn_commit) or drop it
-    /// (fo_txn_abort). All five mutate only under txn_mutex — which is
-    /// NEVER held across a replica fan-out (two crossing prepares would
-    /// deadlock on each other's host mutex).
+    /// can replay a prepared-but-uncommitted txn (the commit's failover
+    /// twin) or drop it (fo_txn_abort). All five mutate only under
+    /// txn_mutex — which is NEVER held across a replica fan-out (two crossing
+    /// prepares would deadlock on each other's host mutex).
     std::mutex txn_mutex;
     std::uint64_t txn_holder = 0;
     std::vector<FoRecord> txn_intents;
@@ -1250,22 +1090,21 @@ class PartitionedMap {
       owner_->ctx_->op_stats().remote_invocations.fetch_add(
           1, std::memory_order_relaxed);
       commit_ = batch.template enqueue<std::uint64_t>(
-          self, part.node, owner_->txn_commit_id_, p_, txn_id);
+          self, part.node, owner_->txn_commit_.primary, p_, txn_id);
     }
 
     Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
       Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
       // Commit is idempotent server-side (last_committed_txn), so transient
       // failures re-invoke directly; a primary that died after prepare-ack
-      // reroutes to the staged replica chain (fo_txn_commit).
+      // reroutes to the staged replica chain (the commit's failover twin).
       for (int round = 0; round < 4; ++round) {
         try {
           const std::uint64_t epoch =
               round == 0 && prepare_.valid() && commit_.valid()
                   ? commit_.get(self)
-                  : owner_->ctx_->rpc()
-                        .template async_invoke<std::uint64_t>(
-                            self, part.node, owner_->txn_commit_id_, p_, txn_id)
+                  : owner_->template send<std::uint64_t>(
+                               self, p_, -1, owner_->txn_commit_, txn_id)
                         .get(self);
           finalize_cache(self, epoch);
           return Status::Ok();
@@ -1323,11 +1162,10 @@ class PartitionedMap {
       }
       owner_->ctx_->rpc().route().mark_down(part.node);
       try {
-        auto future =
-            owner_->ctx_->rpc().template async_invoke_failover<std::uint64_t>(
-                self, owner_->partitions_[static_cast<std::size_t>(q)]->node,
-                owner_->fo_txn_commit_id_, p_, q, txn_id);
-        const std::uint64_t epoch = future.get(self);
+        const std::uint64_t epoch =
+            owner_->template send<std::uint64_t>(self, p_, q,
+                                                 owner_->txn_commit_, txn_id)
+                .get(self);
         finalize_cache(self, epoch);
         return Status::Ok();
       } catch (const HclError& e) {
@@ -1471,8 +1309,8 @@ class PartitionedMap {
     std::int64_t bytes = 0;
     for (auto& [key, value] : moving) {
       bytes += wire_bytes(key, value);
-      apply_erase(from, key);
-      apply_upsert(to, key, value, start);
+      apply_erase(primary_side(src), key);
+      apply_upsert(primary_side(dst), key, value, start);
       for (int r = 1; r <= options_.replication; ++r) {
         partitions_[static_cast<std::size_t>((src + r) % num_partitions_)]
             ->replicas.erase(key);
@@ -1599,77 +1437,142 @@ class PartitionedMap {
     return sctx.finish;
   }
 
+  // ---- serving sides (DESIGN.md §5f) ---------------------------------
+
+  /// Where one data op executes. The primary side is partition p itself:
+  /// its store, persist journal and mutation epoch, plus the replica
+  /// fan-out. The standby side is entered under p's fo_mutex once p's
+  /// primary is confirmed down and promoted (enter_standby): standby
+  /// partition q's replica set, p's failover journal and p's fenced epoch,
+  /// and it never fans out. `host` is the partition whose node runs the op.
+  struct Side {
+    int p;
+    Partition& owner;
+    Partition& host;
+    bool standby;
+    [[nodiscard]] Store& store() const {
+      return standby ? host.replicas : owner.store;
+    }
+  };
+
+  Side primary_side(int p) {
+    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    return Side{p, part, part, false};
+  }
+
+  /// Enter the standby side of `owner` (its fo_mutex stays held by the
+  /// returned lock). Failover twins serve ONLY while the primary is down;
+  /// if it is back, kFailedPrecondition (non-retryable, so the engine
+  /// surfaces it at once) sends the client to repair and retry. Checked
+  /// under fo_mutex, closing the race where a late failover write would
+  /// append to a journal the repair pass already drained. The first entry
+  /// promotes: new term, and the epoch stream is fenced at (term << 32) — a
+  /// value dominating any epoch the primary ever published (per-op
+  /// increments never approach 2^32) — so client leases taken on the
+  /// primary's stream go stale instead of serving pre-failover values
+  /// (ReadCache::fence_partition).
+  [[nodiscard]] std::unique_lock<std::mutex> enter_standby(Partition& owner) {
+    std::unique_lock<std::mutex> guard(owner.fo_mutex);
+    if (!ctx_->fabric().node_down(owner.node)) {
+      throw HclError(
+          Status::FailedPrecondition("primary is up; repair and retry"));
+    }
+    if (!owner.fo_promoted) {
+      owner.fo_promoted = true;
+      ++owner.fo_term;
+      owner.fo_epoch = std::max(owner.fo_epoch, owner.fo_term << 32);
+    }
+    return guard;
+  }
+
+  /// The side's mutation epoch, piggybacked on every response (§5d).
+  [[nodiscard]] std::uint64_t epoch_of(const Side& s) const {
+    return s.standby ? s.owner.fo_epoch
+                     : s.owner.epoch.load(std::memory_order_acquire);
+  }
+
   // ---- real structure mutation + journal ----------------------------
 
-  bool apply_insert(Partition& part, const K& key, const V& value,
-                    sim::Nanos t = 0) {
-    const bool ok = part.store.insert(key, value);
+  bool apply_insert(const Side& s, const K& key, const V& value,
+                    sim::Nanos t) {
+    const bool ok = s.store().insert(key, value);
     if (ok) {
-      charge_entry_memory(part, wire_bytes(key, value), t);
-      journal(part, LogOp::kInsert, key, &value);
-      part.epoch.fetch_add(1, std::memory_order_release);
+      charge_entry_memory(s, wire_bytes(key, value), t);
+      record(s, LogOp::kInsert, key, &value);
     }
     return ok;
   }
-  bool apply_upsert(Partition& part, const K& key, const V& value,
-                    sim::Nanos t = 0) {
-    const bool fresh = part.store.upsert(key, value);
-    if (fresh) charge_entry_memory(part, wire_bytes(key, value), t);
-    journal(part, LogOp::kUpsert, key, &value);
-    part.epoch.fetch_add(1, std::memory_order_release);
+  bool apply_upsert(const Side& s, const K& key, const V& value,
+                    sim::Nanos t) {
+    const bool fresh = s.store().upsert(key, value);
+    if (fresh) charge_entry_memory(s, wire_bytes(key, value), t);
+    record(s, LogOp::kUpsert, key, &value);
     return fresh;
+  }
+  /// The standby journals an erase even on a miss: the key may exist on
+  /// the (down) primary but not in the replica set (mutator-created entries
+  /// are never replicated); the replayed erase no-ops when truly absent.
+  bool apply_erase(const Side& s, const K& key) {
+    const bool ok = s.store().erase(key);
+    if (ok || s.standby) record(s, LogOp::kErase, key, nullptr);
+    return ok;
   }
 
   /// Dynamic memory growth (paper §IV.B.1: "HCL manages memory dynamically
   /// and initializes the target partition with a smaller size ... expands as
-  /// operations are executed"). Every fresh entry charges the node budget,
-  /// which feeds the Fig. 4(b) resident-memory gauge. Erase does not refund
-  /// (allocator retention), a deliberate approximation.
-  /// Stores that do not charge (Store::kChargesEntryMemory) skip it.
-  void charge_entry_memory(Partition& part, std::int64_t bytes, sim::Nanos t) {
+  /// operations are executed"). Every fresh primary entry charges the node
+  /// budget, which feeds the Fig. 4(b) resident-memory gauge. Erase does not
+  /// refund (allocator retention), a deliberate approximation; replica sets
+  /// and stores that do not charge (Store::kChargesEntryMemory) skip it.
+  void charge_entry_memory(const Side& s, std::int64_t bytes, sim::Nanos t) {
     if constexpr (Store::kChargesEntryMemory) {
-      throw_if_error(ctx_->fabric().memory(part.node).reserve(bytes + 64, t));
+      if (s.standby) return;
+      throw_if_error(ctx_->fabric().memory(s.owner.node).reserve(bytes + 64, t));
     }
   }
-  bool apply_erase(Partition& part, const K& key) {
-    const bool ok = part.store.erase(key);
-    if (ok) {
-      journal(part, LogOp::kErase, key, nullptr);
-      part.epoch.fetch_add(1, std::memory_order_release);
-    }
-    return ok;
-  }
+
   struct MutatorOutcome {
     bool fresh = false;
     std::vector<std::byte> result;
   };
 
-  MutatorOutcome apply_mutator(Partition& part, const K& key, MutatorId mutator,
+  MutatorOutcome apply_mutator(const Side& s, const K& key, MutatorId mutator,
                                const std::vector<std::byte>& raw, const V& init) {
     if (mutator >= mutators_.size()) {
       throw HclError(Status::InvalidArgument("unknown mutator id"));
     }
     MutatorOutcome outcome;
     V snapshot{};
-    outcome.fresh = part.store.update_fn(
+    outcome.fresh = s.store().update_fn(
         key,
         [&](V& value) {
           outcome.result = mutators_[mutator](value, std::span<const std::byte>(raw));
           snapshot = value;
         },
         init);
-    journal(part, LogOp::kUpsert, key, &snapshot);
-    part.epoch.fetch_add(1, std::memory_order_release);
+    record(s, LogOp::kUpsert, key, &snapshot);
     return outcome;
   }
 
-  void journal(Partition& part, LogOp op, const K& key, const V* value) {
-    if (part.log == nullptr) return;
-    serial::OutArchive out;
-    out.u64(static_cast<std::uint64_t>(op));
-    serial::save(out, key);
-    if (value != nullptr) serial::save(out, *value);
-    throw_if_error(part.log->append(std::span<const std::byte>(out.buffer())));
+  /// Journal one applied write and bump the side's epoch: the persist log
+  /// and partition epoch (primary), or the failover journal the repair pass
+  /// replays and the fenced epoch (standby).
+  void record(const Side& s, LogOp op, const K& key, const V* value) {
+    Partition& part = s.owner;
+    if (s.standby) {
+      part.fo_journal.push_back(
+          FoRecord{op, key, value != nullptr ? *value : V{}});
+      ++part.fo_epoch;
+      return;
+    }
+    if (part.log != nullptr) {
+      serial::OutArchive out;
+      out.u64(static_cast<std::uint64_t>(op));
+      serial::save(out, key);
+      if (value != nullptr) serial::save(out, *value);
+      throw_if_error(part.log->append(std::span<const std::byte>(out.buffer())));
+    }
+    part.epoch.fetch_add(1, std::memory_order_release);
   }
 
   void recover(Partition& part) {
@@ -1693,22 +1596,57 @@ class PartitionedMap {
     });
   }
 
-  // ---- replication (§III.A.4) ---------------------------------------
-
-  void replicate_upsert(int p, sim::Nanos ready, const K& key, const V& value) {
-    for (int r = 1; r <= options_.replication; ++r) {
-      const int target = (p + r) % num_partitions_;
-      ctx_->rpc().server_invoke(partitions_[static_cast<std::size_t>(p)]->node,
-                                partitions_[static_cast<std::size_t>(target)]->node,
-                                ready, replica_upsert_id_, target, key, value);
+  /// The one record-apply loop — txn_commit on either side and the repair
+  /// replay: every record lands through the journaling apply_* paths at
+  /// `ready` and fans out to the replicas (primary side only). Inserts
+  /// replay as upserts.
+  void apply_records(const Side& s, const std::vector<FoRecord>& recs,
+                     sim::Nanos ready) {
+    for (const FoRecord& rec : recs) {
+      if (rec.op == LogOp::kErase) {
+        apply_erase(s, rec.key);
+      } else {
+        apply_upsert(s, rec.key, rec.value, ready);
+      }
+      replicate(s, ready, rec.op, rec.key, &rec.value);
     }
   }
-  void replicate_erase(int p, sim::Nanos ready, const K& key) {
+  static std::int64_t record_bytes(const std::vector<FoRecord>& recs) {
+    std::int64_t bytes = 0;
+    for (const FoRecord& rec : recs) {
+      bytes += rec.op == LogOp::kErase ? key_bytes(rec.key)
+                                       : wire_bytes(rec.key, rec.value);
+    }
+    return bytes;
+  }
+
+  // ---- replication (§III.A.4) ---------------------------------------
+
+  /// Fan one primary-side write out to the replica chain; erases ship the
+  /// key alone. The standby side never fans out.
+  void replicate(const Side& s, sim::Nanos ready, LogOp op, const K& key,
+                 const V* value) {
+    if (s.standby) return;
+    for (int r = 1; r <= options_.replication; ++r) {
+      const int target = (s.p + r) % num_partitions_;
+      const sim::NodeId to = partitions_[static_cast<std::size_t>(target)]->node;
+      if (op == LogOp::kErase) {
+        ctx_->rpc().server_invoke(s.owner.node, to, ready, replica_erase_id_,
+                                  target, key);
+      } else {
+        ctx_->rpc().server_invoke(s.owner.node, to, ready, replica_upsert_id_,
+                                  target, key, *value);
+      }
+    }
+  }
+  /// Drop txn_id's records staged on p's replica chain (commit or abort).
+  void resolve_staged(int p, sim::Nanos ready, std::uint64_t txn_id) {
     for (int r = 1; r <= options_.replication; ++r) {
       const int target = (p + r) % num_partitions_;
-      ctx_->rpc().server_invoke(partitions_[static_cast<std::size_t>(p)]->node,
-                                partitions_[static_cast<std::size_t>(target)]->node,
-                                ready, replica_erase_id_, target, key);
+      ctx_->rpc().server_invoke(
+          partitions_[static_cast<std::size_t>(p)]->node,
+          partitions_[static_cast<std::size_t>(target)]->node, ready,
+          replica_txn_resolve_id_, target, p, txn_id);
     }
   }
 
@@ -1729,25 +1667,48 @@ class PartitionedMap {
     return -1;
   }
 
-  /// Scalar failover driver. `normal()` issues the op against the primary;
-  /// `reroute(q, node)` issues the failover stub against standby partition
-  /// q. Flow: repair-and-unmark a rejoined primary first, then try the
-  /// primary unless it is route-marked down; on kUnavailable with the
-  /// fabric confirming the node dead, mark it and reroute exactly once; a
-  /// standby's kFailedPrecondition ("primary is up" — it rejoined between
-  /// our check and the stub running) loops back once to repair + retry.
-  template <typename R, typename Normal, typename Reroute>
-  R with_failover(sim::Actor& self, int p, Normal&& normal, Reroute&& reroute) {
+  /// Ship op to primary p (q < 0) as (p, args...), or its failover twin to
+  /// standby partition q as (p, q, args...).
+  template <typename R, typename... Args>
+  rpc::Future<R> send(sim::Actor& self, int p, int q, const core::Twins& op,
+                      const Args&... args) {
+    if (q < 0) {
+      return ctx_->rpc().template async_invoke<R>(
+          self, partitions_[static_cast<std::size_t>(p)]->node, op.primary, p,
+          args...);
+    }
+    return ctx_->rpc().template async_invoke_failover<R>(
+        self, partitions_[static_cast<std::size_t>(q)]->node, op.standby, p, q,
+        args...);
+  }
+
+  /// The routed call every remote scalar op makes: count it, open the cache
+  /// write window for a write, send it, and hand the future to `done`.
+  /// Flow: repair-and-unmark a rejoined primary first, then try the primary
+  /// unless it is route-marked down; on kUnavailable with the fabric
+  /// confirming the node dead, mark it and reroute to the standby exactly
+  /// once; a standby's kFailedPrecondition ("primary is up" — it rejoined
+  /// between our check and the stub running) loops back once to repair and
+  /// retry.
+  template <typename R, typename Done, typename... Rest>
+  auto routed(sim::Actor& self, int p, const core::Twins& op, bool write,
+              Done&& done, const K& key, const Rest&... rest) {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    auto call = [&](int q) {
+      ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+      if (write) cache_->begin_write(self, p, key);
+      auto future = send<R>(self, p, q, op, key, rest...);
+      return done(future);
+    };
+    auto& route = ctx_->rpc().route();
     for (int round = 0;; ++round) {
-      if (ctx_->rpc().route().is_down(part.node) &&
-          !ctx_->fabric().node_down(part.node)) {
+      if (route.is_down(part.node) && !ctx_->fabric().node_down(part.node)) {
         repair_partition(self, p);
-        ctx_->rpc().route().mark_up(part.node);
+        route.mark_up(part.node);
       }
-      if (!ctx_->rpc().route().is_down(part.node)) {
+      if (!route.is_down(part.node)) {
         try {
-          return normal();
+          return call(-1);
         } catch (const HclError& e) {
           if (round > 0 || e.code() != StatusCode::kUnavailable ||
               !ctx_->fabric().node_down(part.node)) {
@@ -1759,71 +1720,63 @@ class PartitionedMap {
       if (q < 0) {
         throw HclError(Status::Unavailable("primary down and no live standby"));
       }
-      ctx_->rpc().route().mark_down(part.node);
+      route.mark_down(part.node);
       try {
-        return reroute(q, partitions_[static_cast<std::size_t>(q)]->node);
+        return call(q);
       } catch (const HclError& e) {
         if (round > 0 || e.code() != StatusCode::kFailedPrecondition) throw;
       }
     }
   }
 
-  /// Batch-path routing decided at enqueue time: -1 = ship to the primary
-  /// (repairing it first when a stale route mark outlived a rejoin);
-  /// otherwise the standby partition whose node takes the failover stub.
-  int batch_route(sim::Actor& self, int p) {
+  /// The batch paths' routed enqueue, decided at enqueue time: the primary
+  /// (repairing it first when a stale route mark outlived a rejoin), or the
+  /// failover twin on the standby while the primary is marked down.
+  template <typename R, typename... Args>
+  rpc::Future<R> enqueue(sim::Actor& self, rpc::Batcher& batcher, int p,
+                         const core::Twins& op, const Args&... args) {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     auto& route = ctx_->rpc().route();
-    if (!route.is_down(part.node)) return -1;
-    if (!ctx_->fabric().node_down(part.node)) {
-      repair_partition(self, p);
-      route.mark_up(part.node);
-      return -1;
+    int q = -1;
+    if (route.is_down(part.node)) {
+      if (ctx_->fabric().node_down(part.node)) {
+        q = standby_partition(p);
+      } else {
+        repair_partition(self, p);
+        route.mark_up(part.node);
+      }
     }
-    return standby_partition(p);
+    if (q < 0) {
+      return batcher.template enqueue<R>(self, part.node, op.primary, p, args...);
+    }
+    return batcher.template enqueue<R>(
+        self, partitions_[static_cast<std::size_t>(q)]->node, op.standby, p, q,
+        args...);
   }
 
-  /// Mid-bundle rescue precheck (settle_batch's rescue hook): confirm the
-  /// failed op's primary is genuinely down, record it in the route table,
-  /// and pick a standby. -1 = not rescuable (transient fault or no live
-  /// standby) — let the normal per-op failure semantics stand.
-  int mark_down_and_standby(int p) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    if (!ctx_->fabric().node_down(part.node)) return -1;
+  /// settle_batch's rescue: when the op's primary genuinely died under its
+  /// bundle, record it in the route table and re-issue the op to a standby
+  /// through the same send the routed call uses. An invalid future (a
+  /// transient fault, or no live standby) lets the op's failure stand.
+  template <typename R, typename... Rest>
+  rpc::Future<R> rescue(sim::Actor& self, const Status& st,
+                        const core::Twins& op, const K& key,
+                        const Rest&... rest) {
+    if (st.code() != StatusCode::kUnavailable) return {};
+    const int p = partition_of(key);
+    const sim::NodeId primary = partitions_[static_cast<std::size_t>(p)]->node;
+    if (!ctx_->fabric().node_down(primary)) return {};
     const int q = standby_partition(p);
-    if (q >= 0) ctx_->rpc().route().mark_down(part.node);
-    return q;
-  }
-
-  /// Failover stubs serve ONLY while the primary is down. If it is back,
-  /// the client must repair and retry the primary; kFailedPrecondition is
-  /// non-retryable so the engine surfaces it immediately. Checked under
-  /// fo_mutex, closing the race where a late failover write would append
-  /// to a journal the repair pass already drained.
-  void require_primary_down(const Partition& primary) const {
-    if (!ctx_->fabric().node_down(primary.node)) {
-      throw HclError(Status::FailedPrecondition("primary is up; repair and retry"));
-    }
-  }
-
-  /// First failover op promotes the standby (fo_mutex held): new term, and
-  /// the epoch stream is fenced at (term << 32) — a value dominating any
-  /// epoch the primary ever published (per-op increments never approach
-  /// 2^32) — so client leases taken on the primary's stream go stale
-  /// instead of serving pre-failover values (ReadCache::fence_partition).
-  void promote_locked(Partition& primary) {
-    if (primary.fo_promoted) return;
-    primary.fo_promoted = true;
-    ++primary.fo_term;
-    const std::uint64_t fence = primary.fo_term << 32;
-    primary.fo_epoch = std::max(primary.fo_epoch, fence);
+    if (q < 0) return {};
+    ctx_->rpc().route().mark_down(primary);
+    return send<R>(self, p, q, op, key, rest...);
   }
 
   /// Anti-entropy repair: replay the promoted standby's journal delta into
   /// the rejoined primary as ONE repair RPC, then fence the caller's cache
   /// with the adopted epoch. fo_mutex is held across the RPC: racing
   /// repairers serialize (losers see no promotion and return) and failover
-  /// stubs cannot append mid-replay. On failure (primary died again) the
+  /// twins cannot append mid-replay. On failure (primary died again) the
   /// journal and promotion flag are restored for a later pass.
   void repair_partition(sim::Actor& self, int p) {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
@@ -1833,17 +1786,10 @@ class PartitionedMap {
     delta.swap(part.fo_journal);
     part.fo_promoted = false;
     const std::uint64_t fence = part.fo_term << 32;
-    serial::OutArchive out;
-    out.u64(static_cast<std::uint64_t>(delta.size()));
-    for (const FoRecord& rec : delta) {
-      out.u64(static_cast<std::uint64_t>(rec.op));
-      serial::save(out, rec.key);
-      if (rec.op != LogOp::kErase) serial::save(out, rec.value);
-    }
     try {
       ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
       auto future = ctx_->rpc().template async_invoke_repair<std::uint64_t>(
-          self, part.node, repair_id_, p, out.take(), fence);
+          self, part.node, repair_id_, p, encode_intents(delta), fence);
       (void)future.get(self);
       cache_->fence_partition(self, p, future.response_epoch());
     } catch (...) {
@@ -1855,47 +1801,99 @@ class PartitionedMap {
 
   // ---- server stubs ---------------------------------------------------
 
+  /// Bind one data op's server body twice, from the one `body(sctx, side,
+  /// args...)`: as `primary` taking (p, args...) on partition p's primary
+  /// side, and as its failover twin `standby` taking (p, q, args...) on
+  /// the standby side of p hosted by partition q.
+  template <typename R, typename... Args, typename Body>
+  core::Twins bind_twins(Body body) {
+    auto& engine = ctx_->rpc();
+    core::Twins op;
+    op.primary = engine.bind<R, int, Args...>(
+        [this, body](rpc::ServerCtx& sctx, const int& p, const Args&... args) {
+          return body(sctx, primary_side(p), args...);
+        });
+    op.standby = engine.bind<R, int, int, Args...>(
+        [this, body](rpc::ServerCtx& sctx, const int& p, const int& q,
+                     const Args&... args) {
+          Partition& owner = *partitions_[static_cast<std::size_t>(p)];
+          const auto guard = enter_standby(owner);
+          return body(sctx,
+                      Side{p, owner, *partitions_[static_cast<std::size_t>(q)],
+                           true},
+                      args...);
+        });
+    return op;
+  }
+
+  /// The intents a commit applies on side s, under s.host's txn_mutex.
+  /// The primary releases the slot its prepare validated; false means it
+  /// already committed txn_id (a re-sent commit after a lost response). The
+  /// standby — its primary died after prepare-ack — takes the records that
+  /// prepare staged on it; a re-sent commit finds none and returns the
+  /// fenced epoch unchanged.
+  bool take_intents(const Side& s, std::uint64_t txn_id,
+                    std::vector<FoRecord>* intents) {
+    if (s.standby) {
+      auto it = s.host.txn_staged.find({txn_id, s.p});
+      if (it != s.host.txn_staged.end()) {
+        *intents = std::move(it->second);
+        s.host.txn_staged.erase(it);
+      }
+      return true;
+    }
+    Partition& part = s.owner;
+    if (part.last_committed_txn == txn_id) return false;
+    if (part.txn_holder != txn_id) {
+      throw HclError(Status::FailedPrecondition(
+          "txn commit: intent slot not held (presumed abort)"));
+    }
+    intents->swap(part.txn_intents);
+    part.txn_holder = 0;
+    part.last_committed_txn = txn_id;
+    return true;
+  }
+
   void bind_handlers() {
     auto& engine = ctx_->rpc();
-    insert_id_ = engine.bind<bool, int, K, V>(
-        [this](rpc::ServerCtx& sctx, const int& p, const K& key, const V& value) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    insert_ = bind_twins<bool, K, V>(
+        [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
+               const V& value) {
           const sim::Nanos ready =
-              charge_server_write(sctx, part, wire_bytes(key, value));
-          const bool ok = apply_insert(part, key, value, ready);
-          if (ok) replicate_upsert(p, ready, key, value);
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
+              charge_server_write(sctx, s.host, wire_bytes(key, value));
+          const bool ok = apply_insert(s, key, value, ready);
+          if (ok) replicate(s, ready, LogOp::kUpsert, key, &value);
+          sctx.epoch = epoch_of(s);
           return ok;
         });
-    upsert_id_ = engine.bind<bool, int, K, V>(
-        [this](rpc::ServerCtx& sctx, const int& p, const K& key, const V& value) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    upsert_ = bind_twins<bool, K, V>(
+        [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
+               const V& value) {
           const sim::Nanos ready =
-              charge_server_write(sctx, part, wire_bytes(key, value));
-          const bool fresh = apply_upsert(part, key, value, ready);
-          replicate_upsert(p, ready, key, value);
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
+              charge_server_write(sctx, s.host, wire_bytes(key, value));
+          const bool fresh = apply_upsert(s, key, value, ready);
+          replicate(s, ready, LogOp::kUpsert, key, &value);
+          sctx.epoch = epoch_of(s);
           return fresh;
         });
-    find_id_ = engine.bind<std::optional<V>, int, K>(
-        [this](rpc::ServerCtx& sctx, const int& p, const K& key) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    find_ = bind_twins<std::optional<V>, K>(
+        [this](rpc::ServerCtx& sctx, const Side& s, const K& key) {
           // Epoch BEFORE the read: a concurrent write can only make the
           // piggybacked epoch conservatively stale, never too fresh.
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
+          sctx.epoch = epoch_of(s);
           V value{};
-          const bool hit = part.store.find(key, &value);
-          charge_server_read(sctx, part,
+          const bool hit = s.store().find(key, &value);
+          charge_server_read(sctx, s.host,
                              hit ? wire_bytes(key, value) : key_bytes(key));
           return hit ? std::optional<V>(std::move(value)) : std::nullopt;
         });
-    erase_id_ = engine.bind<bool, int, K>(
-        [this](rpc::ServerCtx& sctx, const int& p, const K& key) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
-          const sim::Nanos ready = charge_server_write(sctx, part, key_bytes(key));
-          const bool ok = apply_erase(part, key);
-          replicate_erase(p, ready, key);
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
+    erase_ = bind_twins<bool, K>(
+        [this](rpc::ServerCtx& sctx, const Side& s, const K& key) {
+          const sim::Nanos ready =
+              charge_server_write(sctx, s.host, key_bytes(key));
+          const bool ok = apply_erase(s, key);
+          replicate(s, ready, LogOp::kErase, key, nullptr);
+          sctx.epoch = epoch_of(s);
           return ok;
         });
     resize_id_ = engine.bind<bool, int, std::uint64_t>(
@@ -1911,29 +1909,28 @@ class PartitionedMap {
           sctx.epoch = part.epoch.load(std::memory_order_acquire);
           return true;
         });
-    apply_id_ = engine.bind<bool, int, K, std::uint32_t, std::vector<std::byte>, V>(
-        [this](rpc::ServerCtx& sctx, const int& p, const K& key,
+    apply_ = bind_twins<bool, K, std::uint32_t, std::vector<std::byte>, V>(
+        [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
                const std::uint32_t& mutator, const std::vector<std::byte>& raw,
                const V& init) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
           charge_server_write(
-              sctx, part, key_bytes(key) + static_cast<std::int64_t>(raw.size()));
-          const bool fresh = apply_mutator(part, key, mutator, raw, init).fresh;
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
+              sctx, s.host,
+              key_bytes(key) + static_cast<std::int64_t>(raw.size()));
+          const bool fresh = apply_mutator(s, key, mutator, raw, init).fresh;
+          sctx.epoch = epoch_of(s);
           return fresh;
         });
-    apply_fetch_id_ =
-        engine.bind<std::vector<std::byte>, int, K, std::uint32_t,
-                    std::vector<std::byte>, V>(
-            [this](rpc::ServerCtx& sctx, const int& p, const K& key,
+    apply_fetch_ =
+        bind_twins<std::vector<std::byte>, K, std::uint32_t,
+                   std::vector<std::byte>, V>(
+            [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
                    const std::uint32_t& mutator,
                    const std::vector<std::byte>& raw, const V& init) {
-              Partition& part = *partitions_[static_cast<std::size_t>(p)];
               charge_server_write(
-                  sctx, part,
+                  sctx, s.host,
                   key_bytes(key) + static_cast<std::int64_t>(raw.size()));
-              auto result = apply_mutator(part, key, mutator, raw, init).result;
-              sctx.epoch = part.epoch.load(std::memory_order_acquire);
+              auto result = apply_mutator(s, key, mutator, raw, init).result;
+              sctx.epoch = epoch_of(s);
               return result;
             });
     replica_upsert_id_ = engine.bind<bool, int, K, V>(
@@ -1956,172 +1953,28 @@ class PartitionedMap {
           sctx.epoch = part.epoch.load(std::memory_order_acquire);
           return true;
         });
-    // ---- failover stubs (DESIGN.md §5f): standby partition q serving
-    // ops owned by the down partition p. All take (p, q) explicitly;
-    // promotion is implicit on the first op, under p's fo_mutex.
-    fo_insert_id_ = engine.bind<bool, int, int, K, V>(
-        [this](rpc::ServerCtx& sctx, const int& p, const int& q, const K& key,
-               const V& value) {
-          Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          charge_server_write(sctx, host, wire_bytes(key, value));
-          std::lock_guard<std::mutex> guard(primary.fo_mutex);
-          require_primary_down(primary);
-          promote_locked(primary);
-          const bool ok = host.replicas.insert(key, value);
-          if (ok) {
-            primary.fo_journal.push_back(FoRecord{LogOp::kInsert, key, value});
-            ++primary.fo_epoch;
-          }
-          sctx.epoch = primary.fo_epoch;
-          return ok;
-        });
-    fo_upsert_id_ = engine.bind<bool, int, int, K, V>(
-        [this](rpc::ServerCtx& sctx, const int& p, const int& q, const K& key,
-               const V& value) {
-          Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          charge_server_write(sctx, host, wire_bytes(key, value));
-          std::lock_guard<std::mutex> guard(primary.fo_mutex);
-          require_primary_down(primary);
-          promote_locked(primary);
-          const bool fresh = host.replicas.upsert(key, value);
-          primary.fo_journal.push_back(FoRecord{LogOp::kUpsert, key, value});
-          sctx.epoch = ++primary.fo_epoch;
-          return fresh;
-        });
-    fo_find_id_ = engine.bind<std::optional<V>, int, int, K>(
-        [this](rpc::ServerCtx& sctx, const int& p, const int& q, const K& key) {
-          Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          std::lock_guard<std::mutex> guard(primary.fo_mutex);
-          require_primary_down(primary);
-          promote_locked(primary);
-          // Epoch BEFORE the read, same conservative rule as the primary.
-          sctx.epoch = primary.fo_epoch;
-          V value{};
-          const bool hit = host.replicas.find(key, &value);
-          charge_server_read(sctx, host,
-                             hit ? wire_bytes(key, value) : key_bytes(key));
-          return hit ? std::optional<V>(std::move(value)) : std::nullopt;
-        });
-    fo_erase_id_ = engine.bind<bool, int, int, K>(
-        [this](rpc::ServerCtx& sctx, const int& p, const int& q, const K& key) {
-          Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          charge_server_write(sctx, host, key_bytes(key));
-          std::lock_guard<std::mutex> guard(primary.fo_mutex);
-          require_primary_down(primary);
-          promote_locked(primary);
-          const bool ok = host.replicas.erase(key);
-          // Journal even a miss: the key may exist on the (down) primary
-          // but not in the replica set (mutator-created entries are never
-          // replicated); the replayed erase no-ops when truly absent.
-          primary.fo_journal.push_back(FoRecord{LogOp::kErase, key, V{}});
-          sctx.epoch = ++primary.fo_epoch;
-          return ok;
-        });
-    fo_apply_id_ =
-        engine.bind<bool, int, int, K, std::uint32_t, std::vector<std::byte>, V>(
-            [this](rpc::ServerCtx& sctx, const int& p, const int& q, const K& key,
-                   const std::uint32_t& mutator,
-                   const std::vector<std::byte>& raw, const V& init) {
-              Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-              Partition& host = *partitions_[static_cast<std::size_t>(q)];
-              charge_server_write(
-                  sctx, host,
-                  key_bytes(key) + static_cast<std::int64_t>(raw.size()));
-              if (mutator >= mutators_.size()) {
-                throw HclError(Status::InvalidArgument("unknown mutator id"));
-              }
-              std::lock_guard<std::mutex> guard(primary.fo_mutex);
-              require_primary_down(primary);
-              promote_locked(primary);
-              V snapshot{};
-              const bool fresh = host.replicas.update_fn(
-                  key,
-                  [&](V& value) {
-                    (void)mutators_[mutator](value,
-                                             std::span<const std::byte>(raw));
-                    snapshot = value;
-                  },
-                  init);
-              primary.fo_journal.push_back(
-                  FoRecord{LogOp::kUpsert, key, snapshot});
-              sctx.epoch = ++primary.fo_epoch;
-              return fresh;
-            });
-    fo_apply_fetch_id_ =
-        engine.bind<std::vector<std::byte>, int, int, K, std::uint32_t,
-                    std::vector<std::byte>, V>(
-            [this](rpc::ServerCtx& sctx, const int& p, const int& q, const K& key,
-                   const std::uint32_t& mutator,
-                   const std::vector<std::byte>& raw, const V& init) {
-              Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-              Partition& host = *partitions_[static_cast<std::size_t>(q)];
-              charge_server_write(
-                  sctx, host,
-                  key_bytes(key) + static_cast<std::int64_t>(raw.size()));
-              if (mutator >= mutators_.size()) {
-                throw HclError(Status::InvalidArgument("unknown mutator id"));
-              }
-              std::lock_guard<std::mutex> guard(primary.fo_mutex);
-              require_primary_down(primary);
-              promote_locked(primary);
-              V snapshot{};
-              std::vector<std::byte> result;
-              host.replicas.update_fn(
-                  key,
-                  [&](V& value) {
-                    result = mutators_[mutator](value,
-                                                std::span<const std::byte>(raw));
-                    snapshot = value;
-                  },
-                  init);
-              primary.fo_journal.push_back(
-                  FoRecord{LogOp::kUpsert, key, snapshot});
-              sctx.epoch = ++primary.fo_epoch;
-              return result;
-            });
     // Anti-entropy repair (primary side): replay the promoted standby's
-    // journal delta through the journaling apply_* paths — so the delta
-    // also lands in the primary's persist log and re-fans to the other
-    // replicas — then adopt an epoch ABOVE the promotion fence. Without
-    // adoption the rejoined primary's piggybacks would compare stale
-    // against fenced leases forever (see Context::run).
+    // journal delta through the record-apply loop — so the delta also
+    // lands in the primary's persist log and re-fans to the other replicas
+    // — then adopt an epoch ABOVE the promotion fence. Without adoption the
+    // rejoined primary's piggybacks would compare stale against fenced
+    // leases forever (see Context::run).
     repair_id_ =
         engine.bind<std::uint64_t, int, std::vector<std::byte>, std::uint64_t>(
             [this](rpc::ServerCtx& sctx, const int& p,
-                   const std::vector<std::byte>& delta,
+                   const std::vector<std::byte>& blob,
                    const std::uint64_t& fence) {
               Partition& part = *partitions_[static_cast<std::size_t>(p)];
-              serial::InArchive in{std::span<const std::byte>(delta)};
-              const std::uint64_t count = in.u64();
-              std::int64_t bytes = 8;
-              for (std::uint64_t i = 0; i < count; ++i) {
-                const auto op = static_cast<LogOp>(in.u64());
-                K key{};
-                serial::load(in, key);
-                if (op == LogOp::kErase) {
-                  bytes += key_bytes(key);
-                  apply_erase(part, key);
-                  replicate_erase(p, sctx.start, key);
-                } else {
-                  V value{};
-                  serial::load(in, value);
-                  bytes += wire_bytes(key, value);
-                  apply_upsert(part, key, value, sctx.start);
-                  replicate_upsert(p, sctx.start, key, value);
-                }
-              }
-              charge_server_write(sctx, part, bytes);
+              const std::vector<FoRecord> delta = decode_intents(blob);
+              apply_records(primary_side(p), delta, sctx.start);
+              charge_server_write(sctx, part, 8 + record_bytes(delta));
               const std::uint64_t adopted =
                   std::max(part.epoch.load(std::memory_order_acquire), fence) + 1;
               part.epoch.store(adopted, std::memory_order_release);
               // Presumed abort (§5h): any intent slot or staged records left
               // from before the crash are dead — their coordinators saw the
-              // node down and either committed through fo_txn_commit (the
-              // journal just replayed those writes) or aborted.
+              // node down and either committed through the commit's failover
+              // twin (the journal just replayed those writes) or aborted.
               {
                 std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
                 part.txn_holder = 0;
@@ -2129,9 +1982,10 @@ class PartitionedMap {
                 part.txn_staged.clear();
               }
               ctx_->fabric().nic(sctx.node).counters().repair_ops.fetch_add(
-                  count, std::memory_order_relaxed);
+                  static_cast<std::int64_t>(delta.size()),
+                  std::memory_order_relaxed);
               sctx.epoch = adopted;
-              return count;
+              return static_cast<std::uint64_t>(delta.size());
             });
     // ---- transaction stubs (DESIGN.md §5h). Slot state mutates under
     // txn_mutex, which is RELEASED before any replica fan-out: staging and
@@ -2193,61 +2047,35 @@ class PartitionedMap {
               sctx.epoch = cur;
               return cur;
             });
-    txn_commit_id_ = engine.bind<std::uint64_t, int, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const int& p,
+    // Commit: the primary applies the intents its prepare validated; the
+    // failover twin — the primary died between prepare-ack and commit —
+    // replays the records that prepare staged on the standby host.
+    txn_commit_ = bind_twins<std::uint64_t, std::uint64_t>(
+        [this](rpc::ServerCtx& sctx, const Side& s,
                const std::uint64_t& txn_id) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
           std::vector<FoRecord> intents;
           {
-            std::lock_guard<std::mutex> guard(part.txn_mutex);
-            if (part.last_committed_txn == txn_id) {
+            std::lock_guard<std::mutex> guard(s.host.txn_mutex);
+            if (!take_intents(s, txn_id, &intents)) {
               // Idempotent re-commit after a lost response: already applied.
-              const std::uint64_t cur =
-                  part.epoch.load(std::memory_order_acquire);
-              charge_server_write(sctx, part, 16);
-              sctx.epoch = cur;
-              return cur;
+              charge_server_write(sctx, s.host, 16);
+              sctx.epoch = epoch_of(s);
+              return sctx.epoch;
             }
-            if (part.txn_holder != txn_id) {
-              throw HclError(Status::FailedPrecondition(
-                  "txn commit: intent slot not held (presumed abort)"));
-            }
-            intents.swap(part.txn_intents);
-            part.txn_holder = 0;
-            part.last_committed_txn = txn_id;
-            std::int64_t bytes = 16;
-            for (const FoRecord& rec : intents) {
-              bytes += rec.op == LogOp::kErase ? key_bytes(rec.key)
-                                               : wire_bytes(rec.key, rec.value);
-            }
-            const sim::Nanos ready = charge_server_write(sctx, part, bytes);
+            const sim::Nanos ready =
+                charge_server_write(sctx, s.host, 16 + record_bytes(intents));
             // Apply under the slot lock so a rival prepare cannot interleave
-            // between two of our intents; replicate_* fans out WITHOUT
-            // taking any txn_mutex, so this cannot deadlock. Read-only
-            // participants (no intents) just release the slot — no epoch
-            // bump, no needless lease invalidation.
-            for (const FoRecord& rec : intents) {
-              if (rec.op == LogOp::kErase) {
-                apply_erase(part, rec.key);
-                replicate_erase(p, ready, rec.key);
-              } else {
-                apply_upsert(part, rec.key, rec.value, ready);
-                replicate_upsert(p, ready, rec.key, rec.value);
-              }
-            }
+            // between two of our intents; the replica fan-out takes no
+            // txn_mutex, so this cannot deadlock. Read-only participants (no
+            // intents) just release the slot — no epoch bump, no needless
+            // lease invalidation.
+            apply_records(s, intents, ready);
           }
-          if (!intents.empty()) {
-            for (int r = 1; r <= options_.replication; ++r) {
-              const int target = (p + r) % num_partitions_;
-              ctx_->rpc().server_invoke(
-                  part.node,
-                  partitions_[static_cast<std::size_t>(target)]->node,
-                  sctx.finish, replica_txn_resolve_id_, target, p, txn_id);
-            }
+          if (!s.standby && !intents.empty()) {
+            resolve_staged(s.p, sctx.finish, txn_id);
           }
-          const std::uint64_t cur = part.epoch.load(std::memory_order_acquire);
-          sctx.epoch = cur;
-          return cur;
+          sctx.epoch = epoch_of(s);
+          return sctx.epoch;
         });
     txn_abort_id_ = engine.bind<bool, int, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const int& p,
@@ -2265,12 +2093,7 @@ class PartitionedMap {
           }
           // Drop staged replica records unconditionally: a prepare whose
           // response was lost may have staged before the client gave up.
-          for (int r = 1; r <= options_.replication; ++r) {
-            const int target = (p + r) % num_partitions_;
-            ctx_->rpc().server_invoke(
-                part.node, partitions_[static_cast<std::size_t>(target)]->node,
-                sctx.finish, replica_txn_resolve_id_, target, p, txn_id);
-          }
+          resolve_staged(p, sctx.finish, txn_id);
           // Aborts bump NOTHING: no epoch, no journal, no replica writes —
           // the "zero observable state" invariant the sweep asserts.
           sctx.epoch = part.epoch.load(std::memory_order_acquire);
@@ -2300,66 +2123,26 @@ class PartitionedMap {
           sctx.epoch = host.epoch.load(std::memory_order_acquire);
           return true;
         });
-    // Failover legs: the primary died between prepare-ack and commit. The
-    // standby host replays (or drops) the records the prepare staged on it.
-    fo_txn_commit_id_ = engine.bind<std::uint64_t, int, int, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const int& p, const int& q,
-               const std::uint64_t& txn_id) {
-          Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          std::vector<FoRecord> intents;
-          {
-            std::lock_guard<std::mutex> guard(host.txn_mutex);
-            auto it = host.txn_staged.find({txn_id, p});
-            if (it != host.txn_staged.end()) {
-              intents = std::move(it->second);
-              host.txn_staged.erase(it);
-            }
-          }
-          std::int64_t bytes = 16;
-          for (const FoRecord& rec : intents) {
-            bytes += rec.op == LogOp::kErase ? key_bytes(rec.key)
-                                             : wire_bytes(rec.key, rec.value);
-          }
-          charge_server_write(sctx, host, bytes);
-          std::lock_guard<std::mutex> guard(primary.fo_mutex);
-          require_primary_down(primary);
-          promote_locked(primary);
-          for (const FoRecord& rec : intents) {
-            if (rec.op == LogOp::kErase) {
-              host.replicas.erase(rec.key);
-              primary.fo_journal.push_back(FoRecord{LogOp::kErase, rec.key, V{}});
-            } else {
-              host.replicas.upsert(rec.key, rec.value);
-              primary.fo_journal.push_back(
-                  FoRecord{LogOp::kUpsert, rec.key, rec.value});
-            }
-            ++primary.fo_epoch;
-          }
-          // A re-sent commit after a lost response finds nothing staged and
-          // returns the fenced epoch unchanged — idempotent.
-          sctx.epoch = primary.fo_epoch;
-          return primary.fo_epoch;
-        });
+    // The one failover stub without a shared body: dropping the records a
+    // prepare staged on the standby host is not a failover write, so it
+    // never enters the standby side (no promotion).
     fo_txn_abort_id_ = engine.bind<bool, int, int, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const int& p, const int& q,
                const std::uint64_t& txn_id) {
           Partition& host = *partitions_[static_cast<std::size_t>(q)];
           charge_server_write(sctx, host, 16);
-          // No promotion: dropping staged intents is not a failover write.
           std::lock_guard<std::mutex> guard(host.txn_mutex);
           host.txn_staged.erase({txn_id, p});
           return true;
         });
-    bound_ids_ = {insert_id_,      upsert_id_,         find_id_,
-                  erase_id_,       resize_id_,         apply_id_,
-                  apply_fetch_id_, replica_upsert_id_, replica_erase_id_,
-                  fo_insert_id_,   fo_upsert_id_,      fo_find_id_,
-                  fo_erase_id_,    fo_apply_id_,       fo_apply_fetch_id_,
-                  repair_id_,      txn_prepare_id_,    txn_commit_id_,
-                  txn_abort_id_,   replica_txn_stage_id_,
-                  replica_txn_resolve_id_, fo_txn_commit_id_,
-                  fo_txn_abort_id_};
+    bound_ids_ = {insert_.primary,      insert_.standby,   upsert_.primary,
+                  upsert_.standby,      find_.primary,     find_.standby,
+                  erase_.primary,       erase_.standby,    resize_id_,
+                  apply_.primary,       apply_.standby,    apply_fetch_.primary,
+                  apply_fetch_.standby, replica_upsert_id_, replica_erase_id_,
+                  repair_id_,           txn_prepare_id_,   txn_commit_.primary,
+                  txn_commit_.standby,  txn_abort_id_,     replica_txn_stage_id_,
+                  replica_txn_resolve_id_, fo_txn_abort_id_};
     // Per-container shm opt-out (DESIGN.md §5i): route this map's ops over
     // RDMA even when pod-local.
     if (!options_.shm.enabled) ctx_->shm_opt_out(bound_ids_);
@@ -2380,14 +2163,13 @@ class PartitionedMap {
   std::vector<std::function<std::vector<std::byte>(V&, std::span<const std::byte>)>>
       mutators_;
 
-  rpc::FuncId insert_id_ = 0, upsert_id_ = 0, find_id_ = 0, erase_id_ = 0,
-              resize_id_ = 0, apply_id_ = 0, apply_fetch_id_ = 0,
-              replica_upsert_id_ = 0, replica_erase_id_ = 0,
-              fo_insert_id_ = 0, fo_upsert_id_ = 0, fo_find_id_ = 0,
-              fo_erase_id_ = 0, fo_apply_id_ = 0, fo_apply_fetch_id_ = 0,
-              repair_id_ = 0, txn_prepare_id_ = 0, txn_commit_id_ = 0,
-              txn_abort_id_ = 0, replica_txn_stage_id_ = 0,
-              replica_txn_resolve_id_ = 0, fo_txn_commit_id_ = 0,
+  /// Replicated ops: each primary FuncId and its failover twin, bound from
+  /// one server body (bind_twins).
+  core::Twins insert_, upsert_, find_, erase_, apply_, apply_fetch_,
+      txn_commit_;
+  rpc::FuncId resize_id_ = 0, replica_upsert_id_ = 0, replica_erase_id_ = 0,
+              repair_id_ = 0, txn_prepare_id_ = 0, txn_abort_id_ = 0,
+              replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0,
               fo_txn_abort_id_ = 0;
   std::vector<rpc::FuncId> bound_ids_;
   HashFn hash_;

@@ -235,9 +235,6 @@ class Engine {
   /// default_options so operators can tune detection aggressiveness
   /// (HCL_FAILOVER_RETRIES / HCL_FAILOVER_BACKOFF_NS) without touching the
   /// transient-fault backoff that fault-free workloads rely on.
-  void set_failover_options(const InvokeOptions& options) noexcept {
-    failover_options_ = options;
-  }
   [[nodiscard]] const InvokeOptions& failover_options() const noexcept {
     return failover_options_;
   }

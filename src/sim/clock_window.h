@@ -79,29 +79,30 @@ class ClockWindow {
 
   /// Register `rank` as active at clock `now`. Idempotent (the runner
   /// pre-activates every rank, then ActorScope re-activates on the driving
-  /// thread). Both the stripe cache and the global cache are lowered
-  /// atomically with the activation, so a concurrent raise can never bury
-  /// this rank's clock (the historical store(min(load, now)) lost-min race).
+  /// thread). The whole activation runs under edge_lock_ (edge lock, then
+  /// stripe lock — the order deactivate uses), so it is atomic against a
+  /// raiser's validate+raise pair, and the global cache is lowered BEFORE
+  /// the clock becomes visible: no reader can see the new clock in the
+  /// exact floor while the cache still holds a higher one, and no raise can
+  /// bury it (the historical store(min(load, now)) lost-min race). The
+  /// sequence bump comes last, after the clock is published: a raise
+  /// computed from a scan that may have missed it fails validation, and one
+  /// that read the new sequence scanned after the clock was visible.
   void activate(int rank, Nanos now) {
     Stripe& s = stripe_of(rank);
+    std::lock_guard<SpinLock> eg(edge_lock_);
+    atomic_min(floor_cache_, now);
     {
       std::lock_guard<SpinLock> sg(s.lock);
       clocks_[static_cast<std::size_t>(rank)].store(now,
-                                                    std::memory_order_relaxed);
+                                                    std::memory_order_release);
       if (active_[static_cast<std::size_t>(rank)].exchange(
               1, std::memory_order_acq_rel) == 0) {
         active_count_.fetch_add(1, std::memory_order_acq_rel);
       }
       atomic_min(s.floor, now);
     }
-    // Invalidate raises computed before this activation was visible, then
-    // lower the global cache — under edge_lock_ so the bump+lower pair is
-    // atomic against a raiser's validate+raise pair. (A bare CAS-min here is
-    // NOT enough: a raiser whose CAS-max retries after validating the
-    // sequence number could still overwrite this min.)
-    std::lock_guard<SpinLock> eg(edge_lock_);
     activation_seq_.fetch_add(1, std::memory_order_acq_rel);
-    atomic_min(floor_cache_, now);
   }
 
   void deactivate(int rank) {
@@ -209,7 +210,7 @@ class ClockWindow {
     Nanos f = kNoFloor;
     for (std::size_t r = 0; r < clocks_.size(); ++r) {
       if (active_[r].load(std::memory_order_acquire) != 0) {
-        f = std::min(f, clocks_[r].load(std::memory_order_relaxed));
+        f = std::min(f, clocks_[r].load(std::memory_order_acquire));
       }
     }
     return f;
@@ -281,8 +282,9 @@ class ClockWindow {
   /// across a bump is discarded.
   std::atomic<std::uint64_t> activation_seq_{0};
   std::atomic<int> active_count_{0};
-  /// Serializes floor_cache_ raises against each other and against the idle
-  /// reset; never held while taking a stripe lock from the raise path.
+  /// Serializes floor_cache_ raises against each other, against whole
+  /// activations and against the idle reset. Taken before a stripe lock
+  /// (activate, deactivate), never while one is held.
   SpinLock edge_lock_;
 };
 

@@ -30,11 +30,11 @@
 // Interaction matrix (details in DESIGN.md §5h): intents ride the batch
 // coalescer; commits bump partition epochs so ReadCache leases revalidate
 // and aborts never touch the cache; prepare stages intents to the replica
-// chain so a standby promotion can replay them (fo_txn_commit) or drop them
-// (fo_txn_abort); the containers' rebalance latch is held shared for the
-// whole commit so shard moves fence against in-flight transactions; every
-// coordinator attempt ends as exactly one kTxn span plus one txn_commits or
-// txn_aborts count on the coordinator's NIC.
+// chain so a standby promotion can replay them (txn_commit's failover twin)
+// or drop them (fo_txn_abort); the containers' rebalance latch is held
+// shared for the whole commit so shard moves fence against in-flight
+// transactions; every coordinator attempt ends as exactly one kTxn span
+// plus one txn_commits or txn_aborts count on the coordinator's NIC.
 #pragma once
 
 #include <algorithm>
@@ -119,8 +119,8 @@ class ParticipantBase {
   virtual void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
                               std::uint64_t txn_id) = 0;
   /// Await the commit. Commits are idempotent server-side, so participants
-  /// re-invoke on transient failures and reroute to fo_txn_commit when the
-  /// primary died between prepare-ack and commit.
+  /// re-invoke on transient failures and reroute to the commit's failover
+  /// twin on the standby when the primary died between prepare-ack and commit.
   [[nodiscard]] virtual Status settle_commit(sim::Actor& self,
                                              std::uint64_t txn_id) = 0;
 

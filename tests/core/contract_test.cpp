@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "fabric/fault_plan.h"
@@ -185,52 +187,106 @@ TYPED_TEST(MapContract, ResizeKeepsContents) {
   });
 }
 
+/// Every (key, value) a map's route-aware for_each visits, key-sorted.
+template <typename Map>
+std::map<int, int> contents(Map& m) {
+  std::map<int, int> out;
+  m.for_each([&](const int& k, const int& v) { out[k] = v; });
+  return out;
+}
+
 TYPED_TEST(MapContract, FailoverWithReplicationOne) {
+  // One script of ops on partition 1's keys runs twice: against a map whose
+  // partition 1 is down (served by the promoted standby partition 2) and
+  // against a fault-free reference map. Every op's return value, and the
+  // contents after heal(), must match the live primary's.
   auto plan = std::make_shared<FaultPlan>(21);
   Context ctx(zero_config(3, 1, plan));
+  Context ref_ctx(zero_config(3, 1));
   TypeParam m(ctx, {.num_partitions = 3, .replication = 1});
-  const int ka = key_in_partition(m, 1);
-  const int kb = key_in_partition(m, 1, ka + 1);
-  const int kc = key_in_partition(m, 1, kb + 1);
-  const int kd = key_in_partition(m, 1, kc + 1);
-  ctx.run_one(0, [&](Actor&) {
-    EXPECT_TRUE(m.insert(ka, 1));
-    EXPECT_TRUE(m.insert(kc, 3));
-  });
-  EXPECT_EQ(m.replica_size(2), 2u);  // partition 1's standby is partition 2
+  TypeParam ref(ref_ctx, {.num_partitions = 3, .replication = 1});
+  std::vector<int> k;  // k[0..6]: seven keys of partition 1
+  for (int lo = 0; k.size() < 7; lo = k.back() + 1) {
+    k.push_back(key_in_partition(m, 1, lo));
+  }
+  const auto register_mutators = [](TypeParam& target) {
+    const auto add = target.template register_mutator<int>(
+        [](int& value, const int& delta) { value += delta; });
+    const auto add_fetch = target.template register_mutator<int>(
+        [](int& value, const int& delta) { return value += delta; });
+    return std::make_pair(add, add_fetch);
+  };
+  const auto ids = register_mutators(m);
+  EXPECT_EQ(register_mutators(ref), ids);
+  const auto add = ids.first;
+  const auto add_fetch = ids.second;
+  const auto preload = [&](TypeParam& target) {
+    EXPECT_TRUE(target.insert(k[0], 1));
+    EXPECT_TRUE(target.insert(k[2], 3));
+    EXPECT_TRUE(target.apply(k[6], add, 7));  // mutator-made: not replicated
+  };
+  // Return values in op order: bools as 0/1, a missing find as -1.
+  const auto script = [&](TypeParam& target) {
+    std::vector<int> r;
+    int v = 0;
+    r.push_back(target.find(k[0], &v));
+    r.push_back(v);
+    r.push_back(target.upsert(k[0], 2));
+    r.push_back(target.insert(k[1], 4));
+    r.push_back(target.insert(k[0], 9));  // existing key
+    r.push_back(target.erase(k[2]));
+    r.push_back(target.erase(k[4]));  // missing key
+    r.push_back(target.apply(k[5], add, 5, 10));  // fresh: init, then +5
+    r.push_back(target.apply(k[0], add, 1));
+    r.push_back(target.template apply_fetch<int>(k[1], add_fetch, 6));
+    for (bool b : target.insert_batch({k[3]}, {5})) r.push_back(b);
+    for (bool b : target.erase_batch({k[1], k[2]})) r.push_back(b);
+    for (const auto& f : target.find_batch({k[0], k[2]})) {
+      r.push_back(f.value_or(-1));
+    }
+    r.push_back(target.upsert(k[3], 8));
+    return r;
+  };
 
+  std::vector<int> expected;
+  ref_ctx.run_one(0, [&](Actor&) {
+    preload(ref);
+    expected = script(ref);
+  });
+  EXPECT_EQ(expected,
+            (std::vector<int>{1, 1, 0, 1, 0, 1, 0, 1, 0, 10, 1, 1, 0, 3, -1, 0}));
+
+  ctx.run_one(0, [&](Actor&) { preload(m); });
+  EXPECT_EQ(m.replica_size(2), 2u);  // partition 1's standby is partition 2
   plan->fail_node(1);
   ctx.run_one(0, [&](Actor&) {
-    int v = 0;
-    EXPECT_TRUE(m.find(ka, &v));  // served by the promoted standby
-    EXPECT_EQ(v, 1);
-    EXPECT_FALSE(m.upsert(ka, 2));
-    EXPECT_TRUE(m.insert(kb, 4));
-    EXPECT_TRUE(m.erase(kc));
-    const auto landed = m.insert_batch({kd}, {5});
-    EXPECT_TRUE(landed[0]);
-    const auto found = m.find_batch({ka, kc});
-    EXPECT_EQ(found[0], std::optional<int>(2));
-    EXPECT_FALSE(found[1].has_value());
+    EXPECT_EQ(script(m), expected);
+    // The one known divergence: the standby never held the mutator-made
+    // key, so its erase misses — but it journals the erase anyway, and the
+    // repair removes the key from the primary.
+    EXPECT_FALSE(m.erase(k[6]));
   });
+  ref_ctx.run_one(0, [&](Actor&) { EXPECT_TRUE(ref.erase(k[6])); });
   EXPECT_TRUE(m.partition_promoted(1));
-  EXPECT_EQ(m.size(), 3u);  // route-aware: base + failover journal
+  // Route-aware: base + failover journal, including the journaled erase of
+  // a key the standby never held.
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(contents(m), contents(ref));
 
   plan->rejoin_node(1);
   ctx.run_one(0, [&](Actor& self) {
     m.heal(self);
     int v = 0;
-    EXPECT_TRUE(m.find(ka, &v));  // answered by the repaired primary
-    EXPECT_EQ(v, 2);
-    EXPECT_TRUE(m.find(kb, &v));
-    EXPECT_EQ(v, 4);
-    EXPECT_TRUE(m.find(kd, &v));
-    EXPECT_EQ(v, 5);
-    EXPECT_FALSE(m.find(kc, &v));
+    EXPECT_TRUE(m.find(k[0], &v));  // answered by the repaired primary
+    EXPECT_EQ(v, 3);
+    EXPECT_TRUE(m.find(k[5], &v));
+    EXPECT_EQ(v, 15);
+    EXPECT_FALSE(m.find(k[1], &v));
   });
   EXPECT_FALSE(m.partition_promoted(1));
   EXPECT_EQ(m.repair_backlog(1), 0u);
-  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(contents(m), contents(ref));
 }
 
 TYPED_TEST(MapContract, JournalReopenRecovers) {
@@ -404,38 +460,63 @@ TYPED_TEST(QueueContract, AsyncPushPopRemoteAndCoLocated) {
 }
 
 TYPED_TEST(QueueContract, FailoverWithReplicationOne) {
+  // One script runs from node 1 against a queue whose host (node 0) is
+  // down, served by the promoted mirror, and against a fault-free
+  // reference queue: return values and the drain order after heal() must
+  // match the live host's.
   auto plan = std::make_shared<FaultPlan>(22);
   Context ctx(zero_config(2, 1, plan));
+  Context ref_ctx(zero_config(2, 1));
   TypeParam q(ctx, {.replication = 1});  // host node 0, mirror on node 1
-  const auto on_node1 = [&](auto body) {
-    ctx.run([&](Actor& self) {
+  TypeParam ref(ref_ctx, {.replication = 1});
+  const auto on_node1 = [](Context& c, auto body) {
+    c.run([&](Actor& self) {
       if (self.node() == 1) body(self);
     });
   };
-  on_node1([&](Actor&) {
-    for (int i = 1; i <= 3; ++i) EXPECT_TRUE(q.push(i));
-  });
-  EXPECT_EQ(q.mirror_size(), 3u);
-
-  plan->fail_node(0);
-  on_node1([&](Actor&) {
+  const auto preload = [](TypeParam& target) {
+    for (int i = 1; i <= 3; ++i) EXPECT_TRUE(target.push(i));
+  };
+  // Return values in op order: bools as 0/1, a popped element as itself.
+  const auto script = [](TypeParam& target) {
+    std::vector<int> r;
     int v = 0;
-    EXPECT_TRUE(q.pop(&v));  // served by the promoted mirror
-    EXPECT_EQ(v, 1);
-    EXPECT_TRUE(q.push(4));
-    EXPECT_TRUE(q.push(std::vector<int>{5}));
-    EXPECT_EQ(q.push_batch({6}), (std::vector<bool>{true}));
+    r.push_back(target.pop(&v));
+    r.push_back(v);
+    r.push_back(target.push(4));
+    r.push_back(target.push(std::vector<int>{5}));
+    for (bool b : target.push_batch({6})) r.push_back(b);
+    std::vector<int> bulk;
+    r.push_back(static_cast<int>(target.pop(&bulk, 2)));
+    r.insert(r.end(), bulk.begin(), bulk.end());
+    return r;
+  };
+
+  std::vector<int> expected;
+  std::vector<int> expected_drain;
+  on_node1(ref_ctx, [&](Actor&) {
+    preload(ref);
+    expected = script(ref);
+    expected_drain = drain(ref);
   });
+  EXPECT_EQ(expected, (std::vector<int>{1, 1, 1, 1, 1, 2, 2, 3}));
+  EXPECT_EQ(expected_drain, (std::vector<int>{4, 5, 6}));
+
+  on_node1(ctx, [&](Actor&) { preload(q); });
+  EXPECT_EQ(q.mirror_size(), 3u);
+  plan->fail_node(0);
+  on_node1(ctx, [&](Actor&) { EXPECT_EQ(script(q), expected); });
   EXPECT_TRUE(q.promoted());
-  EXPECT_EQ(q.repair_backlog(), 4u);
+  EXPECT_EQ(q.repair_backlog(), 6u);  // 3 pops + 3 pushes
 
   plan->rejoin_node(0);
-  on_node1([&](Actor& self) {
+  on_node1(ctx, [&](Actor& self) {
     q.heal(self);
-    EXPECT_EQ(drain(q), (std::vector<int>{2, 3, 4, 5, 6}));
+    EXPECT_EQ(drain(q), expected_drain);
   });
   EXPECT_FALSE(q.promoted());
   EXPECT_EQ(q.repair_backlog(), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 TYPED_TEST(QueueContract, JournalReopenRecovers) {

@@ -1665,8 +1665,8 @@ TEST_P(TxnSerializabilitySweep, ConcurrentTxnsMatchCsnOrderReplay) {
   run_round(1);
 
   // Recovery: rejoin the victim and heal every promoted partition before
-  // the oracle reads. Transactions committed through fo_txn_commit during
-  // the down window must survive the repair.
+  // the oracle reads. Transactions committed through the commit's failover
+  // twin during the down window must survive the repair.
   if (param.failover) {
     plan->rejoin_node(kVictim);
     ctx.run_one(0, [&](sim::Actor& self) { m.heal(self); });

@@ -512,7 +512,7 @@ TEST(Txn, IntentReplayAfterStandbyPromotion) {
     // ...the primary dies with the slot held...
     plan->fail_node(1);
 
-    // ...and settle_commit reroutes to fo_txn_commit, which promotes the
+    // ...and settle_commit reroutes to the commit's failover twin, which promotes the
     // standby and replays the staged intents into the promoted stream.
     {
       rpc::Batcher apply(ctx.rpc(), policy.batch);
