@@ -126,8 +126,11 @@ class Status {
   std::string message_;
 };
 
-/// Thrown only on API misuse or broken internal invariants, never as a
-/// routine control-flow mechanism.
+/// Thrown on API misuse, broken internal invariants, and failures a caller
+/// asked to receive as an exception (Future::get, Result::value). Routine
+/// outcomes travel as a Status instead: a server stub refuses an op by
+/// setting rpc::ServerCtx::status, which is how OCC prepare aborts reach
+/// the txn coordinator without an unwind on either side (DESIGN.md §5c).
 class HclError : public std::runtime_error {
  public:
   explicit HclError(const Status& status)

@@ -781,19 +781,15 @@ class HostedQueue {
       if (node_down_) {
         return Status::Unavailable("txn: queue host is down");
       }
-      try {
-        (void)prepare_.get(self);
-        return Status::Ok();
-      } catch (const HclError& e) {
-        if (e.code() == StatusCode::kAborted) return Status(e.code(), e.what());
-        if (e.code() == StatusCode::kUnavailable &&
-            owner_->ctx_->fabric().node_down(owner_->node_)) {
-          return Status(e.code(), e.what());  // died mid-prepare: fail fast
-        }
-        // Transient transport failure: the slot MAY be held server-side —
-        // the coordinator aborts every participant before retrying.
-        return Status::Aborted(e.what());
+      const Status st = prepare_.wait(self);
+      if (st.ok() || st.code() == StatusCode::kAborted) return st;
+      if (st.code() == StatusCode::kUnavailable &&
+          owner_->ctx_->fabric().node_down(owner_->node_)) {
+        return st;  // died mid-prepare: fail fast
       }
+      // Transient transport failure: the slot MAY be held server-side —
+      // the coordinator aborts every participant before retrying.
+      return Status::Aborted(st.to_string());
     }
 
     void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
@@ -1042,18 +1038,17 @@ class HostedQueue {
                   sctx.epoch = cur;
                   return cur;
                 }
+                // Validation failures are refusals (ServerCtx::status), not
+                // throws: an abort is a routine outcome of OCC.
                 if (txn_holder_ != 0 && txn_holder_ != txn_id) {
-                  throw HclError(
-                      Status::Aborted("txn prepare: intent slot held"));
+                  sctx.status =
+                      Status::Aborted("txn prepare: intent slot held");
+                } else if (expected != txn::kBlindEpoch && cur != expected) {
+                  sctx.status = Status::Aborted("txn prepare: epoch conflict");
+                } else if (pops > impl_.size()) {
+                  sctx.status = Status::Aborted("txn prepare: queue underflow");
                 }
-                if (expected != txn::kBlindEpoch && cur != expected) {
-                  throw HclError(
-                      Status::Aborted("txn prepare: epoch conflict"));
-                }
-                if (pops > impl_.size()) {
-                  throw HclError(
-                      Status::Aborted("txn prepare: queue underflow"));
-                }
+                if (!sctx.status.ok()) return cur;
                 txn_holder_ = txn_id;
                 txn_intents_ = intents;
               }

@@ -1065,20 +1065,16 @@ class PartitionedMap {
       if (node_down_) {
         return Status::Unavailable("txn: participant node is down");
       }
-      try {
-        (void)prepare_.get(self);
-        return Status::Ok();
-      } catch (const HclError& e) {
-        if (e.code() == StatusCode::kAborted) return Status(e.code(), e.what());
-        if (e.code() == StatusCode::kUnavailable &&
-            owner_->ctx_->fabric().node_down(part.node)) {
-          return Status(e.code(), e.what());  // died mid-prepare: fail fast
-        }
-        // Transient transport failure (lost bundle, injected fault): the
-        // slot MAY be held server-side without us knowing — the coordinator
-        // aborts every participant before retrying, which clears it.
-        return Status::Aborted(e.what());
+      const Status st = prepare_.wait(self);
+      if (st.ok() || st.code() == StatusCode::kAborted) return st;
+      if (st.code() == StatusCode::kUnavailable &&
+          owner_->ctx_->fabric().node_down(part.node)) {
+        return st;  // died mid-prepare: fail fast
       }
+      // Transient transport failure (lost bundle, injected fault): the
+      // slot MAY be held server-side without us knowing — the coordinator
+      // aborts every participant before retrying, which clears it.
+      return Status::Aborted(st.to_string());
     }
 
     void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
@@ -2012,24 +2008,27 @@ class PartitionedMap {
                   sctx.epoch = cur;
                   return cur;
                 }
+                // Validation failures are refusals, not throws (ServerCtx::
+                // status): an abort is a routine outcome of OCC.
                 if (part.txn_holder != 0 && part.txn_holder != txn_id) {
                   // No-wait: a rival's slot means abort, never a queue —
                   // the deadlock-freedom half of the OCC bargain.
-                  throw HclError(
-                      Status::Aborted("txn prepare: intent slot held"));
-                }
-                if (expected != txn::kBlindEpoch && cur != expected) {
-                  throw HclError(
-                      Status::Aborted("txn prepare: epoch conflict"));
-                }
-                for (const FoRecord& rec : intents) {
-                  // A shard move between staging and prepare re-homed the
-                  // key; blind writes carry no epoch, so validate routes.
-                  if (route_partition(rec.key) != p) {
-                    throw HclError(
-                        Status::Aborted("txn prepare: key moved by rebalance"));
+                  sctx.status =
+                      Status::Aborted("txn prepare: intent slot held");
+                } else if (expected != txn::kBlindEpoch && cur != expected) {
+                  sctx.status = Status::Aborted("txn prepare: epoch conflict");
+                } else {
+                  for (const FoRecord& rec : intents) {
+                    // A shard move between staging and prepare re-homed the
+                    // key; blind writes carry no epoch, so validate routes.
+                    if (route_partition(rec.key) != p) {
+                      sctx.status = Status::Aborted(
+                          "txn prepare: key moved by rebalance");
+                      break;
+                    }
                   }
                 }
+                if (!sctx.status.ok()) return cur;
                 part.txn_holder = txn_id;
                 part.txn_intents = intents;
               }

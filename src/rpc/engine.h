@@ -143,6 +143,12 @@ struct ServerCtx {
   /// its partition's current epoch; the engine piggybacks it on the scalar
   /// or per-op batch response so clients can validate cached entries.
   std::uint64_t epoch = 0;
+  /// A handler refuses its op by setting this and returning (DESIGN.md §5c):
+  /// the engine then treats the op exactly like one whose handler threw
+  /// HclError(status) — the result is discarded, the chain stops, `epoch` is
+  /// left as the handler set it — without paying for an unwind. Routine
+  /// outcomes (OCC aborts) refuse; exceptions stay for real faults.
+  Status status;
 };
 
 /// Type-erased server stub: (ctx, request payload) -> response payload.
@@ -1036,6 +1042,13 @@ class Engine {
     return std::max(backoff, static_cast<sim::Nanos>(next));
   }
 
+  /// The Status a refused op reports: the same code and `to_string()`
+  /// message a caught HclError(status) yields, so the packed batch response
+  /// — and the simulated wire time it costs — is the same either way.
+  static Status refusal(const Status& status) {
+    return Status(status.code(), status.to_string());
+  }
+
   /// Run the server stub (plus chain) for one delivered request. Contains
   /// every failure: a missing handler, a thrown HclError, a foreign
   /// exception, or a non-exception throw all become a well-formed Status —
@@ -1086,8 +1099,9 @@ class Engine {
         done.payload = handler(ctx, request);
         // Server-side callback chain: each stage consumes the previous
         // stage's serialized result, on the same NIC core, de-marshal cost
-        // included (charged as one dispatch per stage).
+        // included (charged as one dispatch per stage). A refusal ends it.
         for (FuncId next : chain) {
+          if (!ctx.status.ok()) break;
           RawHandler chained = find(next);
           if (!chained) {
             done.payload.clear();
@@ -1116,6 +1130,10 @@ class Engine {
             stage->ready_ns = ctx.finish;
             tracer_->commit(stage);
           }
+        }
+        if (!ctx.status.ok()) {
+          done.payload.clear();
+          done.status = refusal(ctx.status);
         }
       } catch (const HclError& e) {
         done.payload.clear();
@@ -1199,12 +1217,23 @@ class Engine {
             if (fault.duplicate) {
               // Duplicate delivery inside the bundle: the handler runs
               // twice; one result is kept (idempotence contract, as scalar).
+              // A refused first delivery refuses the op, like a throw.
               ServerCtx twin = op_ctx;
               (void)handler(twin, arg);
-              op_ctx.start = std::max(op_ctx.start, twin.finish);
-              op_ctx.finish = op_ctx.start;
+              if (!twin.status.ok()) {
+                st = refusal(twin.status);
+              } else {
+                op_ctx.start = std::max(op_ctx.start, twin.finish);
+                op_ctx.finish = op_ctx.start;
+              }
             }
-            result = handler(op_ctx, arg);
+            if (st.ok()) {
+              result = handler(op_ctx, arg);
+              if (!op_ctx.status.ok()) {
+                result.clear();
+                st = refusal(op_ctx.status);
+              }
+            }
           } catch (const HclError& e) {
             result.clear();
             st = Status(e.code(), e.what());
@@ -1258,13 +1287,7 @@ class Engine {
 template <typename R>
 R Future<R>::get(sim::Actor& caller) {
   require_state("Future::get");
-  state_->wait();
-  if (state_->batch_pull != nullptr) {
-    engine_->charge_batch_pull(caller, target_, *state_->batch_pull);
-  } else {
-    engine_->charge_pull(caller, target_, *state_);
-  }
-  throw_if_error(state_->status);
+  throw_if_error(wait(caller));
   if constexpr (std::is_void_v<R>) {
     return;
   } else {

@@ -156,7 +156,9 @@ class Future {
   /// Defined in engine.h (needs Engine::pull_and_decode).
   R get(sim::Actor& caller);
 
-  /// Status-only wait: charges the pull but discards the payload decode.
+  /// Status-only wait: charges exactly the pull get() charges (get() is
+  /// wait() plus the decode), but reports a failure as a value — the cheap
+  /// way to settle a future whose refusal is a routine outcome.
   Status wait(sim::Actor& caller);
 
   /// Client-side chaining: run `fn` when the response is ready (on the NIC

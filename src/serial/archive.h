@@ -36,6 +36,14 @@ class BasicOutArchive {
   void u64(std::uint64_t v) { Backend::put_u64(buf_, v); }
   void i64(std::int64_t v) { Backend::put_u64(buf_, zigzag_encode(v)); }
 
+  /// Grow by `n` bytes in one step and return where they start, for a
+  /// caller that fills them in place (the one-pass scalar-sequence path).
+  std::byte* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   void f64(double v) { raw_bytes(&v, sizeof(v)); }
   void f32(float v) { raw_bytes(&v, sizeof(v)); }
 
@@ -64,10 +72,15 @@ class BasicInArchive {
   explicit BasicInArchive(std::span<const std::byte> data)
       : cursor_(data.data()), end_(data.data() + data.size()) {}
 
-  void raw_bytes(void* p, std::size_t n) {
+  void raw_bytes(void* p, std::size_t n) { std::memcpy(p, consume(n), n); }
+
+  /// Consume `n` bytes in one bounds check and return where they start
+  /// (underflow when fewer remain).
+  const std::byte* consume(std::size_t n) {
     if (static_cast<std::size_t>(end_ - cursor_) < n) detail::underflow();
-    std::memcpy(p, cursor_, n);
+    const std::byte* at = cursor_;
     cursor_ += n;
+    return at;
   }
 
   std::uint64_t u64() { return Backend::get_u64(cursor_, end_); }

@@ -31,12 +31,19 @@ class BasicFlatOutArchive {
         end_(arena.data() + arena.size()) {}
 
   void raw_bytes(const void* p, std::size_t n) {
+    if (std::byte* at = extend(n)) std::memcpy(at, p, n);
+  }
+
+  /// Claim `n` bytes in one bounds check and return where they start, or
+  /// null (and flip the overflow flag) when they do not fit.
+  std::byte* extend(std::size_t n) {
     if (overflow_ || static_cast<std::size_t>(end_ - cursor_) < n) {
       overflow_ = true;
-      return;
+      return nullptr;
     }
-    std::memcpy(cursor_, p, n);
+    std::byte* at = cursor_;
     cursor_ += n;
+    return at;
   }
 
   void u64(std::uint64_t v) {

@@ -10,6 +10,7 @@
 // always memcpy'd. A backend is any type satisfying SerializerBackend.
 #pragma once
 
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -40,32 +41,43 @@ namespace detail {
 }
 }  // namespace detail
 
-/// Fixed-width little-endian encoding.
+/// Fixed-width little-endian encoding. Words are memcpy'd as host bytes,
+/// like floats, so the host must be little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "RawBackend copies host bytes as its little-endian wire words");
+
 struct RawBackend {
   static constexpr const char* name() noexcept { return "raw"; }
 
+  /// One word into 8 bytes the caller has already made room for — the
+  /// unchecked step of the one-pass scalar-sequence path (serialize.h).
+  static void store(std::byte* at, std::uint64_t v) noexcept {
+    std::memcpy(at, &v, 8);
+  }
+
+  /// One word out of 8 bytes the caller has already bounds-checked.
+  static std::uint64_t load(const std::byte* at) noexcept {
+    std::uint64_t v;
+    std::memcpy(&v, at, 8);
+    return v;
+  }
+
   static void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
     std::byte b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+    store(b, v);
     out.insert(out.end(), b, b + 8);
   }
 
   static bool put_u64(std::byte*& cursor, std::byte* end, std::uint64_t v) {
     if (end - cursor < 8) return false;
-    for (int i = 0; i < 8; ++i) {
-      cursor[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-    }
+    store(cursor, v);
     cursor += 8;
     return true;
   }
 
   static std::uint64_t get_u64(const std::byte*& cursor, const std::byte* end) {
     if (end - cursor < 8) detail::underflow();
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(cursor[i]))
-           << (8 * i);
-    }
+    const std::uint64_t v = load(cursor);
     cursor += 8;
     return v;
   }

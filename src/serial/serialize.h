@@ -87,6 +87,45 @@ inline constexpr bool is_set_like_v =
 template <typename>
 inline constexpr bool dependent_false_v = false;
 
+/// Integers (not bool) and enums: scalars every backend encodes as one
+/// 64-bit word — zigzag for signed integers, the underlying-type value for
+/// enums. to_word/from_word are that mapping, shared by the scalar branches
+/// and the one-pass sequence path below.
+template <typename T>
+inline constexpr bool is_word_scalar_v =
+    std::is_enum_v<T> || (std::is_integral_v<T> && !std::is_same_v<T, bool>);
+
+template <typename T>
+constexpr std::uint64_t to_word(T v) noexcept {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<std::uint64_t>(
+        static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_signed_v<T>) {
+    return zigzag_encode(static_cast<std::int64_t>(v));
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
+
+template <typename T>
+constexpr T from_word(std::uint64_t w) noexcept {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>(static_cast<std::underlying_type_t<T>>(w));
+  } else if constexpr (std::is_signed_v<T>) {
+    return static_cast<T>(zigzag_decode(w));
+  } else {
+    return static_cast<T>(w);
+  }
+}
+
+/// A vector of word scalars under the fixed-width backend: its elements are
+/// 8-byte words back to back, so save/load reserve or bounds-check the whole
+/// run once and encode it in one loop — the same bytes as element by element.
+template <typename Ar, typename T>
+inline constexpr bool is_word_vector_v =
+    is_spec_v<T, std::vector> && is_word_scalar_v<typename T::value_type> &&
+    std::is_same_v<typename Ar::backend_type, RawBackend>;
+
 /// True when the serialized size of T is a compile-time constant equal to
 /// sizeof(T) — the paper's fixed-vs-variable-length DataBox distinction,
 /// "handled during the compile-time of the application". Must match the
@@ -150,17 +189,10 @@ void save(Ar& ar, const T& v) {
   } else if constexpr (std::is_empty_v<T>) {
     // Empty types carry no information and may share storage (EBO inside
     // tuples), so they must never be memcpy'd: zero bytes on the wire.
-  } else if constexpr (std::is_enum_v<T>) {
-    ar.u64(static_cast<std::uint64_t>(
-        static_cast<std::underlying_type_t<T>>(v)));
+  } else if constexpr (is_word_scalar_v<T>) {
+    ar.u64(to_word(v));
   } else if constexpr (std::is_same_v<T, bool>) {
     ar.u64(v ? 1 : 0);
-  } else if constexpr (std::is_integral_v<T>) {
-    if constexpr (std::is_signed_v<T>) {
-      ar.i64(static_cast<std::int64_t>(v));
-    } else {
-      ar.u64(static_cast<std::uint64_t>(v));
-    }
   } else if constexpr (std::is_same_v<T, double>) {
     ar.f64(v);
   } else if constexpr (std::is_same_v<T, float>) {
@@ -176,6 +208,13 @@ void save(Ar& ar, const T& v) {
     if constexpr (is_fixed_wire_size_v<typename T::value_type> &&
                   is_spec_v<T, std::vector>) {
       ar.raw_bytes(v.data(), v.size() * sizeof(typename T::value_type));
+    } else if constexpr (is_word_vector_v<Ar, T>) {
+      if (std::byte* at = ar.extend(v.size() * 8)) {
+        for (const auto e : v) {
+          RawBackend::store(at, to_word(e));
+          at += 8;
+        }
+      }
     } else {
       for (const auto& e : v) save(ar, e);
     }
@@ -237,16 +276,10 @@ void load(Ar& ar, T& v) {
   } else if constexpr (std::is_empty_v<T>) {
     // See save(): empty types occupy no wire bytes and must not be written
     // through (potential EBO aliasing).
-  } else if constexpr (std::is_enum_v<T>) {
-    v = static_cast<T>(static_cast<std::underlying_type_t<T>>(ar.u64()));
+  } else if constexpr (is_word_scalar_v<T>) {
+    v = from_word<T>(ar.u64());
   } else if constexpr (std::is_same_v<T, bool>) {
     v = ar.u64() != 0;
-  } else if constexpr (std::is_integral_v<T>) {
-    if constexpr (std::is_signed_v<T>) {
-      v = static_cast<T>(ar.i64());
-    } else {
-      v = static_cast<T>(ar.u64());
-    }
   } else if constexpr (std::is_same_v<T, double>) {
     v = ar.f64();
   } else if constexpr (std::is_same_v<T, float>) {
@@ -260,13 +293,23 @@ void load(Ar& ar, T& v) {
     v.resize(n);
     for (std::size_t i = 0; i < n; ++i) v[i] = ar.u64() != 0;
   } else if constexpr (is_sequence_v<T>) {
-    const auto n = load_count(ar, min_wire_size<typename T::value_type>());
-    v.resize(n);
-    if constexpr (is_fixed_wire_size_v<typename T::value_type> &&
-                  is_spec_v<T, std::vector>) {
-      ar.raw_bytes(v.data(), n * sizeof(typename T::value_type));
+    using E = typename T::value_type;
+    const auto n = load_count(ar, min_wire_size<E>());
+    if constexpr (is_word_vector_v<Ar, T>) {
+      // All n words are bounds-checked before the vector is sized.
+      const std::byte* at = ar.consume(n * 8);
+      v.resize(n);
+      for (auto& e : v) {
+        e = from_word<E>(RawBackend::load(at));
+        at += 8;
+      }
     } else {
-      for (auto& e : v) load(ar, e);
+      v.resize(n);
+      if constexpr (is_fixed_wire_size_v<E> && is_spec_v<T, std::vector>) {
+        ar.raw_bytes(v.data(), n * sizeof(E));
+      } else {
+        for (auto& e : v) load(ar, e);
+      }
     }
   } else if constexpr (is_std_array_v<T>) {
     for (auto& e : v) load(ar, e);
