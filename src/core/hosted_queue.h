@@ -293,7 +293,7 @@ class HostedQueue {
         ok = impl_.peek_nth(k, &tmp);
       }
       charge_local(self, ok ? bytes_of(tmp) : 8, /*write=*/false);
-      part.note_epoch(epoch);
+      part.note_epoch(self, epoch);
       if (!ok) return false;
       part.stage(LogOp::kPop, nullptr);
       if (out != nullptr) *out = std::move(tmp);
@@ -308,7 +308,7 @@ class HostedQueue {
       auto future = ctx_->rpc().template async_invoke<std::optional<T>>(
           self, node_, txn_peek_id_, static_cast<std::uint64_t>(k));
       auto result = future.get(self);
-      part.note_epoch(future.response_epoch());
+      part.note_epoch(self, future.response_epoch());
       if (!result.has_value()) return false;
       part.stage(LogOp::kPop, nullptr);
       if (out != nullptr) *out = std::move(*result);
@@ -756,10 +756,14 @@ class HostedQueue {
       return n;
     }
 
-    void note_epoch(std::uint64_t epoch) {
+    /// Capture the queue epoch at first contact; a later read observing a
+    /// different epoch aborts eagerly, before the prepare ever ships.
+    void note_epoch(sim::Actor& self, std::uint64_t epoch) {
       if (expected_epoch_ == txn::kBlindEpoch) {
         expected_epoch_ = epoch;
       } else if (expected_epoch_ != epoch) {
+        owner_->ctx_->fabric().nic(self.node()).counters().txn_abort_eager
+            .fetch_add(1, std::memory_order_relaxed);
         throw HclError(Status::Aborted("txn read: queue epoch moved"));
       }
     }
@@ -1038,17 +1042,18 @@ class HostedQueue {
                   sctx.epoch = cur;
                   return cur;
                 }
-                // Validation failures are refusals (ServerCtx::status), not
-                // throws: an abort is a routine outcome of OCC.
+                const txn::Refusal* no = nullptr;
                 if (txn_holder_ != 0 && txn_holder_ != txn_id) {
-                  sctx.status =
-                      Status::Aborted("txn prepare: intent slot held");
+                  no = &txn::kSlotHeld;
                 } else if (expected != txn::kBlindEpoch && cur != expected) {
-                  sctx.status = Status::Aborted("txn prepare: epoch conflict");
+                  no = &txn::kEpochConflict;
                 } else if (pops > impl_.size()) {
-                  sctx.status = Status::Aborted("txn prepare: queue underflow");
+                  no = &txn::kUnderflow;
                 }
-                if (!sctx.status.ok()) return cur;
+                if (no != nullptr) {
+                  no->refuse(sctx);
+                  return cur;
+                }
                 txn_holder_ = txn_id;
                 txn_intents_ = intents;
               }

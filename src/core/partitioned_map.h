@@ -32,6 +32,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -579,11 +580,10 @@ class PartitionedMap {
   /// Transactional read: serves the txn's own staged write first
   /// (read-your-writes), otherwise reads the authoritative partition —
   /// BYPASSING the read cache, because the partition epoch captured here is
-  /// what prepare validates; a cached value would pin a lease epoch, not the
-  /// partition's current one. Throws kUnavailable when the partition's node
-  /// is down (fail fast — no standby reroute, the fenced failover epoch
-  /// stream cannot be validated) and kAborted when this partition's epoch
-  /// already moved since the txn first read it (eager conflict).
+  /// what prepare validates the key's stripe against; a cached value would
+  /// pin a lease epoch, not the partition's current one. Throws
+  /// kUnavailable when the partition's node is down (fail fast — no standby
+  /// reroute, the fenced failover epoch stream cannot be validated).
   bool txn_find(sim::Actor& self, txn::Txn& t, const K& key, V* out = nullptr) {
     auto guard = op_guard();
     const int p = partition_of(key);
@@ -602,7 +602,7 @@ class PartitionedMap {
       V tmp{};
       const bool hit = part.store.find(key, &tmp);
       charge_local_read(self, part, hit ? wire_bytes(key, tmp) : key_bytes(key));
-      tp.note_epoch(epoch);
+      tp.note_read(stripe_of(key), epoch);
       if (hit && out != nullptr) *out = std::move(tmp);
       return hit;
     }
@@ -612,7 +612,7 @@ class PartitionedMap {
       auto future = ctx_->rpc().template async_invoke<std::optional<V>>(
           self, part.node, find_.primary, p, key);
       auto result = future.get(self);
-      tp.note_epoch(future.response_epoch());
+      tp.note_read(stripe_of(key), future.response_epoch());
       if (!result.has_value()) return false;
       if (out != nullptr) *out = std::move(*result);
       return true;
@@ -628,11 +628,12 @@ class PartitionedMap {
     }
   }
 
-  /// Diagnostics: is partition `p`'s intent slot currently held (§5h)?
+  /// Diagnostics: does any prepared transaction hold a stripe of partition
+  /// `p` (§5h)?
   [[nodiscard]] bool txn_slot_held(int p) {
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     std::lock_guard<std::mutex> guard(part.txn_mutex);
-    return part.txn_holder != 0;
+    return !part.prepared.empty();
   }
 
   // ------------------------------------------------------------------
@@ -848,7 +849,7 @@ class PartitionedMap {
     });
     const sim::NodeId src_node = part.node;
     part.node = node;
-    part.epoch.fetch_add(1, std::memory_order_release);
+    raise(part.fence, part.epoch.fetch_add(1, std::memory_order_release) + 1);
     finish_move(self, src_node, node, keys, bytes, start);
     return true;
   }
@@ -923,6 +924,32 @@ class PartitionedMap {
     V value{};
   };
 
+  /// Stripes per partition in the transaction table (DESIGN.md §5h),
+  /// indexed by the top bits of the routing hash: slot routing takes
+  /// `hash % slots`, so one partition's keys still spread over every
+  /// stripe.
+  static constexpr int kStripeBits = 10;
+  static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
+  /// Commit ids each partition remembers, so a re-sent commit or prepare of
+  /// an already-committed txn is recognized while later txns commit.
+  static constexpr std::size_t kRecentCommits = 64;
+
+  /// One stripe: the partition epoch the last write applied to any of its
+  /// keys produced (only ever raised), and the no-wait holder — the txn id
+  /// whose prepare locked it, 0 when free (guarded by txn_mutex).
+  struct Stripe {
+    std::atomic<std::uint64_t> stamp{0};
+    std::uint64_t holder = 0;
+  };
+
+  /// A validated prepare: the stripes it locked and the journal-backed
+  /// write records its commit applies.
+  struct Prepared {
+    std::uint64_t txn_id = 0;
+    std::vector<std::uint32_t> stripes;
+    std::vector<FoRecord> intents;
+  };
+
   struct Partition {
     sim::NodeId node = 0;
     Store store;
@@ -945,21 +972,26 @@ class PartitionedMap {
     std::uint64_t fo_term = 0;
     std::uint64_t fo_epoch = 0;
     std::vector<FoRecord> fo_journal;
-    /// Transaction intent slot (DESIGN.md §5h): a no-wait exclusive latch
-    /// over the partition's COMMIT pipeline. txn_holder is the txn id whose
-    /// prepare validated here (0 = free); txn_intents are its journal-backed
-    /// write records, applied by txn_commit or discarded by txn_abort.
-    /// last_committed_txn makes commit idempotent against re-sent bundles.
-    /// txn_staged holds OTHER partitions' intents staged onto this replica
-    /// host, keyed by (txn id, primary partition), so a standby promotion
-    /// can replay a prepared-but-uncommitted txn (the commit's failover
-    /// twin) or drop it (fo_txn_abort). All five mutate only under
-    /// txn_mutex — which is NEVER held across a replica fan-out (two crossing
-    /// prepares would deadlock on each other's host mutex).
+    /// Key-granular transaction state (DESIGN.md §5h). `stripes` points at
+    /// the stripe table, allocated at the partition's first prepare (maps
+    /// that never see a transaction pay nothing). `fence` is the epoch of
+    /// the last migrate/split/merge or repair adoption: a read older than
+    /// it is refused. `prepared` holds each validated txn until its commit
+    /// applies or its abort drops it; `recent_commits` is a ring of the last
+    /// committed ids. txn_staged holds OTHER partitions' intents staged onto
+    /// this replica host, keyed by (txn id, primary partition), so a standby
+    /// promotion can replay a prepared-but-uncommitted txn (the commit's
+    /// failover twin) or drop it (fo_txn_abort). Holders, `prepared`, the
+    /// ring and txn_staged mutate only under txn_mutex — which is NEVER held
+    /// across a replica fan-out (two crossing prepares would deadlock on
+    /// each other's host mutex).
     std::mutex txn_mutex;
-    std::uint64_t txn_holder = 0;
-    std::vector<FoRecord> txn_intents;
-    std::uint64_t last_committed_txn = 0;
+    std::atomic<Stripe*> stripes{nullptr};
+    std::unique_ptr<Stripe[]> stripe_table;
+    std::atomic<std::uint64_t> fence{0};
+    std::vector<Prepared> prepared;
+    std::array<std::uint64_t, kRecentCommits> recent_commits{};
+    std::size_t recent_next = 0;
     std::map<std::pair<std::uint64_t, int>, std::vector<FoRecord>> txn_staged;
   };
 
@@ -996,9 +1028,9 @@ class PartitionedMap {
   }
 
   /// ParticipantBase implementation for one partition of this map: staged
-  /// intents, the first-contact epoch, and the in-flight prepare/commit
-  /// futures. Lives inside the Txn; the coordinator drives it through the
-  /// txn::ParticipantBase interface.
+  /// intents, the read set as (stripe, observed epoch) pairs, and the
+  /// in-flight prepare/commit futures. Lives inside the Txn; the
+  /// coordinator drives it through the txn::ParticipantBase interface.
   class TxnParticipant : public txn::ParticipantBase {
    public:
     TxnParticipant(PartitionedMap* owner, int p) : owner_(owner), p_(p) {}
@@ -1033,15 +1065,18 @@ class PartitionedMap {
       }
     }
 
-    /// Capture the partition epoch at first contact; a later read observing
-    /// a different epoch is a conflict we can abort on eagerly, before the
-    /// prepare bundle ever ships.
-    void note_epoch(std::uint64_t epoch) {
-      if (expected_epoch_ == txn::kBlindEpoch) {
-        expected_epoch_ = epoch;
-      } else if (expected_epoch_ != epoch) {
-        throw HclError(Status::Aborted("txn read: partition epoch moved"));
+    /// Record a read of a key in `stripe` that observed partition epoch
+    /// `epoch`. Prepare refuses if the stripe was stamped later; two reads
+    /// in one stripe keep the older epoch, the stricter check.
+    void note_read(std::uint32_t stripe, std::uint64_t epoch) {
+      for (std::size_t i = 0; i < reads_.size(); i += 2) {
+        if (reads_[i] == stripe) {
+          reads_[i + 1] = std::min(reads_[i + 1], epoch);
+          return;
+        }
       }
+      reads_.push_back(stripe);
+      reads_.push_back(epoch);
     }
 
     // -- protocol legs driven by the coordinator ----------------------
@@ -1056,8 +1091,8 @@ class PartitionedMap {
       owner_->ctx_->op_stats().remote_invocations.fetch_add(
           1, std::memory_order_relaxed);
       prepare_ = batch.template enqueue<std::uint64_t>(
-          self, part.node, owner_->txn_prepare_id_, p_, txn_id,
-          expected_epoch_, encode_intents(intents_));
+          self, part.node, owner_->txn_prepare_id_, p_, txn_id, reads_,
+          encode_intents(intents_));
     }
 
     Status settle_prepare(sim::Actor& self) override {
@@ -1091,7 +1126,7 @@ class PartitionedMap {
 
     Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
       Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
-      // Commit is idempotent server-side (last_committed_txn), so transient
+      // Commit is idempotent server-side (recent_commits), so transient
       // failures re-invoke directly; a primary that died after prepare-ack
       // reroutes to the staged replica chain (the commit's failover twin).
       for (int round = 0; round < 4; ++round) {
@@ -1189,8 +1224,9 @@ class PartitionedMap {
 
     PartitionedMap* owner_;
     int p_;
-    std::uint64_t expected_epoch_ = txn::kBlindEpoch;
     std::vector<FoRecord> intents_;
+    /// Flattened (stripe, epoch) pairs, one per stripe read.
+    std::vector<std::uint64_t> reads_;
     rpc::Future<std::uint64_t> prepare_;
     rpc::Future<std::uint64_t> commit_;
     bool node_down_ = false;
@@ -1229,10 +1265,11 @@ class PartitionedMap {
 
   /// Moves touch failover state only when it is quiescent: both endpoints
   /// must be un-promoted with live primaries (heal() first after a fault)
-  /// and hold no transaction intents — a moved key would strand its intent
-  /// record on the old owner, so the move defers to the in-flight commit
-  /// (which the rebalance latch already fences at the container level; this
-  /// check catches slots left by a coordinator that died mid-protocol).
+  /// and hold no transaction intents on any stripe — a moved key would
+  /// strand its intent record on the old owner, so the move defers to the
+  /// in-flight commit (which the rebalance latch already fences at the
+  /// container level; this check catches stripes left by a coordinator that
+  /// died mid-protocol).
   void require_movable(int p, int q) {
     for (int part_id : {p, q}) {
       Partition& part = *partitions_[static_cast<std::size_t>(part_id)];
@@ -1248,7 +1285,7 @@ class PartitionedMap {
         }
       }
       std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
-      if (part.txn_holder != 0 || !part.txn_staged.empty()) {
+      if (!part.prepared.empty() || !part.txn_staged.empty()) {
         throw HclError(Status::FailedPrecondition(
             "rebalance: transaction intents pending"));
       }
@@ -1316,10 +1353,11 @@ class PartitionedMap {
         rep.epoch.fetch_add(1, std::memory_order_release);
       }
     }
-    // Bump the endpoints even when no key moved so leases on either epoch
-    // stream revalidate before trusting post-move placement.
-    from.epoch.fetch_add(1, std::memory_order_release);
-    to.epoch.fetch_add(1, std::memory_order_release);
+    // Bump and fence the endpoints even when no key moved so leases and
+    // txn reads on either epoch stream revalidate before trusting post-move
+    // placement.
+    raise(from.fence, from.epoch.fetch_add(1, std::memory_order_release) + 1);
+    raise(to.fence, to.epoch.fetch_add(1, std::memory_order_release) + 1);
     shard_map_.reset_heat();
     moves_.fetch_add(1, std::memory_order_relaxed);
     finish_move(self, from.node, to.node, moving.size(), bytes, start);
@@ -1552,7 +1590,11 @@ class PartitionedMap {
 
   /// Journal one applied write and bump the side's epoch: the persist log
   /// and partition epoch (primary), or the failover journal the repair pass
-  /// replays and the fenced epoch (standby).
+  /// replays and the fenced epoch (standby). A primary write also stamps
+  /// its key's stripe with the epoch it produced, once the stripe table
+  /// exists. The bump and the table load are seq_cst, pairing with
+  /// stripe_table(): a write that finds no table bumped the epoch before
+  /// the table was published, so the table's initial stamps cover it.
   void record(const Side& s, LogOp op, const K& key, const V* value) {
     Partition& part = s.owner;
     if (s.standby) {
@@ -1568,7 +1610,10 @@ class PartitionedMap {
       if (value != nullptr) serial::save(out, *value);
       throw_if_error(part.log->append(std::span<const std::byte>(out.buffer())));
     }
-    part.epoch.fetch_add(1, std::memory_order_release);
+    const std::uint64_t epoch = part.epoch.fetch_add(1) + 1;
+    if (Stripe* table = part.stripes.load()) {
+      raise(table[stripe_of(key)].stamp, epoch);
+    }
   }
 
   void recover(Partition& part) {
@@ -1823,7 +1868,7 @@ class PartitionedMap {
   }
 
   /// The intents a commit applies on side s, under s.host's txn_mutex.
-  /// The primary releases the slot its prepare validated; false means it
+  /// The primary releases the stripes its prepare locked; false means it
   /// already committed txn_id (a re-sent commit after a lost response). The
   /// standby — its primary died after prepare-ack — takes the records that
   /// prepare staged on it; a re-sent commit finds none and returns the
@@ -1839,14 +1884,90 @@ class PartitionedMap {
       return true;
     }
     Partition& part = s.owner;
-    if (part.last_committed_txn == txn_id) return false;
-    if (part.txn_holder != txn_id) {
+    if (committed_recently(part, txn_id)) return false;
+    if (!release_prepared(part, txn_id, intents)) {
       throw HclError(Status::FailedPrecondition(
           "txn commit: intent slot not held (presumed abort)"));
     }
-    intents->swap(part.txn_intents);
-    part.txn_holder = 0;
-    part.last_committed_txn = txn_id;
+    part.recent_commits[part.recent_next++ % kRecentCommits] = txn_id;
+    return true;
+  }
+
+  // ---- key-granular OCC (DESIGN.md §5h) -------------------------------
+
+  /// Why `entry` may not prepare on partition p (txn_mutex held), or null:
+  /// a rival holds one of its stripes, a read's stripe was stamped after
+  /// the epoch the read observed, a move fenced the partition after the
+  /// oldest read, or a written key no longer routes here (a shard move
+  /// between staging and prepare; blind writes carry no epoch).
+  const txn::Refusal* check_prepare(
+      const Partition& part, int p, const Stripe* table, const Prepared& entry,
+      const std::vector<std::uint64_t>& reads) const {
+    for (const std::uint32_t stripe : entry.stripes) {
+      const std::uint64_t holder = table[stripe].holder;
+      if (holder != 0 && holder != entry.txn_id) return &txn::kSlotHeld;
+    }
+    std::uint64_t oldest_read = ~std::uint64_t{0};
+    for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
+      if (table[reads[i] & (kStripes - 1)].stamp.load() > reads[i + 1]) {
+        return &txn::kEpochConflict;
+      }
+      oldest_read = std::min(oldest_read, reads[i + 1]);
+    }
+    if (part.fence.load(std::memory_order_acquire) > oldest_read) {
+      return &txn::kFenced;
+    }
+    for (const FoRecord& rec : entry.intents) {
+      if (route_partition(rec.key) != p) return &txn::kKeyMoved;
+    }
+    return nullptr;
+  }
+
+  /// Stamps and fences only move forward.
+  static void raise(std::atomic<std::uint64_t>& a, std::uint64_t v) {
+    std::uint64_t cur = a.load(std::memory_order_relaxed);
+    while (cur < v && !a.compare_exchange_weak(cur, v)) {
+    }
+  }
+
+  [[nodiscard]] std::uint32_t stripe_of(const K& key) const {
+    return static_cast<std::uint32_t>(
+        mix64(hash_(key) ^ Store::kPartitionSalt) >> (64 - kStripeBits));
+  }
+
+  /// The partition's stripe table (txn_mutex held), allocated on first use
+  /// with every stamp at the current epoch: no read can have observed a
+  /// write that predates the table without also observing that epoch.
+  static Stripe* stripe_table(Partition& part) {
+    Stripe* table = part.stripes.load(std::memory_order_relaxed);
+    if (table != nullptr) return table;
+    part.stripe_table = std::make_unique<Stripe[]>(kStripes);
+    table = part.stripe_table.get();
+    part.stripes.store(table);
+    const std::uint64_t epoch = part.epoch.load();
+    for (std::size_t i = 0; i < kStripes; ++i) raise(table[i].stamp, epoch);
+    return table;
+  }
+
+  static bool committed_recently(const Partition& part, std::uint64_t txn_id) {
+    return std::find(part.recent_commits.begin(), part.recent_commits.end(),
+                     txn_id) != part.recent_commits.end();
+  }
+
+  /// Drop txn_id's prepared entry (txn_mutex held) and free its stripes;
+  /// its write records move to *intents when non-null. False when txn_id
+  /// holds nothing here.
+  static bool release_prepared(Partition& part, std::uint64_t txn_id,
+                               std::vector<FoRecord>* intents) {
+    auto it = std::find_if(
+        part.prepared.begin(), part.prepared.end(),
+        [&](const Prepared& e) { return e.txn_id == txn_id; });
+    if (it == part.prepared.end()) return false;
+    Stripe* table = part.stripes.load(std::memory_order_relaxed);
+    for (const std::uint32_t stripe : it->stripes) table[stripe].holder = 0;
+    if (intents != nullptr) intents->swap(it->intents);
+    if (it != part.prepared.end() - 1) *it = std::move(part.prepared.back());
+    part.prepared.pop_back();
     return true;
   }
 
@@ -1967,14 +2088,17 @@ class PartitionedMap {
               const std::uint64_t adopted =
                   std::max(part.epoch.load(std::memory_order_acquire), fence) + 1;
               part.epoch.store(adopted, std::memory_order_release);
-              // Presumed abort (§5h): any intent slot or staged records left
-              // from before the crash are dead — their coordinators saw the
-              // node down and either committed through the commit's failover
-              // twin (the journal just replayed those writes) or aborted.
+              raise(part.fence, adopted);
+              // Presumed abort (§5h): any held stripes or staged records
+              // left from before the crash are dead — their coordinators saw
+              // the node down and either committed through the commit's
+              // failover twin (the journal just replayed those writes) or
+              // aborted.
               {
                 std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
-                part.txn_holder = 0;
-                part.txn_intents.clear();
+                while (!part.prepared.empty()) {
+                  release_prepared(part, part.prepared.back().txn_id, nullptr);
+                }
                 part.txn_staged.clear();
               }
               ctx_->fabric().nic(sctx.node).counters().repair_ops.fetch_add(
@@ -1988,53 +2112,64 @@ class PartitionedMap {
     // resolve RPCs execute inline on this thread and take the HOST
     // partition's txn_mutex, so holding ours across the call would deadlock
     // two concurrent prepares whose replica chains cross.
+    // Prepare locks the stripes of every key the participant read or
+    // writes (no-wait: a rival holder refuses, never queues), then
+    // validates: each read's stripe stamp must not postdate the epoch the
+    // read observed, no move may have fenced the partition since the oldest
+    // read, and every write must still route here.
     txn_prepare_id_ =
-        engine.bind<std::uint64_t, int, std::uint64_t, std::uint64_t,
-                    std::vector<std::byte>>(
+        engine.bind<std::uint64_t, int, std::uint64_t,
+                    std::vector<std::uint64_t>, std::vector<std::byte>>(
             [this](rpc::ServerCtx& sctx, const int& p,
-                   const std::uint64_t& txn_id, const std::uint64_t& expected,
+                   const std::uint64_t& txn_id,
+                   const std::vector<std::uint64_t>& reads,
                    const std::vector<std::byte>& blob) {
               Partition& part = *partitions_[static_cast<std::size_t>(p)];
               const sim::Nanos ready = charge_server_write(
-                  sctx, part, static_cast<std::int64_t>(blob.size()) + 16);
-              const std::vector<FoRecord> intents = decode_intents(blob);
+                  sctx, part,
+                  static_cast<std::int64_t>(blob.size() + 8 * reads.size()) +
+                      16);
+              Prepared entry;
+              entry.txn_id = txn_id;
+              entry.intents = decode_intents(blob);
+              for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
+                entry.stripes.push_back(
+                    static_cast<std::uint32_t>(reads[i] & (kStripes - 1)));
+              }
+              for (const FoRecord& rec : entry.intents) {
+                entry.stripes.push_back(stripe_of(rec.key));
+              }
+              std::sort(entry.stripes.begin(), entry.stripes.end());
+              entry.stripes.erase(
+                  std::unique(entry.stripes.begin(), entry.stripes.end()),
+                  entry.stripes.end());
+              const bool writes = !entry.intents.empty();
               std::uint64_t cur = 0;
               {
                 std::lock_guard<std::mutex> guard(part.txn_mutex);
                 cur = part.epoch.load(std::memory_order_acquire);
-                if (part.last_committed_txn == txn_id) {
-                  // Re-sent prepare of an already-committed txn: the slot is
-                  // long gone, the outcome stands.
+                if (committed_recently(part, txn_id)) {
+                  // Re-sent prepare of an already-committed txn: its stripes
+                  // are long free, the outcome stands.
                   sctx.epoch = cur;
                   return cur;
                 }
-                // Validation failures are refusals, not throws (ServerCtx::
-                // status): an abort is a routine outcome of OCC.
-                if (part.txn_holder != 0 && part.txn_holder != txn_id) {
-                  // No-wait: a rival's slot means abort, never a queue —
-                  // the deadlock-freedom half of the OCC bargain.
-                  sctx.status =
-                      Status::Aborted("txn prepare: intent slot held");
-                } else if (expected != txn::kBlindEpoch && cur != expected) {
-                  sctx.status = Status::Aborted("txn prepare: epoch conflict");
-                } else {
-                  for (const FoRecord& rec : intents) {
-                    // A shard move between staging and prepare re-homed the
-                    // key; blind writes carry no epoch, so validate routes.
-                    if (route_partition(rec.key) != p) {
-                      sctx.status = Status::Aborted(
-                          "txn prepare: key moved by rebalance");
-                      break;
-                    }
-                  }
+                Stripe* table = stripe_table(part);
+                if (const txn::Refusal* no =
+                        check_prepare(part, p, table, entry, reads)) {
+                  no->refuse(sctx);
+                  return cur;
                 }
-                if (!sctx.status.ok()) return cur;
-                part.txn_holder = txn_id;
-                part.txn_intents = intents;
+                // A duplicate delivery re-prepares: drop the first copy.
+                release_prepared(part, txn_id, nullptr);
+                for (const std::uint32_t stripe : entry.stripes) {
+                  table[stripe].holder = txn_id;
+                }
+                part.prepared.push_back(std::move(entry));
               }
-              // Stage onto the replica chain (slot lock released, see above)
+              // Stage onto the replica chain (txn_mutex released, see above)
               // so a standby promotion can replay a prepared txn's writes.
-              if (!intents.empty()) {
+              if (writes) {
                 for (int r = 1; r <= options_.replication; ++r) {
                   const int target = (p + r) % num_partitions_;
                   ctx_->rpc().server_invoke(
@@ -2084,11 +2219,7 @@ class PartitionedMap {
           bool held = false;
           {
             std::lock_guard<std::mutex> guard(part.txn_mutex);
-            if (part.txn_holder == txn_id) {
-              part.txn_holder = 0;
-              part.txn_intents.clear();
-              held = true;
-            }
+            held = release_prepared(part, txn_id, nullptr);
           }
           // Drop staged replica records unconditionally: a prepare whose
           // response was lost may have staged before the client gave up.

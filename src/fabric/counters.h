@@ -84,6 +84,20 @@ struct NicCounters {
   Counter txn_commits;
   Counter txn_aborts;
   Counter txn_retries;
+  /// Why attempts abort (DESIGN.md §5h). The first four count prepare
+  /// refusals on the REFUSING participant's node, one per refused prepare,
+  /// bumped at the single refusal site of each core's txn_prepare stub: a
+  /// rival holds a needed intent slot or stripe, a read's version moved, the
+  /// key or partition moved (route check, move fence), or the queue holds
+  /// fewer elements than the staged pops. txn_abort_eager counts the
+  /// client-side abort a queue read raises on the COORDINATOR's node. With
+  /// one refusable participant per attempt and no faults, the five sum to
+  /// txn_aborts.
+  Counter txn_abort_slot_held;
+  Counter txn_abort_conflict;
+  Counter txn_abort_moved;
+  Counter txn_abort_underflow;
+  Counter txn_abort_eager;
   /// Shared-memory transport tier (DESIGN.md §5i), attributed to the
   /// DESTINATION node: requests delivered through its shm ring instead of
   /// the wire (client RPCs also count in rpc_count — shm_sends tells the
@@ -131,6 +145,11 @@ struct NicCounters {
     txn_commits.store(0);
     txn_aborts.store(0);
     txn_retries.store(0);
+    txn_abort_slot_held.store(0);
+    txn_abort_conflict.store(0);
+    txn_abort_moved.store(0);
+    txn_abort_underflow.store(0);
+    txn_abort_eager.store(0);
     shm_sends.store(0);
     shm_bytes.store(0);
     shm_ring_full_fallbacks.store(0);

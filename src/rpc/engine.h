@@ -157,6 +157,43 @@ using RawHandler =
 
 namespace detail {
 
+/// One constituent's slot in a packed batch response: status code and
+/// message, the simulated time its handler finished, its piggybacked epoch,
+/// and its length-prefixed result bytes.
+struct BatchSlot {
+  Status status;
+  sim::Nanos ready = 0;
+  std::uint64_t epoch = 0;
+  std::span<const std::byte> payload;
+};
+
+inline void write_batch_slot(serial::OutArchive& out, const BatchSlot& slot) {
+  out.u64(static_cast<std::uint64_t>(slot.status.code()));
+  serial::save(out, slot.status.message());
+  out.i64(slot.ready);
+  out.u64(slot.epoch);
+  out.u64(slot.payload.size());
+  if (!slot.payload.empty()) {
+    out.raw_bytes(slot.payload.data(), slot.payload.size());
+  }
+}
+
+/// Decode one slot as a view into `in`'s buffer. Every length is checked
+/// against the bytes that remain before anything is allocated; a torn or
+/// inflated slot throws HclError(kInvalidArgument).
+inline BatchSlot read_batch_slot(serial::InArchive& in) {
+  BatchSlot slot;
+  const auto code = static_cast<StatusCode>(in.u64());
+  std::string message;
+  serial::load(in, message);
+  slot.status = Status(code, std::move(message));
+  slot.ready = in.i64();
+  slot.epoch = in.u64();
+  const std::uint64_t len = in.u64();
+  slot.payload = {in.consume(len), len};
+  return slot;
+}
+
 /// One coalesced-but-unsent op: its registry id, its serialized argument
 /// payload, and the future state the eventual per-op status fans out to.
 struct PendingOp {
@@ -544,14 +581,8 @@ class Engine {
     sim::Nanos op_cursor = traced ? parent.span->exec_start_ns : 0;
     try {
       for (; next < ops.size(); ++next) {
-        const auto code = static_cast<StatusCode>(in.u64());
-        std::string message;
-        serial::load(in, message);
-        const sim::Nanos op_ready = in.i64();
-        const std::uint64_t op_epoch = in.u64();
-        const std::uint64_t len = in.u64();
-        std::vector<std::byte> payload(len);
-        if (len > 0) in.raw_bytes(payload.data(), len);
+        detail::BatchSlot slot = detail::read_batch_slot(in);
+        const sim::Nanos op_ready = slot.ready;
         if (traced && op_cursor >= 0) {
           auto span = std::make_shared<obs::Span>();
           span->kind = obs::SpanKind::kBatchOp;
@@ -560,7 +591,7 @@ class Engine {
           span->client_rank = parent.span->client_rank;
           span->batch_index = static_cast<std::uint32_t>(next);
           span->attempts = parent.span->attempts;
-          span->status = code;
+          span->status = slot.status.code();
           span->issue_ns = ops[next].enqueued_at;
           span->inject_done_ns = parent.span->inject_done_ns;
           span->arrival_ns = parent.span->arrival_ns;
@@ -574,8 +605,9 @@ class Engine {
           tracer_->commit(span);
         }
         ops[next].state->batch_pull = pull;
-        ops[next].state->fulfill(std::move(payload), op_ready,
-                                 Status(code, std::move(message)), op_epoch);
+        ops[next].state->fulfill(
+            std::vector<std::byte>(slot.payload.begin(), slot.payload.end()),
+            op_ready, std::move(slot.status), slot.epoch);
       }
     } catch (const std::exception& e) {
       // A torn packed response must still resolve every remaining future.
@@ -1180,9 +1212,8 @@ class Engine {
     for (std::uint64_t i = 0; i < count; ++i) {
       const FuncId id = in.u64();
       const std::uint64_t len = in.u64();
-      std::vector<std::byte> payload(len);
-      if (len > 0) in.raw_bytes(payload.data(), len);
-      const std::span<const std::byte> arg(payload);
+      // A view into the request: bounds-checked, no copy per constituent.
+      const std::span<const std::byte> arg(in.consume(len), len);
 
       fabric::FaultDecision fault;
       if (plan != nullptr) fault = plan->next(ctx.node, fabric::OpClass::kBatchOp);
@@ -1251,12 +1282,8 @@ class Engine {
       op_finish += fault.delay_ns;
       cursor = op_finish;
 
-      out.u64(static_cast<std::uint64_t>(st.code()));
-      serial::save(out, st.message());
-      out.i64(op_finish);
-      out.u64(op_epoch);
-      out.u64(result.size());
-      if (!result.empty()) out.raw_bytes(result.data(), result.size());
+      detail::write_batch_slot(out,
+                               {std::move(st), op_finish, op_epoch, result});
     }
     ctx.finish = std::max(ctx.finish, cursor);
     return out.take();

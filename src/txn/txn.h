@@ -5,27 +5,29 @@
 // The protocol composes parts the codebase already ships:
 //
 //   * staging      — reads and writes buffer CLIENT-side in a Txn; each
-//                    touched partition's mutation epoch is captured at first
-//                    contact (reads return the authoritative value, writes
-//                    are "blind" until validated),
+//                    read records the epoch it observed (maps per key
+//                    stripe, queues per queue; reads return the
+//                    authoritative value, writes are "blind" until
+//                    validated),
 //   * validate+lock — one batched prepare bundle per target node: each
-//                    partition compares its current epoch against the
-//                    captured one, takes a no-wait intent slot (conflict →
-//                    kAborted, never a queue), stores the journal-backed
+//                    participant takes no-wait locks on what it touches
+//                    (map key stripes, the queue's intent slot; a rival
+//                    holder → kAborted, never a queue), checks that no
+//                    read went stale since, stores the journal-backed
 //                    intent records, and stages them onto its replica chain,
 //   * commit       — a second bundle applies every intent through the same
 //                    apply_*/replicate_* paths ordinary writes use (journal,
 //                    epoch bump, replication fan-out, cache completion), or
-//   * abort        — a fan-out clears every intent slot; aborted intents
+//   * abort        — a fan-out releases every lock; aborted intents
 //                    were never applied, so rollback is O(participants) and
 //                    leaves zero observable state (journal, cache, replicas).
 //
-// The commit sequence number (CSN) is drawn while every participant's intent
-// slot is held, so CSN order IS a legal serial order — the property the
+// The commit sequence number (CSN) is drawn while every participant's locks
+// are held, so CSN order IS a legal serial order — the property the
 // serializability-oracle sweep replays against. Serializability is
 // guaranteed among transactional ops; plain container ops interleave at op
-// granularity (they do not consult intent slots), matching the "txn islands"
-// contract FaRM-style OCC systems document.
+// granularity (they take no locks), matching the "txn islands" contract
+// FaRM-style OCC systems document.
 //
 // Interaction matrix (details in DESIGN.md §5h): intents ride the batch
 // coalescer; commits bump partition epochs so ReadCache leases revalidate
@@ -58,10 +60,35 @@ namespace hcl::txn {
 /// never be mistaken for the new attempt's).
 inline std::atomic<std::uint64_t> g_txn_id{1};
 
-/// Epoch sentinel for blind writes: the transaction never read the
-/// partition, so prepare skips the epoch compare (route validation and the
-/// intent slot still guard it against shard moves and rival transactions).
+/// Epoch sentinel for a queue participant that only pushes: the transaction
+/// never read the queue, so prepare skips the epoch compare (the intent slot
+/// still guards it against rival transactions).
 inline constexpr std::uint64_t kBlindEpoch = ~std::uint64_t{0};
+
+/// Why a participant refuses a prepare (DESIGN.md §5h): the NicCounters
+/// abort-cause counter it bumps on the refusing node, and its message.
+struct Refusal {
+  fabric::NicCounters::Counter fabric::NicCounters::*cause;
+  const char* why;
+
+  /// Refuse sctx's op (a Status, not a throw: an abort is a routine outcome
+  /// of OCC) and count the cause. The one refusal site of each core.
+  void refuse(rpc::ServerCtx& sctx) const {
+    (sctx.fabric->nic(sctx.node).counters().*cause)
+        .fetch_add(1, std::memory_order_relaxed);
+    sctx.status = Status::Aborted(why);
+  }
+};
+inline constexpr Refusal kSlotHeld{&fabric::NicCounters::txn_abort_slot_held,
+                                   "txn prepare: intent slot held"};
+inline constexpr Refusal kEpochConflict{
+    &fabric::NicCounters::txn_abort_conflict, "txn prepare: epoch conflict"};
+inline constexpr Refusal kFenced{&fabric::NicCounters::txn_abort_moved,
+                                 "txn prepare: partition moved since read"};
+inline constexpr Refusal kKeyMoved{&fabric::NicCounters::txn_abort_moved,
+                                   "txn prepare: key moved by rebalance"};
+inline constexpr Refusal kUnderflow{&fabric::NicCounters::txn_abort_underflow,
+                                    "txn prepare: queue underflow"};
 
 /// Coordinator knobs. default_txn_policy() honors HCL_TXN_RETRIES and
 /// HCL_TXN_BACKOFF_NS so whole suites can be tuned without code changes.

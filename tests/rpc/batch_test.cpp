@@ -1,8 +1,9 @@
 // The op coalescer (rpc::Batcher + Engine::send_batch): flush triggers
 // (count, bytes, simulated-time window), FIFO order within a destination,
-// per-op status isolation under injected mid-batch faults, whole-bundle
-// transport faults through the retry policy, shared single-pull charging,
-// and the dangling-future guard on batched invokes.
+// per-op status isolation under injected mid-batch faults, corrupted bundle
+// and response bytes, whole-bundle transport faults through the retry
+// policy, shared single-pull charging, and the dangling-future guard on
+// batched invokes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fabric/fault_plan.h"
 #include "rpc/batch.h"
 #include "rpc/engine.h"
@@ -325,6 +327,112 @@ TEST_F(BatchTest, SeededBatchFaultMixAlwaysResolvesDefinite) {
   EXPECT_GT(ok, 300);   // most of the bundle survives
   EXPECT_GT(failed, 0); // but faults really fired, each poisoning one slot
   EXPECT_GT(plan->counters().total(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Corrupted wire bytes: a bundle request or response slot whose lengths lie
+// ends in a Status, and no length is trusted before it is bounds-checked.
+// ---------------------------------------------------------------------------
+
+/// A request whose wire bytes are exactly `words`, little-endian.
+struct RawWords {
+  std::vector<std::uint64_t> words;
+  template <typename Ar>
+  void serialize(Ar& ar) {
+    for (const std::uint64_t w : words) ar.u64(w);
+  }
+};
+
+/// Lengths that overrun `remaining` bytes: just past the end, and sizes no
+/// allocation could back.
+std::uint64_t inflated_length(Rng& rng, std::uint64_t remaining) {
+  const std::uint64_t claims[] = {remaining + 1 + rng.next_below(64),
+                                  std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 61, ~std::uint64_t{0}};
+  return claims[rng.next_below(4)];
+}
+
+TEST_F(BatchTest, SeededCorruptBundleRequestsEndInStatus) {
+  // Flipped bits reach the argument too, so the handler must take any int.
+  const FuncId id = engine.bind<int, int>([](ServerCtx& sctx, const int& v) {
+    sctx.finish = sctx.start;
+    return v;
+  });
+  Rng rng(21);
+  Actor client(0, 0, 1);
+  for (int round = 0; round < 200; ++round) {
+    // A well-formed bundle of 1..3 ops: count, then (id, len, payload) per
+    // op; an int argument is one 8-byte word.
+    const std::uint64_t ops = 1 + rng.next_below(3);
+    RawWords bundle;
+    bundle.words.push_back(ops);
+    std::vector<std::size_t> len_at;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      bundle.words.push_back(id);
+      len_at.push_back(bundle.words.size());
+      bundle.words.push_back(8);
+      bundle.words.push_back(rng.next_below(1000));
+    }
+    const bool inflate = rng.next_below(2) == 0;
+    if (inflate) {
+      const std::size_t at = len_at[rng.next_below(ops)];
+      const std::uint64_t remaining = 8 * (bundle.words.size() - at - 1);
+      bundle.words[at] = inflated_length(rng, remaining);
+    } else {
+      const auto bit = rng.next_below(64 * bundle.words.size());
+      bundle.words[bit / 64] ^= std::uint64_t{1} << (bit % 64);
+    }
+    auto future = engine.async_invoke<bool>(client, 1,
+                                            engine.batch_executor_id(), bundle);
+    const Status st = future.wait(client);
+    if (inflate) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+    }
+  }
+}
+
+TEST(BatchSlot, SeededCorruptResponseSlotsEndInStatus) {
+  Rng rng(22);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<std::byte> result(rng.next_below(40));
+    for (auto& b : result) b = static_cast<std::byte>(rng.next());
+    const detail::BatchSlot good{
+        Status(static_cast<StatusCode>(rng.next_below(4)),
+               std::string(rng.next_below(12), 'm')),
+        static_cast<Nanos>(rng.next_below(1u << 20)), rng.next(), result};
+    serial::OutArchive out;
+    detail::write_batch_slot(out, good);
+    std::vector<std::byte> bytes = out.take();
+    {
+      serial::InArchive in{std::span<const std::byte>(bytes)};
+      const detail::BatchSlot back = detail::read_batch_slot(in);
+      EXPECT_EQ(back.status, good.status);
+      EXPECT_EQ(back.ready, good.ready);
+      EXPECT_EQ(back.epoch, good.epoch);
+      EXPECT_TRUE(std::equal(back.payload.begin(), back.payload.end(),
+                             result.begin(), result.end()));
+    }
+    // The payload length word sits right before the payload.
+    const std::size_t len_at = bytes.size() - result.size() - 8;
+    const int kind = static_cast<int>(rng.next_below(3));
+    if (kind == 0) {
+      serial::RawBackend::store(bytes.data() + len_at,
+                                inflated_length(rng, result.size()));
+    } else if (kind == 1) {
+      bytes.resize(rng.next_below(bytes.size()));
+    } else {
+      const auto bit = rng.next_below(bytes.size() * 8);
+      bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    }
+    serial::InArchive in{std::span<const std::byte>(bytes)};
+    try {
+      const detail::BatchSlot slot = detail::read_batch_slot(in);
+      EXPECT_EQ(kind, 2) << "an inflated or cut slot must not decode";
+      EXPECT_LE(slot.payload.size(), bytes.size());
+    } catch (const HclError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kInvalidArgument) << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,6 +34,54 @@ Context::Config zero_config(int nodes, int procs,
   cfg.model = CostModel::zero();
   cfg.fault_plan = std::move(plan);
   return cfg;
+}
+
+/// Drive t's prepare leg by hand, leaving whatever it locked held; the
+/// first refusal, or Ok.
+Status prepare_by_hand(Context& ctx, Actor& self, txn::Txn& t) {
+  const txn::TxnPolicy policy;
+  {
+    rpc::Batcher prep(ctx.rpc(), policy.batch);
+    for (auto* p : t.participants()) p->enqueue_prepare(self, prep, t.id());
+    prep.flush_all(self);
+  }
+  Status first = Status::Ok();
+  for (auto* p : t.participants()) {
+    const Status st = p->settle_prepare(self);
+    if (!st.ok() && first.ok()) first = st;
+  }
+  return first;
+}
+
+Status commit_by_hand(Context& ctx, Actor& self, txn::Txn& t) {
+  const txn::TxnPolicy policy;
+  {
+    rpc::Batcher apply(ctx.rpc(), policy.batch);
+    for (auto* p : t.participants()) p->enqueue_commit(self, apply, t.id());
+    apply.flush_all(self);
+  }
+  Status first = Status::Ok();
+  for (auto* p : t.participants()) {
+    const Status st = p->settle_commit(self, t.id());
+    if (!st.ok() && first.ok()) first = st;
+  }
+  return first;
+}
+
+void abort_by_hand(Actor& self, txn::Txn& t) {
+  for (auto* p : t.participants()) p->send_abort(self, t.id());
+}
+
+/// Every abort-cause counter, summed over the cluster's NICs.
+std::int64_t abort_causes(Context& ctx) {
+  std::int64_t n = 0;
+  for (int node = 0; node < ctx.topology().num_nodes(); ++node) {
+    auto& c = ctx.fabric().nic(node).counters();
+    n += c.txn_abort_slot_held.load() + c.txn_abort_conflict.load() +
+         c.txn_abort_moved.load() + c.txn_abort_underflow.load() +
+         c.txn_abort_eager.load();
+  }
+  return n;
 }
 
 /// First key >= lo whose partition is `p`.
@@ -252,9 +301,43 @@ TEST(Txn, OrderedMapCommitAndConflict) {
     int v = 0;
     EXPECT_TRUE(m.find(ka, &v));
     EXPECT_EQ(v, 1);
-    // Conflict-and-retry through the skiplist container: any rival mutation
-    // in kb's partition moves its epoch and fails our validation.
-    const int rival = key_in_partition(m, 1, kb + 1);
+    // Conflict-and-retry through the skiplist container: a rival write of
+    // the key we read stamps its stripe past our read, so validation fails
+    // exactly once and the retry reads the rival's value.
+    int attempt = 0;
+    const Status st = coord.run(self, [&](txn::Txn& t) {
+      int cur = 0;
+      EXPECT_TRUE(m.txn_find(self, t, kb, &cur));
+      if (attempt++ == 0) EXPECT_FALSE(m.upsert(kb, 50));
+      m.txn_put(t, kb, cur + 1);
+    });
+    EXPECT_TRUE(st.ok()) << st.message();
+    EXPECT_TRUE(m.find(kb, &v));
+    EXPECT_EQ(v, 51);
+  });
+  EXPECT_EQ(coord.commits(), 2);
+  EXPECT_EQ(coord.aborts(), 1);
+  EXPECT_EQ(coord.retries(), 1);
+}
+
+TEST(Txn, OrderedMapDifferentKeyRivalCommitsFirstTry) {
+  Context ctx(zero_config(2, 1));
+  map<int, int> m(ctx, {.num_partitions = 2});
+  txn::TxnCoordinator coord(ctx);
+  const int kb = key_in_partition(m, 1);
+  const int rival = key_in_partition(m, 1, kb + 1);
+
+  ctx.run([&](Actor& self) {
+    if (self.rank() != 0) return;
+    // The first prepare on a partition builds its stripe table with every
+    // stamp at the then-current epoch; commit once so the table predates
+    // the read below.
+    const Status put =
+        coord.multi_put<map<int, int>, int, int>(self, m, {{kb, 2}});
+    EXPECT_TRUE(put.ok()) << put.message();
+    // A rival insert of a DIFFERENT key in kb's partition moves the
+    // partition epoch but not kb's stripe: validation is per key, so the
+    // transaction commits on its first attempt.
     int attempt = 0;
     const Status st = coord.run(self, [&](txn::Txn& t) {
       int cur = 0;
@@ -263,11 +346,15 @@ TEST(Txn, OrderedMapCommitAndConflict) {
       m.txn_put(t, kb, cur + 1);
     });
     EXPECT_TRUE(st.ok()) << st.message();
+    int v = 0;
     EXPECT_TRUE(m.find(kb, &v));
     EXPECT_EQ(v, 3);
+    EXPECT_TRUE(m.find(rival, &v));
+    EXPECT_EQ(v, 50);
   });
   EXPECT_EQ(coord.commits(), 2);
-  EXPECT_EQ(coord.retries(), 1);
+  EXPECT_EQ(coord.aborts(), 0);
+  EXPECT_EQ(coord.retries(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -490,7 +577,6 @@ TEST(Txn, IntentReplayAfterStandbyPromotion) {
   unordered_map<int, int> m(ctx, {.num_partitions = 3, .replication = 1});
   txn::TxnCoordinator coord(ctx);
   const int k = key_in_partition(m, 1);
-  const txn::TxnPolicy policy;
 
   ctx.run([&](Actor& self) {
     if (self.rank() != 0) return;
@@ -499,14 +585,7 @@ TEST(Txn, IntentReplayAfterStandbyPromotion) {
     // for. Prepare validates and stages onto the standby...
     txn::Txn t = coord.begin();
     m.txn_put(t, k, 55);
-    {
-      rpc::Batcher prep(ctx.rpc(), policy.batch);
-      for (auto* p : t.participants()) p->enqueue_prepare(self, prep, t.id());
-      prep.flush_all(self);
-    }
-    for (auto* p : t.participants()) {
-      EXPECT_TRUE(p->settle_prepare(self).ok());
-    }
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t).ok());
     EXPECT_TRUE(m.txn_slot_held(1));
 
     // ...the primary dies with the slot held...
@@ -514,14 +593,7 @@ TEST(Txn, IntentReplayAfterStandbyPromotion) {
 
     // ...and settle_commit reroutes to the commit's failover twin, which promotes the
     // standby and replays the staged intents into the promoted stream.
-    {
-      rpc::Batcher apply(ctx.rpc(), policy.batch);
-      for (auto* p : t.participants()) p->enqueue_commit(self, apply, t.id());
-      apply.flush_all(self);
-    }
-    for (auto* p : t.participants()) {
-      EXPECT_TRUE(p->settle_commit(self, t.id()).ok());
-    }
+    EXPECT_TRUE(commit_by_hand(ctx, self, t).ok());
     EXPECT_TRUE(m.partition_promoted(1));
     int v = 0;
     EXPECT_TRUE(m.find(k, &v));  // served by the promoted standby
@@ -551,20 +623,12 @@ TEST(Txn, MigrateRefusedWhileIntentsPending) {
   unordered_map<int, int> m(ctx, opts);
   txn::TxnCoordinator coord(ctx);
   const int k = key_in_partition(m, 1);
-  const txn::TxnPolicy policy;
 
   ctx.run([&](Actor& self) {
     if (self.rank() != 0) return;
     txn::Txn t = coord.begin();
     m.txn_put(t, k, 1);
-    {
-      rpc::Batcher prep(ctx.rpc(), policy.batch);
-      for (auto* p : t.participants()) p->enqueue_prepare(self, prep, t.id());
-      prep.flush_all(self);
-    }
-    for (auto* p : t.participants()) {
-      EXPECT_TRUE(p->settle_prepare(self).ok());
-    }
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t).ok());
     EXPECT_TRUE(m.txn_slot_held(1));
     // The prepared slot pins the partition against shard moves.
     try {
@@ -574,7 +638,7 @@ TEST(Txn, MigrateRefusedWhileIntentsPending) {
       EXPECT_EQ(e.code(), StatusCode::kFailedPrecondition);
     }
     // Abort releases the slot; the move is allowed again.
-    for (auto* p : t.participants()) p->send_abort(self, t.id());
+    abort_by_hand(self, t);
     EXPECT_FALSE(m.txn_slot_held(1));
     int v = 0;
     EXPECT_FALSE(m.find(k, &v));  // the aborted intent never landed
@@ -588,20 +652,12 @@ TEST(Txn, QueueMigrateRefusedWhileIntentsPending) {
   opts.rebalance.enabled = true;
   queue<int> q(ctx, opts);
   txn::TxnCoordinator coord(ctx);
-  const txn::TxnPolicy policy;
 
   ctx.run([&](Actor& self) {
     if (self.rank() != 0) return;
     txn::Txn t = coord.begin();
     q.txn_push(t, 1);
-    {
-      rpc::Batcher prep(ctx.rpc(), policy.batch);
-      for (auto* p : t.participants()) p->enqueue_prepare(self, prep, t.id());
-      prep.flush_all(self);
-    }
-    for (auto* p : t.participants()) {
-      EXPECT_TRUE(p->settle_prepare(self).ok());
-    }
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t).ok());
     EXPECT_TRUE(q.txn_slot_held());
     try {
       q.migrate(1);
@@ -609,10 +665,221 @@ TEST(Txn, QueueMigrateRefusedWhileIntentsPending) {
     } catch (const HclError& e) {
       EXPECT_EQ(e.code(), StatusCode::kFailedPrecondition);
     }
-    for (auto* p : t.participants()) p->send_abort(self, t.id());
+    abort_by_hand(self, t);
     EXPECT_FALSE(q.txn_slot_held());
     EXPECT_TRUE(q.empty());  // the aborted push never landed
     EXPECT_TRUE(q.migrate(1));
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Key granularity: stripes, not partitions, lock and validate.
+// ---------------------------------------------------------------------------
+
+TEST(Txn, DisjointKeysOfOnePartitionHoldIntentsAtOnce) {
+  Context ctx(zero_config(2, 1));
+  unordered_map<int, int> m(ctx, {.num_partitions = 2});
+  txn::TxnCoordinator coord(ctx);
+  const int k1 = key_in_partition(m, 1);
+  const int k2 = key_in_partition(m, 1, k1 + 1);
+
+  ctx.run([&](Actor& self) {
+    if (self.rank() != 0) return;
+    EXPECT_TRUE(m.insert(k1, 10));
+    txn::Txn t1 = coord.begin();
+    txn::Txn t2 = coord.begin();
+    int v = 0;
+    EXPECT_TRUE(m.txn_find(self, t1, k1, &v));
+    m.txn_put(t1, k1, v + 1);
+    m.txn_put(t2, k2, 20);
+    // Both prepares validate and hold their intents in one partition...
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t1).ok());
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t2).ok());
+    EXPECT_TRUE(m.txn_slot_held(1));
+    // ...while a third on t1's key still finds its stripe held.
+    txn::Txn t3 = coord.begin();
+    m.txn_put(t3, k1, 99);
+    EXPECT_EQ(prepare_by_hand(ctx, self, t3).code(), StatusCode::kAborted);
+    abort_by_hand(self, t3);
+    EXPECT_TRUE(commit_by_hand(ctx, self, t2).ok());
+    EXPECT_TRUE(m.txn_slot_held(1));  // t1 still holds k1's stripe
+    EXPECT_TRUE(commit_by_hand(ctx, self, t1).ok());
+    EXPECT_FALSE(m.txn_slot_held(1));
+    EXPECT_TRUE(m.find(k1, &v));
+    EXPECT_EQ(v, 11);
+    EXPECT_TRUE(m.find(k2, &v));
+    EXPECT_EQ(v, 20);
+  });
+  EXPECT_EQ(ctx.fabric().nic(1).counters().txn_abort_slot_held.load(), 1);
+}
+
+TEST(Txn, AnyHeldStripePinsPartitionAgainstMoves) {
+  Context ctx(zero_config(3, 1));
+  core::ContainerOptions opts;
+  opts.num_partitions = 3;
+  opts.rebalance.enabled = true;
+  unordered_map<int, int> m(ctx, opts);
+  txn::TxnCoordinator coord(ctx);
+  const int k1 = key_in_partition(m, 1);
+  const int k2 = key_in_partition(m, 1, k1 + 1);
+
+  ctx.run([&](Actor& self) {
+    if (self.rank() != 0) return;
+    txn::Txn t1 = coord.begin();
+    txn::Txn t2 = coord.begin();
+    m.txn_put(t1, k1, 1);
+    m.txn_put(t2, k2, 2);
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t1).ok());
+    EXPECT_TRUE(prepare_by_hand(ctx, self, t2).ok());
+    auto expect_pinned = [&] {
+      EXPECT_TRUE(m.txn_slot_held(1));
+      try {
+        m.migrate(1, 0);
+        FAIL() << "migrate must refuse while any stripe is held";
+      } catch (const HclError& e) {
+        EXPECT_EQ(e.code(), StatusCode::kFailedPrecondition);
+      }
+    };
+    expect_pinned();
+    abort_by_hand(self, t1);
+    expect_pinned();  // t2 still holds its stripe
+    abort_by_hand(self, t2);
+    EXPECT_FALSE(m.txn_slot_held(1));
+    EXPECT_TRUE(m.migrate(1, 0));
+  });
+}
+
+TEST(Txn, ReadBeforeMigrateOfItsPartitionAborts) {
+  Context ctx(zero_config(3, 1));
+  core::ContainerOptions opts;
+  opts.num_partitions = 3;
+  opts.rebalance.enabled = true;
+  unordered_map<int, int> m(ctx, opts);
+  txn::TxnCoordinator coord(ctx);
+  const int k = key_in_partition(m, 1);
+
+  ctx.run([&](Actor& self) {
+    if (self.rank() != 0) return;
+    // Committed through a txn so partition 1's stripe table predates the
+    // read below (see OrderedMapDifferentKeyRivalCommitsFirstTry).
+    const Status put =
+        coord.multi_put<unordered_map<int, int>, int, int>(self, m, {{k, 1}});
+    EXPECT_TRUE(put.ok()) << put.message();
+    int attempt = 0;
+    const Status st = coord.run(self, [&](txn::Txn& t) {
+      int v = 0;
+      EXPECT_TRUE(m.txn_find(self, t, k, &v));
+      // The move writes no key, but it fences the partition: a read that
+      // predates it must not validate.
+      if (attempt++ == 0) EXPECT_TRUE(m.migrate(1, 2));
+      m.txn_put(t, k, v + 1);
+    });
+    EXPECT_TRUE(st.ok()) << st.message();
+    int v = 0;
+    EXPECT_TRUE(m.find(k, &v));
+    EXPECT_EQ(v, 2);
+  });
+  EXPECT_EQ(coord.aborts(), 1);
+  EXPECT_EQ(coord.retries(), 1);
+  EXPECT_EQ(ctx.fabric().nic(2).counters().txn_abort_moved.load(), 1);
+  EXPECT_EQ(abort_causes(ctx), 1);
+}
+
+// Contended transactions where each attempt has exactly one participant
+// that can refuse: multi_put and read_modify_write on a one-partition map,
+// and transfers from a shared queue into a sink map only their own rank
+// touches. Every abort then has exactly one cause.
+TEST(Txn, AbortCausesSumToTxnAborts) {
+  Context ctx(zero_config(2, 2));
+  unordered_map<int, int> hot(ctx, {.num_partitions = 1});
+  queue<int> q(ctx);
+  std::vector<std::unique_ptr<unordered_map<int, int>>> sinks;
+  for (int r = 0; r < 4; ++r) {
+    sinks.push_back(std::make_unique<unordered_map<int, int>>(
+        ctx, core::ContainerOptions{.num_partitions = 1}));
+  }
+  txn::TxnCoordinator coord(ctx);
+  txn::TxnPolicy no_retry;
+  no_retry.max_retries = 0;
+  txn::TxnCoordinator doomed(ctx, no_retry);
+  constexpr int kItems = 48;
+
+  // One abort of each deterministic cause.
+  ctx.run_one(0, [&](Actor& self) {
+    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
+    EXPECT_TRUE(hot.insert(0, 0));
+    int attempt = 0;
+    EXPECT_TRUE(coord
+                    .run(self,
+                         [&](txn::Txn& t) {
+                           int v = 0;
+                           EXPECT_TRUE(hot.txn_find(self, t, 0, &v));
+                           if (attempt++ == 0) hot.upsert(0, v);
+                           hot.txn_put(t, 0, v + 1);
+                         })
+                    .ok());
+    attempt = 0;
+    EXPECT_TRUE(coord
+                    .run(self,
+                         [&](txn::Txn& t) {
+                           int item = 0;
+                           EXPECT_TRUE(q.txn_pop(self, t, &item));
+                           if (attempt++ == 0) EXPECT_TRUE(q.push(kItems));
+                           EXPECT_TRUE(q.txn_pop(self, t, &item));
+                         })
+                    .ok());
+    txn::Txn holder = coord.begin();
+    hot.txn_put(holder, 1, 1);
+    EXPECT_TRUE(prepare_by_hand(ctx, self, holder).ok());
+    EXPECT_EQ((doomed.multi_put<unordered_map<int, int>, int, int>(
+                   self, hot, {{1, 2}}))
+                  .code(),
+              StatusCode::kAborted);
+    abort_by_hand(self, holder);
+  });
+  const std::size_t queued = q.size();
+
+  std::atomic<int> rmw_commits{0};
+  std::atomic<std::size_t> moved{0};
+  ctx.run([&](Actor& self) {
+    auto& sink = *sinks[static_cast<std::size_t>(self.rank())];
+    for (int i = 0; i < 16; ++i) {
+      const int a = i % 3;
+      const Status put = coord.multi_put<unordered_map<int, int>, int, int>(
+          self, hot, {{a, i}, {a + 1, i}});
+      EXPECT_TRUE(put.ok() || put.code() == StatusCode::kAborted);
+      const Status rmw = coord.read_modify_write(
+          self, hot, 100, [](std::optional<int>& v) { v = v.value_or(0) + 1; });
+      if (rmw.ok()) rmw_commits.fetch_add(1);
+      bool did = false;
+      const Status tr = coord.transfer(
+          self, q, sink,
+          [](int item) { return std::pair<int, int>(item, item); }, &did);
+      EXPECT_TRUE(tr.ok() || tr.code() == StatusCode::kAborted);
+      if (did) moved.fetch_add(1);
+    }
+  });
+
+  std::int64_t aborts = 0;
+  for (int n = 0; n < 2; ++n) {
+    aborts += ctx.fabric().nic(n).counters().txn_aborts.load();
+  }
+  EXPECT_EQ(aborts, coord.aborts() + doomed.aborts());
+  EXPECT_GE(aborts, 3);
+  EXPECT_EQ(abort_causes(ctx), aborts);
+  auto& c0 = ctx.fabric().nic(0).counters();
+  EXPECT_GE(c0.txn_abort_conflict.load(), 1);
+  EXPECT_GE(c0.txn_abort_slot_held.load(), 1);
+  EXPECT_GE(c0.txn_abort_eager.load(), 1);
+  // The contended commits are still exact: every RMW counted once, every
+  // moved item in exactly one sink.
+  ctx.run_one(0, [&](Actor&) {
+    int v = 0;
+    EXPECT_EQ(hot.find(100, &v) ? v : 0, rmw_commits.load());
+    std::size_t landed = 0;
+    for (auto& sink : sinks) landed += sink->size();
+    EXPECT_EQ(landed, moved.load());
+    EXPECT_EQ(q.size() + moved.load(), queued);
   });
 }
 
