@@ -5,9 +5,11 @@
    resolve to an existing file (anchors are stripped; http(s) links are
    not fetched).
 2. Operator-reference completeness: every HCL_* environment variable read
-   in src/ (via getenv or read_env_int) must appear in README.md's
-   operator table, and every HCL_* row in that table must still be read
-   somewhere in src/ — so the table can neither rot nor invent knobs.
+   in src/ (through common/env.h's env_number / env_bool / env_string)
+   must appear in README.md's operator table, and every HCL_* row in that
+   table must still be read somewhere in src/ — so the table can neither
+   rot nor invent knobs. common/env.h is the only file in src/ that may
+   call getenv, so no variable can be read around the parser.
 3. Bench handbook coverage: every bench/fig*.cpp figure binary and every
    BENCH_*.json artifact a bench emits must be mentioned in
    EXPERIMENTS.md — a new figure or JSON record cannot land undocumented.
@@ -31,7 +33,9 @@ SKIP_DOCS = {"ISSUE.md", "SNIPPETS.md", "PAPERS.md", "PAPER.md"}
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_READ_RE = re.compile(
-    r'(?:getenv|read_env_int)\s*\(\s*"(HCL_[A-Z0-9_]+)"')
+    r'env_(?:number|bool|string)\s*(?:<[^<>]*>)?\s*\(\s*"(HCL_[A-Z0-9_]+)"')
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
+ENV_PARSER = os.path.join("src", "common", "env.h")
 TABLE_ENV_RE = re.compile(r"^\|\s*`(HCL_[A-Z0-9_]+)`", re.MULTILINE)
 JSON_ARTIFACT_RE = re.compile(r'"(BENCH_[A-Z0-9_]+\.json)"')
 BENCH_FLAG_RE = re.compile(r'"(--[a-z][a-z0-9-]*)"')
@@ -58,15 +62,27 @@ def check_links(errors):
                 errors.append(f"{name}: broken link -> {target}")
 
 
+def src_files():
+    for dirpath, _, filenames in os.walk(os.path.join(ROOT, "src")):
+        for filename in sorted(filenames):
+            if filename.endswith((".h", ".cpp", ".cc")):
+                path = os.path.join(dirpath, filename)
+                yield (os.path.relpath(path, ROOT),
+                       open(path, encoding="utf-8").read())
+
+
 def env_vars_in_src():
     found = set()
-    for dirpath, _, filenames in os.walk(os.path.join(ROOT, "src")):
-        for filename in filenames:
-            if not filename.endswith((".h", ".cpp", ".cc")):
-                continue
-            text = open(os.path.join(dirpath, filename), encoding="utf-8").read()
-            found.update(ENV_READ_RE.findall(text))
+    for _, text in src_files():
+        found.update(ENV_READ_RE.findall(text))
     return found
+
+
+def check_env_parser(errors):
+    for name, text in src_files():
+        if name != ENV_PARSER and GETENV_RE.search(text):
+            errors.append(f"{name}: calls getenv; read HCL_* variables "
+                          f"through {ENV_PARSER}")
 
 
 def env_vars_in_readme():
@@ -129,6 +145,7 @@ def main():
     errors = []
     check_links(errors)
     check_env_table(errors)
+    check_env_parser(errors)
     check_bench_handbook(errors)
     check_bench_flag_table(errors)
     for error in errors:

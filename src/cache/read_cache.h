@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <optional>
 #include <string>
@@ -47,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/hash.h"
 #include "fabric/fabric.h"
 #include "obs/trace.h"
@@ -90,22 +90,17 @@ inline CachePolicy default_policy() {
 #ifdef HCL_CACHE_DEFAULT_ON
     p.mode = CacheMode::kInvalidate;
 #endif
-    if (const char* mode = std::getenv("HCL_CACHE_MODE")) {
-      const std::string m(mode);
-      if (m == "invalidate") {
-        p.mode = CacheMode::kInvalidate;
-      } else if (m == "update") {
-        p.mode = CacheMode::kUpdate;
-      } else {
-        p.mode = CacheMode::kOff;
-      }
+    const std::string mode = env_string("HCL_CACHE_MODE", "");
+    if (mode == "invalidate") {
+      p.mode = CacheMode::kInvalidate;
+    } else if (mode == "update") {
+      p.mode = CacheMode::kUpdate;
+    } else if (mode == "off") {
+      p.mode = CacheMode::kOff;
     }
-    if (const char* ttl = std::getenv("HCL_CACHE_TTL_NS")) {
-      p.ttl_ns = std::strtoll(ttl, nullptr, 10);
-    }
-    if (const char* cap = std::getenv("HCL_CACHE_CAPACITY")) {
-      p.capacity = static_cast<std::size_t>(std::strtoull(cap, nullptr, 10));
-    }
+    p.ttl_ns = env_number<sim::Nanos>("HCL_CACHE_TTL_NS", p.ttl_ns, 0);
+    p.capacity = env_number<std::size_t>("HCL_CACHE_CAPACITY", p.capacity, 0,
+                                         std::size_t{1} << 30);
     return p;
   }();
   return policy;

@@ -7,9 +7,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
+#include "common/env.h"
 #include "common/hash.h"
 
 namespace hcl {
@@ -20,11 +20,7 @@ namespace hcl {
 /// seed on failure; unset or malformed values keep the caller's default, so
 /// ordinary runs stay deterministic run-to-run.
 inline std::uint64_t env_seed(std::uint64_t fallback) noexcept {
-  const char* raw = std::getenv("HCL_SEED");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  return end == raw ? fallback : static_cast<std::uint64_t>(v);
+  return env_number<std::uint64_t>("HCL_SEED", fallback, 0);
 }
 
 /// xoshiro256** by Blackman & Vigna: fast, high-quality, 256-bit state.

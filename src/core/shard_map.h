@@ -25,9 +25,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <vector>
+
+#include "common/env.h"
 
 namespace hcl::core {
 
@@ -61,23 +61,15 @@ struct RebalancePolicy {
 inline RebalancePolicy default_rebalance_policy() {
   static const RebalancePolicy policy = [] {
     RebalancePolicy p;
-    if (const char* on = std::getenv("HCL_REBALANCE")) {
-      const std::string v(on);
-      p.enabled = !(v == "0" || v.empty() || v == "off" || v == "false");
-    }
-    if (const char* slots = std::getenv("HCL_REBALANCE_SLOTS")) {
-      p.slots_per_partition = static_cast<int>(std::strtol(slots, nullptr, 10));
-      if (p.slots_per_partition < 1) p.slots_per_partition = 1;
-    }
-    if (const char* hot = std::getenv("HCL_REBALANCE_HOT_FACTOR")) {
-      p.hot_factor = std::strtod(hot, nullptr);
-    }
-    if (const char* min_ops = std::getenv("HCL_REBALANCE_MIN_OPS")) {
-      p.min_ops = std::strtoll(min_ops, nullptr, 10);
-    }
-    if (const char* cd = std::getenv("HCL_REBALANCE_COOLDOWN_OPS")) {
-      p.cooldown_ops = std::strtoll(cd, nullptr, 10);
-    }
+    p.enabled = env_bool("HCL_REBALANCE", p.enabled);
+    p.slots_per_partition = env_number("HCL_REBALANCE_SLOTS",
+                                       p.slots_per_partition, 1, 1 << 16);
+    p.hot_factor =
+        env_number("HCL_REBALANCE_HOT_FACTOR", p.hot_factor, 1.0, 1e6);
+    p.min_ops =
+        env_number<std::int64_t>("HCL_REBALANCE_MIN_OPS", p.min_ops, 0);
+    p.cooldown_ops = env_number<std::int64_t>("HCL_REBALANCE_COOLDOWN_OPS",
+                                              p.cooldown_ops, 0);
     return p;
   }();
   return policy;

@@ -18,8 +18,11 @@
 //   * Displacement ("kicking") serializes on a structure-wide displacement
 //     lock and announces itself through a global sequence counter so that
 //     concurrent lookups never miss a key that is in flight between its two
-//     buckets. A bounded stash absorbs the (astronomically rare) failed kick
-//     chain so no element is ever lost.
+//     buckets. Writers read the same counter: a key they find absent while
+//     a kick chain ran may have been in hand, so they look again rather
+//     than insert a second copy or report a failed erase. A bounded stash
+//     absorbs the (astronomically rare) failed kick chain so no element is
+//     ever lost.
 //   * Resize doubles the bucket array (load factor 0.75, the paper's
 //     threshold), swaps an atomic table pointer, and retires the old table
 //     through EBR so in-flight lock-free readers stay safe.
@@ -117,24 +120,29 @@ class CuckooMap {
     const std::uint64_t h2 = alt_hash_(key);
     Ebr::Guard guard(ebr_);
     std::shared_lock resize_guard(resize_mutex_);
-    Table* t = table_.load(std::memory_order_acquire);
-    Bucket& b1 = t->bucket(h1);
-    Bucket& b2 = t->bucket(h2);
-    BucketLock locks(b1, b2);
-    for (Bucket* b : {&b1, &b2}) {
-      for (std::size_t s = 0; s < kSlotsPerBucket; ++s) {
-        if (b->tags[s] == h1 && b->slots[s].has_value() &&
-            eq_(b->slots[s]->first, key)) {
-          b->seq.write_begin();
-          b->slots[s].reset();
-          b->tags[s] = 0;
-          b->seq.write_end();
-          size_.fetch_sub(1, std::memory_order_relaxed);
-          return true;
+    for (;;) {
+      const std::uint64_t dseq = displacement_seq_.read_begin();
+      Table* t = table_.load(std::memory_order_acquire);
+      Bucket& b1 = t->bucket(h1);
+      Bucket& b2 = t->bucket(h2);
+      BucketLock locks(b1, b2);
+      for (Bucket* b : {&b1, &b2}) {
+        for (std::size_t s = 0; s < kSlotsPerBucket; ++s) {
+          if (b->tags[s] == h1 && b->slots[s].has_value() &&
+              eq_(b->slots[s]->first, key)) {
+            b->seq.write_begin();
+            b->slots[s].reset();
+            b->tags[s] = 0;
+            b->seq.write_end();
+            size_.fetch_sub(1, std::memory_order_relaxed);
+            return true;
+          }
         }
       }
+      if (erase_from_stash(key)) return true;
+      // Absent — unless a displacement held the key in hand meanwhile.
+      if (displacement_seq_.read_validate(dseq)) return false;
     }
-    return erase_from_stash(key);
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -296,6 +304,7 @@ class CuckooMap {
       {
         Ebr::Guard guard(ebr_);
         std::shared_lock resize_guard(resize_mutex_);
+        const std::uint64_t dseq = displacement_seq_.read_begin();
         Table* t = table_.load(std::memory_order_acquire);
         Bucket& b1 = t->bucket(h1);
         Bucket& b2 = t->bucket(h2);
@@ -325,6 +334,10 @@ class CuckooMap {
               }
             }
           }
+          // Absent from both buckets and the stash — unless a displacement
+          // since dseq held the key in hand between buckets. Adding it now
+          // would duplicate it, so look again once the kick chain is done.
+          if (!displacement_seq_.read_validate(dseq)) continue;
           // Free slot in either bucket?
           for (Bucket* b : {&b1, &b2}) {
             for (std::size_t s = 0; s < kSlotsPerBucket; ++s) {

@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -42,6 +41,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/env.h"
 #include "common/status.h"
 #include "obs/histogram.h"
 #include "sim/time.h"
@@ -183,17 +183,10 @@ struct TracePolicy {
 inline TracePolicy default_trace_policy() {
   static const TracePolicy policy = [] {
     TracePolicy p;
-    if (const char* on = std::getenv("HCL_TRACE")) {
-      const std::string v(on);
-      p.enabled = v == "1" || v == "on" || v == "true";
-    }
-    if (const char* sample = std::getenv("HCL_TRACE_SAMPLE")) {
-      const auto n = std::strtoull(sample, nullptr, 10);
-      p.sample_every = n > 0 ? n : 1;
-    }
-    if (const char* path = std::getenv("HCL_TRACE_PATH")) {
-      p.path = path;
-    }
+    p.enabled = env_bool("HCL_TRACE", p.enabled);
+    p.sample_every =
+        env_number<std::uint64_t>("HCL_TRACE_SAMPLE", p.sample_every, 1);
+    p.path = env_string("HCL_TRACE_PATH", p.path);
     return p;
   }();
   return policy;

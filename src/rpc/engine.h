@@ -34,8 +34,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -48,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "fabric/fabric.h"
 #include "obs/trace.h"
 #include "rpc/future.h"
@@ -220,9 +219,9 @@ class Engine {
     // policy: a node-down NACK is deterministic, so probing the primary more
     // than a couple of times before re-routing only adds simulated latency,
     // and the standby (which is up) needs no long backoff ramp.
-    failover_options_.max_retries = read_env_int("HCL_FAILOVER_RETRIES", 2);
-    failover_options_.backoff_ns = static_cast<sim::Nanos>(
-        read_env_int("HCL_FAILOVER_BACKOFF_NS", sim::kMicrosecond));
+    failover_options_.max_retries = env_number("HCL_FAILOVER_RETRIES", 2, 0);
+    failover_options_.backoff_ns = env_number<sim::Nanos>(
+        "HCL_FAILOVER_BACKOFF_NS", sim::kMicrosecond, 0);
     failover_options_.max_backoff_ns = 100 * sim::kMicrosecond;
   }
 
@@ -363,70 +362,8 @@ class Engine {
                                    FuncId id, std::vector<FuncId> chain,
                                    const InvokeOptions& options,
                                    const Args&... args) {
-    // Zero-allocation fast path (DESIGN.md §5i): when the op can ride the
-    // shm tier, serialize the arguments STRAIGHT into an acquired ring slot
-    // — varint header, then the payload via the flat arena archive — so a
-    // small pod-local op touches no heap on the request side. Overflowing
-    // the slot's arena chunk means the op is oversize for the ring: release
-    // the slot and fall through to the ordinary heap path (plain RDMA, not
-    // a ring-full fallback). A full ring IS the fallback case and counts.
-    if (shm_route_ok(caller.node(), target, id)) {
-      shm::SlotHandle slot = shm_->try_acquire(target);
-      if (slot.valid()) {
-        const std::span<std::byte> chunk = slot.chunk();
-        serial::PackedFlatOutArchive header(chunk);
-        header.u64(id);
-        header.u64(chain.size());
-        for (FuncId c : chain) header.u64(c);
-        if (header.ok()) {
-          serial::FlatOutArchive payload(chunk.subspan(header.size()));
-          (serial::save(payload, args), ...);
-          if (payload.ok()) {
-            std::byte* cursor = chunk.data() + header.size() + payload.size();
-            if (serial::PackedBackend::put_u64(cursor,
-                                               chunk.data() + chunk.size(),
-                                               payload.size())) {
-              const auto total =
-                  static_cast<std::int64_t>(cursor - chunk.data());
-              slot.ring()->publish(slot.slot(), total);
-              auto state = std::make_shared<detail::FutureState>();
-              run_attempts(caller, target, id, chain, payload.written(),
-                           total, options, *state, obs::SpanKind::kScalar,
-                           std::move(slot), /*try_shm=*/false);
-              return Future<R>(state, this, target);
-            }
-          }
-        }
-        slot.reset();
-      } else {
-        fabric_->nic(target).counters().shm_ring_full_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      // Fall through with try_shm=false: this op already had its shot at
-      // the ring (full, or oversize for a slot chunk) — do not retry it in
-      // run_attempts or double-count the fallback.
-      serial::OutArchive out;
-      (serial::save(out, args), ...);
-      auto request = std::make_shared<std::vector<std::byte>>(out.take());
-      const auto wire_bytes = static_cast<std::int64_t>(
-          kHeaderBytes + 8 * chain.size() + request->size());
-      auto state = std::make_shared<detail::FutureState>();
-      run_attempts(caller, target, id, chain, *request, wire_bytes, options,
-                   *state, obs::SpanKind::kScalar, shm::SlotHandle{},
-                   /*try_shm=*/false);
-      return Future<R>(state, this, target);
-    }
-
-    serial::OutArchive out;
-    (serial::save(out, args), ...);
-    auto request = std::make_shared<std::vector<std::byte>>(out.take());
-
-    const auto wire_bytes = static_cast<std::int64_t>(
-        kHeaderBytes + 8 * chain.size() + request->size());
-    auto state = std::make_shared<detail::FutureState>();
-    run_attempts(caller, target, id, chain, *request, wire_bytes, options,
-                 *state);
-    return Future<R>(state, this, target);
+    return start<R>(caller, target, id, chain, options, obs::SpanKind::kScalar,
+                    args...);
   }
 
   /// Failover invocation: the op's primary is down (or marked down in the
@@ -437,17 +374,10 @@ class Engine {
   template <typename R, typename... Args>
   Future<R> async_invoke_failover(sim::Actor& caller, sim::NodeId standby,
                                   FuncId id, const Args&... args) {
-    serial::OutArchive out;
-    (serial::save(out, args), ...);
-    auto request = std::make_shared<std::vector<std::byte>>(out.take());
-    const auto wire_bytes =
-        static_cast<std::int64_t>(kHeaderBytes + request->size());
-    auto state = std::make_shared<detail::FutureState>();
     fabric_->nic(standby).counters().failovers.fetch_add(
         1, std::memory_order_relaxed);
-    run_attempts(caller, standby, id, {}, *request, wire_bytes,
-                 failover_options_, *state, obs::SpanKind::kFailover);
-    return Future<R>(state, this, standby);
+    return start<R>(caller, standby, id, {}, failover_options_,
+                    obs::SpanKind::kFailover, args...);
   }
 
   /// Anti-entropy repair invocation: replay a promoted replica's journal
@@ -457,15 +387,8 @@ class Engine {
   template <typename R, typename... Args>
   Future<R> async_invoke_repair(sim::Actor& caller, sim::NodeId primary,
                                 FuncId id, const Args&... args) {
-    serial::OutArchive out;
-    (serial::save(out, args), ...);
-    auto request = std::make_shared<std::vector<std::byte>>(out.take());
-    const auto wire_bytes =
-        static_cast<std::int64_t>(kHeaderBytes + request->size());
-    auto state = std::make_shared<detail::FutureState>();
-    run_attempts(caller, primary, id, {}, *request, wire_bytes,
-                 failover_options_, *state, obs::SpanKind::kRepair);
-    return Future<R>(state, this, primary);
+    return start<R>(caller, primary, id, {}, failover_options_,
+                    obs::SpanKind::kRepair, args...);
   }
 
   /// Synchronous invocation (paper: the caller "blocks waiting for the
@@ -514,10 +437,8 @@ class Engine {
     if (ops.empty()) return;
     if (ops.size() == 1) {
       auto& op = ops.front();
-      const auto wire =
-          static_cast<std::int64_t>(kHeaderBytes + op.request.size());
-      run_attempts(caller, target, op.id, {}, op.request, wire, options,
-                   *op.state);
+      issue(caller, target, op.id, {}, options, *op.state,
+            obs::SpanKind::kScalar, /*shm_ok=*/true, Serialized{op.request});
       return;
     }
     const std::size_t bundle_size = ops.size();
@@ -528,9 +449,6 @@ class Engine {
       bundle.u64(op.request.size());
       bundle.raw_bytes(op.request.data(), op.request.size());
     }
-    const std::vector<std::byte> request = bundle.take();
-    const auto wire_bytes =
-        static_cast<std::int64_t>(kHeaderBytes + request.size());
 
     // A bundle may ride the shm ring only if EVERY constituent's container
     // allows it — the batch executor id itself is engine-level and never
@@ -549,9 +467,8 @@ class Engine {
     // attempt loop (retry/backoff/deadline included); run_attempts always
     // fulfills it synchronously because handlers execute inline.
     detail::FutureState parent;
-    run_attempts(caller, target, batch_exec_id_, {}, request, wire_bytes,
-                 options, parent, obs::SpanKind::kBatch, shm::SlotHandle{},
-                 shm_ok);
+    issue(caller, target, batch_exec_id_, {}, options, parent,
+          obs::SpanKind::kBatch, shm_ok, Serialized{bundle.buffer()});
     if (parent.span != nullptr) {
       parent.span->bundle_ops = static_cast<std::uint32_t>(bundle_size);
     }
@@ -638,54 +555,40 @@ class Engine {
     // execution, no ingress reservation). The anti-entropy repair pass
     // replays the missed delta when the node rejoins.
     if (fabric_->node_down(target)) return;
-    serial::OutArchive out;
-    (serial::save(out, args), ...);
-    auto request = std::make_shared<std::vector<std::byte>>(out.take());
-
+    const auto write = [&](auto& ar) { (serial::save(ar, args), ...); };
     sim::Nanos arrival = ready;
-    std::span<const std::byte> req_view(*request);
-    shm::SlotHandle slot;
+    // Pod-local fan-out rides the ring (DESIGN.md §5i): the replica copy
+    // lands in the destination's arena for shm_doorbell_ns + memory-channel
+    // time instead of a wire crossing. No rpc_count either way — the
+    // replication fan-out was never a client RPC — so shm_sends here tells
+    // the tier split for replication traffic specifically.
+    RingRequest ring;
+    if (origin != target && shm_route_ok(origin, target, id)) {
+      ring = publish_slot(target, id, {}, write);
+    }
+    serial::OutArchive out;  // the request, when the ring did not take it
+    std::span<const std::byte> request = ring.payload;
     sim::Resource* consumer = nullptr;
-    if (origin != target) {
-      // Pod-local fan-out rides the ring (DESIGN.md §5i): the replica copy
-      // lands in the destination's arena for shm_doorbell_ns + memory-channel
-      // time instead of a wire crossing. No rpc_count either way — the
-      // replication fan-out was never a client RPC — so shm_sends here tells
-      // the tier split for replication traffic specifically.
-      if (shm_route_ok(origin, target, id)) {
-        slot = shm_->try_acquire(target);
-        if (slot.valid()) {
-          std::size_t payload_off = 0;
-          const std::int64_t packed =
-              pack_slot(slot.chunk(), id, {}, req_view, &payload_off);
-          if (packed >= 0) {
-            slot.ring()->publish(slot.slot(), packed);
-            auto& counters = fabric_->nic(target).counters();
-            counters.shm_sends.fetch_add(1, std::memory_order_relaxed);
-            counters.shm_bytes.fetch_add(packed, std::memory_order_relaxed);
-            arrival = ready + fabric_->model().shm_doorbell_ns;
-            arrival = fabric_->local_write(target, arrival, packed);
-            consumer = &slot.ring()->consumer();
-            req_view = {slot.chunk().data() + payload_off, request->size()};
-          } else {
-            slot.reset();  // oversize for a slot chunk: plain wire path
-          }
-        } else {
-          fabric_->nic(target).counters().shm_ring_full_fallbacks.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
-      if (consumer == nullptr) {
+    if (ring.slot.valid()) {
+      auto& counters = fabric_->nic(target).counters();
+      counters.shm_sends.fetch_add(1, std::memory_order_relaxed);
+      counters.shm_bytes.fetch_add(ring.wire_bytes, std::memory_order_relaxed);
+      arrival = ready + fabric_->model().shm_doorbell_ns;
+      arrival = fabric_->local_write(target, arrival, ring.wire_bytes);
+      consumer = &ring.slot.ring()->consumer();
+    } else {
+      write(out);
+      request = out.buffer();
+      if (origin != target) {
         arrival += fabric_->model().net_base_latency_ns;
         arrival = fabric_->nic(target).ingress().reserve(
-            arrival, fabric_->model().wire_time(static_cast<std::int64_t>(
-                         kHeaderBytes + request->size())));
+            arrival, fabric_->model().wire_time(rdma_bytes({}, request)));
       }
     }
     // Fire-and-forget: the completion (including any failure status) is
     // dropped, but execute() still contains every exception, so a crashing
     // replication handler can never unwind into the primary's stub.
-    Completion done = execute(target, id, {}, req_view, arrival, false, consumer);
+    Completion done = execute(target, id, {}, request, arrival, false, consumer);
     if (tracing()) {
       auto span = std::make_shared<obs::Span>();
       span->kind = obs::SpanKind::kReplication;
@@ -807,35 +710,132 @@ class Engine {
     std::uint64_t epoch = 0;  // piggybacked partition epoch (ServerCtx::epoch)
   };
 
+  /// RDMA wire bytes of a heap-resident request: the fixed header, one word
+  /// per chained stage, then the payload.
+  static std::int64_t rdma_bytes(const std::vector<FuncId>& chain,
+                                 std::span<const std::byte> request) {
+    return static_cast<std::int64_t>(kHeaderBytes + 8 * chain.size() +
+                                     request.size());
+  }
+
+  /// A payload serialized before the send (a coalesced op or a packed
+  /// bundle), as a writer: copied into a ring slot, or sent as is.
+  struct Serialized {
+    std::span<const std::byte> bytes;
+    template <typename Archive>
+    void operator()(Archive& ar) const {
+      if (!bytes.empty()) ar.raw_bytes(bytes.data(), bytes.size());
+    }
+  };
+
   /// Serialize the shm slot wire format into `chunk`: varint header (func
-  /// id, chain length, chain ids), the payload bytes, then a varint
-  /// payload-length TRAILER — trailing so a producer can serialize without
-  /// knowing the length up front. Returns the total published bytes (the
-  /// tier's wire_bytes), or -1 when the op does not fit the slot's arena
-  /// chunk (oversize: the caller releases the slot and rides RDMA).
-  /// `payload_offset` receives where the payload starts inside the chunk, so
-  /// the server stub can execute against a zero-copy view of the arena.
+  /// id, chain length, chain ids), the payload `write(archive)` emits, then
+  /// a varint payload-length TRAILER — trailing so a producer can serialize
+  /// without knowing the length up front. Returns the total published bytes
+  /// (the tier's wire_bytes), or -1 when the op does not fit the slot's
+  /// arena chunk (oversize: the caller releases the slot and rides RDMA).
+  /// `payload` receives the payload's bytes inside the chunk, so the server
+  /// stub can execute against a zero-copy view of the arena.
+  template <typename Write>
   static std::int64_t pack_slot(std::span<std::byte> chunk, FuncId id,
                                 const std::vector<FuncId>& chain,
-                                std::span<const std::byte> payload,
-                                std::size_t* payload_offset) {
+                                const Write& write,
+                                std::span<const std::byte>* payload) {
     serial::PackedFlatOutArchive header(chunk);
     header.u64(id);
     header.u64(chain.size());
     for (FuncId c : chain) header.u64(c);
     if (!header.ok()) return -1;
-    const std::size_t off = header.size();
-    if (chunk.size() - off < payload.size()) return -1;
-    if (!payload.empty()) {
-      std::memcpy(chunk.data() + off, payload.data(), payload.size());
-    }
-    std::byte* cursor = chunk.data() + off + payload.size();
+    serial::FlatOutArchive body(chunk.subspan(header.size()));
+    write(body);
+    if (!body.ok()) return -1;
+    std::byte* cursor = chunk.data() + header.size() + body.size();
     if (!serial::PackedBackend::put_u64(cursor, chunk.data() + chunk.size(),
-                                        payload.size())) {
+                                        body.size())) {
       return -1;
     }
-    *payload_offset = off;
+    *payload = body.written();
     return static_cast<std::int64_t>(cursor - chunk.data());
+  }
+
+  /// A request published into a destination's shm ring: the slot (invalid
+  /// when the op must ride RDMA), the bytes the tier charges, and the
+  /// payload view the handler executes against.
+  struct RingRequest {
+    shm::SlotHandle slot;
+    std::int64_t wire_bytes = 0;
+    std::span<const std::byte> payload;
+  };
+
+  /// The one ring step every sender shares (DESIGN.md §5i): acquire a slot
+  /// on `target`'s ring, pack the request straight into its arena chunk
+  /// and publish it. A full ring counts a shm_ring_full_fallbacks; an op
+  /// too big for a slot chunk releases the slot uncounted. Either way the
+  /// returned slot is invalid and the op rides RDMA.
+  template <typename Write>
+  RingRequest publish_slot(sim::NodeId target, FuncId id,
+                           const std::vector<FuncId>& chain,
+                           const Write& write) {
+    RingRequest ring;
+    ring.slot = shm_->try_acquire(target);
+    if (!ring.slot.valid()) {
+      fabric_->nic(target).counters().shm_ring_full_fallbacks.fetch_add(
+          1, std::memory_order_relaxed);
+      return ring;
+    }
+    ring.wire_bytes =
+        pack_slot(ring.slot.chunk(), id, chain, write, &ring.payload);
+    if (ring.wire_bytes < 0) {
+      ring.slot.reset();
+    } else {
+      ring.slot.ring()->publish(ring.slot.slot(), ring.wire_bytes);
+    }
+    return ring;
+  }
+
+  /// The typed client stub: serialize `args` and run them under `options`
+  /// into a fresh future.
+  template <typename R, typename... Args>
+  Future<R> start(sim::Actor& caller, sim::NodeId target, FuncId id,
+                  const std::vector<FuncId>& chain,
+                  const InvokeOptions& options, obs::SpanKind kind,
+                  const Args&... args) {
+    auto state = std::make_shared<detail::FutureState>();
+    issue(caller, target, id, chain, options, *state, kind, /*shm_ok=*/true,
+          [&](auto& ar) { (serial::save(ar, args), ...); });
+    return Future<R>(std::move(state), this, target);
+  }
+
+  /// The one request path behind every client entry point. When the op may
+  /// ride the shm tier (`shm_ok` and the route allows it), `write` emits the
+  /// payload STRAIGHT into an acquired ring slot, so a small pod-local op
+  /// touches no heap on the request side (DESIGN.md §5i). Otherwise — no
+  /// route, a full ring, or an op oversize for a slot chunk — it is
+  /// serialized into a local buffer for RDMA and does not retry the ring.
+  /// The buffer may live on the stack: run_attempts resolves `state` before
+  /// it returns, because handlers execute inline.
+  template <typename Write>
+  void issue(sim::Actor& caller, sim::NodeId target, FuncId id,
+             const std::vector<FuncId>& chain, const InvokeOptions& options,
+             detail::FutureState& state, obs::SpanKind kind, bool shm_ok,
+             const Write& write) {
+    if (shm_ok && shm_route_ok(caller.node(), target, id)) {
+      RingRequest ring = publish_slot(target, id, chain, write);
+      if (ring.slot.valid()) {
+        run_attempts(caller, target, id, chain, ring.payload, ring.wire_bytes,
+                     options, state, kind, std::move(ring.slot));
+        return;
+      }
+    }
+    if constexpr (std::is_same_v<Write, Serialized>) {
+      run_attempts(caller, target, id, chain, write.bytes,
+                   rdma_bytes(chain, write.bytes), options, state, kind, {});
+    } else {
+      serial::OutArchive out;
+      write(out);
+      run_attempts(caller, target, id, chain, out.buffer(),
+                   rdma_bytes(chain, out.buffer()), options, state, kind, {});
+    }
   }
 
   /// The attempt loop behind every client stub. Exactly one fulfill() on
@@ -846,49 +846,24 @@ class Engine {
   /// (earlier attempts show up as the attempt count plus their wire packets)
   /// and is committed exactly once, right before the single fulfill().
   ///
-  /// Tier selection (DESIGN.md §5i) also lives here: a valid `slot` means
-  /// the caller already serialized the request into the destination's ring
-  /// (the zero-alloc fast path); otherwise, when `try_shm` and the route is
-  /// eligible, the heap-serialized request is copied into a freshly acquired
-  /// slot. Either way a ring-resident request replaces send_request with
-  /// shm_send, dispatches on the ring's consumer lane, and emits zero
-  /// packets. Retries re-ring the SAME slot (a fresh doorbell, not a fresh
-  /// slot). Fault draws happen before the tier branch, so the fault stream
-  /// is identical whether or not the tier is enabled.
+  /// A valid `slot` means issue() already published the request into the
+  /// destination's ring: it replaces send_request with shm_send, dispatches
+  /// on the ring's consumer lane, and emits zero packets. Retries re-ring
+  /// the SAME slot (a fresh doorbell, not a fresh slot). Fault draws happen
+  /// before the tier branch, so the fault stream is identical whether or
+  /// not the tier is enabled.
   void run_attempts(sim::Actor& caller, sim::NodeId target, FuncId id,
                     const std::vector<FuncId>& chain,
                     std::span<const std::byte> request,
                     std::int64_t wire_bytes, const InvokeOptions& options,
-                    detail::FutureState& state,
-                    obs::SpanKind kind = obs::SpanKind::kScalar,
-                    shm::SlotHandle slot = {}, bool try_shm = true) {
+                    detail::FutureState& state, obs::SpanKind kind,
+                    shm::SlotHandle slot) {
     fabric::FaultPlan* plan = fabric_->fault_plan();
     auto& counters = fabric_->nic(target).counters();
     const int attempts = 1 + std::max(0, options.max_retries);
     sim::Nanos backoff = std::max<sim::Nanos>(options.backoff_ns, 1);
     sim::Nanos resend_at = 0;  // 0 = caller's current clock
 
-    if (!slot.valid() && try_shm &&
-        shm_route_ok(caller.node(), target, id)) {
-      slot = shm_->try_acquire(target);
-      if (slot.valid()) {
-        std::size_t payload_off = 0;
-        const std::int64_t packed =
-            pack_slot(slot.chunk(), id, chain, request, &payload_off);
-        if (packed < 0) {
-          slot.reset();  // oversize for a slot chunk: plain RDMA
-        } else {
-          slot.ring()->publish(slot.slot(), packed);
-          wire_bytes = packed;
-          // Execute against the arena copy: the handler's view and the ring
-          // payload are the same bytes.
-          request = {slot.chunk().data() + payload_off, request.size()};
-        }
-      } else {
-        counters.shm_ring_full_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
-      }
-    }
     const bool use_shm = slot.valid();
     state.via_shm = use_shm;
 
@@ -1050,15 +1025,6 @@ class Engine {
     span->handler_end_ns = -1;
   }
 
-  /// Integer env knob with a default (malformed or unset values fall back).
-  static std::int64_t read_env_int(const char* name, std::int64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const long long v = std::strtoll(raw, &end, 10);
-    return (end == raw || v < 0) ? fallback : static_cast<std::int64_t>(v);
-  }
-
   static sim::Nanos grow(sim::Nanos backoff, const InvokeOptions& options) {
     const double mult =
         options.backoff_multiplier > 1.0 ? options.backoff_multiplier : 1.0;
@@ -1074,19 +1040,52 @@ class Engine {
     return std::max(backoff, static_cast<sim::Nanos>(next));
   }
 
-  /// The Status a refused op reports: the same code and `to_string()`
-  /// message a caught HclError(status) yields, so the packed batch response
-  /// — and the simulated wire time it costs — is the same either way.
-  static Status refusal(const Status& status) {
-    return Status(status.code(), status.to_string());
+  /// The one execution step (DESIGN.md §5b): look up `id` and run it on
+  /// `ctx` against `arg`. Every scalar stub, chain stage and bundle
+  /// constituent (its in-slot duplicate twin included) runs through here,
+  /// so this is the one place a failure is contained: a missing handler, a
+  /// refusal (ServerCtx::status), a thrown HclError, a foreign exception or
+  /// a non-exception throw all become a well-formed Status with an empty
+  /// payload — nothing ever unwinds across the stub boundary, so no waiter
+  /// can be left blocked on an unfulfilled future. A non-null `injected`
+  /// throws a fault-plan handler crash with that message once the handler
+  /// is found. `ready` and `epoch` are the handler's `ctx.finish` and
+  /// `ctx.epoch`, whatever the outcome.
+  Completion run_op(ServerCtx& ctx, FuncId id, std::span<const std::byte> arg,
+                    const char* injected = nullptr) {
+    Completion done;
+    const RawHandler handler = find(id);
+    if (!handler) {
+      done.status =
+          Status::NotFound("no handler bound for id " + std::to_string(id));
+    } else {
+      try {
+        if (injected != nullptr) throw std::runtime_error(injected);
+        done.payload = handler(ctx, arg);
+        if (!ctx.status.ok()) {
+          // A refusal reports the code and `to_string()` message a caught
+          // HclError(status) yields, so the packed batch response — and
+          // the simulated wire time it costs — is the same either way.
+          done.payload.clear();
+          done.status = Status(ctx.status.code(), ctx.status.to_string());
+        }
+      } catch (const HclError& e) {
+        done.status = Status(e.code(), e.what());
+      } catch (const std::exception& e) {
+        done.status = Status::Internal(std::string("handler threw: ") + e.what());
+      } catch (...) {
+        done.status = Status::Internal("handler threw a non-exception type");
+      }
+    }
+    done.ready = ctx.finish;
+    done.epoch = ctx.epoch;
+    return done;
   }
 
-  /// Run the server stub (plus chain) for one delivered request. Contains
-  /// every failure: a missing handler, a thrown HclError, a foreign
-  /// exception, or a non-exception throw all become a well-formed Status —
-  /// nothing ever unwinds across the stub boundary, so no waiter can be left
-  /// blocked on an unfulfilled future. The dispatch span is accounted as
-  /// NIC-core busy time (Fig. 4a) on EVERY exit, not just success.
+  /// Run the server stub (plus chain) for one delivered request: dispatch
+  /// it on the target NIC (or the ring's consumer lane) and run_op each
+  /// stage. The dispatch span is accounted as NIC-core busy time (Fig. 4a)
+  /// on EVERY exit, not just success.
   Completion execute(sim::NodeId target, FuncId id,
                      const std::vector<FuncId>& chain,
                      std::span<const std::byte> request, sim::Nanos arrival,
@@ -1101,10 +1100,13 @@ class Engine {
     const sim::Nanos dispatch_ns = shm_consumer != nullptr
                                        ? fabric_->model().shm_dispatch_ns
                                        : fabric_->model().nic_rpc_dispatch_ns;
-    ctx.start = shm_consumer != nullptr
-                    ? shm_consumer->reserve(arrival, dispatch_ns)
-                    : fabric_->nic_begin(target, arrival);
-    ctx.finish = ctx.start;
+    const auto dispatch = [&](sim::Nanos at) {
+      ctx.start = shm_consumer != nullptr
+                      ? shm_consumer->reserve(at, dispatch_ns)
+                      : fabric_->nic_begin(target, at);
+      ctx.finish = ctx.start;
+    };
+    dispatch(arrival);
     const sim::Nanos dispatch_start = ctx.start;
     auto& counters = fabric_->nic(target).counters();
     // nic_begin returns the DISPATCH COMPLETION time; anything beyond the
@@ -1117,65 +1119,38 @@ class Engine {
                                            std::memory_order_relaxed);
     }
 
-    Completion done;
-    done.exec_start = dispatch_start;
-    RawHandler handler = find(id);
-    if (!handler) {
-      done.status =
-          Status::NotFound("no handler bound for id " + std::to_string(id));
-    } else {
-      try {
-        if (inject_throw) {
-          throw std::runtime_error("injected handler fault");
-        }
-        done.payload = handler(ctx, request);
-        // Server-side callback chain: each stage consumes the previous
-        // stage's serialized result, on the same NIC core, de-marshal cost
-        // included (charged as one dispatch per stage). A refusal ends it.
-        for (FuncId next : chain) {
-          if (!ctx.status.ok()) break;
-          RawHandler chained = find(next);
-          if (!chained) {
-            done.payload.clear();
-            done.status = Status::NotFound("chained handler missing");
-            break;
-          }
-          const sim::Nanos prev_finish = ctx.finish;
-          ctx.start = shm_consumer != nullptr
-                          ? shm_consumer->reserve(ctx.finish, dispatch_ns)
-                          : fabric_->nic_begin(target, ctx.finish);
-          ctx.finish = ctx.start;
-          done.payload = chained(ctx, std::span<const std::byte>(done.payload));
-          if (tracing()) {
-            // One span per chained stage: "arrives" when the previous stage
-            // finished, re-dispatches on the same NIC core, runs to finish.
-            // Excluded from accounted_handler_ns (the parent scalar span's
-            // handler stage already covers the whole chain).
-            auto stage = std::make_shared<obs::Span>();
-            stage->kind = obs::SpanKind::kChainStage;
-            stage->func_id = next;
-            stage->target = target;
-            stage->arrival_ns = prev_finish;
-            stage->dispatch_ns = dispatch_ns;
-            stage->exec_start_ns = ctx.start;
-            stage->handler_end_ns = ctx.finish;
-            stage->ready_ns = ctx.finish;
-            tracer_->commit(stage);
-          }
-        }
-        if (!ctx.status.ok()) {
-          done.payload.clear();
-          done.status = refusal(ctx.status);
-        }
-      } catch (const HclError& e) {
+    Completion done = run_op(ctx, id, request,
+                             inject_throw ? "injected handler fault" : nullptr);
+    // Server-side callback chain: each stage consumes the previous stage's
+    // serialized result, on the same NIC core, de-marshal cost included
+    // (charged as one dispatch per stage). A failed or refused stage ends
+    // it; a missing stage ends it before it is dispatched.
+    for (FuncId next : chain) {
+      if (!done.status.ok()) break;
+      if (!bound(next)) {
         done.payload.clear();
-        done.status = Status(e.code(), e.what());
-      } catch (const std::exception& e) {
-        done.payload.clear();
-        done.status = Status::Internal(std::string("handler threw: ") + e.what());
-      } catch (...) {
-        done.payload.clear();
-        done.status = Status::Internal("handler threw a non-exception type");
+        done.status = Status::NotFound("chained handler missing");
+        break;
+      }
+      const sim::Nanos prev_finish = ctx.finish;
+      dispatch(ctx.finish);
+      done = run_op(ctx, next, done.payload);
+      if (tracing()) {
+        // One span per chained stage: "arrives" when the previous stage
+        // finished, re-dispatches on the same NIC core, runs to finish.
+        // Excluded from accounted_handler_ns (the parent scalar span's
+        // handler stage already covers the whole chain).
+        auto stage = std::make_shared<obs::Span>();
+        stage->kind = obs::SpanKind::kChainStage;
+        stage->func_id = next;
+        stage->target = target;
+        stage->status = done.status.code();
+        stage->arrival_ns = prev_finish;
+        stage->dispatch_ns = dispatch_ns;
+        stage->exec_start_ns = ctx.start;
+        stage->handler_end_ns = ctx.finish;
+        stage->ready_ns = ctx.finish;
+        tracer_->commit(stage);
       }
     }
     // Account the stub's execution span as NIC-core busy time (Fig. 4a) on
@@ -1184,16 +1159,15 @@ class Engine {
     counters.handler_busy_ns.fetch_add(ctx.finish - dispatch_start,
                                        std::memory_order_relaxed);
     counters.busy.add(dispatch_start, ctx.finish - dispatch_start);
-    done.ready = ctx.finish;
-    done.epoch = ctx.epoch;
+    done.exec_start = dispatch_start;
     return done;
   }
 
   /// Server-side batch executor (the stub behind batch_exec_id_). Walks the
   /// packed bundle on the NIC core that dispatched it: each constituent pays
   /// a reduced sub-dispatch pickup (nic_batch_op_ns, not a fresh WQE
-  /// dispatch), draws its own OpClass::kBatchOp fault, and is contained
-  /// exactly like a scalar stub — one op's crash, drop, or NACK poisons only
+  /// dispatch), draws its own OpClass::kBatchOp fault, and runs through
+  /// run_op like a scalar stub — one op's crash, drop, or NACK poisons only
   /// its own slot in the packed response. The enclosing execute() accounts
   /// the whole span as NIC-core busy time via ctx.finish.
   std::vector<std::byte> run_batch(ServerCtx& ctx,
@@ -1218,75 +1192,51 @@ class Engine {
       fabric::FaultDecision fault;
       if (plan != nullptr) fault = plan->next(ctx.node, fabric::OpClass::kBatchOp);
 
-      Status st = Status::Ok();
-      std::vector<std::byte> result;
-      std::uint64_t op_epoch = 0;
-      sim::Nanos op_finish = cursor + pickup;
+      ServerCtx op_ctx;
+      op_ctx.node = ctx.node;
+      op_ctx.fabric = ctx.fabric;
+      op_ctx.batch_index = static_cast<std::uint32_t>(i);
+      op_ctx.start = cursor + pickup;
+      op_ctx.finish = op_ctx.start;
+      Completion done;
       if (fault.drop) {
         // The work item fell off the bundle's queue: the op never ran, no
         // side effects, and only THIS slot reports the loss.
-        st = Status::Unavailable("batched op dropped from the bundle");
+        done.status = Status::Unavailable("batched op dropped from the bundle");
       } else if (fault.unavailable) {
-        st = Status::Unavailable(
+        done.status = Status::Unavailable(
             fault.node_down ? "node down"
                             : "injected transient fault (batched op)");
       } else {
-        RawHandler handler = find(id);
-        if (!handler) {
-          st = Status::NotFound("no handler bound for id " + std::to_string(id));
-        } else {
-          ServerCtx op_ctx;
-          op_ctx.node = ctx.node;
-          op_ctx.fabric = ctx.fabric;
-          op_ctx.batch_index = static_cast<std::uint32_t>(i);
-          op_ctx.start = cursor + pickup;
-          op_ctx.finish = op_ctx.start;
-          try {
-            if (fault.throw_handler) {
-              throw std::runtime_error("injected handler fault (batched op)");
-            }
-            if (fault.duplicate) {
-              // Duplicate delivery inside the bundle: the handler runs
-              // twice; one result is kept (idempotence contract, as scalar).
-              // A refused first delivery refuses the op, like a throw.
-              ServerCtx twin = op_ctx;
-              (void)handler(twin, arg);
-              if (!twin.status.ok()) {
-                st = refusal(twin.status);
-              } else {
-                op_ctx.start = std::max(op_ctx.start, twin.finish);
-                op_ctx.finish = op_ctx.start;
-              }
-            }
-            if (st.ok()) {
-              result = handler(op_ctx, arg);
-              if (!op_ctx.status.ok()) {
-                result.clear();
-                st = refusal(op_ctx.status);
-              }
-            }
-          } catch (const HclError& e) {
-            result.clear();
-            st = Status(e.code(), e.what());
-          } catch (const std::exception& e) {
-            result.clear();
-            st = Status::Internal(std::string("handler threw: ") + e.what());
-          } catch (...) {
-            result.clear();
-            st = Status::Internal("handler threw a non-exception type");
+        const char* injected = fault.throw_handler
+                                   ? "injected handler fault (batched op)"
+                                   : nullptr;
+        if (fault.duplicate) {
+          // Duplicate delivery inside the bundle: an in-slot twin runs
+          // first and one result is kept (idempotence contract, as scalar).
+          // A twin that fails or refuses ends the op, like a throw.
+          ServerCtx twin = op_ctx;
+          done = run_op(twin, id, arg, injected);
+          if (done.status.ok()) {
+            op_ctx.start = std::max(op_ctx.start, twin.finish);
+            op_ctx.finish = op_ctx.start;
           }
-          op_finish = std::max(op_ctx.finish, op_finish);
-          op_epoch = op_ctx.epoch;
         }
+        if (done.status.ok()) done = run_op(op_ctx, id, arg, injected);
       }
-      op_finish += fault.delay_ns;
-      cursor = op_finish;
-
-      detail::write_batch_slot(out,
-                               {std::move(st), op_finish, op_epoch, result});
+      // A twin's finish and epoch are not the op's: charge op_ctx's.
+      cursor = std::max(op_ctx.finish, cursor + pickup) + fault.delay_ns;
+      detail::write_batch_slot(
+          out, {std::move(done.status), cursor, op_ctx.epoch, done.payload});
     }
     ctx.finish = std::max(ctx.finish, cursor);
     return out.take();
+  }
+
+  /// True if `id` has a handler (a chain stage is checked before dispatch).
+  bool bound(FuncId id) {
+    std::shared_lock lock(registry_mutex_);
+    return registry_.contains(id);
   }
 
   RawHandler find(FuncId id) {

@@ -13,13 +13,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <shared_mutex>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "common/env.h"
 #include "shm/ring.h"
 #include "sim/topology.h"
 
@@ -45,20 +44,9 @@ struct ShmPolicy {
 inline const ShmPolicy& default_shm_policy() {
   static const ShmPolicy policy = [] {
     ShmPolicy p;
-    if (const char* raw = std::getenv("HCL_SHM")) {
-      const std::string v(raw);
-      p.enabled = v == "1" || v == "on" || v == "true";
-    }
-    auto read_env_int = [](const char* name, int fallback) {
-      const char* raw = std::getenv(name);
-      if (raw == nullptr || *raw == '\0') return fallback;
-      char* end = nullptr;
-      const long long v = std::strtoll(raw, &end, 10);
-      if (end == raw || *end != '\0') return fallback;
-      return static_cast<int>(v);
-    };
-    p.pod_nodes = read_env_int("HCL_SHM_POD", p.pod_nodes);
-    p.ring_slots = read_env_int("HCL_SHM_RING_SLOTS", p.ring_slots);
+    p.enabled = env_bool("HCL_SHM", p.enabled);
+    p.pod_nodes = env_number("HCL_SHM_POD", p.pod_nodes, 1);
+    p.ring_slots = env_number("HCL_SHM_RING_SLOTS", p.ring_slots, 1, 64);
     return p;
   }();
   return policy;

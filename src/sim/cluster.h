@@ -14,12 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "sim/actor.h"
 #include "sim/clock_window.h"
 #include "sim/multiplex.h"
@@ -140,12 +140,8 @@ class Cluster {
   /// operator table); read once, env knobs don't change mid-process.
   static unsigned default_thread_cap() {
     static const unsigned cap = [] {
-      if (const char* env = std::getenv("HCL_SIM_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0) return static_cast<unsigned>(v);
-      }
       const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      return std::max(128u, 4 * hw);
+      return env_number("HCL_SIM_THREADS", std::max(128u, 4 * hw), 1u);
     }();
     return cap;
   }

@@ -28,7 +28,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -36,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "sim/actor.h"
 #include "sim/clock_window.h"
 #include "sim/fiber.h"
@@ -50,14 +50,8 @@ namespace detail {
 /// sim stacks are container op paths plus the serializer; 128 KiB clears
 /// them several times over while keeping 2560 ranks near 300 MB.
 inline std::size_t fiber_stack_bytes() {
-  static const std::size_t bytes = [] {
-    long kb = 128;
-    if (const char* env = std::getenv("HCL_SIM_STACK_KB")) {
-      const long v = std::atol(env);
-      if (v >= 64) kb = v;
-    }
-    return static_cast<std::size_t>(kb) * 1024;
-  }();
+  static const std::size_t bytes =
+      env_number<std::size_t>("HCL_SIM_STACK_KB", 128, 64, 1 << 20) * 1024;
   return bytes;
 }
 

@@ -42,13 +42,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "core/context.h"
 #include "rpc/batch.h"
 
@@ -110,16 +110,9 @@ struct TxnPolicy {
 inline TxnPolicy default_txn_policy() {
   static const TxnPolicy policy = [] {
     TxnPolicy p;
-    if (const char* raw = std::getenv("HCL_TXN_RETRIES")) {
-      char* end = nullptr;
-      const long long v = std::strtoll(raw, &end, 10);
-      if (end != raw && v >= 0) p.max_retries = static_cast<int>(v);
-    }
-    if (const char* raw = std::getenv("HCL_TXN_BACKOFF_NS")) {
-      char* end = nullptr;
-      const long long v = std::strtoll(raw, &end, 10);
-      if (end != raw && v >= 0) p.backoff_ns = static_cast<sim::Nanos>(v);
-    }
+    p.max_retries = env_number("HCL_TXN_RETRIES", p.max_retries, 0);
+    p.backoff_ns =
+        env_number<sim::Nanos>("HCL_TXN_BACKOFF_NS", p.backoff_ns, 0);
     return p;
   }();
   return policy;

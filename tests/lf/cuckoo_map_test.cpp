@@ -197,7 +197,7 @@ TEST(CuckooMap, ConcurrentReadersDuringWrites) {
   }
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, t] {
       Rng rng(t + 1);
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t k = rng.next_below(80'000);
@@ -257,6 +257,47 @@ TEST(CuckooMap, ConcurrentInsertEraseChurn) {
   EXPECT_EQ(static_cast<long>(map.size()), net.load());
   // Every surviving value must equal its key (no corruption).
   map.for_each([&](const int& k, const int& v) { EXPECT_EQ(k, v); });
+}
+
+// A displacement carries a resident key "in hand" between its two buckets.
+// A writer that looks for the key in that window must still see it: a
+// duplicate insert must not land a second copy, and an erase must not miss.
+// One thread grows the table with fresh keys (forcing kick chains) while
+// three others work on disjoint slices of the resident keys.
+TEST(CuckooMap, KeysInHandDuringDisplacementStayVisibleToWriters) {
+  constexpr std::uint64_t kResident = 4096;
+  constexpr std::uint64_t kFresh = 100'000;
+  for (int round = 0; round < 12; ++round) {
+    CuckooMap<std::uint64_t, std::uint64_t> map(2);
+    for (std::uint64_t k = 0; k < kResident; ++k) map.insert(k, k);
+    std::atomic<bool> done{false};
+    std::atomic<int> duplicated{0};
+    std::atomic<int> missed{0};
+    std::vector<std::thread> pool;
+    pool.emplace_back([&] {
+      for (std::uint64_t k = kResident; k < kResident + kFresh; ++k) {
+        map.insert(k, k);
+      }
+      done = true;
+    });
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      pool.emplace_back([&, t] {
+        for (std::uint64_t k = t; !done.load(std::memory_order_relaxed);
+             k = k + 3 < kResident ? k + 3 : t) {
+          if (t == 0) {
+            if (!map.erase(k)) ++missed;
+            if (!map.insert(k, k)) ++duplicated;
+          } else if (map.insert(k, 0)) {
+            ++duplicated;
+          }
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+    ASSERT_EQ(duplicated.load(), 0) << "round " << round;
+    ASSERT_EQ(missed.load(), 0) << "round " << round;
+    ASSERT_EQ(map.size(), kResident + kFresh) << "round " << round;
+  }
 }
 
 TEST(CuckooMap, ConcurrentGrowDuringReads) {

@@ -223,7 +223,7 @@ TEST(SkipListMap, ConcurrentReadersNeverSeeTornValues) {
   });
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, t] {
       Rng rng(t);
       for (int i = 0; i < 20'000; ++i) {
         std::string v;

@@ -4,11 +4,13 @@
 // response-ready time, same (untouched) epoch, same packed-response bytes and
 // the same caller clock after the await. Covers a scalar invoke, a bundle
 // constituent, a server-side chain and a duplicate delivery inside a bundle;
-// also pins that wait() and get() charge the caller's clock identically.
+// also pins that wait() and get() charge the caller's clock identically, and
+// that every failure kind is contained alike in all three execution shapes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -202,6 +204,100 @@ TEST(Refusal, WaitAndGetChargeTheSamePull) {
       EXPECT_EQ(clock_after(false, batched, refused),
                 clock_after(true, batched, refused))
           << "batched=" << batched << " refused=" << refused;
+    }
+  }
+}
+
+/// How a stub fails in the containment table below.
+enum class Failure {
+  kHclError,
+  kStdException,
+  kNonException,
+  kRefusal,
+  kUnbound
+};
+/// Where the failing stub sits: the invoked stub itself, the first chained
+/// stage after a healthy one, or the middle op of a 3-op bundle.
+enum class Position { kFirstStage, kChainStage, kBundleOp };
+
+/// The code and message one (failure, position) case must resolve with.
+Status expected_status(Failure failure, Position position, FuncId unbound) {
+  switch (failure) {
+    case Failure::kHclError:
+      return Status(StatusCode::kCapacity, "CAPACITY: stub full");
+    case Failure::kStdException:
+      return Status::Internal("handler threw: stub died");
+    case Failure::kNonException:
+      return Status::Internal("handler threw a non-exception type");
+    case Failure::kRefusal:
+      return Status(StatusCode::kAborted, "ABORTED: stub says no");
+    case Failure::kUnbound:
+      return position == Position::kChainStage
+                 ? Status::NotFound("chained handler missing")
+                 : Status::NotFound("no handler bound for id " +
+                                    std::to_string(unbound));
+  }
+  return Status::Ok();
+}
+
+// Failure containment is one step for every execution shape: each failure
+// kind, at each position, resolves with the same code and message, stops the
+// chain behind it, and leaves bundle siblings untouched.
+TEST(Refusal, FailureContainmentAcrossExecutionShapes) {
+  constexpr FuncId kUnbound = 424'242;
+  for (const Failure failure :
+       {Failure::kHclError, Failure::kStdException, Failure::kNonException,
+        Failure::kRefusal, Failure::kUnbound}) {
+    for (const Position position :
+         {Position::kFirstStage, Position::kChainStage, Position::kBundleOp}) {
+      SCOPED_TRACE("failure=" + std::to_string(static_cast<int>(failure)) +
+                   " position=" + std::to_string(static_cast<int>(position)));
+      World w(Mode::kRefuse);
+      const FuncId bad =
+          failure == Failure::kUnbound
+              ? kUnbound
+              : w.engine.bind<int, int>([failure](ServerCtx& sctx,
+                                                  const int& v) -> int {
+                  switch (failure) {
+                    case Failure::kHclError:
+                      throw HclError(Status::Capacity("stub full"));
+                    case Failure::kStdException:
+                      throw std::runtime_error("stub died");
+                    case Failure::kNonException:
+                      throw 42;  // NOLINT: deliberately not a std::exception
+                    default:
+                      sctx.status = Status::Aborted("stub says no");
+                      return v;
+                  }
+                });
+      const Status want = expected_status(failure, position, kUnbound);
+      Actor client(0, 0, 1);
+      if (position == Position::kBundleOp) {
+        BatchPolicy manual;
+        manual.max_ops = 64;
+        manual.max_delay_ns = 0;
+        Batcher batcher(w.engine, manual);
+        auto first = batcher.enqueue<int>(client, 1, w.echo, 1);
+        auto middle = batcher.enqueue<int>(client, 1, bad, 2);
+        auto last = batcher.enqueue<int>(client, 1, w.echo, 3);
+        batcher.flush_all(client);
+        const Status st = middle.wait(client);
+        EXPECT_EQ(st.code(), want.code());
+        EXPECT_EQ(st.message(), want.message());
+        EXPECT_EQ(first.get(client), 1);
+        EXPECT_EQ(last.get(client), 3);
+      } else {
+        const std::vector<FuncId> chain =
+            position == Position::kFirstStage
+                ? std::vector<FuncId>{w.stage}
+                : std::vector<FuncId>{bad, w.stage};
+        const FuncId head = position == Position::kFirstStage ? bad : w.echo;
+        auto f = w.engine.async_invoke_chain<int>(client, 1, head, chain, 3);
+        const Status st = f.wait(client);
+        EXPECT_EQ(st.code(), want.code());
+        EXPECT_EQ(st.message(), want.message());
+        EXPECT_EQ(w.stage_calls, 0);  // nothing runs behind a failed stage
+      }
     }
   }
 }
