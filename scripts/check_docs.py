@@ -18,6 +18,11 @@
    reference table, and every --flag row in that table must still be
    parsed somewhere in bench/ — same no-rot/no-invention contract as
    the env table.
+5. Thread spawners: no std::thread / std::jthread in src/ outside
+   src/sim/. The rank runners there are the only legitimate spawners;
+   the NIC, RPC engine and containers run inline on rank threads, so a
+   thread anywhere else is a resident cost every Context would pay.
+   (std::thread::id and other nested names are fine.)
 
 Exit code 0 = green; nonzero prints each violation on its own line.
 """
@@ -40,6 +45,8 @@ TABLE_ENV_RE = re.compile(r"^\|\s*`(HCL_[A-Z0-9_]+)`", re.MULTILINE)
 JSON_ARTIFACT_RE = re.compile(r'"(BENCH_[A-Z0-9_]+\.json)"')
 BENCH_FLAG_RE = re.compile(r'"(--[a-z][a-z0-9-]*)"')
 TABLE_FLAG_RE = re.compile(r"^\|\s*`(--[a-z][a-z0-9-]*)`", re.MULTILINE)
+THREAD_SPAWN_RE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+THREAD_SPAWNER_DIR = os.path.join("src", "sim") + os.sep
 
 
 def markdown_files():
@@ -83,6 +90,18 @@ def check_env_parser(errors):
         if name != ENV_PARSER and GETENV_RE.search(text):
             errors.append(f"{name}: calls getenv; read HCL_* variables "
                           f"through {ENV_PARSER}")
+
+
+def check_thread_spawners(errors):
+    for name, text in src_files():
+        if name.startswith(THREAD_SPAWNER_DIR):
+            continue
+        for lineno, line in enumerate(text.splitlines(), 1):
+            match = THREAD_SPAWN_RE.search(line.split("//", 1)[0])
+            if match:
+                errors.append(f"{name}:{lineno}: {match.group(0)} outside "
+                              f"{THREAD_SPAWNER_DIR}; only the rank runners "
+                              f"there may start threads")
 
 
 def env_vars_in_readme():
@@ -148,13 +167,15 @@ def main():
     check_env_parser(errors)
     check_bench_handbook(errors)
     check_bench_flag_table(errors)
+    check_thread_spawners(errors)
     for error in errors:
         print(error)
     if errors:
         print(f"{len(errors)} docs violation(s)")
         return 1
     print("docs ok: links resolve, operator table matches src/, "
-          "bench handbook and flag table match bench/")
+          "bench handbook and flag table match bench/, "
+          "no thread spawners outside src/sim/")
     return 0
 
 

@@ -113,34 +113,31 @@ class Context {
     return tracer_.enabled() ? &tracer_ : nullptr;
   }
 
-  /// Install or clear (nullptr) the fabric fault plan between phases;
-  /// quiesces outstanding server-side work first so the swap is safe.
+  /// Install or clear (nullptr) the fabric fault plan between phases. No
+  /// server-side work outlives a run() (stubs execute inline on the calling
+  /// rank's thread), so the swap is safe whenever no phase is running.
   void set_fault_plan(std::shared_ptr<fabric::FaultPlan> plan) {
-    fabric_.drain_all();
     fabric_.set_fault_plan(std::move(plan));
   }
 
   /// Run `fn(actor)` on every rank (SPMD main, like mpirun).
   void run(const std::function<void(sim::Actor&)>& fn, unsigned max_threads = 0) {
     cluster_.run(fn, max_threads);
-    // Quiesce before the lease revocation below compares epoch piggybacks.
-    // Replication fan-outs (Engine::server_invoke) execute INLINE on the
-    // issuing rank's thread — asynchrony is simulated-time only — so by the
-    // time cluster_.run() joins, every replication write (and its epoch
-    // bump) has already applied in real time; drain_all() settles the NICs'
-    // simulated work queues, it is not what provides that guarantee. The
-    // subtle cross-phase hazard is elsewhere: failover PROMOTION fences a
-    // partition's epoch stream at (term << 32), so a rejoined primary must
-    // adopt an epoch above the fence during repair or its piggybacks would
-    // compare stale forever (regression-tested in failover_test.cpp).
-    fabric_.drain_all();
+    // Server stubs and replication fan-outs (Engine::server_invoke) execute
+    // INLINE on the issuing rank's thread — asynchrony is simulated-time
+    // only — so by the time cluster_.run() joins, every replication write
+    // (and its epoch bump) has already applied in real time and the lease
+    // revocation below compares settled epochs. The subtle cross-phase
+    // hazard is elsewhere: failover PROMOTION fences a partition's epoch
+    // stream at (term << 32), so a rejoined primary must adopt an epoch above
+    // the fence during repair or its piggybacks would compare stale forever
+    // (regression-tested in failover_test.cpp).
     revoke_cache_leases();
   }
 
   /// Run `fn` on a single rank (driver-style sections of tests/benches).
   void run_one(sim::Rank rank, const std::function<void(sim::Actor&)>& fn) {
     cluster_.run_ranks(rank, rank + 1, fn);
-    fabric_.drain_all();
     revoke_cache_leases();
   }
 
@@ -184,7 +181,6 @@ class Context {
   /// Reset clocks, fabric lanes, counters, and op stats between benchmark
   /// repetitions. Container *contents* are untouched.
   void reset_measurement() {
-    fabric_.drain_all();
     cluster_.reset_clocks();
     fabric_.reset_metrics();
     tracer_.reset();

@@ -78,9 +78,7 @@ class HostedQueue {
   HostedQueue& operator=(const HostedQueue&) = delete;
 
   ~HostedQueue() {
-    ctx_->fabric().drain_all();
     for (auto id : bound_ids_) ctx_->rpc().unbind(id);
-    ctx_->fabric().drain_all();
   }
 
   /// Push one element. Cost: F + L + W (remote), L + W (co-located).

@@ -134,10 +134,7 @@ class PartitionedMap {
 
   ~PartitionedMap() {
     if (cache_hook_ != 0) ctx_->unregister_cache_hook(cache_hook_);
-    // No server stub may run once members start dying.
-    ctx_->fabric().drain_all();
     for (auto id : bound_ids_) ctx_->rpc().unbind(id);
-    ctx_->fabric().drain_all();
   }
 
   // ------------------------------------------------------------------
@@ -444,8 +441,9 @@ class PartitionedMap {
     sim::Actor& self = sim::this_actor();
     const int p = partition_of(key);
     // Invalidate before the write ships; the completion epoch is harvested
-    // lazily (the continuation runs on the NIC executor thread, which must
-    // not touch this rank's store), so the entry simply stays cold.
+    // lazily (a continuation runs on whichever thread fulfills the future,
+    // which must not touch this rank's store), so the entry simply stays
+    // cold.
     cache_->begin_write(self, p, key);
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template async_invoke<bool>(

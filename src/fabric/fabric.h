@@ -1,7 +1,7 @@
 // The simulated communication fabric (OFI-like layer of the paper §III).
 //
 // One Fabric spans the whole simulated cluster. Per node it owns:
-//   * a Nic (ingress DMA engine, atomic unit, NIC cores + real executor),
+//   * a Nic (ingress DMA engine, atomic unit, NIC cores; timing only),
 //   * the node memory channels (shared-memory bandwidth for the hybrid
 //     access model),
 //   * a "CAS unit" modeling cache-coherence serialization of contended
@@ -75,8 +75,7 @@ class Fabric {
   // ------------------------------------------------------------------
 
   /// Install (or clear, with nullptr) the fabric-wide fault plan. Install
-  /// before traffic; swapping mid-run is safe only between phases
-  /// (drain_all() first).
+  /// before traffic; swapping mid-run is safe only between phases.
   void set_fault_plan(std::shared_ptr<FaultPlan> plan) {
     fault_plan_ = std::move(plan);
   }
@@ -294,8 +293,8 @@ class Fabric {
     return arrival;
   }
 
-  /// Steps 3-4: a NIC core picks the request off the work queue and
-  /// de-marshals it. Returns when the server stub may start executing —
+  /// Steps 3-4: a NIC core picks the request off its (simulated) work queue
+  /// and de-marshals it. Returns when the server stub may start executing —
   /// i.e. the DISPATCH COMPLETION time. Anything beyond the dispatch
   /// service itself was spent queued behind other WQEs; the engine
   /// attributes that gap to the NIC-queue stage (rpc_queue_wait_ns, and the
@@ -366,11 +365,6 @@ class Fabric {
   }
 
   // ------------------------------------------------------------------
-
-  /// Block until all NIC executors are idle (end-of-phase quiescence).
-  void drain_all() {
-    for (auto& n : nodes_) n->nic.drain();
-  }
 
   /// Reset metrics and timing lanes on every node (between repetitions).
   void reset_metrics() {

@@ -5,28 +5,17 @@
 //     link bandwidth,
 //   * an atomic execution unit that serializes remote CAS/FAA (the hardware
 //     behaviour BCL's client-side protocol leans on),
-//   * a set of NIC cores (BlueField-style) that run RPC server stubs, fed by
-//     a real work queue and real executor threads — requests submitted by
-//     client stubs are de-marshaled and executed *on these threads*, exactly
-//     the "server stub on the NIC core" flow of the RoR framework,
+//   * a set of NIC cores (BlueField-style) that run RPC server stubs,
 //   * counters/time-series for the profiling figures.
 //
-// Timing and execution are decoupled: execution is real (threads, queues,
-// actual function calls); timing comes from reservations on the simulated
-// resources.
+// The NIC is timing state only: it owns no threads and no work queue. A
+// server stub executes inline on the calling rank's thread (rpc::Engine);
+// the "server stub on the NIC core" flow of the RoR framework is modelled by
+// reserving a lane of cores() for the stub's dispatch and handler time.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <cstddef>
 
-#include "common/mpmc_queue.h"
 #include "fabric/counters.h"
 #include "sim/cost_model.h"
 #include "sim/resource.h"
@@ -35,39 +24,19 @@
 
 namespace hcl::fabric {
 
-/// A unit of work for the NIC cores: the packaged server-stub invocation.
-/// `arrival_ns` is the simulated time at which the request landed in the
-/// server's request buffer.
-struct WorkItem {
-  std::function<void(sim::Nanos arrival_ns)> run;
-  sim::Nanos arrival_ns = 0;
-};
-
 class Nic {
  public:
   Nic(sim::NodeId node, const sim::CostModel& model, sim::Nanos series_bucket,
-      std::size_t series_len, std::size_t work_queue_depth = 64 * 1024)
+      std::size_t series_len)
       : node_(node),
         model_(model),
         counters_(series_bucket, series_len),
         ingress_(model.nic_dma_lanes, nullptr),
         atomic_unit_(model.nic_atomic_lanes, &counters_.atomic_busy),
-        cores_(model.nic_cores, &counters_.busy),
-        work_queue_(work_queue_depth) {
-    // Simulated NIC-core parallelism (the cores() Resource) is decoupled
-    // from real executor threads: a couple of real threads per NIC execute
-    // the (microsecond-scale) handlers; timing comes from reservations.
-    const int n_threads = std::clamp(model.nic_cores, 1, 2);
-    threads_.reserve(static_cast<std::size_t>(n_threads));
-    for (int i = 0; i < n_threads; ++i) {
-      threads_.emplace_back([this] { executor_loop(); });
-    }
-  }
+        cores_(model.nic_cores, &counters_.busy) {}
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
-
-  ~Nic() { shutdown(); }
 
   [[nodiscard]] sim::NodeId node() const noexcept { return node_; }
   [[nodiscard]] const sim::CostModel& model() const noexcept { return model_; }
@@ -82,43 +51,8 @@ class Nic {
   /// stage of traced spans (DESIGN.md §5e).
   sim::Resource& cores() noexcept { return cores_; }
 
-  /// Submit a server-stub invocation to the NIC work queue (RDMA_SEND landed
-  /// in the request buffer at `arrival_ns`). Returns false only if the NIC
-  /// is shutting down.
-  bool submit(WorkItem item) {
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    work_queue_.push(std::move(item));
-    pending_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> guard(wake_mutex_);
-    }
-    wake_cv_.notify_one();
-    return true;
-  }
-
-  /// Block until every submitted work item has been executed.
-  void drain() {
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    drained_cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
-
-  void shutdown() {
-    bool expected = false;
-    if (!stopping_.compare_exchange_strong(expected, true)) return;
-    {
-      std::lock_guard<std::mutex> guard(wake_mutex_);
-    }
-    wake_cv_.notify_all();
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-
   /// Reset all timing state (between benchmark repetitions).
   void reset_metrics() {
-    drain();
     counters_.reset();
     ingress_.reset();
     atomic_unit_.reset();
@@ -126,43 +60,12 @@ class Nic {
   }
 
  private:
-  void executor_loop() {
-    for (;;) {
-      std::optional<WorkItem> item = work_queue_.try_pop();
-      if (!item.has_value()) {
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        wake_cv_.wait(lock, [this] {
-          return stopping_.load(std::memory_order_acquire) ||
-                 work_queue_.approx_size() > 0;
-        });
-        if (stopping_.load(std::memory_order_acquire) &&
-            work_queue_.approx_size() == 0) {
-          return;
-        }
-        continue;
-      }
-      item->run(item->arrival_ns);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> guard(wake_mutex_);
-        drained_cv_.notify_all();
-      }
-    }
-  }
-
   sim::NodeId node_;
   sim::CostModel model_;
   NicCounters counters_;
   sim::Resource ingress_;
   sim::Resource atomic_unit_;
   sim::Resource cores_;
-
-  MpmcQueue<WorkItem> work_queue_;
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::int64_t> pending_{0};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::condition_variable drained_cv_;
 };
 
 }  // namespace hcl::fabric

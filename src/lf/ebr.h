@@ -11,7 +11,7 @@
 //   * One Ebr instance per data structure (no global singletons).
 //   * Threads register lazily into a fixed slot table; a slot is reused via
 //     thread-id hashing, so at most kMaxThreads distinct concurrent threads
-//     are supported (plenty for the simulated cluster's executor pools).
+//     are supported (plenty for the simulated cluster's rank runners).
 //   * retire() is called on the unlink path only, so a spinlock-guarded
 //     limbo list is cheap relative to the structural CAS traffic.
 #pragma once

@@ -5,8 +5,8 @@
 // sub-buckets, bounding the relative quantization error at 1/16 (6.25%) while
 // covering the full sim::Nanos range in under a thousand counters. record()
 // is lock-free (relaxed atomics plus a CAS loop for the exact max) so spans
-// from every client thread and NIC executor can feed one histogram without a
-// mutex on the hot path. Percentile queries walk the bucket array and return
+// from every rank thread can feed one histogram without a mutex on the hot
+// path. Percentile queries walk the bucket array and return
 // the matched bucket's upper bound — an upper estimate, never an undercount.
 #pragma once
 

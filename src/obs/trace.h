@@ -193,7 +193,7 @@ inline TracePolicy default_trace_policy() {
 }
 
 /// The per-Context span sink. Thread-safe: histogram/sum aggregation is
-/// lock-free (every client thread and NIC executor commits concurrently);
+/// lock-free (every rank thread commits concurrently);
 /// only sampled-record retention takes a mutex.
 class Tracer {
  public:

@@ -44,10 +44,7 @@ class Batcher {
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  ~Batcher() {
-    fail_pending(Status::FailedPrecondition(
-        "Batcher destroyed with pending batched ops (flush() them first)"));
-  }
+  ~Batcher() { fail_pending(); }
 
   /// Serialize one op for `target` and coalesce it. Returns the op's future
   /// right away; it resolves when its bundle ships and executes. May flush
@@ -157,7 +154,9 @@ class Batcher {
     engine_->send_batch(caller, target, std::move(ops), options_);
   }
 
-  void fail_pending(const Status& status) {
+  /// Settle every op still pending at destruction with a refusal. Costs
+  /// nothing (no allocation) in the common case of no orphans.
+  void fail_pending() {
     std::vector<std::vector<detail::PendingOp>> orphaned;
     {
       std::lock_guard<std::mutex> guard(mutex_);
@@ -165,6 +164,9 @@ class Batcher {
         if (!dest.ops.empty()) orphaned.push_back(take_locked(dest));
       }
     }
+    if (orphaned.empty()) return;
+    const Status status = Status::FailedPrecondition(
+        "Batcher destroyed with pending batched ops (flush() them first)");
     // Aborted ops never shipped, so hand every future a pre-charged pull:
     // awaiting one costs nothing and still yields a definite status.
     auto no_pull = std::make_shared<detail::BatchPull>();

@@ -228,11 +228,6 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  ~Engine() {
-    // No handler may run after the registry dies.
-    fabric_->drain_all();
-  }
-
   [[nodiscard]] fabric::Fabric& fabric() noexcept { return *fabric_; }
 
   /// Attach the Context's tracer (DESIGN.md §5e). Null (the default) or a

@@ -2,8 +2,9 @@
 //
 // "Each function invocation creates a future object (much like C++ future
 // and wait operations), which gets the response after the call is executed."
-// Real synchronization: the NIC-core executor thread fulfills the shared
-// state and the client thread blocks on a condition variable. Simulated
+// Real synchronization: the thread that runs the server stub (inline, on a
+// client rank's thread — rpc::Engine) fulfills the shared state, and a
+// client that awaits it first blocks on a condition variable. Simulated
 // timing: the state carries the simulated time at which the response landed
 // in the server's response buffer; Future::get() charges the client's clock
 // for the RDMA_READ pull (the client-pulling response paradigm of Fig. 2).
@@ -51,8 +52,8 @@ struct BatchPull {
   bool via_shm = false;
 };
 
-/// Type-erased completion state shared between the NIC executor (producer)
-/// and the client (consumer).
+/// Type-erased completion state shared between the thread that ran the
+/// server stub (producer) and the client (consumer).
 struct FutureState {
   std::mutex mutex;
   std::condition_variable cv;
@@ -105,7 +106,7 @@ struct FutureState {
   }
 
   /// Attach a continuation; runs immediately if already done, otherwise on
-  /// the fulfilling (NIC executor) thread.
+  /// the fulfilling thread.
   void on_complete(std::function<void(const FutureState&)> fn) {
     {
       std::lock_guard<std::mutex> guard(mutex);
@@ -161,8 +162,8 @@ class Future {
   /// way to settle a future whose refusal is a routine outcome.
   Status wait(sim::Actor& caller);
 
-  /// Client-side chaining: run `fn` when the response is ready (on the NIC
-  /// executor thread). For server-side chaining see Engine::invoke_chain.
+  /// Client-side chaining: run `fn` when the response is ready (on the
+  /// fulfilling thread). For server-side chaining see Engine::invoke_chain.
   void then(std::function<void()> fn) {
     require_state("Future::then");
     state_->on_complete([f = std::move(fn)](const detail::FutureState&) { f(); });

@@ -7,8 +7,8 @@
 // time — would be issued later in real time). The classic conservative
 // parallel-discrete-event fix: no actor may advance more than a window W
 // beyond the slowest ACTIVE actor. The slowest actor is never throttled, so
-// progress is guaranteed; NIC executor threads never throttle (they carry no
-// actor clock).
+// progress is guaranteed. Server stubs run inline on their caller's thread
+// under the caller's clock, so rank threads are the only ones throttled.
 //
 // W trades fidelity against parallelism: it must exceed one operation's
 // simulated span (so the common path never throttles) and stay far below

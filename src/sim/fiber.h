@@ -38,22 +38,26 @@
 
 #include <ucontext.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <utility>
-#include <vector>
 
 namespace hcl::sim {
 
 class Fiber {
  public:
   /// Prepares `body` on a fresh heap stack; nothing runs until resume().
+  /// The stack is left uninitialized: zero-filling it would write (and make
+  /// resident) every rank's whole stack on every run.
   Fiber(std::size_t stack_bytes, std::function<void()> body)
-      : stack_(stack_bytes), body_(std::move(body)) {
+      : stack_(std::make_unique_for_overwrite<char[]>(stack_bytes)),
+        body_(std::move(body)) {
     getcontext(&callee_);
-    callee_.uc_stack.ss_sp = stack_.data();
-    callee_.uc_stack.ss_size = stack_.size();
+    callee_.uc_stack.ss_sp = stack_.get();
+    callee_.uc_stack.ss_size = stack_bytes;
     callee_.uc_link = nullptr;  // bodies finish via the explicit yield below
     const auto self = reinterpret_cast<std::uintptr_t>(this);
     // makecontext takes int-sized varargs; split the pointer across two.
@@ -109,7 +113,7 @@ class Fiber {
 
   inline static thread_local Fiber* tls_current_ = nullptr;
 
-  std::vector<char> stack_;
+  std::unique_ptr<char[]> stack_;
   std::function<void()> body_;
   ucontext_t caller_{};
   ucontext_t callee_{};

@@ -177,7 +177,6 @@ TEST_F(RpcTest, ServerInvokeFiresWithoutClientCost) {
       });
   Actor client(0, 0, 1);
   EXPECT_EQ((engine.invoke<int>(client, 1, primary, 3)), 3);
-  fabric.drain_all();
   EXPECT_EQ(replicas.load(), 1);
 }
 

@@ -361,7 +361,6 @@ TEST_F(ShmEngineTest, ReplicationFanOutRidesRingWithoutRpcCount) {
       });
   Actor client(1, 1, 1);  // client co-located with the primary on node 1
   EXPECT_EQ((engine.invoke<int>(client, 1, primary, 3)), 3);
-  fabric.drain_all();
   EXPECT_EQ(replicas.load(), 1);
   const auto& c = fabric.nic(0).counters();
   // The fan-out rode node 0's ring but is not a client RPC: shm_sends only.

@@ -183,54 +183,100 @@ TEST(Resource, SaturationStretchesFinishTimes) {
   EXPECT_EQ(finish, 1'000 * 10 / 2);
 }
 
+/// Where FlatStoreMatchesBruteForceReference aims its arrivals.
+enum class Arrival {
+  kAnywhere,  // uniform over the lane, from empty lanes
+  kNearTail,  // within 64 intervals of the tail of a 4 Ki-interval lane
+  kFarPast,   // within the first 16 intervals of a 4 Ki-interval lane
+};
+
 TEST(Resource, FlatStoreMatchesBruteForceReference) {
   // Seeded random reservation streams mixing arrivals in past gaps, arrivals
   // past the tail, and reservations built to touch an existing interval on
-  // the left, on the right, or on both sides (exact-adjacency merges).
-  for (const int lanes : {1, 2, 32}) {
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      SCOPED_TRACE(testing::Message() << "lanes=" << lanes << " seed=" << seed);
-      Resource r(lanes);
-      ReferenceResource ref(lanes, lanes == 1 ? 0
-                                              : detail::tls_stripe() %
-                                                    static_cast<unsigned>(lanes));
-      Rng rng(seed);
-      Nanos horizon = 0;
-      for (int op = 0; op < 3'000; ++op) {
-        Nanos service = 1 + static_cast<Nanos>(rng.next_below(200));
-        Nanos now = static_cast<Nanos>(rng.next_below(
-            static_cast<std::uint64_t>(horizon) + 500));
-        const auto lane = rng.next_below(ref.lanes());
-        const auto busy = ref.merged(lane);
-        if (!busy.empty()) {
-          const std::size_t k = rng.next_below(busy.size());
-          switch (rng.next_below(4)) {
-            case 0:  // arrival at an interval's end: touches on the left
-              now = busy[k].end;
-              break;
-            case 1:  // finish exactly at an interval's start: on the right
-              now = std::max<Nanos>(0, busy[k].start - service);
-              break;
-            case 2:  // fill a whole gap: touches on both sides
-              if (k + 1 < busy.size()) {
-                now = busy[k].end;
-                service = busy[k + 1].start - busy[k].end;
-              }
-              break;
-            default:  // uniform arrival, mostly into past gaps
-              break;
+  // the left, on the right, or on both sides (exact-adjacency merges). The
+  // kNearTail and kFarPast streams first grow every lane past 4 Ki
+  // intervals, so the lookup's search back from the tail crosses several
+  // doublings or runs all the way to the front.
+  for (const Arrival mode :
+       {Arrival::kAnywhere, Arrival::kNearTail, Arrival::kFarPast}) {
+    for (const int lanes : {1, 2, 32}) {
+      // The reference is linear per op; keep the 4 Ki-interval lanes few.
+      if (mode != Arrival::kAnywhere && lanes > 2) continue;
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "mode=" << static_cast<int>(mode) << " lanes=" << lanes
+                     << " seed=" << seed);
+        Resource r(lanes);
+        ReferenceResource ref(
+            lanes, lanes == 1 ? 0
+                              : detail::tls_stripe() %
+                                    static_cast<unsigned>(lanes));
+        Rng rng(seed);
+        Nanos horizon = 0;
+        if (mode != Arrival::kAnywhere) {
+          // Tail appends separated by idle gaps; `lanes` arrivals at the same
+          // instant land one per lane.
+          for (int i = 0; i < 4'200; ++i) {
+            const Nanos now =
+                horizon + 1 + static_cast<Nanos>(rng.next_below(1'000));
+            for (int l = 0; l < lanes; ++l) {
+              const Nanos service = 1 + static_cast<Nanos>(rng.next_below(100));
+              const Nanos want = ref.reserve(now, service);
+              ASSERT_EQ(r.reserve(now, service), want) << "fill " << i;
+              horizon = std::max(horizon, want);
+            }
+          }
+          for (std::size_t l = 0; l < ref.lanes(); ++l) {
+            ASSERT_GE(ref.merged(l).size(), 4'096u) << "lane " << l;
           }
         }
-        const Nanos want = ref.reserve(now, service);
-        ASSERT_EQ(r.reserve(now, service), want) << "op " << op;
-        horizon = std::max(horizon, want);
+        for (int op = 0; op < 3'000; ++op) {
+          Nanos service = 1 + static_cast<Nanos>(rng.next_below(200));
+          Nanos now = static_cast<Nanos>(rng.next_below(
+              static_cast<std::uint64_t>(horizon) + 500));
+          const auto lane = rng.next_below(ref.lanes());
+          const auto busy = ref.merged(lane);
+          if (!busy.empty()) {
+            std::size_t k = 0;
+            if (mode == Arrival::kNearTail) {
+              k = busy.size() - 1 -
+                  rng.next_below(std::min<std::size_t>(64, busy.size()));
+              now = busy[k].start + static_cast<Nanos>(rng.next_below(1'000));
+            } else if (mode == Arrival::kFarPast) {
+              k = rng.next_below(std::min<std::size_t>(16, busy.size()));
+              now = static_cast<Nanos>(
+                  rng.next_below(static_cast<std::uint64_t>(busy[k].end) + 1));
+            } else {
+              k = rng.next_below(busy.size());
+            }
+            switch (rng.next_below(4)) {
+              case 0:  // arrival at an interval's end: touches on the left
+                now = busy[k].end;
+                break;
+              case 1:  // finish exactly at an interval's start: on the right
+                now = std::max<Nanos>(0, busy[k].start - service);
+                break;
+              case 2:  // fill a whole gap: touches on both sides
+                if (k + 1 < busy.size()) {
+                  now = busy[k].end;
+                  service = busy[k + 1].start - busy[k].end;
+                }
+                break;
+              default:  // uniform arrival, mostly into past gaps
+                break;
+            }
+          }
+          const Nanos want = ref.reserve(now, service);
+          ASSERT_EQ(r.reserve(now, service), want) << "op " << op;
+          horizon = std::max(horizon, want);
+        }
+        for (std::size_t l = 0; l < ref.lanes(); ++l) {
+          EXPECT_EQ(as_pairs(r.intervals(static_cast<int>(l))),
+                    as_pairs(ref.merged(l)))
+              << "lane " << l;
+        }
+        EXPECT_EQ(r.horizon(), horizon);
       }
-      for (std::size_t l = 0; l < ref.lanes(); ++l) {
-        EXPECT_EQ(as_pairs(r.intervals(static_cast<int>(l))),
-                  as_pairs(ref.merged(l)))
-            << "lane " << l;
-      }
-      EXPECT_EQ(r.horizon(), horizon);
     }
   }
 }
