@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,15 +41,15 @@ TEST(SeqLock, ReaderSeesConsistentPair) {
   // Writer keeps the invariant a == b; readers must never observe a != b
   // after validation succeeds.
   SeqLock seq;
-  volatile long a = 0, b = 0;
+  std::atomic<long> a{0}, b{0};
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
 
   std::thread writer([&] {
     for (long i = 1; i < 200'000; ++i) {
       seq.write_begin();
-      a = i;
-      b = i;
+      a.store(i, std::memory_order_relaxed);
+      b.store(i, std::memory_order_relaxed);
       seq.write_end();
     }
     stop.store(true);
@@ -59,8 +60,8 @@ TEST(SeqLock, ReaderSeesConsistentPair) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t s = seq.read_begin();
-        const long ra = a;
-        const long rb = b;
+        const long ra = a.load(std::memory_order_relaxed);
+        const long rb = b.load(std::memory_order_relaxed);
         if (seq.read_validate(s) && ra != rb) {
           violations.fetch_add(1);
         }

@@ -137,12 +137,16 @@ TEST_F(FabricTest, WireSaturationEmerges) {
   constexpr int kClients = 40;
   constexpr int kOps = 64;
   std::vector<std::unique_ptr<Actor>> actors;
-  std::vector<char> src(4096), dst(4096);
+  std::vector<char> src(4096);
+  // One destination buffer per client: the puts copy real bytes.
+  std::vector<std::vector<char>> dst(kClients, std::vector<char>(4096));
   for (int c = 0; c < kClients; ++c) actors.push_back(std::make_unique<Actor>(c, 0, c));
   std::vector<std::thread> pool;
-  for (auto& a : actors) {
-    pool.emplace_back([&, ap = a.get()] {
-      for (int i = 0; i < kOps; ++i) fabric.put(*ap, 1, dst.data(), src.data(), 4096);
+  for (int c = 0; c < kClients; ++c) {
+    pool.emplace_back([&, c] {
+      for (int i = 0; i < kOps; ++i) {
+        fabric.put(*actors[c], 1, dst[c].data(), src.data(), 4096);
+      }
     });
   }
   for (auto& t : pool) t.join();

@@ -52,7 +52,7 @@ TEST_P(SerializationRoundTrip, RawAndPackedAgree) {
   const auto& param = GetParam();
   Rng rng(param.seed);
   Nested value;
-  value.id = static_cast<std::int64_t>(rng.next()) - (1LL << 62);
+  value.id = static_cast<std::int64_t>(rng.next() - (std::uint64_t{1} << 62));
   value.name = rng.next_string(param.string_len);
   value.samples.resize(param.vector_len);
   for (auto& s : value.samples) s = rng.next_double() * 1e9;
