@@ -31,12 +31,13 @@
 
 namespace hcl::core {
 
-/// `rescue(i, status)` runs when a constituent fails, BEFORE the status is
-/// recorded or re-thrown. It may re-issue the op out-of-band — the failover
-/// path does when a node dies mid-bundle — and return the new future: when
-/// that settles, it fills results[i] and `post` sees it instead, and the
-/// failure is swallowed. An invalid future, or one that fails too, leaves
-/// the original failure standing.
+/// `rescue(i)` runs when a constituent fails kUnavailable (the only failure
+/// a failover can rescue), BEFORE the status is recorded or re-thrown. It
+/// may re-issue the op out-of-band — core::rescue does when a node dies
+/// mid-bundle — and return the new future: when that settles, it fills
+/// results[i] and `post` sees it instead, and the failure is swallowed. An
+/// invalid future, or one that fails too, leaves the original failure
+/// standing.
 template <typename R, typename Results, typename Post, typename Rescue>
 void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
                   std::vector<std::pair<std::size_t, rpc::Future<R>>>& remote,
@@ -51,15 +52,17 @@ void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
       results[i] = future.get(self);
     } catch (const HclError& e) {
       Status failure(e.code(), e.what());
-      try {
-        rpc::Future<R> again = rescue(i, failure);
-        if (again.valid()) {
-          results[i] = again.get(self);
-          post(i, again, true);
-          continue;
+      if (failure.code() == StatusCode::kUnavailable) {
+        try {
+          rpc::Future<R> again = rescue(i);
+          if (again.valid()) {
+            results[i] = again.get(self);
+            post(i, again, true);
+            continue;
+          }
+        } catch (const HclError&) {
+          // Not rescued: the original failure stands.
         }
-      } catch (const HclError&) {
-        // Not rescued: the original failure stands.
       }
       ok = false;
       if (statuses == nullptr) {

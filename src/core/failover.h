@@ -1,0 +1,420 @@
+// Shared failover and transaction-participant layer for both container cores
+// (DESIGN.md §5f/§5h): the client failover route, the failover state and its
+// repair pass, the txn participant legs, and move charging — written once.
+//
+// A core describes one of its partitions to this layer as a *lane*, a small
+// value with five members:
+//
+//   sim::NodeId node() const            the primary's node
+//   std::tuple<...> prefix() const      wire arguments the primary stubs take
+//                                       ahead of the op's own ((p) for a map
+//                                       partition, () for a queue)
+//   std::optional<Standby<...>> standby() const
+//                                       the live standby and its twins' wire
+//                                       prefix, or none
+//   void repair(sim::Actor&) const      run the core's repair pass
+//   void sending(sim::Actor&) const     hook before each routed send (the
+//                                       map opens its cache write window)
+//
+// Nothing here knows which core called it; a queue is a one-partition caller
+// of the same code. Wire shapes, intent codecs and record formats stay with
+// the cores.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/status.h"
+#include "core/context.h"
+#include "rpc/batch.h"
+#include "rpc/engine.h"
+#include "txn/txn.h"
+
+namespace hcl::core {
+
+/// A live standby as this layer addresses it: its node and the wire prefix
+/// its failover twins take ahead of the op's own arguments.
+template <typename... Prefix>
+struct Standby {
+  sim::NodeId node;
+  std::tuple<Prefix...> prefix;
+};
+
+/// The target of one routed call: the lane's live standby, or none for the
+/// primary.
+template <typename Lane>
+using StandbyOf = decltype(std::declval<const Lane&>().standby());
+
+/// Call `fn(node, id, prefix...)` for `op` at its target: the failover
+/// twin on the standby `to`, or the primary.
+template <typename Lane, typename Fn>
+auto at(const Lane& lane, const StandbyOf<Lane>& to, const Twins& op,
+        Fn&& fn) {
+  if (to) {
+    return std::apply(
+        [&](const auto&... pre) { return fn(to->node, op.standby, pre...); },
+        to->prefix);
+  }
+  return std::apply(
+      [&](const auto&... pre) { return fn(lane.node(), op.primary, pre...); },
+      lane.prefix());
+}
+
+/// Ship `op` to the primary, or its failover twin to the standby `to`.
+template <typename R, typename Lane, typename... Args>
+rpc::Future<R> send(rpc::Engine& engine, sim::Actor& self, const Lane& lane,
+                    const StandbyOf<Lane>& to, const Twins& op,
+                    const Args&... args) {
+  return at(lane, to, op, [&](sim::NodeId node, rpc::FuncId id,
+                              const auto&... pre) {
+    return to ? engine.template async_invoke_failover<R>(self, node, id,
+                                                         pre..., args...)
+              : engine.template async_invoke<R>(self, node, id, pre...,
+                                                args...);
+  });
+}
+
+/// send() into a bundle: the same target choice, shipped by `batcher`.
+template <typename R, typename Lane, typename... Args>
+rpc::Future<R> enqueue(rpc::Batcher& batcher, sim::Actor& self,
+                       const Lane& lane, const StandbyOf<Lane>& to,
+                       const Twins& op, const Args&... args) {
+  return at(lane, to, op, [&](sim::NodeId node, rpc::FuncId id,
+                              const auto&... pre) {
+    return batcher.template enqueue<R>(self, node, id, pre..., args...);
+  });
+}
+
+/// Repair a rejoined primary and clear its stale route mark.
+template <typename Lane>
+void rejoin(Context& ctx, sim::Actor& self, const Lane& lane) {
+  lane.repair(self);
+  ctx.rpc().route().mark_up(lane.node());
+}
+
+/// Eager recovery point: rejoin the primary unless it is still down.
+template <typename Lane>
+void heal(Context& ctx, sim::Actor& self, const Lane& lane) {
+  if (!ctx.fabric().node_down(lane.node())) rejoin(ctx, self, lane);
+}
+
+/// The routed call every remote scalar op makes: count it, send it, hand
+/// the future to `done`. A rejoined primary is repaired and unmarked first;
+/// then the primary is tried unless route-marked down. On kUnavailable with
+/// the fabric confirming the node dead, it is marked and the op reroutes to
+/// the standby exactly once; the standby's kFailedPrecondition (the primary
+/// rejoined between our check and the stub running) loops back once to
+/// repair and retry.
+template <typename R, typename Lane, typename Done, typename... Args>
+auto routed(Context& ctx, sim::Actor& self, const Lane& lane, const Twins& op,
+            Done&& done, const Args&... args) {
+  auto call = [&](const StandbyOf<Lane>& to) {
+    ctx.op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+    lane.sending(self);
+    auto future = send<R>(ctx.rpc(), self, lane, to, op, args...);
+    return done(future);
+  };
+  auto& route = ctx.rpc().route();
+  for (int round = 0;; ++round) {
+    if (route.is_down(lane.node()) && !ctx.fabric().node_down(lane.node())) {
+      rejoin(ctx, self, lane);
+    }
+    if (!route.is_down(lane.node())) {
+      try {
+        return call(std::nullopt);
+      } catch (const HclError& e) {
+        if (round > 0 || e.code() != StatusCode::kUnavailable ||
+            !ctx.fabric().node_down(lane.node())) {
+          throw;
+        }
+      }
+    }
+    const auto to = lane.standby();
+    if (!to) {
+      throw HclError(Status::Unavailable("primary down and no live standby"));
+    }
+    route.mark_down(lane.node());
+    try {
+      return call(to);
+    } catch (const HclError& e) {
+      if (round > 0 || e.code() != StatusCode::kFailedPrecondition) throw;
+    }
+  }
+}
+
+/// The batch paths' route, decided at enqueue time: the live standby while
+/// the primary is marked down and dead, else the primary (repairing it
+/// first when a stale route mark outlived a rejoin).
+template <typename Lane>
+StandbyOf<Lane> batch_route(Context& ctx, sim::Actor& self, const Lane& lane) {
+  if (ctx.rpc().route().is_down(lane.node())) {
+    if (ctx.fabric().node_down(lane.node())) return lane.standby();
+    rejoin(ctx, self, lane);
+  }
+  return std::nullopt;
+}
+
+/// settle_batch's rescue for an op that failed kUnavailable: when its
+/// primary genuinely died under the bundle, mark it in the route table and
+/// re-issue the op to the live standby. An invalid future (a transient
+/// fault, or no live standby) lets the op's failure stand.
+template <typename R, typename Lane, typename... Args>
+rpc::Future<R> rescue(Context& ctx, sim::Actor& self, const Lane& lane,
+                      const Twins& op, const Args&... args) {
+  if (!ctx.fabric().node_down(lane.node())) return {};
+  const auto to = lane.standby();
+  if (!to) return {};
+  ctx.rpc().route().mark_down(lane.node());
+  return send<R>(ctx.rpc(), self, lane, to, op, args...);
+}
+
+/// One partition's failover state: the promotion flag and term, the fenced
+/// epoch stream the promoted standby publishes, and the journal of ops it
+/// accepted while the primary was down. Mutated only under `mutex` — and the
+/// repair pass holds it ACROSS its replay RPC, so late failover writes and
+/// the journal drain serialize instead of racing.
+template <typename Record>
+struct FailoverState {
+  std::mutex mutex;
+  bool promoted = false;
+  std::uint64_t term = 0;
+  std::uint64_t epoch = 0;
+  std::vector<Record> journal;
+
+  /// Enter the standby side (`mutex` stays held by the returned lock).
+  /// Failover twins serve ONLY while the primary is down; if it is back,
+  /// kFailedPrecondition(`refusal`) — non-retryable, so the engine surfaces
+  /// it at once — sends the client to repair and retry. Checked under the
+  /// mutex, closing the race where a late failover write would append to a
+  /// journal the repair pass already drained. The first entry promotes: new
+  /// term, and the epoch stream is fenced at (term << 32) — a value
+  /// dominating any epoch the primary ever published (per-op increments
+  /// never approach 2^32) — so leases taken on the primary's stream go stale
+  /// instead of serving pre-failover values (ReadCache::fence_partition).
+  [[nodiscard]] std::unique_lock<std::mutex> enter_standby(
+      const fabric::Fabric& fabric, sim::NodeId primary, const char* refusal) {
+    std::unique_lock<std::mutex> guard(mutex);
+    if (!fabric.node_down(primary)) {
+      throw HclError(Status::FailedPrecondition(refusal));
+    }
+    if (!promoted) {
+      promoted = true;
+      ++term;
+      epoch = std::max(epoch, term << 32);
+    }
+    return guard;
+  }
+
+  /// Anti-entropy repair: replay the journal into the lane's rejoined
+  /// primary as ONE repair RPC to stub `id`, whose arguments after its prefix
+  /// are `wire(delta, fence)` (a tuple); `adopted(epoch)` then sees the
+  /// epoch the primary adopted. Racing repairers serialize on the mutex
+  /// (losers see no promotion and return). On failure (the primary died
+  /// again) the journal and promotion flag are restored for a later pass.
+  template <typename Lane, typename Wire, typename Adopted>
+  void repair(Context& ctx, sim::Actor& self, const Lane& lane, rpc::FuncId id,
+              Wire&& wire, Adopted&& adopted) {
+    std::lock_guard<std::mutex> guard(mutex);
+    if (!promoted) return;
+    std::vector<Record> delta;
+    delta.swap(journal);
+    promoted = false;
+    try {
+      ctx.op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+      auto future = std::apply(
+          [&](const auto&... args) {
+            return ctx.rpc().template async_invoke_repair<std::uint64_t>(
+                self, lane.node(), id, args...);
+          },
+          std::tuple_cat(lane.prefix(), wire(delta, term << 32)));
+      (void)future.get(self);
+      adopted(future.response_epoch());
+    } catch (...) {
+      promoted = true;
+      journal = std::move(delta);
+      throw;
+    }
+  }
+
+  /// Diagnostics: is the standby promoted, and how many ops await repair?
+  [[nodiscard]] bool is_promoted() {
+    std::lock_guard<std::mutex> guard(mutex);
+    return promoted;
+  }
+  [[nodiscard]] std::size_t backlog() {
+    std::lock_guard<std::mutex> guard(mutex);
+    return journal.size();
+  }
+};
+
+/// Bulk-path charging and observability for a completed move (DESIGN.md
+/// §5g): a read at the source, one wire transfer, a write at the
+/// destination (migration bytes never ride the op path), migration
+/// counters on the destination NIC, and a client-side kMigration span (no
+/// server stages — the move runs on the initiating rank).
+inline void charge_move(Context& ctx, const ContainerOptions& options,
+                        sim::Actor& self, sim::NodeId src, sim::NodeId dst,
+                        std::int64_t items, std::int64_t bytes,
+                        sim::Nanos start) {
+  sim::Nanos t = ctx.fabric().local_read(src, start, bytes);
+  if (src != dst) t += ctx.model().wire_time(bytes);
+  t = ctx.fabric().local_write(dst, t, bytes);
+  self.advance_to(t);
+  auto& counters = ctx.fabric().nic(dst).counters();
+  counters.migrations.fetch_add(1, std::memory_order_relaxed);
+  counters.migrated_keys.fetch_add(items, std::memory_order_relaxed);
+  counters.migrated_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  if (src != dst) counters.record_packets(t, ctx.model().packets(bytes), bytes);
+  obs::Tracer* tracer =
+      options.trace.enabled ? ctx.tracer_if_enabled() : nullptr;
+  if (tracer == nullptr) return;
+  auto span = std::make_shared<obs::Span>();
+  span->kind = obs::SpanKind::kMigration;
+  span->target = dst;
+  span->client_rank = self.rank();
+  span->issue_ns = start;
+  span->inject_done_ns = start;
+  span->arrival_ns = start;
+  span->ready_ns = self.now();
+  tracer->commit(span);
+}
+
+/// The transaction-participant legs both cores share (DESIGN.md §5h), for
+/// one lane. A core derives its participant from this, stages intents,
+/// enqueues its own prepare (its wire shape) and may hook the commit.
+template <typename Lane>
+class Participant : public txn::ParticipantBase {
+ public:
+  /// `commit` is the commit stub and its failover twin; `abort` pairs the
+  /// primary's abort stub with the standby's fo_txn_abort, which drops the
+  /// records prepare staged there without promoting it.
+  Participant(Context& ctx, Lane lane, const Twins& commit, const Twins& abort)
+      : ctx_(&ctx), lane_(lane), commit_op_(commit), abort_op_(abort) {}
+
+  Status settle_prepare(sim::Actor& self) override {
+    if (node_down_) return Status::Unavailable("txn: participant node is down");
+    const Status st = prepare_.wait(self);
+    if (st.ok() || st.code() == StatusCode::kAborted) return st;
+    if (st.code() == StatusCode::kUnavailable &&
+        ctx_->fabric().node_down(lane_.node())) {
+      return st;  // died mid-prepare: fail fast
+    }
+    // Transient transport failure (lost bundle, injected fault): the slot
+    // MAY be held server-side without us knowing — the coordinator aborts
+    // every participant before retrying, which clears it.
+    return Status::Aborted(st.to_string());
+  }
+
+  void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
+                      std::uint64_t txn_id) override {
+    ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+    commit_ = enqueue_at_primary(self, batch, commit_op_.primary, txn_id);
+  }
+
+  /// Commit is idempotent server-side, so transient failures re-invoke
+  /// directly; a primary that died after prepare-ack reroutes to the
+  /// commit's failover twin, which replays the records prepare staged on
+  /// the standby.
+  Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
+    for (int round = 0; round < 4; ++round) {
+      try {
+        const std::uint64_t epoch =
+            round == 0 && prepare_.valid() && commit_.valid()
+                ? commit_.get(self)
+                : send<std::uint64_t>(ctx_->rpc(), self, lane_, std::nullopt,
+                                      commit_op_, txn_id)
+                      .get(self);
+        committed(self, epoch);
+        return Status::Ok();
+      } catch (const HclError& e) {
+        if (e.code() == StatusCode::kUnavailable &&
+            ctx_->fabric().node_down(lane_.node())) {
+          return commit_failover(self, txn_id);
+        }
+        if (round == 3) return Status(e.code(), e.what());
+      }
+    }
+    return Status::Internal("txn commit: unreachable");
+  }
+
+  /// With the primary dead, the abort goes to the live standby so a later
+  /// promotion cannot replay this txn's staged records.
+  void send_abort(sim::Actor& self, std::uint64_t txn_id) noexcept override {
+    try {
+      StandbyOf<Lane> to;
+      if (ctx_->fabric().node_down(lane_.node())) {
+        to = lane_.standby();
+        if (!to) return;
+      }
+      (void)send<bool>(ctx_->rpc(), self, lane_, to, abort_op_, txn_id)
+          .get(self);
+    } catch (...) {
+      // Best effort: a slot left held is cleared by the repair pass
+      // (presumed abort) once the fault heals.
+    }
+  }
+
+ protected:
+  /// The commit applied; `epoch` is the epoch its response carried.
+  virtual void committed(sim::Actor&, std::uint64_t) {}
+
+  /// Enqueue the prepare stub `id` with `args` after the lane's prefix; a
+  /// primary already down fails fast in settle_prepare instead.
+  template <typename... Args>
+  void enqueue_prepare_call(sim::Actor& self, rpc::Batcher& batch,
+                            rpc::FuncId id, const Args&... args) {
+    if (ctx_->fabric().node_down(lane_.node())) {
+      node_down_ = true;
+      return;
+    }
+    ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+    prepare_ = enqueue_at_primary(self, batch, id, args...);
+  }
+
+  Context* ctx_;
+  Lane lane_;
+
+ private:
+  template <typename... Args>
+  rpc::Future<std::uint64_t> enqueue_at_primary(sim::Actor& self,
+                                                rpc::Batcher& batch,
+                                                rpc::FuncId id,
+                                                const Args&... args) {
+    return std::apply(
+        [&](const auto&... pre) {
+          return batch.template enqueue<std::uint64_t>(self, lane_.node(), id,
+                                                       pre..., args...);
+        },
+        lane_.prefix());
+  }
+
+  Status commit_failover(sim::Actor& self, std::uint64_t txn_id) {
+    const auto to = lane_.standby();
+    if (!to) {
+      return Status::Unavailable("txn commit: primary down, no live standby");
+    }
+    ctx_->rpc().route().mark_down(lane_.node());
+    try {
+      committed(self, send<std::uint64_t>(ctx_->rpc(), self, lane_, to,
+                                          commit_op_, txn_id)
+                          .get(self));
+      return Status::Ok();
+    } catch (const HclError& e) {
+      return Status(e.code(), e.what());
+    }
+  }
+
+  Twins commit_op_;
+  Twins abort_op_;
+  rpc::Future<std::uint64_t> prepare_;
+  rpc::Future<std::uint64_t> commit_;
+  bool node_down_ = false;
+};
+
+}  // namespace hcl::core

@@ -18,6 +18,8 @@
 // With replication the standby mirrors the host and takes over while it is
 // down (DESIGN.md §5f); every op's server body is written once against a
 // serving side and bound twice, as its primary FuncId and failover twin.
+// Routing, failover state, repair and the txn participant legs come from
+// core/failover.h, for which the queue is a one-partition lane.
 #pragma once
 
 #include <algorithm>
@@ -27,11 +29,14 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/bulk.h"
 #include "core/context.h"
+#include "core/failover.h"
 #include "core/persist_log.h"
 #include "core/stores.h"
 #include "rpc/batch.h"
@@ -85,14 +90,15 @@ class HostedQueue {
   bool push(const T& value) {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
-      charge_local(self, bytes_of(value), /*write=*/true);
+      core::charge_local(*ctx_, self, node_, descent(true), bytes_of(value),
+                         /*write=*/true);
       apply_push(Side::kPrimary, value);
       mirror(Side::kPrimary, self.now(), LogOp::kPush, &value);
       return true;
     }
-    return routed<bool>(
-        self, push_, [&](rpc::Future<bool>& future) { return future.get(self); },
-        value);
+    return core::routed<bool>(
+        *ctx_, self, lane(), push_,
+        [&](rpc::Future<bool>& future) { return future.get(self); }, value);
   }
 
   /// Bulk push (Table I: F + L + E·W) — one invocation, E elements.
@@ -101,16 +107,17 @@ class HostedQueue {
     if (node_ == self.node()) {
       std::int64_t bytes = 0;
       for (const auto& v : values) bytes += bytes_of(v);
-      charge_local(self, bytes, /*write=*/true,
-                   static_cast<std::int64_t>(values.size()));
+      core::charge_local(*ctx_, self, node_, descent(true), bytes,
+                         /*write=*/true,
+                         static_cast<std::int64_t>(values.size()));
       for (const auto& v : values) {
         apply_push(Side::kPrimary, v);
         mirror(Side::kPrimary, self.now(), LogOp::kPush, &v);
       }
       return true;
     }
-    return routed<bool>(
-        self, push_bulk_,
+    return core::routed<bool>(
+        *ctx_, self, lane(), push_bulk_,
         [&](rpc::Future<bool>& future) { return future.get(self); }, values);
   }
 
@@ -127,7 +134,8 @@ class HostedQueue {
     if (statuses != nullptr) statuses->assign(values.size(), Status::Ok());
     if (node_ == self.node()) {
       for (std::size_t i = 0; i < values.size(); ++i) {
-        charge_local(self, bytes_of(values[i]), /*write=*/true);
+        core::charge_local(*ctx_, self, node_, descent(true),
+                           bytes_of(values[i]), /*write=*/true);
         apply_push(Side::kPrimary, values[i]);
         mirror(Side::kPrimary, self.now(), LogOp::kPush, &values[i]);
         results[i] = true;
@@ -139,36 +147,19 @@ class HostedQueue {
     // Routed once per call: the whole bundle takes the failover twin while
     // the host is marked down (repairing it first when a stale route mark
     // outlived a rejoin).
-    bool standby = false;
-    auto& route = ctx_->rpc().route();
-    if (route.is_down(node_)) {
-      if (ctx_->fabric().node_down(node_)) {
-        standby = standby_live();
-      } else {
-        repair(self);
-        route.mark_up(node_);
-      }
-    }
+    const Lane host = lane();
+    const auto to = core::batch_route(*ctx_, self, host);
     std::vector<std::pair<std::size_t, rpc::Future<bool>>> remote;
     remote.reserve(values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
       remote.emplace_back(
-          i, batcher.enqueue<bool>(self, standby ? standby_node_ : node_,
-                                   standby ? push_.standby : push_.primary,
-                                   values[i]));
+          i, core::enqueue<bool>(batcher, self, host, to, push_, values[i]));
     }
     core::settle_batch(
         ctx_->op_stats(), batcher, self, remote, results, statuses,
         [](std::size_t, const rpc::Future<bool>&, bool) {},
-        [&](std::size_t i, const Status& st) -> rpc::Future<bool> {
-          // Mid-bundle rescue (DESIGN.md §5f): when the host died under the
-          // bundle, re-issue the element against the live standby.
-          if (st.code() != StatusCode::kUnavailable ||
-              !ctx_->fabric().node_down(node_) || !standby_live()) {
-            return {};
-          }
-          route.mark_down(node_);
-          return send<bool>(self, /*standby=*/true, push_, values[i]);
+        [&](std::size_t i) {
+          return core::rescue<bool>(*ctx_, self, host, push_, values[i]);
         });
     return results;
   }
@@ -179,13 +170,14 @@ class HostedQueue {
     if (node_ == self.node()) {
       T tmp{};
       const bool ok = apply_pop(Side::kPrimary, &tmp);
-      charge_local(self, ok ? bytes_of(tmp) : 8, /*write=*/false);
+      core::charge_local(*ctx_, self, node_, descent(false),
+                         ok ? bytes_of(tmp) : 8, /*write=*/false);
       if (ok) mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
       if (ok && out != nullptr) *out = std::move(tmp);
       return ok;
     }
-    return routed<std::optional<T>>(
-        self, pop_, [&](rpc::Future<std::optional<T>>& future) {
+    return core::routed<std::optional<T>>(
+        *ctx_, self, lane(), pop_, [&](rpc::Future<std::optional<T>>& future) {
           auto result = future.get(self);
           if (!result.has_value()) return false;
           if (out != nullptr) *out = std::move(*result);
@@ -205,12 +197,13 @@ class HostedQueue {
         mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
         out->push_back(std::move(tmp));
       }
-      charge_local(self, bytes > 0 ? bytes : 8, /*write=*/false,
-                   static_cast<std::int64_t>(out->size() - before));
+      core::charge_local(*ctx_, self, node_, descent(false),
+                         bytes > 0 ? bytes : 8, /*write=*/false,
+                         static_cast<std::int64_t>(out->size() - before));
       return out->size() - before;
     }
-    return routed<std::vector<T>>(
-        self, pop_bulk_,
+    return core::routed<std::vector<T>>(
+        *ctx_, self, lane(), pop_bulk_,
         [&](rpc::Future<std::vector<T>>& future) {
           auto got = future.get(self);
           const std::size_t n = got.size();
@@ -227,7 +220,8 @@ class HostedQueue {
   rpc::Future<bool> async_push(const T& value) {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
-      charge_local(self, bytes_of(value), /*write=*/true);
+      core::charge_local(*ctx_, self, node_, descent(true), bytes_of(value),
+                         /*write=*/true);
       apply_push(Side::kPrimary, value);
       mirror(Side::kPrimary, self.now(), LogOp::kPush, &value);
       return ctx_->rpc().template resolved_future<bool>(self, node_, true);
@@ -243,7 +237,8 @@ class HostedQueue {
     if (node_ == self.node()) {
       T tmp{};
       const bool ok = apply_pop(Side::kPrimary, &tmp);
-      charge_local(self, ok ? bytes_of(tmp) : 8, /*write=*/false);
+      core::charge_local(*ctx_, self, node_, descent(false),
+                         ok ? bytes_of(tmp) : 8, /*write=*/false);
       if (ok) mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
       return ctx_->rpc().template resolved_future<std::optional<T>>(
           self, node_, ok ? std::optional<T>(std::move(tmp)) : std::nullopt);
@@ -290,7 +285,8 @@ class HostedQueue {
         epoch = epoch_.load(std::memory_order_acquire);
         ok = impl_.peek_nth(k, &tmp);
       }
-      charge_local(self, ok ? bytes_of(tmp) : 8, /*write=*/false);
+      core::charge_local(*ctx_, self, node_, descent(false),
+                         ok ? bytes_of(tmp) : 8, /*write=*/false);
       part.note_epoch(self, epoch);
       if (!ok) return false;
       part.stage(LogOp::kPop, nullptr);
@@ -335,21 +331,11 @@ class HostedQueue {
   /// Eager recovery point (DESIGN.md §5f): replay the promoted standby's
   /// journal into the rejoined host and clear its stale route mark. No-op
   /// while the host is still down or nothing is promoted.
-  void heal(sim::Actor& self) {
-    if (ctx_->fabric().node_down(node_)) return;
-    repair(self);
-    ctx_->rpc().route().mark_up(node_);
-  }
+  void heal(sim::Actor& self) { core::heal(*ctx_, self, lane()); }
 
   /// Failover diagnostics (DESIGN.md §5f).
-  [[nodiscard]] bool promoted() {
-    std::lock_guard<std::mutex> guard(fo_mutex_);
-    return fo_promoted_;
-  }
-  [[nodiscard]] std::size_t repair_backlog() {
-    std::lock_guard<std::mutex> guard(fo_mutex_);
-    return fo_journal_.size();
-  }
+  [[nodiscard]] bool promoted() { return fo_.is_promoted(); }
+  [[nodiscard]] std::size_t repair_backlog() { return fo_.backlog(); }
   /// Elements mirrored onto the standby (diagnostics).
   [[nodiscard]] std::size_t mirror_size() const { return mirror_.size(); }
 
@@ -374,8 +360,8 @@ class HostedQueue {
       throw HclError(
           Status::FailedPrecondition("rebalance: queue host is down"));
     }
-    std::lock_guard<std::mutex> guard(fo_mutex_);
-    if (fo_promoted_) {
+    std::lock_guard<std::mutex> guard(fo_.mutex);
+    if (fo_.promoted) {
       throw HclError(Status::FailedPrecondition(
           "rebalance: queue promoted; heal() first"));
     }
@@ -398,27 +384,8 @@ class HostedQueue {
     // The move is a mutation: staged-but-unprepared transactions that read
     // the old home must fail validation rather than commit across it.
     epoch_.fetch_add(1, std::memory_order_release);
-    sim::Nanos t = ctx_->fabric().local_read(src, start, bytes);
-    t += ctx_->model().wire_time(bytes);
-    t = ctx_->fabric().local_write(node_, t, bytes);
-    self.advance_to(t);
-    auto& counters = ctx_->fabric().nic(node_).counters();
-    counters.migrations.fetch_add(1, std::memory_order_relaxed);
-    counters.migrated_keys.fetch_add(elements, std::memory_order_relaxed);
-    counters.migrated_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    counters.record_packets(t, ctx_->model().packets(bytes), bytes);
-    if (obs::Tracer* tracer =
-            options_.trace.enabled ? ctx_->tracer_if_enabled() : nullptr) {
-      auto span = std::make_shared<obs::Span>();
-      span->kind = obs::SpanKind::kMigration;
-      span->target = node_;
-      span->client_rank = self.rank();
-      span->issue_ns = start;
-      span->inject_done_ns = start;
-      span->arrival_ns = start;
-      span->ready_ns = self.now();
-      tracer->commit(span);
-    }
+    core::charge_move(*ctx_, options_, self, src, node_, elements, bytes,
+                      start);
     return true;
   }
 
@@ -454,69 +421,18 @@ class HostedQueue {
     return write ? impl_.descent(ctx_->model()) : core::Descent{};
   }
 
-  void charge_local(sim::Actor& self, std::int64_t bytes, bool write,
-                    std::int64_t elements = 1) {
-    auto& stats = ctx_->op_stats();
-    const core::Descent d = descent(write);
-    stats.local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-    const auto& m = ctx_->model();
-    if (write) {
-      stats.local_writes.fetch_add(elements, std::memory_order_relaxed);
-      self.advance_to(ctx_->fabric().local_write(
-          node_, self.now() + m.mem_insert_base_ns + d.ns, bytes));
-    } else {
-      stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
-      self.advance_to(ctx_->fabric().local_read(
-          node_, self.now() + m.mem_find_base_ns + d.ns, bytes));
-    }
-  }
-
-  sim::Nanos charge_server(rpc::ServerCtx& sctx, std::int64_t bytes, bool write,
-                           std::int64_t elements = 1) {
-    auto& stats = ctx_->op_stats();
-    const core::Descent d = descent(write);
-    stats.local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-    const auto& m = ctx_->model();
-    // Table I's bulk shape F + L + E·W: inside a coalesced bundle only the
-    // first constituent pays the structure-op base term.
-    if (write) {
-      stats.local_writes.fetch_add(elements, std::memory_order_relaxed);
-      const sim::Nanos base = sctx.batch_index == 0 ? m.mem_insert_base_ns : 0;
-      sctx.finish =
-          ctx_->fabric().local_write(sctx.node, sctx.start + base + d.ns, bytes);
-    } else {
-      stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
-      const sim::Nanos base = sctx.batch_index == 0 ? m.mem_find_base_ns : 0;
-      sctx.finish =
-          ctx_->fabric().local_read(sctx.node, sctx.start + base + d.ns, bytes);
-    }
-    return sctx.finish;
-  }
-
   // ---- serving sides (DESIGN.md §5f) ---------------------------------
 
   /// Where one queue op executes. The primary side is the host: impl_, the
   /// persist journal and epoch_, mirrored onto the standby. The standby
-  /// side is entered under fo_mutex_ once the host is confirmed down and
-  /// the mirror promoted (enter_standby): mirror_ plus the failover journal
-  /// the repair pass replays; it keeps no epoch and never mirrors.
+  /// side is entered under fo_.mutex once the host is confirmed down and
+  /// the mirror promoted (FailoverState::enter_standby): mirror_ plus the
+  /// failover journal the repair pass replays; it keeps no epoch and never
+  /// mirrors.
   enum class Side : std::uint8_t { kPrimary, kStandby };
 
   [[nodiscard]] Store& store(Side s) {
     return s == Side::kStandby ? mirror_ : impl_;
-  }
-
-  /// Enter the standby side (fo_mutex_ stays held by the returned lock):
-  /// refuse with kFailedPrecondition while the host is up — the client
-  /// repairs and retries — and promote the mirror on first use.
-  [[nodiscard]] std::unique_lock<std::mutex> enter_standby() {
-    std::unique_lock<std::mutex> guard(fo_mutex_);
-    if (!ctx_->fabric().node_down(node_)) {
-      throw HclError(
-          Status::FailedPrecondition("queue host is up; repair and retry"));
-    }
-    fo_promoted_ = true;
-    return guard;
   }
 
   void apply_push(Side s, const T& value) {
@@ -537,7 +453,7 @@ class HostedQueue {
   /// or the failover journal (standby).
   void record(Side s, LogOp op, const T* value) {
     if (s == Side::kStandby) {
-      fo_journal_.push_back(FoRecord{op, value != nullptr ? *value : T{}});
+      fo_.journal.push_back(FoRecord{op, value != nullptr ? *value : T{}});
       return;
     }
     if (log_ != nullptr) {
@@ -606,9 +522,32 @@ class HostedQueue {
   [[nodiscard]] bool has_standby() const noexcept {
     return options_.replication >= 1 && standby_node_ != node_;
   }
-  [[nodiscard]] bool standby_live() const {
-    return has_standby() && !ctx_->fabric().node_down(standby_node_);
-  }
+
+  /// The queue's one partition as core/failover.h routes it: the host, the
+  /// mirror while it is live, and the repair pass (the repair stub takes
+  /// the journal alone).
+  struct Lane {
+    HostedQueue* owner;
+    [[nodiscard]] sim::NodeId node() const { return owner->node_; }
+    [[nodiscard]] std::tuple<> prefix() const { return {}; }
+    [[nodiscard]] std::optional<core::Standby<>> standby() const {
+      if (!owner->has_standby() ||
+          owner->ctx_->fabric().node_down(owner->standby_node_)) {
+        return std::nullopt;
+      }
+      return core::Standby<>{owner->standby_node_, {}};
+    }
+    void repair(sim::Actor& self) const {
+      owner->fo_.repair(
+          *owner->ctx_, self, *this, owner->repair_id_,
+          [](const std::vector<FoRecord>& delta, std::uint64_t) {
+            return std::make_tuple(encode_intents(delta));
+          },
+          [](std::uint64_t) {});
+    }
+    void sending(sim::Actor&) const {}
+  };
+  [[nodiscard]] Lane lane() { return Lane{this}; }
 
   /// Mirror one primary-side op onto the standby; the standby side never
   /// mirrors.
@@ -619,81 +558,6 @@ class HostedQueue {
                                 *value);
     } else {
       ctx_->rpc().server_invoke(node_, standby_node_, ready, replica_pop_id_);
-    }
-  }
-
-  /// Ship op to the host, or its failover twin to the standby.
-  template <typename R, typename... Args>
-  rpc::Future<R> send(sim::Actor& self, bool standby, const core::Twins& op,
-                      const Args&... args) {
-    if (standby) {
-      return ctx_->rpc().template async_invoke_failover<R>(
-          self, standby_node_, op.standby, args...);
-    }
-    return ctx_->rpc().template async_invoke<R>(self, node_, op.primary,
-                                                args...);
-  }
-
-  /// The routed call every remote op makes (same flow as the maps'): count
-  /// it, send it, hand the future to `done`. A rejoined host is repaired
-  /// and unmarked first; on kUnavailable with the fabric confirming the
-  /// host dead, it is marked and the op reroutes to the standby exactly
-  /// once; the standby's kFailedPrecondition (the host rejoined meanwhile)
-  /// loops back once to repair and retry.
-  template <typename R, typename Done, typename... Args>
-  auto routed(sim::Actor& self, const core::Twins& op, Done&& done,
-              const Args&... args) {
-    auto call = [&](bool standby) {
-      ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
-      auto future = send<R>(self, standby, op, args...);
-      return done(future);
-    };
-    auto& route = ctx_->rpc().route();
-    for (int round = 0;; ++round) {
-      if (route.is_down(node_) && !ctx_->fabric().node_down(node_)) {
-        repair(self);
-        route.mark_up(node_);
-      }
-      if (!route.is_down(node_)) {
-        try {
-          return call(false);
-        } catch (const HclError& e) {
-          if (round > 0 || e.code() != StatusCode::kUnavailable ||
-              !ctx_->fabric().node_down(node_)) {
-            throw;
-          }
-        }
-      }
-      if (!standby_live()) {
-        throw HclError(Status::Unavailable("queue host down and no live standby"));
-      }
-      route.mark_down(node_);
-      try {
-        return call(true);
-      } catch (const HclError& e) {
-        if (round > 0 || e.code() != StatusCode::kFailedPrecondition) throw;
-      }
-    }
-  }
-
-  /// Anti-entropy repair: replay the promoted journal into the rejoined
-  /// host as ONE repair RPC. fo_mutex_ is held across the RPC so racing
-  /// repairers serialize and failover twins cannot append mid-replay.
-  void repair(sim::Actor& self) {
-    std::lock_guard<std::mutex> guard(fo_mutex_);
-    if (!fo_promoted_) return;
-    std::vector<FoRecord> delta;
-    delta.swap(fo_journal_);
-    fo_promoted_ = false;
-    try {
-      ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
-      auto future = ctx_->rpc().template async_invoke_repair<std::uint64_t>(
-          self, node_, repair_id_, encode_intents(delta));
-      (void)future.get(self);
-    } catch (...) {
-      fo_promoted_ = true;
-      fo_journal_ = std::move(delta);
-      throw;
     }
   }
 
@@ -735,12 +599,14 @@ class HostedQueue {
     return recs;
   }
 
-  /// ParticipantBase implementation for the queue's single partition. The
-  /// intent list is an ordered log; see the public txn section for the
-  /// visibility contract.
-  class TxnParticipant : public txn::ParticipantBase {
+  /// The queue's participant: the shared legs (core::Participant) over its
+  /// one lane, plus staging. The intent list is an ordered log; see the
+  /// public txn section for the visibility contract.
+  class TxnParticipant : public core::Participant<Lane> {
    public:
-    explicit TxnParticipant(HostedQueue* owner) : owner_(owner) {}
+    explicit TxnParticipant(HostedQueue* owner)
+        : core::Participant<Lane>(*owner->ctx_, Lane{owner},
+                                  owner->txn_commit_, owner->txn_abort_) {}
 
     void stage(LogOp op, const T* value) {
       intents_.push_back(FoRecord{op, value != nullptr ? *value : T{}});
@@ -760,7 +626,7 @@ class HostedQueue {
       if (expected_epoch_ == txn::kBlindEpoch) {
         expected_epoch_ = epoch;
       } else if (expected_epoch_ != epoch) {
-        owner_->ctx_->fabric().nic(self.node()).counters().txn_abort_eager
+        this->ctx_->fabric().nic(self.node()).counters().txn_abort_eager
             .fetch_add(1, std::memory_order_relaxed);
         throw HclError(Status::Aborted("txn read: queue epoch moved"));
       }
@@ -768,79 +634,9 @@ class HostedQueue {
 
     void enqueue_prepare(sim::Actor& self, rpc::Batcher& batch,
                          std::uint64_t txn_id) override {
-      if (owner_->ctx_->fabric().node_down(owner_->node_)) {
-        node_down_ = true;  // settle_prepare fails fast
-        return;
-      }
-      owner_->ctx_->op_stats().remote_invocations.fetch_add(
-          1, std::memory_order_relaxed);
-      prepare_ = batch.template enqueue<std::uint64_t>(
-          self, owner_->node_, owner_->txn_prepare_id_, txn_id,
-          expected_epoch_, encode_intents(intents_));
-    }
-
-    Status settle_prepare(sim::Actor& self) override {
-      if (node_down_) {
-        return Status::Unavailable("txn: queue host is down");
-      }
-      const Status st = prepare_.wait(self);
-      if (st.ok() || st.code() == StatusCode::kAborted) return st;
-      if (st.code() == StatusCode::kUnavailable &&
-          owner_->ctx_->fabric().node_down(owner_->node_)) {
-        return st;  // died mid-prepare: fail fast
-      }
-      // Transient transport failure: the slot MAY be held server-side —
-      // the coordinator aborts every participant before retrying.
-      return Status::Aborted(st.to_string());
-    }
-
-    void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
-                        std::uint64_t txn_id) override {
-      owner_->ctx_->op_stats().remote_invocations.fetch_add(
-          1, std::memory_order_relaxed);
-      commit_ = batch.template enqueue<std::uint64_t>(
-          self, owner_->node_, owner_->txn_commit_.primary, txn_id);
-    }
-
-    Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
-      for (int round = 0; round < 4; ++round) {
-        try {
-          (void)(round == 0 && prepare_.valid() && commit_.valid()
-                     ? commit_.get(self)
-                     : owner_->template send<std::uint64_t>(
-                                  self, /*standby=*/false, owner_->txn_commit_,
-                                  txn_id)
-                           .get(self));
-          return Status::Ok();
-        } catch (const HclError& e) {
-          if (e.code() == StatusCode::kUnavailable &&
-              owner_->ctx_->fabric().node_down(owner_->node_)) {
-            return commit_failover(self, txn_id);
-          }
-          if (round == 3) return Status(e.code(), e.what());
-        }
-      }
-      return Status::Internal("txn commit: unreachable");
-    }
-
-    void send_abort(sim::Actor& self, std::uint64_t txn_id) noexcept override {
-      try {
-        if (owner_->ctx_->fabric().node_down(owner_->node_)) {
-          if (owner_->standby_live()) {
-            auto future =
-                owner_->ctx_->rpc().template async_invoke_failover<bool>(
-                    self, owner_->standby_node_, owner_->fo_txn_abort_id_,
-                    txn_id);
-            (void)future.get(self);
-          }
-          return;
-        }
-        auto future = owner_->ctx_->rpc().template async_invoke<bool>(
-            self, owner_->node_, owner_->txn_abort_id_, txn_id);
-        (void)future.get(self);
-      } catch (...) {
-        // Best effort: a slot left held is cleared by the repair pass.
-      }
+      this->enqueue_prepare_call(self, batch,
+                                 this->lane_.owner->txn_prepare_id_, txn_id,
+                                 expected_epoch_, encode_intents(intents_));
     }
 
     [[nodiscard]] std::shared_mutex* latch() const noexcept override {
@@ -848,29 +644,8 @@ class HostedQueue {
     }
 
    private:
-    Status commit_failover(sim::Actor& self, std::uint64_t txn_id) {
-      if (!owner_->standby_live()) {
-        return Status::Unavailable("txn commit: queue host down, no standby");
-      }
-      owner_->ctx_->rpc().route().mark_down(owner_->node_);
-      try {
-        (void)owner_->template send<std::uint64_t>(self, /*standby=*/true,
-                                                   owner_->txn_commit_, txn_id)
-            .get(self);
-        return Status::Ok();
-      } catch (const HclError& e) {
-        return Status(e.code(), e.what());
-      }
-    }
-
-    friend class HostedQueue;
-
-    HostedQueue* owner_;
     std::uint64_t expected_epoch_ = txn::kBlindEpoch;
     std::vector<FoRecord> intents_;
-    rpc::Future<std::uint64_t> prepare_;
-    rpc::Future<std::uint64_t> commit_;
-    bool node_down_ = false;
   };
 
   TxnParticipant& participant(txn::Txn& t) {
@@ -891,7 +666,8 @@ class HostedQueue {
         });
     op.standby = engine.bind<R, Args...>(
         [this, body](rpc::ServerCtx& sctx, const Args&... args) {
-          const auto guard = enter_standby();
+          const auto guard = fo_.enter_standby(
+              ctx_->fabric(), node_, "queue host is up; repair and retry");
           return body(sctx, Side::kStandby, args...);
         });
     return op;
@@ -927,7 +703,8 @@ class HostedQueue {
     auto& engine = ctx_->rpc();
     push_ = bind_twins<bool, T>(
         [this](rpc::ServerCtx& sctx, Side s, const T& value) {
-          charge_server(sctx, bytes_of(value), /*write=*/true);
+          core::charge_server(*ctx_, sctx, descent(true), bytes_of(value),
+                              /*write=*/true);
           apply_push(s, value);
           mirror(s, sctx.finish, LogOp::kPush, &value);
           return true;
@@ -936,8 +713,8 @@ class HostedQueue {
         [this](rpc::ServerCtx& sctx, Side s, const std::vector<T>& values) {
           std::int64_t bytes = 0;
           for (const auto& v : values) bytes += bytes_of(v);
-          charge_server(sctx, bytes, /*write=*/true,
-                        static_cast<std::int64_t>(values.size()));
+          core::charge_server(*ctx_, sctx, descent(true), bytes, /*write=*/true,
+                              static_cast<std::int64_t>(values.size()));
           for (const auto& v : values) {
             apply_push(s, v);
             mirror(s, sctx.finish, LogOp::kPush, &v);
@@ -947,7 +724,8 @@ class HostedQueue {
     pop_ = bind_twins<std::optional<T>>([this](rpc::ServerCtx& sctx, Side s) {
       T v{};
       const bool ok = apply_pop(s, &v);
-      charge_server(sctx, ok ? bytes_of(v) : 8, /*write=*/false);
+      core::charge_server(*ctx_, sctx, descent(false), ok ? bytes_of(v) : 8,
+                          /*write=*/false);
       if (ok) mirror(s, sctx.finish, LogOp::kPop, nullptr);
       return ok ? std::optional<T>(std::move(v)) : std::nullopt;
     });
@@ -960,8 +738,9 @@ class HostedQueue {
             bytes += bytes_of(v);
             got.push_back(std::move(v));
           }
-          charge_server(sctx, bytes > 0 ? bytes : 8, /*write=*/false,
-                        static_cast<std::int64_t>(got.size()));
+          core::charge_server(*ctx_, sctx, descent(false),
+                              bytes > 0 ? bytes : 8, /*write=*/false,
+                              static_cast<std::int64_t>(got.size()));
           for (std::size_t i = 0; i < got.size(); ++i) {
             mirror(s, sctx.finish, LogOp::kPop, nullptr);
           }
@@ -972,12 +751,13 @@ class HostedQueue {
     // executes inline on the issuing thread.
     replica_push_id_ =
         engine.bind<bool, T>([this](rpc::ServerCtx& sctx, const T& value) {
-          charge_server(sctx, bytes_of(value), /*write=*/true);
+          core::charge_server(*ctx_, sctx, descent(true), bytes_of(value),
+                              /*write=*/true);
           mirror_.push(value);
           return true;
         });
     replica_pop_id_ = engine.bind<bool>([this](rpc::ServerCtx& sctx) {
-      charge_server(sctx, 8, /*write=*/true);
+      core::charge_server(*ctx_, sctx, descent(true), 8, /*write=*/true);
       T scratch{};
       mirror_.pop(&scratch);
       return true;
@@ -988,8 +768,9 @@ class HostedQueue {
         [this](rpc::ServerCtx& sctx, const std::vector<std::byte>& blob) {
           const std::vector<FoRecord> delta = decode_intents(blob);
           apply_records(Side::kPrimary, delta, sctx.start, /*mirrored=*/false);
-          charge_server(sctx, 8 + record_bytes(delta), /*write=*/true,
-                        static_cast<std::int64_t>(delta.size()));
+          core::charge_server(*ctx_, sctx, descent(true),
+                              8 + record_bytes(delta), /*write=*/true,
+                              static_cast<std::int64_t>(delta.size()));
           // Presumed abort (§5h): intent state from before the crash is dead.
           {
             std::lock_guard<std::mutex> guard(txn_mutex_);
@@ -1014,7 +795,8 @@ class HostedQueue {
             epoch = epoch_.load(std::memory_order_acquire);
             ok = impl_.peek_nth(static_cast<std::size_t>(n), &tmp);
           }
-          charge_server(sctx, ok ? bytes_of(tmp) : 8, /*write=*/false);
+          core::charge_server(*ctx_, sctx, descent(false),
+                              ok ? bytes_of(tmp) : 8, /*write=*/false);
           sctx.epoch = epoch;
           return ok ? std::optional<T>(std::move(tmp)) : std::nullopt;
         });
@@ -1024,9 +806,9 @@ class HostedQueue {
             [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id,
                    const std::uint64_t& expected,
                    const std::vector<std::byte>& blob) {
-              const sim::Nanos ready = charge_server(
-                  sctx, static_cast<std::int64_t>(blob.size()) + 16,
-                  /*write=*/true);
+              const sim::Nanos ready = core::charge_server(
+                  *ctx_, sctx, descent(true),
+                  static_cast<std::int64_t>(blob.size()) + 16, /*write=*/true);
               const std::vector<FoRecord> intents = decode_intents(blob);
               std::size_t pops = 0;
               for (const FoRecord& rec : intents) {
@@ -1071,10 +853,12 @@ class HostedQueue {
           {
             std::lock_guard<std::mutex> guard(txn_mutex_);
             if (!take_intents(s, txn_id, &intents)) {
-              charge_server(sctx, 16, /*write=*/true);
+              core::charge_server(*ctx_, sctx, descent(true), 16,
+                                  /*write=*/true);
             } else {
-              charge_server(sctx, 16 + record_bytes(intents), /*write=*/true,
-                            static_cast<std::int64_t>(intents.size()));
+              core::charge_server(*ctx_, sctx, descent(true),
+                                  16 + record_bytes(intents), /*write=*/true,
+                                  static_cast<std::int64_t>(intents.size()));
               apply_records(s, in_commit_order(intents), sctx.finish,
                             /*mirrored=*/true);
             }
@@ -1088,9 +872,9 @@ class HostedQueue {
               s == Side::kPrimary ? epoch_.load(std::memory_order_acquire) : 0;
           return sctx.epoch;
         });
-    txn_abort_id_ = engine.bind<bool, std::uint64_t>(
+    txn_abort_.primary = engine.bind<bool, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          charge_server(sctx, 16, /*write=*/true);
+          core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
           bool held = false;
           {
             std::lock_guard<std::mutex> guard(txn_mutex_);
@@ -1112,8 +896,9 @@ class HostedQueue {
         engine.bind<bool, std::uint64_t, std::vector<std::byte>>(
             [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id,
                    const std::vector<std::byte>& blob) {
-              charge_server(sctx, static_cast<std::int64_t>(blob.size()),
-                            /*write=*/true);
+              core::charge_server(*ctx_, sctx, descent(true),
+                                  static_cast<std::int64_t>(blob.size()),
+                                  /*write=*/true);
               std::vector<FoRecord> intents = decode_intents(blob);
               std::lock_guard<std::mutex> guard(txn_mutex_);
               txn_staged_[txn_id] = std::move(intents);
@@ -1121,17 +906,17 @@ class HostedQueue {
             });
     replica_txn_resolve_id_ = engine.bind<bool, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          charge_server(sctx, 16, /*write=*/true);
+          core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
           std::lock_guard<std::mutex> guard(txn_mutex_);
           txn_staged_.erase(txn_id);
           return true;
         });
-    // The one failover stub without a shared body: dropping the records a
-    // prepare staged on the standby is not a failover write, so it never
-    // enters the standby side (no promotion).
-    fo_txn_abort_id_ = engine.bind<bool, std::uint64_t>(
+    // The abort's failover twin, without a shared body: dropping the
+    // records a prepare staged on the standby is not a failover write, so
+    // it never enters the standby side (no promotion).
+    txn_abort_.standby = engine.bind<bool, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          charge_server(sctx, 16, /*write=*/true);
+          core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
           // No promotion: dropping staged intents is not a failover write.
           std::lock_guard<std::mutex> guard(txn_mutex_);
           txn_staged_.erase(txn_id);
@@ -1142,8 +927,8 @@ class HostedQueue {
                   pop_bulk_.primary, pop_bulk_.standby,   replica_push_id_,
                   replica_pop_id_,   repair_id_,          txn_peek_id_,
                   txn_prepare_id_,   txn_commit_.primary, txn_commit_.standby,
-                  txn_abort_id_,     replica_txn_stage_id_,
-                  replica_txn_resolve_id_, fo_txn_abort_id_};
+                  txn_abort_.primary, replica_txn_stage_id_,
+                  replica_txn_resolve_id_, txn_abort_.standby};
     // Per-container shm opt-out (DESIGN.md §5i): route this queue's ops over
     // RDMA even when pod-local.
     if (!options_.shm.enabled) ctx_->shm_opt_out(bound_ids_);
@@ -1158,9 +943,7 @@ class HostedQueue {
   /// served by the failover twins while the host is down (DESIGN.md §5f).
   Store mirror_;
   std::unique_ptr<core::PersistLog> log_;
-  std::mutex fo_mutex_;
-  bool fo_promoted_ = false;
-  std::vector<FoRecord> fo_journal_;
+  core::FailoverState<FoRecord> fo_;
   /// Mutation epoch (DESIGN.md §5h): bumped by every applied push/pop and
   /// by migrate, validated by txn prepare against the read-time capture.
   std::atomic<std::uint64_t> epoch_{0};
@@ -1175,12 +958,12 @@ class HostedQueue {
   std::uint64_t last_committed_txn_ = 0;
   std::map<std::uint64_t, std::vector<FoRecord>> txn_staged_;
   /// Replicated ops: each primary FuncId and its failover twin, bound from
-  /// one server body (bind_twins).
-  core::Twins push_, push_bulk_, pop_, pop_bulk_, txn_commit_;
+  /// one server body (bind_twins); txn_abort_ pairs the host's abort with
+  /// the standby's fo_txn_abort.
+  core::Twins push_, push_bulk_, pop_, pop_bulk_, txn_commit_, txn_abort_;
   rpc::FuncId replica_push_id_ = 0, replica_pop_id_ = 0, repair_id_ = 0,
-              txn_peek_id_ = 0, txn_prepare_id_ = 0, txn_abort_id_ = 0,
-              replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0,
-              fo_txn_abort_id_ = 0;
+              txn_peek_id_ = 0, txn_prepare_id_ = 0,
+              replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0;
   std::vector<rpc::FuncId> bound_ids_;
 };
 

@@ -23,7 +23,9 @@
 //   * asynchronous server-side replication (§III.A.4), with failover to a
 //     promoted replica while a primary is down (DESIGN.md §5f): every
 //     replicated op's server body is written ONCE against a serving side
-//     and bound twice — its primary FuncId and its failover twin,
+//     and bound twice — its primary FuncId and its failover twin; routing,
+//     failover state, repair and the txn participant legs come from
+//     core/failover.h, one lane per partition,
 //   * per-operation durability through a memory-mapped journal (§III.C.6),
 //   * explicit per-partition resize (Table I),
 //   * registered *mutators* — named server-side read-modify-write functions
@@ -41,6 +43,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -50,6 +53,7 @@
 #include "common/hash.h"
 #include "core/bulk.h"
 #include "core/context.h"
+#include "core/failover.h"
 #include "core/persist_log.h"
 #include "core/stores.h"
 #include "rpc/batch.h"
@@ -149,14 +153,15 @@ class PartitionedMap {
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
-      charge_local_write(self, part, wire_bytes(key, value));
+      core::charge_local(*ctx_, self, part.node, descent(part),
+                         wire_bytes(key, value), /*write=*/true);
       const Side s = primary_side(p);
       const bool ok = apply_insert(s, key, value, self.now());
       if (ok) replicate(s, self.now(), LogOp::kUpsert, key, &value);
       return ok;
     }
-    return routed<bool>(
-        self, p, insert_, /*write=*/true,
+    return core::routed<bool>(
+        *ctx_, self, lane(p, &key), insert_,
         [&](rpc::Future<bool>& future) {
           const bool ok = future.get(self);
           // A rejected insert leaves someone else's value in place:
@@ -176,14 +181,15 @@ class PartitionedMap {
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
-      charge_local_write(self, part, wire_bytes(key, value));
+      core::charge_local(*ctx_, self, part.node, descent(part),
+                         wire_bytes(key, value), /*write=*/true);
       const Side s = primary_side(p);
       const bool fresh = apply_upsert(s, key, value, self.now());
       replicate(s, self.now(), LogOp::kUpsert, key, &value);
       return fresh;
     }
-    return routed<bool>(
-        self, p, upsert_, /*write=*/true,
+    return core::routed<bool>(
+        *ctx_, self, lane(p, &key), upsert_,
         [&](rpc::Future<bool>& future) {
           const bool fresh = future.get(self);
           const std::optional<V> known(value);
@@ -203,7 +209,9 @@ class PartitionedMap {
     if (part.node == self.node()) {
       V tmp{};
       const bool hit = part.store.find(key, &tmp);
-      charge_local_read(self, part, hit ? wire_bytes(key, tmp) : key_bytes(key));
+      core::charge_local(*ctx_, self, part.node, descent(part),
+                         hit ? wire_bytes(key, tmp) : key_bytes(key),
+                         /*write=*/false);
       if (hit && out != nullptr) *out = std::move(tmp);
       return hit;
     }
@@ -215,8 +223,8 @@ class PartitionedMap {
         return present;
       }
     }
-    return routed<std::optional<V>>(
-        self, p, find_, /*write=*/false,
+    return core::routed<std::optional<V>>(
+        *ctx_, self, lane(p), find_,
         [&](rpc::Future<std::optional<V>>& future) {
           auto result = future.get(self);
           cache_->store_read(self, p, key, result, future.response_epoch());
@@ -236,14 +244,15 @@ class PartitionedMap {
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
-      charge_local_write(self, part, key_bytes(key));
+      core::charge_local(*ctx_, self, part.node, descent(part), key_bytes(key),
+                         /*write=*/true);
       const Side s = primary_side(p);
       const bool ok = apply_erase(s, key);
       replicate(s, self.now(), LogOp::kErase, key, nullptr);
       return ok;
     }
-    return routed<bool>(
-        self, p, erase_, /*write=*/true,
+    return core::routed<bool>(
+        *ctx_, self, lane(p, &key), erase_,
         [&](rpc::Future<bool>& future) {
           const bool ok = future.get(self);
           // After an erase the key is definitely absent (false = was
@@ -306,15 +315,19 @@ class PartitionedMap {
       const int p = partition_of(keys[i]);
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
-        charge_local_write(self, part, wire_bytes(keys[i], values[i]));
+        core::charge_local(*ctx_, self, part.node, descent(part),
+                           wire_bytes(keys[i], values[i]), /*write=*/true);
         const Side s = primary_side(p);
         const bool ok = apply_insert(s, keys[i], values[i], self.now());
         if (ok) replicate(s, self.now(), LogOp::kUpsert, keys[i], &values[i]);
         results[i] = ok;
       } else {
         cache_->begin_write(self, p, keys[i]);
-        remote.emplace_back(i, enqueue<bool>(self, batcher, p, insert_, keys[i],
-                                             values[i]));
+        const Lane to = lane(p);
+        remote.emplace_back(
+            i, core::enqueue<bool>(batcher, self, to,
+                                   core::batch_route(*ctx_, self, to), insert_,
+                                   keys[i], values[i]));
       }
     }
     core::settle_batch(
@@ -325,8 +338,9 @@ class PartitionedMap {
                                  future.response_epoch(),
                                  (ok && results[i]) ? &known : nullptr);
         },
-        [&](std::size_t i, const Status& st) {
-          return rescue<bool>(self, st, insert_, keys[i], values[i]);
+        [&](std::size_t i) {
+          return core::rescue<bool>(*ctx_, self, lane(partition_of(keys[i])),
+                                    insert_, keys[i], values[i]);
         });
     return results;
   }
@@ -347,8 +361,9 @@ class PartitionedMap {
       if (part.node == self.node()) {
         V tmp{};
         const bool hit = part.store.find(keys[i], &tmp);
-        charge_local_read(self, part,
-                          hit ? wire_bytes(keys[i], tmp) : key_bytes(keys[i]));
+        core::charge_local(*ctx_, self, part.node, descent(part),
+                           hit ? wire_bytes(keys[i], tmp) : key_bytes(keys[i]),
+                           /*write=*/false);
         if (hit) results[i] = std::move(tmp);
       } else {
         V tmp{};
@@ -356,8 +371,11 @@ class PartitionedMap {
         if (cache_->lookup(self, p, keys[i], &tmp, &present)) {
           if (present) results[i] = std::move(tmp);
         } else {
+          const Lane to = lane(p);
           remote.emplace_back(
-              i, enqueue<std::optional<V>>(self, batcher, p, find_, keys[i]));
+              i, core::enqueue<std::optional<V>>(
+                     batcher, self, to, core::batch_route(*ctx_, self, to),
+                     find_, keys[i]));
         }
       }
     }
@@ -368,8 +386,9 @@ class PartitionedMap {
           cache_->store_read(self, partition_of(keys[i]), keys[i], results[i],
                              future.response_epoch());
         },
-        [&](std::size_t i, const Status& st) {
-          return rescue<std::optional<V>>(self, st, find_, keys[i]);
+        [&](std::size_t i) {
+          return core::rescue<std::optional<V>>(
+              *ctx_, self, lane(partition_of(keys[i])), find_, keys[i]);
         });
     return results;
   }
@@ -388,14 +407,19 @@ class PartitionedMap {
       const int p = partition_of(keys[i]);
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
-        charge_local_write(self, part, key_bytes(keys[i]));
+        core::charge_local(*ctx_, self, part.node, descent(part),
+                           key_bytes(keys[i]), /*write=*/true);
         const Side s = primary_side(p);
         const bool ok = apply_erase(s, keys[i]);
         replicate(s, self.now(), LogOp::kErase, keys[i], nullptr);
         results[i] = ok;
       } else {
         cache_->begin_write(self, p, keys[i]);
-        remote.emplace_back(i, enqueue<bool>(self, batcher, p, erase_, keys[i]));
+        const Lane to = lane(p);
+        remote.emplace_back(
+            i, core::enqueue<bool>(batcher, self, to,
+                                   core::batch_route(*ctx_, self, to), erase_,
+                                   keys[i]));
       }
     }
     core::settle_batch(
@@ -405,8 +429,9 @@ class PartitionedMap {
           cache_->complete_write(self, partition_of(keys[i]), keys[i],
                                  future.response_epoch(), ok ? &absent : nullptr);
         },
-        [&](std::size_t i, const Status& st) {
-          return rescue<bool>(self, st, erase_, keys[i]);
+        [&](std::size_t i) {
+          return core::rescue<bool>(*ctx_, self, lane(partition_of(keys[i])),
+                                    erase_, keys[i]);
         });
     return results;
   }
@@ -424,12 +449,7 @@ class PartitionedMap {
   /// promoted. Partitions whose primaries are still down are skipped.
   void heal(sim::Actor& self) {
     auto guard = op_guard();
-    for (int p = 0; p < num_partitions_; ++p) {
-      Partition& part = *partitions_[static_cast<std::size_t>(p)];
-      if (ctx_->fabric().node_down(part.node)) continue;
-      repair_partition(self, p);
-      ctx_->rpc().route().mark_up(part.node);
-    }
+    for (int p = 0; p < num_partitions_; ++p) core::heal(*ctx_, self, lane(p));
   }
 
   // ------------------------------------------------------------------
@@ -506,11 +526,12 @@ class PartitionedMap {
     serial::save(out, arg);
     auto raw = out.take();
     if (part.node == self.node()) {
-      charge_local_write(self, part, key_bytes(key) + raw.size());
+      core::charge_local(*ctx_, self, part.node, descent(part),
+                         key_bytes(key) + raw.size(), /*write=*/true);
       return apply_mutator(primary_side(p), key, mutator, raw, init).fresh;
     }
-    return routed<bool>(
-        self, p, apply_, /*write=*/true,
+    return core::routed<bool>(
+        *ctx_, self, lane(p, &key), apply_,
         [&](rpc::Future<bool>& future) {
           const bool fresh = future.get(self);
           // Mutator outcome is server-computed: note the epoch, never
@@ -536,11 +557,12 @@ class PartitionedMap {
     auto raw = out.take();
     std::vector<std::byte> bytes;
     if (part.node == self.node()) {
-      charge_local_write(self, part, key_bytes(key) + raw.size());
+      core::charge_local(*ctx_, self, part.node, descent(part),
+                         key_bytes(key) + raw.size(), /*write=*/true);
       bytes = apply_mutator(primary_side(p), key, mutator, raw, init).result;
     } else {
-      bytes = routed<std::vector<std::byte>>(
-          self, p, apply_fetch_, /*write=*/true,
+      bytes = core::routed<std::vector<std::byte>>(
+          *ctx_, self, lane(p, &key), apply_fetch_,
           [&](rpc::Future<std::vector<std::byte>>& future) {
             auto fetched = future.get(self);
             cache_->complete_write(self, p, key, future.response_epoch(),
@@ -599,7 +621,9 @@ class PartitionedMap {
       const std::uint64_t epoch = part.epoch.load(std::memory_order_acquire);
       V tmp{};
       const bool hit = part.store.find(key, &tmp);
-      charge_local_read(self, part, hit ? wire_bytes(key, tmp) : key_bytes(key));
+      core::charge_local(*ctx_, self, part.node, descent(part),
+                         hit ? wire_bytes(key, tmp) : key_bytes(key),
+                         /*write=*/false);
       tp.note_read(stripe_of(key), epoch);
       if (hit && out != nullptr) *out = std::move(tmp);
       return hit;
@@ -659,17 +683,17 @@ class PartitionedMap {
   /// state is its base map PLUS the failover journal the standby accepted
   /// while the primary was down — summing the base alone would read the
   /// dead primary's stale count. The journal overlay applies the final op
-  /// per key, under fo_mutex so a racing failover write can't tear it.
+  /// per key, under fo.mutex so a racing failover write can't tear it.
   [[nodiscard]] std::size_t size() {
     auto guard = op_guard();
     std::int64_t n = 0;
     for (const auto& partp : partitions_) {
       Partition& part = *partp;
-      std::lock_guard<std::mutex> fo_guard(part.fo_mutex);
+      std::lock_guard<std::mutex> fo_guard(part.fo.mutex);
       n += static_cast<std::int64_t>(part.store.size());
-      if (!part.fo_promoted) continue;
+      if (!part.fo.promoted) continue;
       std::unordered_set<K, HashFn> seen;
-      for (auto it = part.fo_journal.rbegin(); it != part.fo_journal.rend();
+      for (auto it = part.fo.journal.rbegin(); it != part.fo.journal.rend();
            ++it) {
         if (!seen.insert(it->key).second) continue;  // later op already won
         V tmp{};
@@ -685,12 +709,12 @@ class PartitionedMap {
   }
 
   /// Elements replicated into partition `p` from elsewhere (diagnostics).
-  /// Reads under fo_mutex so the count is consistent with any in-flight
+  /// Reads under fo.mutex so the count is consistent with any in-flight
   /// failover write into this partition's replica set.
   [[nodiscard]] std::size_t replica_size(int p) {
     auto guard = op_guard();
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> fo_guard(part.fo_mutex);
+    std::lock_guard<std::mutex> fo_guard(part.fo.mutex);
     return part.replicas.size();
   }
 
@@ -709,14 +733,10 @@ class PartitionedMap {
   /// Failover diagnostics (DESIGN.md §5f): is partition p's standby
   /// currently promoted, and how many ops await anti-entropy repair?
   [[nodiscard]] bool partition_promoted(int p) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> guard(part.fo_mutex);
-    return part.fo_promoted;
+    return partitions_[static_cast<std::size_t>(p)]->fo.is_promoted();
   }
   [[nodiscard]] std::size_t repair_backlog(int p) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> guard(part.fo_mutex);
-    return part.fo_journal.size();
+    return partitions_[static_cast<std::size_t>(p)]->fo.backlog();
   }
 
   /// Visit every (key, value) in every partition — local introspection for
@@ -729,13 +749,13 @@ class PartitionedMap {
     auto guard = op_guard();
     for (const auto& partp : partitions_) {
       Partition& part = *partp;
-      std::lock_guard<std::mutex> fo_guard(part.fo_mutex);
-      if (!part.fo_promoted) {
+      std::lock_guard<std::mutex> fo_guard(part.fo.mutex);
+      if (!part.fo.promoted) {
         part.store.for_each(fn);
         continue;
       }
       std::unordered_map<K, std::optional<V>, HashFn> overlay;
-      for (auto it = part.fo_journal.rbegin(); it != part.fo_journal.rend();
+      for (auto it = part.fo.journal.rbegin(); it != part.fo.journal.rend();
            ++it) {
         if (overlay.find(it->key) != overlay.end()) continue;
         overlay.emplace(it->key, it->op == LogOp::kErase
@@ -848,7 +868,9 @@ class PartitionedMap {
     const sim::NodeId src_node = part.node;
     part.node = node;
     raise(part.fence, part.epoch.fetch_add(1, std::memory_order_release) + 1);
-    finish_move(self, src_node, node, keys, bytes, start);
+    core::charge_move(*ctx_, options_, self, src_node, node,
+                      static_cast<std::int64_t>(keys), bytes, start);
+    cache_->invalidate_all();
     return true;
   }
 
@@ -958,18 +980,11 @@ class PartitionedMap {
     /// constituent, and replication writes landing here. Piggybacked on
     /// every RPC response so client read caches learn of staleness lazily.
     std::atomic<std::uint64_t> epoch{0};
-    /// Failover state (DESIGN.md §5f), keyed by THIS (primary) partition
-    /// but semantically owned by whichever standby is promoted for it:
-    /// promotion flag, term, the fenced epoch stream failover responses
-    /// piggyback, and the journal of ops accepted while the primary was
-    /// down. Mutated only under fo_mutex — and the repair pass holds the
-    /// mutex ACROSS its replay RPC, so late failover writes and the
-    /// journal drain serialize instead of racing.
-    std::mutex fo_mutex;
-    bool fo_promoted = false;
-    std::uint64_t fo_term = 0;
-    std::uint64_t fo_epoch = 0;
-    std::vector<FoRecord> fo_journal;
+    /// Failover state (DESIGN.md §5f, core::FailoverState), keyed by THIS
+    /// (primary) partition but semantically owned by whichever standby is
+    /// promoted for it; its fenced epoch stream is what failover responses
+    /// piggyback.
+    core::FailoverState<FoRecord> fo;
     /// Key-granular transaction state (DESIGN.md §5h). `stripes` points at
     /// the stripe table, allocated at the partition's first prepare (maps
     /// that never see a transaction pay nothing). `fence` is the epoch of
@@ -992,6 +1007,53 @@ class PartitionedMap {
     std::size_t recent_next = 0;
     std::map<std::pair<std::uint64_t, int>, std::vector<FoRecord>> txn_staged;
   };
+
+  // ---- failover & recovery (DESIGN.md §5f) --------------------------
+
+  /// Partition p as core/failover.h routes it: its primary; as standby the
+  /// first replica partition on a distinct, live node (the (p + r) % P walk
+  /// the replication fan-out uses), none when replication == 0, on a single
+  /// node, or with every standby down; and the repair pass, which fences
+  /// the caller's cache with the epoch the primary adopts. `written` is the
+  /// key a routed write opens its cache write window for.
+  struct Lane {
+    PartitionedMap* owner;
+    int p;
+    const K* written = nullptr;
+
+    [[nodiscard]] Partition& part() const {
+      return *owner->partitions_[static_cast<std::size_t>(p)];
+    }
+    [[nodiscard]] sim::NodeId node() const { return part().node; }
+    [[nodiscard]] std::tuple<int> prefix() const { return {p}; }
+    [[nodiscard]] std::optional<core::Standby<int, int>> standby() const {
+      for (int r = 1; r <= owner->options_.replication; ++r) {
+        const int q = (p + r) % owner->num_partitions_;
+        const sim::NodeId n =
+            owner->partitions_[static_cast<std::size_t>(q)]->node;
+        if (n != node() && !owner->ctx_->fabric().node_down(n)) {
+          return core::Standby<int, int>{n, {p, q}};
+        }
+      }
+      return std::nullopt;
+    }
+    void repair(sim::Actor& self) const {
+      part().fo.repair(
+          *owner->ctx_, self, *this, owner->repair_id_,
+          [](const std::vector<FoRecord>& delta, std::uint64_t fence) {
+            return std::make_tuple(encode_intents(delta), fence);
+          },
+          [&](std::uint64_t epoch) {
+            owner->cache_->fence_partition(self, p, epoch);
+          });
+    }
+    void sending(sim::Actor& self) const {
+      if (written != nullptr) owner->cache_->begin_write(self, p, *written);
+    }
+  };
+  [[nodiscard]] Lane lane(int p, const K* written = nullptr) {
+    return Lane{this, p, written};
+  }
 
   // ---- transaction internals (DESIGN.md §5h) ------------------------
 
@@ -1025,13 +1087,15 @@ class PartitionedMap {
     return recs;
   }
 
-  /// ParticipantBase implementation for one partition of this map: staged
-  /// intents, the read set as (stripe, observed epoch) pairs, and the
-  /// in-flight prepare/commit futures. Lives inside the Txn; the
+  /// The participant for one partition of this map: the shared legs
+  /// (core::Participant) over its lane, plus staged intents and the read
+  /// set as (stripe, observed epoch) pairs. Lives inside the Txn; the
   /// coordinator drives it through the txn::ParticipantBase interface.
-  class TxnParticipant : public txn::ParticipantBase {
+  class TxnParticipant : public core::Participant<Lane> {
    public:
-    TxnParticipant(PartitionedMap* owner, int p) : owner_(owner), p_(p) {}
+    TxnParticipant(PartitionedMap* owner, int p)
+        : core::Participant<Lane>(*owner->ctx_, Lane{owner, p},
+                                  owner->txn_commit_, owner->txn_abort_) {}
 
     // -- client-side staging (txn_put / txn_erase / txn_find) ---------
 
@@ -1081,153 +1145,44 @@ class PartitionedMap {
 
     void enqueue_prepare(sim::Actor& self, rpc::Batcher& batch,
                          std::uint64_t txn_id) override {
-      Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
-      if (owner_->ctx_->fabric().node_down(part.node)) {
-        node_down_ = true;  // settle_prepare fails fast
-        return;
-      }
-      owner_->ctx_->op_stats().remote_invocations.fetch_add(
-          1, std::memory_order_relaxed);
-      prepare_ = batch.template enqueue<std::uint64_t>(
-          self, part.node, owner_->txn_prepare_id_, p_, txn_id, reads_,
-          encode_intents(intents_));
+      this->enqueue_prepare_call(self, batch,
+                                 this->lane_.owner->txn_prepare_id_, txn_id,
+                                 reads_, encode_intents(intents_));
     }
 
-    Status settle_prepare(sim::Actor& self) override {
-      Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
-      if (node_down_) {
-        return Status::Unavailable("txn: participant node is down");
-      }
-      const Status st = prepare_.wait(self);
-      if (st.ok() || st.code() == StatusCode::kAborted) return st;
-      if (st.code() == StatusCode::kUnavailable &&
-          owner_->ctx_->fabric().node_down(part.node)) {
-        return st;  // died mid-prepare: fail fast
-      }
-      // Transient transport failure (lost bundle, injected fault): the
-      // slot MAY be held server-side without us knowing — the coordinator
-      // aborts every participant before retrying, which clears it.
-      return Status::Aborted(st.to_string());
-    }
-
+    /// Opens the cache write window of every staged key first.
     void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
                         std::uint64_t txn_id) override {
-      Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
       for (const FoRecord& rec : intents_) {
-        owner_->cache_->begin_write(self, p_, rec.key);
+        this->lane_.owner->cache_->begin_write(self, this->lane_.p, rec.key);
       }
-      owner_->ctx_->op_stats().remote_invocations.fetch_add(
-          1, std::memory_order_relaxed);
-      commit_ = batch.template enqueue<std::uint64_t>(
-          self, part.node, owner_->txn_commit_.primary, p_, txn_id);
-    }
-
-    Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
-      Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
-      // Commit is idempotent server-side (recent_commits), so transient
-      // failures re-invoke directly; a primary that died after prepare-ack
-      // reroutes to the staged replica chain (the commit's failover twin).
-      for (int round = 0; round < 4; ++round) {
-        try {
-          const std::uint64_t epoch =
-              round == 0 && prepare_.valid() && commit_.valid()
-                  ? commit_.get(self)
-                  : owner_->template send<std::uint64_t>(
-                               self, p_, -1, owner_->txn_commit_, txn_id)
-                        .get(self);
-          finalize_cache(self, epoch);
-          return Status::Ok();
-        } catch (const HclError& e) {
-          if (e.code() == StatusCode::kUnavailable &&
-              owner_->ctx_->fabric().node_down(part.node)) {
-            return commit_failover(self, txn_id);
-          }
-          if (round == 3) return Status(e.code(), e.what());
-        }
-      }
-      return Status::Internal("txn commit: unreachable");
-    }
-
-    void send_abort(sim::Actor& self, std::uint64_t txn_id) noexcept override {
-      Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
-      try {
-        if (owner_->ctx_->fabric().node_down(part.node)) {
-          // Primary dead: drop the staged replica records so a later
-          // promotion cannot replay this txn's intents.
-          const int q = owner_->standby_partition(p_);
-          if (q >= 0) {
-            auto future =
-                owner_->ctx_->rpc().template async_invoke_failover<bool>(
-                    self,
-                    owner_->partitions_[static_cast<std::size_t>(q)]->node,
-                    owner_->fo_txn_abort_id_, p_, q, txn_id);
-            (void)future.get(self);
-          }
-          return;
-        }
-        auto future = owner_->ctx_->rpc().template async_invoke<bool>(
-            self, part.node, owner_->txn_abort_id_, p_, txn_id);
-        (void)future.get(self);
-      } catch (...) {
-        // Best effort: a slot left held is cleared by the repair pass
-        // (presumed abort) once the fault heals.
-      }
+      core::Participant<Lane>::enqueue_commit(self, batch, txn_id);
     }
 
     [[nodiscard]] std::shared_mutex* latch() const noexcept override {
-      return owner_->options_.rebalance.enabled ? &owner_->rebalance_latch_
-                                                : nullptr;
+      PartitionedMap* owner = this->lane_.owner;
+      return owner->options_.rebalance.enabled ? &owner->rebalance_latch_
+                                               : nullptr;
     }
 
    private:
-    /// Commit writes through the staged replica chain after the primary
-    /// died between prepare-ack and commit: the host replays the records it
-    /// staged at prepare into its promoted replica set + failover journal.
-    Status commit_failover(sim::Actor& self, std::uint64_t txn_id) {
-      Partition& part = *owner_->partitions_[static_cast<std::size_t>(p_)];
-      const int q = owner_->standby_partition(p_);
-      if (q < 0) {
-        return Status::Unavailable("txn commit: primary down, no live standby");
-      }
-      owner_->ctx_->rpc().route().mark_down(part.node);
-      try {
-        const std::uint64_t epoch =
-            owner_->template send<std::uint64_t>(self, p_, q,
-                                                 owner_->txn_commit_, txn_id)
-                .get(self);
-        finalize_cache(self, epoch);
-        return Status::Ok();
-      } catch (const HclError& e) {
-        return Status(e.code(), e.what());
-      }
-    }
-
     /// Close the begin_write window opened in enqueue_commit: committed
     /// values (or definite absences) re-enter the cache under the commit
-    /// epoch. Abort paths never call this, so the entries stay invalidated
+    /// epoch. Abort paths never get here, so the entries stay invalidated
     /// — an aborted intent can never be served from a lease.
-    void finalize_cache(sim::Actor& self, std::uint64_t epoch) {
+    void committed(sim::Actor& self, std::uint64_t epoch) override {
+      auto& cache = *this->lane_.owner->cache_;
       for (const FoRecord& rec : intents_) {
-        if (rec.op == LogOp::kErase) {
-          const std::optional<V> absent;
-          owner_->cache_->complete_write(self, p_, rec.key, epoch, &absent);
-        } else {
-          const std::optional<V> known(rec.value);
-          owner_->cache_->complete_write(self, p_, rec.key, epoch, &known);
-        }
+        const std::optional<V> known = rec.op == LogOp::kErase
+                                           ? std::nullopt
+                                           : std::optional<V>(rec.value);
+        cache.complete_write(self, this->lane_.p, rec.key, epoch, &known);
       }
     }
 
-    friend class PartitionedMap;
-
-    PartitionedMap* owner_;
-    int p_;
     std::vector<FoRecord> intents_;
     /// Flattened (stripe, epoch) pairs, one per stripe read.
     std::vector<std::uint64_t> reads_;
-    rpc::Future<std::uint64_t> prepare_;
-    rpc::Future<std::uint64_t> commit_;
-    bool node_down_ = false;
   };
 
   TxnParticipant& participant(txn::Txn& t, int p) {
@@ -1275,12 +1230,9 @@ class PartitionedMap {
         throw HclError(
             Status::FailedPrecondition("rebalance: partition node is down"));
       }
-      {
-        std::lock_guard<std::mutex> guard(part.fo_mutex);
-        if (part.fo_promoted) {
-          throw HclError(Status::FailedPrecondition(
-              "rebalance: partition promoted; heal() first"));
-        }
+      if (part.fo.is_promoted()) {
+        throw HclError(Status::FailedPrecondition(
+            "rebalance: partition promoted; heal() first"));
       }
       std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
       if (!part.prepared.empty() || !part.txn_staged.empty()) {
@@ -1324,8 +1276,9 @@ class PartitionedMap {
   /// mutation epochs stay authoritative on both ends — and re-home its
   /// replica chain with direct writes (the op-path RPC fan-out is
   /// deliberately bypassed: migration traffic rides the bulk lane, not the
-  /// op lane). Ends by revoking every read-cache lease: entries cached
-  /// under src's epoch stream must never be validated against dst's.
+  /// op lane; core::charge_move charges it). Ends by revoking every
+  /// read-cache lease: entries cached under src's epoch stream must never
+  /// be validated against dst's.
   std::size_t move_slots(sim::Actor& self, const std::vector<int>& slots,
                          int src, int dst) {
     if (slots.empty() || src == dst) return 0;
@@ -1358,49 +1311,10 @@ class PartitionedMap {
     raise(to.fence, to.epoch.fetch_add(1, std::memory_order_release) + 1);
     shard_map_.reset_heat();
     moves_.fetch_add(1, std::memory_order_relaxed);
-    finish_move(self, from.node, to.node, moving.size(), bytes, start);
-    return moving.size();
-  }
-
-  /// Bulk-path charging + observability for a completed move: read at the
-  /// source, one wire transfer, write at the destination (the RDMA-vs-RPC
-  /// cost asymmetry — migration bytes never ride the op path), migration
-  /// counters on the destination NIC, lease revocation, and a kMigration
-  /// span for the tracer.
-  void finish_move(sim::Actor& self, sim::NodeId src_node, sim::NodeId dst_node,
-                   std::size_t keys, std::int64_t bytes, sim::Nanos start) {
-    sim::Nanos t = ctx_->fabric().local_read(src_node, start, bytes);
-    if (src_node != dst_node) t += ctx_->model().wire_time(bytes);
-    t = ctx_->fabric().local_write(dst_node, t, bytes);
-    self.advance_to(t);
-    auto& counters = ctx_->fabric().nic(dst_node).counters();
-    counters.migrations.fetch_add(1, std::memory_order_relaxed);
-    counters.migrated_keys.fetch_add(static_cast<std::int64_t>(keys),
-                                     std::memory_order_relaxed);
-    counters.migrated_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    if (src_node != dst_node) {
-      counters.record_packets(t, ctx_->model().packets(bytes), bytes);
-    }
+    core::charge_move(*ctx_, options_, self, from.node, to.node,
+                      static_cast<std::int64_t>(moving.size()), bytes, start);
     cache_->invalidate_all();
-    record_migration_span(self, dst_node, start);
-  }
-
-  /// Client-side migration span (no server stages — the move runs on the
-  /// initiating rank), mirroring the cache consult span shape (§5e).
-  void record_migration_span(sim::Actor& self, sim::NodeId target,
-                             sim::Nanos start) {
-    obs::Tracer* tracer =
-        options_.trace.enabled ? ctx_->tracer_if_enabled() : nullptr;
-    if (tracer == nullptr) return;
-    auto span = std::make_shared<obs::Span>();
-    span->kind = obs::SpanKind::kMigration;
-    span->target = target;
-    span->client_rank = self.rank();
-    span->issue_ns = start;
-    span->inject_done_ns = start;
-    span->arrival_ns = start;
-    span->ready_ns = self.now();
-    tracer->commit(span);
+    return moving.size();
   }
 
   // ---- cost charging ------------------------------------------------
@@ -1413,22 +1327,11 @@ class PartitionedMap {
                                      serial::packed_size(value));
   }
 
-  /// Hybrid-path charging: the structure-op base term plus the store's
-  /// descent (Table I's L, or L·log N for the ordered store), then the
-  /// memory-channel byte cost on the partition's node.
-  void charge_local_write(sim::Actor& self, Partition& part, std::int64_t bytes) {
-    const core::Descent d = part.store.descent(ctx_->model());
-    ctx_->op_stats().local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-    ctx_->op_stats().local_writes.fetch_add(1, std::memory_order_relaxed);
-    const sim::Nanos start = self.now() + ctx_->model().mem_insert_base_ns + d.ns;
-    self.advance_to(ctx_->fabric().local_write(part.node, start, bytes));
-  }
-  void charge_local_read(sim::Actor& self, Partition& part, std::int64_t bytes) {
-    const core::Descent d = part.store.descent(ctx_->model());
-    ctx_->op_stats().local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-    ctx_->op_stats().local_reads.fetch_add(1, std::memory_order_relaxed);
-    const sim::Nanos start = self.now() + ctx_->model().mem_find_base_ns + d.ns;
-    self.advance_to(ctx_->fabric().local_read(part.node, start, bytes));
+  /// Table I's structure term for an access to `part` (its store's
+  /// descent: L, or L·log N for the ordered store), charged by
+  /// core::charge_local / core::charge_server.
+  [[nodiscard]] core::Descent descent(const Partition& part) const {
+    return part.store.descent(ctx_->model());
   }
   void charge_resize(sim::Actor& self, Partition& part) {
     // Table I: every entry is read and rewritten (Store::resize_bytes).
@@ -1441,42 +1344,15 @@ class PartitionedMap {
     self.advance_to(ctx_->fabric().local_write(part.node, t, bytes));
   }
 
-  /// Server-stub charging (runs on the NIC core; advances ctx.finish).
-  /// Inside a coalesced bundle only the first constituent pays the
-  /// structure-op base term — Table I's bulk shape F + L + E·W: one L
-  /// (setup, hash tables warm in cache), then per-element byte costs. The
-  /// store's descent is inherently per-op and is charged for every one.
-  sim::Nanos charge_server_write(rpc::ServerCtx& sctx, Partition& part,
-                                 std::int64_t bytes) {
-    const core::Descent d = part.store.descent(ctx_->model());
-    ctx_->op_stats().local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-    ctx_->op_stats().local_writes.fetch_add(1, std::memory_order_relaxed);
-    const sim::Nanos base =
-        sctx.batch_index == 0 ? ctx_->model().mem_insert_base_ns : 0;
-    sctx.finish =
-        ctx_->fabric().local_write(sctx.node, sctx.start + base + d.ns, bytes);
-    return sctx.finish;
-  }
-  sim::Nanos charge_server_read(rpc::ServerCtx& sctx, Partition& part,
-                                std::int64_t bytes) {
-    const core::Descent d = part.store.descent(ctx_->model());
-    ctx_->op_stats().local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-    ctx_->op_stats().local_reads.fetch_add(1, std::memory_order_relaxed);
-    const sim::Nanos base =
-        sctx.batch_index == 0 ? ctx_->model().mem_find_base_ns : 0;
-    sctx.finish =
-        ctx_->fabric().local_read(sctx.node, sctx.start + base + d.ns, bytes);
-    return sctx.finish;
-  }
-
   // ---- serving sides (DESIGN.md §5f) ---------------------------------
 
   /// Where one data op executes. The primary side is partition p itself:
   /// its store, persist journal and mutation epoch, plus the replica
-  /// fan-out. The standby side is entered under p's fo_mutex once p's
-  /// primary is confirmed down and promoted (enter_standby): standby
-  /// partition q's replica set, p's failover journal and p's fenced epoch,
-  /// and it never fans out. `host` is the partition whose node runs the op.
+  /// fan-out. The standby side is entered under p's fo.mutex once p's
+  /// primary is confirmed down and promoted (FailoverState::enter_standby):
+  /// standby partition q's replica set, p's failover journal and p's fenced
+  /// epoch, and it never fans out. `host` is the partition whose node runs
+  /// the op.
   struct Side {
     int p;
     Partition& owner;
@@ -1492,34 +1368,9 @@ class PartitionedMap {
     return Side{p, part, part, false};
   }
 
-  /// Enter the standby side of `owner` (its fo_mutex stays held by the
-  /// returned lock). Failover twins serve ONLY while the primary is down;
-  /// if it is back, kFailedPrecondition (non-retryable, so the engine
-  /// surfaces it at once) sends the client to repair and retry. Checked
-  /// under fo_mutex, closing the race where a late failover write would
-  /// append to a journal the repair pass already drained. The first entry
-  /// promotes: new term, and the epoch stream is fenced at (term << 32) — a
-  /// value dominating any epoch the primary ever published (per-op
-  /// increments never approach 2^32) — so client leases taken on the
-  /// primary's stream go stale instead of serving pre-failover values
-  /// (ReadCache::fence_partition).
-  [[nodiscard]] std::unique_lock<std::mutex> enter_standby(Partition& owner) {
-    std::unique_lock<std::mutex> guard(owner.fo_mutex);
-    if (!ctx_->fabric().node_down(owner.node)) {
-      throw HclError(
-          Status::FailedPrecondition("primary is up; repair and retry"));
-    }
-    if (!owner.fo_promoted) {
-      owner.fo_promoted = true;
-      ++owner.fo_term;
-      owner.fo_epoch = std::max(owner.fo_epoch, owner.fo_term << 32);
-    }
-    return guard;
-  }
-
   /// The side's mutation epoch, piggybacked on every response (§5d).
   [[nodiscard]] std::uint64_t epoch_of(const Side& s) const {
-    return s.standby ? s.owner.fo_epoch
+    return s.standby ? s.owner.fo.epoch
                      : s.owner.epoch.load(std::memory_order_acquire);
   }
 
@@ -1596,9 +1447,9 @@ class PartitionedMap {
   void record(const Side& s, LogOp op, const K& key, const V* value) {
     Partition& part = s.owner;
     if (s.standby) {
-      part.fo_journal.push_back(
+      part.fo.journal.push_back(
           FoRecord{op, key, value != nullptr ? *value : V{}});
-      ++part.fo_epoch;
+      ++part.fo.epoch;
       return;
     }
     if (part.log != nullptr) {
@@ -1689,155 +1540,6 @@ class PartitionedMap {
     }
   }
 
-  // ---- failover & recovery (DESIGN.md §5f) --------------------------
-
-  /// First replica partition of `p` hosted on a distinct, live node; -1
-  /// when none exists (replication == 0, single node, or all standbys
-  /// down). Same (p + r) % P walk the replication fan-out uses.
-  int standby_partition(int p) const {
-    const Partition& primary = *partitions_[static_cast<std::size_t>(p)];
-    for (int r = 1; r <= options_.replication; ++r) {
-      const int q = (p + r) % num_partitions_;
-      const Partition& cand = *partitions_[static_cast<std::size_t>(q)];
-      if (cand.node != primary.node && !ctx_->fabric().node_down(cand.node)) {
-        return q;
-      }
-    }
-    return -1;
-  }
-
-  /// Ship op to primary p (q < 0) as (p, args...), or its failover twin to
-  /// standby partition q as (p, q, args...).
-  template <typename R, typename... Args>
-  rpc::Future<R> send(sim::Actor& self, int p, int q, const core::Twins& op,
-                      const Args&... args) {
-    if (q < 0) {
-      return ctx_->rpc().template async_invoke<R>(
-          self, partitions_[static_cast<std::size_t>(p)]->node, op.primary, p,
-          args...);
-    }
-    return ctx_->rpc().template async_invoke_failover<R>(
-        self, partitions_[static_cast<std::size_t>(q)]->node, op.standby, p, q,
-        args...);
-  }
-
-  /// The routed call every remote scalar op makes: count it, open the cache
-  /// write window for a write, send it, and hand the future to `done`.
-  /// Flow: repair-and-unmark a rejoined primary first, then try the primary
-  /// unless it is route-marked down; on kUnavailable with the fabric
-  /// confirming the node dead, mark it and reroute to the standby exactly
-  /// once; a standby's kFailedPrecondition ("primary is up" — it rejoined
-  /// between our check and the stub running) loops back once to repair and
-  /// retry.
-  template <typename R, typename Done, typename... Rest>
-  auto routed(sim::Actor& self, int p, const core::Twins& op, bool write,
-              Done&& done, const K& key, const Rest&... rest) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    auto call = [&](int q) {
-      ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
-      if (write) cache_->begin_write(self, p, key);
-      auto future = send<R>(self, p, q, op, key, rest...);
-      return done(future);
-    };
-    auto& route = ctx_->rpc().route();
-    for (int round = 0;; ++round) {
-      if (route.is_down(part.node) && !ctx_->fabric().node_down(part.node)) {
-        repair_partition(self, p);
-        route.mark_up(part.node);
-      }
-      if (!route.is_down(part.node)) {
-        try {
-          return call(-1);
-        } catch (const HclError& e) {
-          if (round > 0 || e.code() != StatusCode::kUnavailable ||
-              !ctx_->fabric().node_down(part.node)) {
-            throw;
-          }
-        }
-      }
-      const int q = standby_partition(p);
-      if (q < 0) {
-        throw HclError(Status::Unavailable("primary down and no live standby"));
-      }
-      route.mark_down(part.node);
-      try {
-        return call(q);
-      } catch (const HclError& e) {
-        if (round > 0 || e.code() != StatusCode::kFailedPrecondition) throw;
-      }
-    }
-  }
-
-  /// The batch paths' routed enqueue, decided at enqueue time: the primary
-  /// (repairing it first when a stale route mark outlived a rejoin), or the
-  /// failover twin on the standby while the primary is marked down.
-  template <typename R, typename... Args>
-  rpc::Future<R> enqueue(sim::Actor& self, rpc::Batcher& batcher, int p,
-                         const core::Twins& op, const Args&... args) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    auto& route = ctx_->rpc().route();
-    int q = -1;
-    if (route.is_down(part.node)) {
-      if (ctx_->fabric().node_down(part.node)) {
-        q = standby_partition(p);
-      } else {
-        repair_partition(self, p);
-        route.mark_up(part.node);
-      }
-    }
-    if (q < 0) {
-      return batcher.template enqueue<R>(self, part.node, op.primary, p, args...);
-    }
-    return batcher.template enqueue<R>(
-        self, partitions_[static_cast<std::size_t>(q)]->node, op.standby, p, q,
-        args...);
-  }
-
-  /// settle_batch's rescue: when the op's primary genuinely died under its
-  /// bundle, record it in the route table and re-issue the op to a standby
-  /// through the same send the routed call uses. An invalid future (a
-  /// transient fault, or no live standby) lets the op's failure stand.
-  template <typename R, typename... Rest>
-  rpc::Future<R> rescue(sim::Actor& self, const Status& st,
-                        const core::Twins& op, const K& key,
-                        const Rest&... rest) {
-    if (st.code() != StatusCode::kUnavailable) return {};
-    const int p = partition_of(key);
-    const sim::NodeId primary = partitions_[static_cast<std::size_t>(p)]->node;
-    if (!ctx_->fabric().node_down(primary)) return {};
-    const int q = standby_partition(p);
-    if (q < 0) return {};
-    ctx_->rpc().route().mark_down(primary);
-    return send<R>(self, p, q, op, key, rest...);
-  }
-
-  /// Anti-entropy repair: replay the promoted standby's journal delta into
-  /// the rejoined primary as ONE repair RPC, then fence the caller's cache
-  /// with the adopted epoch. fo_mutex is held across the RPC: racing
-  /// repairers serialize (losers see no promotion and return) and failover
-  /// twins cannot append mid-replay. On failure (primary died again) the
-  /// journal and promotion flag are restored for a later pass.
-  void repair_partition(sim::Actor& self, int p) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> guard(part.fo_mutex);
-    if (!part.fo_promoted) return;
-    std::vector<FoRecord> delta;
-    delta.swap(part.fo_journal);
-    part.fo_promoted = false;
-    const std::uint64_t fence = part.fo_term << 32;
-    try {
-      ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
-      auto future = ctx_->rpc().template async_invoke_repair<std::uint64_t>(
-          self, part.node, repair_id_, p, encode_intents(delta), fence);
-      (void)future.get(self);
-      cache_->fence_partition(self, p, future.response_epoch());
-    } catch (...) {
-      part.fo_promoted = true;
-      part.fo_journal = std::move(delta);
-      throw;
-    }
-  }
-
   // ---- server stubs ---------------------------------------------------
 
   /// Bind one data op's server body twice, from the one `body(sctx, side,
@@ -1856,7 +1558,8 @@ class PartitionedMap {
         [this, body](rpc::ServerCtx& sctx, const int& p, const int& q,
                      const Args&... args) {
           Partition& owner = *partitions_[static_cast<std::size_t>(p)];
-          const auto guard = enter_standby(owner);
+          const auto guard = owner.fo.enter_standby(
+              ctx_->fabric(), owner.node, "primary is up; repair and retry");
           return body(sctx,
                       Side{p, owner, *partitions_[static_cast<std::size_t>(q)],
                            true},
@@ -1975,7 +1678,8 @@ class PartitionedMap {
         [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
                const V& value) {
           const sim::Nanos ready =
-              charge_server_write(sctx, s.host, wire_bytes(key, value));
+              core::charge_server(*ctx_, sctx, descent(s.host),
+                                  wire_bytes(key, value), /*write=*/true);
           const bool ok = apply_insert(s, key, value, ready);
           if (ok) replicate(s, ready, LogOp::kUpsert, key, &value);
           sctx.epoch = epoch_of(s);
@@ -1985,7 +1689,8 @@ class PartitionedMap {
         [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
                const V& value) {
           const sim::Nanos ready =
-              charge_server_write(sctx, s.host, wire_bytes(key, value));
+              core::charge_server(*ctx_, sctx, descent(s.host),
+                                  wire_bytes(key, value), /*write=*/true);
           const bool fresh = apply_upsert(s, key, value, ready);
           replicate(s, ready, LogOp::kUpsert, key, &value);
           sctx.epoch = epoch_of(s);
@@ -1998,14 +1703,16 @@ class PartitionedMap {
           sctx.epoch = epoch_of(s);
           V value{};
           const bool hit = s.store().find(key, &value);
-          charge_server_read(sctx, s.host,
-                             hit ? wire_bytes(key, value) : key_bytes(key));
+          core::charge_server(*ctx_, sctx, descent(s.host),
+                              hit ? wire_bytes(key, value) : key_bytes(key),
+                              /*write=*/false);
           return hit ? std::optional<V>(std::move(value)) : std::nullopt;
         });
     erase_ = bind_twins<bool, K>(
         [this](rpc::ServerCtx& sctx, const Side& s, const K& key) {
           const sim::Nanos ready =
-              charge_server_write(sctx, s.host, key_bytes(key));
+              core::charge_server(*ctx_, sctx, descent(s.host), key_bytes(key),
+                                  /*write=*/true);
           const bool ok = apply_erase(s, key);
           replicate(s, ready, LogOp::kErase, key, nullptr);
           sctx.epoch = epoch_of(s);
@@ -2028,9 +1735,10 @@ class PartitionedMap {
         [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
                const std::uint32_t& mutator, const std::vector<std::byte>& raw,
                const V& init) {
-          charge_server_write(
-              sctx, s.host,
-              key_bytes(key) + static_cast<std::int64_t>(raw.size()));
+          core::charge_server(
+              *ctx_, sctx, descent(s.host),
+              key_bytes(key) + static_cast<std::int64_t>(raw.size()),
+              /*write=*/true);
           const bool fresh = apply_mutator(s, key, mutator, raw, init).fresh;
           sctx.epoch = epoch_of(s);
           return fresh;
@@ -2041,9 +1749,10 @@ class PartitionedMap {
             [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
                    const std::uint32_t& mutator,
                    const std::vector<std::byte>& raw, const V& init) {
-              charge_server_write(
-                  sctx, s.host,
-                  key_bytes(key) + static_cast<std::int64_t>(raw.size()));
+              core::charge_server(
+                  *ctx_, sctx, descent(s.host),
+                  key_bytes(key) + static_cast<std::int64_t>(raw.size()),
+                  /*write=*/true);
               auto result = apply_mutator(s, key, mutator, raw, init).result;
               sctx.epoch = epoch_of(s);
               return result;
@@ -2051,7 +1760,8 @@ class PartitionedMap {
     replica_upsert_id_ = engine.bind<bool, int, K, V>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key, const V& value) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];
-          charge_server_write(sctx, part, wire_bytes(key, value));
+          core::charge_server(*ctx_, sctx, descent(part),
+                              wire_bytes(key, value), /*write=*/true);
           part.replicas.upsert(key, value);
           // Replication writes mutate this partition's state, so they bump
           // its epoch: clients holding leases on it revalidate (§5d).
@@ -2062,7 +1772,8 @@ class PartitionedMap {
     replica_erase_id_ = engine.bind<bool, int, K>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];
-          charge_server_write(sctx, part, key_bytes(key));
+          core::charge_server(*ctx_, sctx, descent(part), key_bytes(key),
+                              /*write=*/true);
           part.replicas.erase(key);
           part.epoch.fetch_add(1, std::memory_order_release);
           sctx.epoch = part.epoch.load(std::memory_order_acquire);
@@ -2082,7 +1793,8 @@ class PartitionedMap {
               Partition& part = *partitions_[static_cast<std::size_t>(p)];
               const std::vector<FoRecord> delta = decode_intents(blob);
               apply_records(primary_side(p), delta, sctx.start);
-              charge_server_write(sctx, part, 8 + record_bytes(delta));
+              core::charge_server(*ctx_, sctx, descent(part),
+                                  8 + record_bytes(delta), /*write=*/true);
               const std::uint64_t adopted =
                   std::max(part.epoch.load(std::memory_order_acquire), fence) + 1;
               part.epoch.store(adopted, std::memory_order_release);
@@ -2123,10 +1835,11 @@ class PartitionedMap {
                    const std::vector<std::uint64_t>& reads,
                    const std::vector<std::byte>& blob) {
               Partition& part = *partitions_[static_cast<std::size_t>(p)];
-              const sim::Nanos ready = charge_server_write(
-                  sctx, part,
+              const sim::Nanos ready = core::charge_server(
+                  *ctx_, sctx, descent(part),
                   static_cast<std::int64_t>(blob.size() + 8 * reads.size()) +
-                      16);
+                      16,
+                  /*write=*/true);
               Prepared entry;
               entry.txn_id = txn_id;
               entry.intents = decode_intents(blob);
@@ -2190,12 +1903,14 @@ class PartitionedMap {
             std::lock_guard<std::mutex> guard(s.host.txn_mutex);
             if (!take_intents(s, txn_id, &intents)) {
               // Idempotent re-commit after a lost response: already applied.
-              charge_server_write(sctx, s.host, 16);
+              core::charge_server(*ctx_, sctx, descent(s.host), 16,
+                                  /*write=*/true);
               sctx.epoch = epoch_of(s);
               return sctx.epoch;
             }
             const sim::Nanos ready =
-                charge_server_write(sctx, s.host, 16 + record_bytes(intents));
+                core::charge_server(*ctx_, sctx, descent(s.host),
+                                    16 + record_bytes(intents), /*write=*/true);
             // Apply under the slot lock so a rival prepare cannot interleave
             // between two of our intents; the replica fan-out takes no
             // txn_mutex, so this cannot deadlock. Read-only participants (no
@@ -2209,11 +1924,11 @@ class PartitionedMap {
           sctx.epoch = epoch_of(s);
           return sctx.epoch;
         });
-    txn_abort_id_ = engine.bind<bool, int, std::uint64_t>(
+    txn_abort_.primary = engine.bind<bool, int, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const int& p,
                const std::uint64_t& txn_id) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];
-          charge_server_write(sctx, part, 16);
+          core::charge_server(*ctx_, sctx, descent(part), 16, /*write=*/true);
           bool held = false;
           {
             std::lock_guard<std::mutex> guard(part.txn_mutex);
@@ -2233,8 +1948,9 @@ class PartitionedMap {
                    const std::uint64_t& txn_id,
                    const std::vector<std::byte>& blob) {
               Partition& host = *partitions_[static_cast<std::size_t>(q)];
-              charge_server_write(sctx, host,
-                                  static_cast<std::int64_t>(blob.size()));
+              core::charge_server(*ctx_, sctx, descent(host),
+                                  static_cast<std::int64_t>(blob.size()),
+                                  /*write=*/true);
               std::vector<FoRecord> intents = decode_intents(blob);
               std::lock_guard<std::mutex> guard(host.txn_mutex);
               host.txn_staged[{txn_id, p}] = std::move(intents);
@@ -2245,20 +1961,20 @@ class PartitionedMap {
         [this](rpc::ServerCtx& sctx, const int& q, const int& p,
                const std::uint64_t& txn_id) {
           Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          charge_server_write(sctx, host, 16);
+          core::charge_server(*ctx_, sctx, descent(host), 16, /*write=*/true);
           std::lock_guard<std::mutex> guard(host.txn_mutex);
           host.txn_staged.erase({txn_id, p});
           sctx.epoch = host.epoch.load(std::memory_order_acquire);
           return true;
         });
-    // The one failover stub without a shared body: dropping the records a
-    // prepare staged on the standby host is not a failover write, so it
-    // never enters the standby side (no promotion).
-    fo_txn_abort_id_ = engine.bind<bool, int, int, std::uint64_t>(
+    // The abort's failover twin, without a shared body: dropping the
+    // records a prepare staged on the standby host is not a failover write,
+    // so it never enters the standby side (no promotion).
+    txn_abort_.standby = engine.bind<bool, int, int, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const int& p, const int& q,
                const std::uint64_t& txn_id) {
           Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          charge_server_write(sctx, host, 16);
+          core::charge_server(*ctx_, sctx, descent(host), 16, /*write=*/true);
           std::lock_guard<std::mutex> guard(host.txn_mutex);
           host.txn_staged.erase({txn_id, p});
           return true;
@@ -2269,8 +1985,8 @@ class PartitionedMap {
                   apply_.primary,       apply_.standby,    apply_fetch_.primary,
                   apply_fetch_.standby, replica_upsert_id_, replica_erase_id_,
                   repair_id_,           txn_prepare_id_,   txn_commit_.primary,
-                  txn_commit_.standby,  txn_abort_id_,     replica_txn_stage_id_,
-                  replica_txn_resolve_id_, fo_txn_abort_id_};
+                  txn_commit_.standby,  txn_abort_.primary, txn_abort_.standby,
+                  replica_txn_stage_id_, replica_txn_resolve_id_};
     // Per-container shm opt-out (DESIGN.md §5i): route this map's ops over
     // RDMA even when pod-local.
     if (!options_.shm.enabled) ctx_->shm_opt_out(bound_ids_);
@@ -2292,13 +2008,13 @@ class PartitionedMap {
       mutators_;
 
   /// Replicated ops: each primary FuncId and its failover twin, bound from
-  /// one server body (bind_twins).
+  /// one server body (bind_twins); txn_abort_ pairs the primary's abort
+  /// with the standby host's fo_txn_abort.
   core::Twins insert_, upsert_, find_, erase_, apply_, apply_fetch_,
-      txn_commit_;
+      txn_commit_, txn_abort_;
   rpc::FuncId resize_id_ = 0, replica_upsert_id_ = 0, replica_erase_id_ = 0,
-              repair_id_ = 0, txn_prepare_id_ = 0, txn_abort_id_ = 0,
-              replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0,
-              fo_txn_abort_id_ = 0;
+              repair_id_ = 0, txn_prepare_id_ = 0, replica_txn_stage_id_ = 0,
+              replica_txn_resolve_id_ = 0;
   std::vector<rpc::FuncId> bound_ids_;
   HashFn hash_;
 

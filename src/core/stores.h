@@ -24,6 +24,8 @@
 #include "lf/ms_queue.h"
 #include "lf/priority_queue.h"
 #include "lf/skiplist_map.h"
+#include "rpc/engine.h"
+#include "sim/actor.h"
 #include "sim/cost_model.h"
 
 namespace hcl::core {
@@ -39,6 +41,52 @@ struct Descent {
 inline Descent log_descent(std::size_t n, const sim::CostModel& model) {
   const int levels = depth_levels(n);
   return {levels, static_cast<sim::Nanos>(levels) * model.mem_level_ns};
+}
+
+/// Hybrid-path charging (§III.C.5) for `elements` elements written (insert
+/// base term) or read (find base term) on `node`: the structure-op base term
+/// plus the descent `d`, then the memory-channel byte cost.
+inline void charge_local(Context& ctx, sim::Actor& self, sim::NodeId node,
+                         Descent d, std::int64_t bytes, bool write,
+                         std::int64_t elements = 1) {
+  auto& stats = ctx.op_stats();
+  stats.local_ops.fetch_add(d.ops, std::memory_order_relaxed);
+  const auto& m = ctx.model();
+  if (write) {
+    stats.local_writes.fetch_add(elements, std::memory_order_relaxed);
+    self.advance_to(ctx.fabric().local_write(
+        node, self.now() + m.mem_insert_base_ns + d.ns, bytes));
+  } else {
+    stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
+    self.advance_to(ctx.fabric().local_read(
+        node, self.now() + m.mem_find_base_ns + d.ns, bytes));
+  }
+}
+
+/// Server-stub charging (runs on the NIC core; advances and returns
+/// sctx.finish), shaped like charge_local. Inside a coalesced bundle only
+/// the first constituent pays the structure-op base term — Table I's bulk
+/// shape F + L + E·W: one L (setup, hash tables warm in cache), then
+/// per-element byte costs. The descent is per-op and charged for every one.
+inline sim::Nanos charge_server(Context& ctx, rpc::ServerCtx& sctx, Descent d,
+                                std::int64_t bytes, bool write,
+                                std::int64_t elements = 1) {
+  auto& stats = ctx.op_stats();
+  stats.local_ops.fetch_add(d.ops, std::memory_order_relaxed);
+  const auto& m = ctx.model();
+  const bool first = sctx.batch_index == 0;
+  if (write) {
+    stats.local_writes.fetch_add(elements, std::memory_order_relaxed);
+    const sim::Nanos base = first ? m.mem_insert_base_ns : 0;
+    sctx.finish =
+        ctx.fabric().local_write(sctx.node, sctx.start + base + d.ns, bytes);
+  } else {
+    stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
+    const sim::Nanos base = first ? m.mem_find_base_ns : 0;
+    sctx.finish =
+        ctx.fabric().local_read(sctx.node, sctx.start + base + d.ns, bytes);
+  }
+  return sctx.finish;
 }
 
 // ---- map stores: insert/upsert/update_fn/find/erase/for_each/size -------
