@@ -3,10 +3,11 @@
 // The paper expresses each container operation's cost as a formula over
 //   F (remote function invocations), L (local ops), R (local reads),
 //   W (local writes), N (entries), E (elements).
-// This bench performs one remote-partition operation per row, reads the
-// library's operation counters, and prints measured counts against the
-// paper's formula. A second section verifies the hybrid model: co-located
-// operations cost 0 F.
+// This bench performs one operation per row, reads the library's operation
+// counters, and prints measured counts against the paper's formula. Hybrid
+// rows verify the hybrid model: a co-located operation runs the same server
+// body, so it costs the remote row's L/R/W with 0 F. Every row carries its
+// expected counts; the bench exits 1 if any measured count differs.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,15 +23,23 @@ struct Row {
   const char* structure;
   const char* op;
   const char* formula;
+  core::OpStats::Snapshot want;
   core::OpStats::Snapshot got;
 };
 
 std::vector<Row> g_rows;
 
+/// Record the counts since the last report against `want` = {F, L, R, W}.
 void report(const char* structure, const char* op, const char* formula,
-            Context& ctx) {
-  g_rows.push_back({structure, op, formula, ctx.op_stats().snapshot()});
+            core::OpStats::Snapshot want, Context& ctx) {
+  g_rows.push_back({structure, op, formula, want, ctx.op_stats().snapshot()});
   ctx.reset_measurement();
+}
+
+bool same(const core::OpStats::Snapshot& a, const core::OpStats::Snapshot& b) {
+  return a.remote_invocations == b.remote_invocations &&
+         a.local_ops == b.local_ops && a.local_reads == b.local_reads &&
+         a.local_writes == b.local_writes;
 }
 
 /// First key whose partition is remote (resp. local) for rank 0.
@@ -62,13 +71,23 @@ int main(int argc, char** argv) {
     const int lk = pick_key(m, ctx, true);
     ctx.reset_measurement();
     ctx.run_one(0, [&](sim::Actor&) { m.insert(rk, 1); });
-    report("unordered_map", "insert (remote)", "F + L + W", ctx);
+    report("unordered_map", "insert (remote)", "F + L + W", {1, 1, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { int v; m.find(rk, &v); });
-    report("unordered_map", "find (remote)", "F + L + R", ctx);
+    report("unordered_map", "find (remote)", "F + L + R", {1, 1, 1, 0}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { m.insert(lk, 1); });
-    report("unordered_map", "insert (hybrid)", "L + W (no F)", ctx);
+    report("unordered_map", "insert (hybrid)", "L + W (no F)",
+           {0, 1, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { m.resize(1, 4096); });
-    report("unordered_map", "resize (remote)", "F + N(R + W)", ctx);
+    report("unordered_map", "resize (remote)", "F + N(R + W)",
+           {1, 0, 1, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor&) { int v; m.find(lk, &v); });
+    report("unordered_map", "find (hybrid)", "L + R (no F)", {0, 1, 1, 0}, ctx);
+    ctx.run_one(0, [&](sim::Actor&) { m.resize(0, 4096); });
+    report("unordered_map", "resize (hybrid)", "N(R + W) (no F)",
+           {0, 0, 1, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor&) { m.erase(lk); });
+    report("unordered_map", "erase (hybrid)", "L + W (no F)",
+           {0, 1, 0, 1}, ctx);
   }
 
   // ---- map (ordered) -----------------------------------------------------
@@ -81,9 +100,9 @@ int main(int argc, char** argv) {
     });
     ctx.reset_measurement();
     ctx.run_one(0, [&](sim::Actor&) { m.insert(rk, 1); });
-    report("map", "insert (remote)", "F + L*logN + W", ctx);
+    report("map", "insert (remote)", "F + L*logN + W", {1, 5, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { int v; m.find(rk, &v); });
-    report("map", "find (remote)", "F + L*logN + R", ctx);
+    report("map", "find (remote)", "F + L*logN + R", {1, 5, 1, 0}, ctx);
   }
 
   // ---- unordered_set -------------------------------------------------------
@@ -92,9 +111,9 @@ int main(int argc, char** argv) {
     const int rk = pick_key(s, ctx, false);
     ctx.reset_measurement();
     ctx.run_one(0, [&](sim::Actor&) { s.insert(rk); });
-    report("unordered_set", "insert (remote)", "F + L + W", ctx);
+    report("unordered_set", "insert (remote)", "F + L + W", {1, 1, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { s.find(rk); });
-    report("unordered_set", "find (remote)", "F + L + R", ctx);
+    report("unordered_set", "find (remote)", "F + L + R", {1, 1, 1, 0}, ctx);
   }
 
   // ---- set (ordered) -------------------------------------------------------
@@ -103,9 +122,9 @@ int main(int argc, char** argv) {
     const int rk = pick_key(s, ctx, false);
     ctx.reset_measurement();
     ctx.run_one(0, [&](sim::Actor&) { s.insert(rk); });
-    report("set", "insert (remote)", "F + L*logN + W", ctx);
+    report("set", "insert (remote)", "F + L*logN + W", {1, 1, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { s.find(rk); });
-    report("set", "find (remote)", "F + L*logN + R", ctx);
+    report("set", "find (remote)", "F + L*logN + R", {1, 1, 1, 0}, ctx);
   }
 
   // ---- queue ---------------------------------------------------------------
@@ -115,18 +134,35 @@ int main(int argc, char** argv) {
     queue<int> q(ctx, options);
     ctx.reset_measurement();
     ctx.run_one(0, [&](sim::Actor&) { q.push(7); });
-    report("queue", "push (remote)", "F + L + W", ctx);
+    report("queue", "push (remote)", "F + L + W", {1, 1, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { int v; q.pop(&v); });
-    report("queue", "pop (remote)", "F + L + R", ctx);
+    report("queue", "pop (remote)", "F + L + R", {1, 1, 1, 0}, ctx);
     ctx.run_one(0, [&](sim::Actor&) {
       q.push(std::vector<int>{1, 2, 3, 4});
     });
-    report("queue", "push bulk E=4", "F + L + E*W", ctx);
+    report("queue", "push bulk E=4", "F + L + E*W", {1, 1, 0, 4}, ctx);
     ctx.run_one(0, [&](sim::Actor&) {
       std::vector<int> out;
       q.pop(&out, 4);
     });
-    report("queue", "pop bulk E=4", "F + L + E*R", ctx);
+    report("queue", "pop bulk E=4", "F + L + E*R", {1, 1, 4, 0}, ctx);
+  }
+  {
+    queue<int> q(ctx);  // hosted on rank 0's node
+    ctx.reset_measurement();
+    ctx.run_one(0, [&](sim::Actor&) { q.push(7); });
+    report("queue", "push (hybrid)", "L + W (no F)", {0, 1, 0, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor&) { int v; q.pop(&v); });
+    report("queue", "pop (hybrid)", "L + R (no F)", {0, 1, 1, 0}, ctx);
+    ctx.run_one(0, [&](sim::Actor&) {
+      q.push(std::vector<int>{1, 2, 3, 4});
+    });
+    report("queue", "push bulk (hybrid)", "L + E*W (no F)", {0, 1, 0, 4}, ctx);
+    ctx.run_one(0, [&](sim::Actor&) {
+      std::vector<int> out;
+      q.pop(&out, 4);
+    });
+    report("queue", "pop bulk (hybrid)", "L + E*R (no F)", {0, 1, 4, 0}, ctx);
   }
 
   // ---- priority_queue --------------------------------------------------------
@@ -136,9 +172,10 @@ int main(int argc, char** argv) {
     priority_queue<int> pq(ctx, options);
     ctx.reset_measurement();
     ctx.run_one(0, [&](sim::Actor&) { pq.push(7); });
-    report("priority_queue", "push (remote)", "F + L*logN + W", ctx);
+    report("priority_queue", "push (remote)", "F + L*logN + W",
+           {1, 1, 0, 1}, ctx);
     ctx.run_one(0, [&](sim::Actor&) { int v; pq.pop(&v); });
-    report("priority_queue", "pop (remote)", "F + L + R", ctx);
+    report("priority_queue", "pop (remote)", "F + L + R", {1, 1, 1, 0}, ctx);
   }
 
   std::printf("%-16s %-18s %-18s %4s %4s %4s %4s\n", "structure", "operation",
@@ -153,6 +190,16 @@ int main(int argc, char** argv) {
       "\nChecks: every remote op shows exactly F=1 (one bundled invocation);\n"
       "hybrid ops show F=0; ordered structures show L=log N descent steps;\n"
       "resize shows N reads + N writes; bulk ops keep F=1 for E elements.\n");
+  int mismatches = 0;
+  for (const auto& row : g_rows) {
+    if (same(row.want, row.got)) continue;
+    ++mismatches;
+    std::printf("MISMATCH %s %s: expected F=%" PRId64 " L=%" PRId64
+                " R=%" PRId64 " W=%" PRId64 "\n",
+                row.structure, row.op, row.want.remote_invocations,
+                row.want.local_ops, row.want.local_reads,
+                row.want.local_writes);
+  }
   print_footer();
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

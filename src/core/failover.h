@@ -1,6 +1,7 @@
 // Shared failover and transaction-participant layer for both container cores
 // (DESIGN.md §5f/§5h): the client failover route, the failover state and its
-// repair pass, the txn participant legs, and move charging — written once.
+// repair pass, the txn read leg and participant legs, and move charging —
+// written once.
 //
 // A core describes one of its partitions to this layer as a *lane*, a small
 // value with five members:
@@ -32,6 +33,7 @@
 
 #include "common/status.h"
 #include "core/context.h"
+#include "core/stores.h"
 #include "rpc/batch.h"
 #include "rpc/engine.h"
 #include "txn/txn.h"
@@ -172,6 +174,46 @@ rpc::Future<R> rescue(Context& ctx, sim::Actor& self, const Lane& lane,
   if (!to) return {};
   ctx.rpc().route().mark_down(lane.node());
   return send<R>(ctx.rpc(), self, lane, to, op, args...);
+}
+
+/// The txn read leg (DESIGN.md §5h): fail fast while the lane's primary is
+/// down — a promoted standby's fenced epoch stream cannot be validated —
+/// then run the read's server body `body(sctx)` in the caller's thread when
+/// co-located, or invoke its stub `id` on the primary (the lane's prefix,
+/// then `args`). `*epoch` gets the epoch the read observed. A transient
+/// transport failure surfaces as a retryable kAborted, so TxnCoordinator::run
+/// re-stages the whole transaction.
+template <typename R, typename Lane, typename Body, typename... Args>
+R txn_read(Context& ctx, sim::Actor& self, const Lane& lane, Body&& body,
+           std::uint64_t* epoch, rpc::FuncId id, const Args&... args) {
+  if (ctx.fabric().node_down(lane.node())) {
+    throw HclError(Status::Unavailable("txn read: partition node is down"));
+  }
+  if (lane.node() == self.node()) {
+    auto sctx = hybrid_ctx(self, lane.node());
+    R result = body(sctx);
+    *epoch = sctx.epoch;
+    return result;
+  }
+  try {
+    ctx.op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
+    auto future = std::apply(
+        [&](const auto&... pre) {
+          return ctx.rpc().template async_invoke<R>(self, lane.node(), id,
+                                                    pre..., args...);
+        },
+        lane.prefix());
+    R result = future.get(self);
+    *epoch = future.response_epoch();
+    return result;
+  } catch (const HclError& e) {
+    if (e.code() == StatusCode::kAborted ||
+        (e.code() == StatusCode::kUnavailable &&
+         ctx.fabric().node_down(lane.node()))) {
+      throw;
+    }
+    throw HclError(Status::Aborted(e.what()));
+  }
 }
 
 /// One partition's failover state: the promotion flag and term, the fenced

@@ -6,9 +6,10 @@
 //
 // Single-partitioned (splitting a queue across partitions would violate its
 // ordering property, §III.D) but globally visible: every rank can push/pop.
-// The partition is hosted on `options.first_node`; co-located ranks use the
-// hybrid shared-memory path, remote ranks go through one RPC per op (or per
-// bulk op — Table I lists the vector forms with cost F + L + E·W / E·R).
+// The partition is hosted on `options.first_node`; co-located ranks take the
+// hybrid shared-memory path, running the op's own server body in their
+// thread, and remote ranks go through one RPC per op (or per bulk op —
+// Table I lists the vector forms with cost F + L + E·W / E·R).
 // The local store (core/stores.h) is the lock-free MS queue or the
 // skiplist-backed priority queue (DESIGN.md §5 substitution for the
 // multi-dimensional-list design); the latter's push carries the O(log n)
@@ -90,11 +91,8 @@ class HostedQueue {
   bool push(const T& value) {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
-      core::charge_local(*ctx_, self, node_, descent(true), bytes_of(value),
-                         /*write=*/true);
-      apply_push(Side::kPrimary, value);
-      mirror(Side::kPrimary, self.now(), LogOp::kPush, &value);
-      return true;
+      auto sctx = core::hybrid_ctx(self, node_);
+      return push_body(sctx, Side::kPrimary, value);
     }
     return core::routed<bool>(
         *ctx_, self, lane(), push_,
@@ -105,16 +103,8 @@ class HostedQueue {
   bool push(const std::vector<T>& values) {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
-      std::int64_t bytes = 0;
-      for (const auto& v : values) bytes += bytes_of(v);
-      core::charge_local(*ctx_, self, node_, descent(true), bytes,
-                         /*write=*/true,
-                         static_cast<std::int64_t>(values.size()));
-      for (const auto& v : values) {
-        apply_push(Side::kPrimary, v);
-        mirror(Side::kPrimary, self.now(), LogOp::kPush, &v);
-      }
-      return true;
+      auto sctx = core::hybrid_ctx(self, node_);
+      return push_bulk_body(sctx, Side::kPrimary, values);
     }
     return core::routed<bool>(
         *ctx_, self, lane(), push_bulk_,
@@ -134,11 +124,8 @@ class HostedQueue {
     if (statuses != nullptr) statuses->assign(values.size(), Status::Ok());
     if (node_ == self.node()) {
       for (std::size_t i = 0; i < values.size(); ++i) {
-        core::charge_local(*ctx_, self, node_, descent(true),
-                           bytes_of(values[i]), /*write=*/true);
-        apply_push(Side::kPrimary, values[i]);
-        mirror(Side::kPrimary, self.now(), LogOp::kPush, &values[i]);
-        results[i] = true;
+        auto sctx = core::hybrid_ctx(self, node_);
+        results[i] = push_body(sctx, Side::kPrimary, values[i]);
       }
       return results;
     }
@@ -167,50 +154,37 @@ class HostedQueue {
   /// Pop one element; false when the queue is empty.
   bool pop(T* out) {
     sim::Actor& self = sim::this_actor();
+    std::optional<T> result;
     if (node_ == self.node()) {
-      T tmp{};
-      const bool ok = apply_pop(Side::kPrimary, &tmp);
-      core::charge_local(*ctx_, self, node_, descent(false),
-                         ok ? bytes_of(tmp) : 8, /*write=*/false);
-      if (ok) mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
-      if (ok && out != nullptr) *out = std::move(tmp);
-      return ok;
+      auto sctx = core::hybrid_ctx(self, node_);
+      result = pop_body(sctx, Side::kPrimary);
+    } else {
+      result = core::routed<std::optional<T>>(
+          *ctx_, self, lane(), pop_,
+          [&](rpc::Future<std::optional<T>>& future) {
+            return future.get(self);
+          });
     }
-    return core::routed<std::optional<T>>(
-        *ctx_, self, lane(), pop_, [&](rpc::Future<std::optional<T>>& future) {
-          auto result = future.get(self);
-          if (!result.has_value()) return false;
-          if (out != nullptr) *out = std::move(*result);
-          return true;
-        });
+    if (result.has_value() && out != nullptr) *out = std::move(*result);
+    return result.has_value();
   }
 
   /// Bulk pop of up to `count` elements (Table I: F + L + E·R).
   std::size_t pop(std::vector<T>* out, std::size_t count) {
     sim::Actor& self = sim::this_actor();
+    const auto n = static_cast<std::uint64_t>(count);
+    std::vector<T> got;
     if (node_ == self.node()) {
-      const std::size_t before = out->size();
-      std::int64_t bytes = 0;
-      T tmp{};
-      while (out->size() - before < count && apply_pop(Side::kPrimary, &tmp)) {
-        bytes += bytes_of(tmp);
-        mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
-        out->push_back(std::move(tmp));
-      }
-      core::charge_local(*ctx_, self, node_, descent(false),
-                         bytes > 0 ? bytes : 8, /*write=*/false,
-                         static_cast<std::int64_t>(out->size() - before));
-      return out->size() - before;
+      auto sctx = core::hybrid_ctx(self, node_);
+      got = pop_bulk_body(sctx, Side::kPrimary, n);
+    } else {
+      got = core::routed<std::vector<T>>(
+          *ctx_, self, lane(), pop_bulk_,
+          [&](rpc::Future<std::vector<T>>& future) { return future.get(self); },
+          n);
     }
-    return core::routed<std::vector<T>>(
-        *ctx_, self, lane(), pop_bulk_,
-        [&](rpc::Future<std::vector<T>>& future) {
-          auto got = future.get(self);
-          const std::size_t n = got.size();
-          for (auto& v : got) out->push_back(std::move(v));
-          return n;
-        },
-        static_cast<std::uint64_t>(count));
+    for (auto& v : got) out->push_back(std::move(v));
+    return got.size();
   }
 
   /// Async push. Co-located callers take the hybrid shared-memory path —
@@ -220,11 +194,9 @@ class HostedQueue {
   rpc::Future<bool> async_push(const T& value) {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
-      core::charge_local(*ctx_, self, node_, descent(true), bytes_of(value),
-                         /*write=*/true);
-      apply_push(Side::kPrimary, value);
-      mirror(Side::kPrimary, self.now(), LogOp::kPush, &value);
-      return ctx_->rpc().template resolved_future<bool>(self, node_, true);
+      auto sctx = core::hybrid_ctx(self, node_);
+      return ctx_->rpc().template resolved_future<bool>(
+          self, node_, push_body(sctx, Side::kPrimary, value));
     }
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template async_invoke<bool>(self, node_, push_.primary,
@@ -235,13 +207,9 @@ class HostedQueue {
   rpc::Future<std::optional<T>> async_pop() {
     sim::Actor& self = sim::this_actor();
     if (node_ == self.node()) {
-      T tmp{};
-      const bool ok = apply_pop(Side::kPrimary, &tmp);
-      core::charge_local(*ctx_, self, node_, descent(false),
-                         ok ? bytes_of(tmp) : 8, /*write=*/false);
-      if (ok) mirror(Side::kPrimary, self.now(), LogOp::kPop, nullptr);
+      auto sctx = core::hybrid_ctx(self, node_);
       return ctx_->rpc().template resolved_future<std::optional<T>>(
-          self, node_, ok ? std::optional<T>(std::move(tmp)) : std::nullopt);
+          self, node_, pop_body(sctx, Side::kPrimary));
     }
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template async_invoke<std::optional<T>>(self, node_,
@@ -276,45 +244,17 @@ class HostedQueue {
     TxnParticipant& part = participant(t);
     const std::size_t k = part.staged_pops();
     check_pop_limit(k);
-    if (node_ == self.node()) {
-      T tmp{};
-      bool ok = false;
-      std::uint64_t epoch = 0;
-      {
-        std::lock_guard<std::mutex> guard(pop_mutex_);
-        epoch = epoch_.load(std::memory_order_acquire);
-        ok = impl_.peek_nth(k, &tmp);
-      }
-      core::charge_local(*ctx_, self, node_, descent(false),
-                         ok ? bytes_of(tmp) : 8, /*write=*/false);
-      part.note_epoch(self, epoch);
-      if (!ok) return false;
-      part.stage(LogOp::kPop, nullptr);
-      if (out != nullptr) *out = std::move(tmp);
-      return true;
-    }
-    if (ctx_->fabric().node_down(node_)) {
-      throw HclError(Status::Unavailable("txn read: queue host is down"));
-    }
-    try {
-      ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                    std::memory_order_relaxed);
-      auto future = ctx_->rpc().template async_invoke<std::optional<T>>(
-          self, node_, txn_peek_id_, static_cast<std::uint64_t>(k));
-      auto result = future.get(self);
-      part.note_epoch(self, future.response_epoch());
-      if (!result.has_value()) return false;
-      part.stage(LogOp::kPop, nullptr);
-      if (out != nullptr) *out = std::move(*result);
-      return true;
-    } catch (const HclError& e) {
-      if (e.code() == StatusCode::kAborted) throw;
-      if (e.code() == StatusCode::kUnavailable &&
-          ctx_->fabric().node_down(node_)) {
-        throw;  // fail fast: promoted reads cannot be epoch-validated
-      }
-      throw HclError(Status::Aborted(e.what()));
-    }
+    const auto n = static_cast<std::uint64_t>(k);
+    std::uint64_t epoch = 0;
+    auto result = core::txn_read<std::optional<T>>(
+        *ctx_, self, lane(),
+        [&](rpc::ServerCtx& sctx) { return txn_peek_body(sctx, n); }, &epoch,
+        txn_peek_id_, n);
+    part.note_epoch(self, epoch);
+    if (!result.has_value()) return false;
+    part.stage(LogOp::kPop, nullptr);
+    if (out != nullptr) *out = std::move(*result);
+    return true;
   }
 
   /// Diagnostic: is a prepared transaction's intent slot currently held?
@@ -699,53 +639,79 @@ class HostedQueue {
     return true;
   }
 
+  // ---- op server bodies ------------------------------------------------
+  // Each written once: bind_twins (or bind, for txn_peek) binds it as the
+  // host's stub and its failover twin, and a co-located caller runs it in
+  // its own thread against core::hybrid_ctx (§III.C.5).
+
+  bool push_body(rpc::ServerCtx& sctx, Side s, const T& value) {
+    core::charge_server(*ctx_, sctx, descent(true), bytes_of(value),
+                        /*write=*/true);
+    apply_push(s, value);
+    mirror(s, sctx.finish, LogOp::kPush, &value);
+    return true;
+  }
+  bool push_bulk_body(rpc::ServerCtx& sctx, Side s,
+                      const std::vector<T>& values) {
+    std::int64_t bytes = 0;
+    for (const auto& v : values) bytes += bytes_of(v);
+    core::charge_server(*ctx_, sctx, descent(true), bytes, /*write=*/true,
+                        static_cast<std::int64_t>(values.size()));
+    for (const auto& v : values) {
+      apply_push(s, v);
+      mirror(s, sctx.finish, LogOp::kPush, &v);
+    }
+    return true;
+  }
+  std::optional<T> pop_body(rpc::ServerCtx& sctx, Side s) {
+    T v{};
+    const bool ok = apply_pop(s, &v);
+    core::charge_server(*ctx_, sctx, descent(false), ok ? bytes_of(v) : 8,
+                        /*write=*/false);
+    if (ok) mirror(s, sctx.finish, LogOp::kPop, nullptr);
+    return ok ? std::optional<T>(std::move(v)) : std::nullopt;
+  }
+  /// Every pop is mirrored at the charge's finish.
+  std::vector<T> pop_bulk_body(rpc::ServerCtx& sctx, Side s,
+                               const std::uint64_t& count) {
+    std::vector<T> got;
+    T v{};
+    std::int64_t bytes = 0;
+    while (got.size() < count && apply_pop(s, &v)) {
+      bytes += bytes_of(v);
+      got.push_back(std::move(v));
+    }
+    core::charge_server(*ctx_, sctx, descent(false), bytes > 0 ? bytes : 8,
+                        /*write=*/false, static_cast<std::int64_t>(got.size()));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      mirror(s, sctx.finish, LogOp::kPop, nullptr);
+    }
+    return got;
+  }
+  /// The element `n` places behind the front, and the epoch it was read at.
+  std::optional<T> txn_peek_body(rpc::ServerCtx& sctx, const std::uint64_t& n) {
+    T tmp{};
+    bool ok = false;
+    {
+      std::lock_guard<std::mutex> guard(pop_mutex_);
+      sctx.epoch = epoch_.load(std::memory_order_acquire);
+      ok = impl_.peek_nth(static_cast<std::size_t>(n), &tmp);
+    }
+    core::charge_server(*ctx_, sctx, descent(false), ok ? bytes_of(tmp) : 8,
+                        /*write=*/false);
+    return ok ? std::optional<T>(std::move(tmp)) : std::nullopt;
+  }
+
   void bind_handlers() {
     auto& engine = ctx_->rpc();
     push_ = bind_twins<bool, T>(
-        [this](rpc::ServerCtx& sctx, Side s, const T& value) {
-          core::charge_server(*ctx_, sctx, descent(true), bytes_of(value),
-                              /*write=*/true);
-          apply_push(s, value);
-          mirror(s, sctx.finish, LogOp::kPush, &value);
-          return true;
-        });
+        [this](auto&&... a) { return push_body(a...); });
     push_bulk_ = bind_twins<bool, std::vector<T>>(
-        [this](rpc::ServerCtx& sctx, Side s, const std::vector<T>& values) {
-          std::int64_t bytes = 0;
-          for (const auto& v : values) bytes += bytes_of(v);
-          core::charge_server(*ctx_, sctx, descent(true), bytes, /*write=*/true,
-                              static_cast<std::int64_t>(values.size()));
-          for (const auto& v : values) {
-            apply_push(s, v);
-            mirror(s, sctx.finish, LogOp::kPush, &v);
-          }
-          return true;
-        });
-    pop_ = bind_twins<std::optional<T>>([this](rpc::ServerCtx& sctx, Side s) {
-      T v{};
-      const bool ok = apply_pop(s, &v);
-      core::charge_server(*ctx_, sctx, descent(false), ok ? bytes_of(v) : 8,
-                          /*write=*/false);
-      if (ok) mirror(s, sctx.finish, LogOp::kPop, nullptr);
-      return ok ? std::optional<T>(std::move(v)) : std::nullopt;
-    });
+        [this](auto&&... a) { return push_bulk_body(a...); });
+    pop_ = bind_twins<std::optional<T>>(
+        [this](auto&&... a) { return pop_body(a...); });
     pop_bulk_ = bind_twins<std::vector<T>, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, Side s, const std::uint64_t& count) {
-          std::vector<T> got;
-          T v{};
-          std::int64_t bytes = 0;
-          while (got.size() < count && apply_pop(s, &v)) {
-            bytes += bytes_of(v);
-            got.push_back(std::move(v));
-          }
-          core::charge_server(*ctx_, sctx, descent(false),
-                              bytes > 0 ? bytes : 8, /*write=*/false,
-                              static_cast<std::int64_t>(got.size()));
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            mirror(s, sctx.finish, LogOp::kPop, nullptr);
-          }
-          return got;
-        });
+        [this](auto&&... a) { return pop_bulk_body(a...); });
     // ---- mirror stubs (standby side): keep the standby's copy in
     // lock-step with the host; order is preserved because server_invoke
     // executes inline on the issuing thread.
@@ -786,20 +752,7 @@ class HostedQueue {
     // ---- transaction stubs (DESIGN.md §5h; protocol notes in
     // core::PartitionedMap). txn_mutex_ is released before standby fan-out.
     txn_peek_id_ = engine.bind<std::optional<T>, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& n) {
-          T tmp{};
-          bool ok = false;
-          std::uint64_t epoch = 0;
-          {
-            std::lock_guard<std::mutex> guard(pop_mutex_);
-            epoch = epoch_.load(std::memory_order_acquire);
-            ok = impl_.peek_nth(static_cast<std::size_t>(n), &tmp);
-          }
-          core::charge_server(*ctx_, sctx, descent(false),
-                              ok ? bytes_of(tmp) : 8, /*write=*/false);
-          sctx.epoch = epoch;
-          return ok ? std::optional<T>(std::move(tmp)) : std::nullopt;
-        });
+        [this](auto&&... a) { return txn_peek_body(a...); });
     txn_prepare_id_ =
         engine.bind<std::uint64_t, std::uint64_t, std::uint64_t,
                     std::vector<std::byte>>(

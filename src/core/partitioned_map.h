@@ -13,10 +13,11 @@
 //
 // Access follows the hybrid data access model (§III.C.5): if the chosen
 // partition is co-located with the caller, the RPC infrastructure is
-// bypassed entirely and the operation runs on shared memory; otherwise the
-// operation ships as ONE RPC-over-RDMA invocation and executes on the
-// target NIC core (Table I: insert = F + L + W, find = F + L + R; the
-// ordered store adds its L·log N descent through Store::descent()).
+// bypassed entirely and the caller runs the op's own server body in its
+// thread, on shared memory; otherwise the operation ships as ONE
+// RPC-over-RDMA invocation and the same body executes on the target NIC
+// core (Table I: insert = F + L + W, find = F + L + R; the ordered store
+// adds its L·log N descent through Store::descent()).
 //
 // Extras the paper describes and we implement:
 //   * asynchronous variants returning futures (§III.C.4),
@@ -153,12 +154,8 @@ class PartitionedMap {
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
-      core::charge_local(*ctx_, self, part.node, descent(part),
-                         wire_bytes(key, value), /*write=*/true);
-      const Side s = primary_side(p);
-      const bool ok = apply_insert(s, key, value, self.now());
-      if (ok) replicate(s, self.now(), LogOp::kUpsert, key, &value);
-      return ok;
+      auto sctx = core::hybrid_ctx(self, part.node);
+      return insert_body(sctx, primary_side(p), key, value);
     }
     return core::routed<bool>(
         *ctx_, self, lane(p, &key), insert_,
@@ -181,12 +178,8 @@ class PartitionedMap {
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
-      core::charge_local(*ctx_, self, part.node, descent(part),
-                         wire_bytes(key, value), /*write=*/true);
-      const Side s = primary_side(p);
-      const bool fresh = apply_upsert(s, key, value, self.now());
-      replicate(s, self.now(), LogOp::kUpsert, key, &value);
-      return fresh;
+      auto sctx = core::hybrid_ctx(self, part.node);
+      return upsert_body(sctx, primary_side(p), key, value);
     }
     return core::routed<bool>(
         *ctx_, self, lane(p, &key), upsert_,
@@ -206,33 +199,28 @@ class PartitionedMap {
     sim::Actor& self = sim::this_actor();
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    std::optional<V> result;
     if (part.node == self.node()) {
-      V tmp{};
-      const bool hit = part.store.find(key, &tmp);
-      core::charge_local(*ctx_, self, part.node, descent(part),
-                         hit ? wire_bytes(key, tmp) : key_bytes(key),
-                         /*write=*/false);
-      if (hit && out != nullptr) *out = std::move(tmp);
-      return hit;
-    }
-    {
+      auto sctx = core::hybrid_ctx(self, part.node);
+      result = find_body(sctx, primary_side(p), key);
+    } else {
       V tmp{};
       bool present = false;
       if (cache_->lookup(self, p, key, &tmp, &present)) {
         if (present && out != nullptr) *out = std::move(tmp);
         return present;
       }
+      result = core::routed<std::optional<V>>(
+          *ctx_, self, lane(p), find_,
+          [&](rpc::Future<std::optional<V>>& future) {
+            auto found = future.get(self);
+            cache_->store_read(self, p, key, found, future.response_epoch());
+            return found;
+          },
+          key);
     }
-    return core::routed<std::optional<V>>(
-        *ctx_, self, lane(p), find_,
-        [&](rpc::Future<std::optional<V>>& future) {
-          auto result = future.get(self);
-          cache_->store_read(self, p, key, result, future.response_epoch());
-          if (!result.has_value()) return false;
-          if (out != nullptr) *out = std::move(*result);
-          return true;
-        },
-        key);
+    if (result.has_value() && out != nullptr) *out = std::move(*result);
+    return result.has_value();
   }
 
   [[nodiscard]] bool contains(const K& key) { return find(key, nullptr); }
@@ -244,12 +232,8 @@ class PartitionedMap {
     const int p = partition_of(key);
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     if (part.node == self.node()) {
-      core::charge_local(*ctx_, self, part.node, descent(part), key_bytes(key),
-                         /*write=*/true);
-      const Side s = primary_side(p);
-      const bool ok = apply_erase(s, key);
-      replicate(s, self.now(), LogOp::kErase, key, nullptr);
-      return ok;
+      auto sctx = core::hybrid_ctx(self, part.node);
+      return erase_body(sctx, primary_side(p), key);
     }
     return core::routed<bool>(
         *ctx_, self, lane(p, &key), erase_,
@@ -271,15 +255,14 @@ class PartitionedMap {
     sim::Actor& self = sim::this_actor();
     if (partition_id < 0 || partition_id >= num_partitions_) return false;
     Partition& part = *partitions_[static_cast<std::size_t>(partition_id)];
+    const auto buckets = static_cast<std::uint64_t>(new_buckets);
     if (part.node == self.node()) {
-      charge_resize(self, part);
-      part.store.reserve(new_buckets);
-      return true;
+      auto sctx = core::hybrid_ctx(self, part.node);
+      return resize_body(sctx, partition_id, buckets);
     }
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
     return ctx_->rpc().template invoke<bool>(self, part.node, resize_id_,
-                                             partition_id,
-                                             static_cast<std::uint64_t>(new_buckets));
+                                             partition_id, buckets);
   }
 
   // ------------------------------------------------------------------
@@ -315,12 +298,8 @@ class PartitionedMap {
       const int p = partition_of(keys[i]);
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
-        core::charge_local(*ctx_, self, part.node, descent(part),
-                           wire_bytes(keys[i], values[i]), /*write=*/true);
-        const Side s = primary_side(p);
-        const bool ok = apply_insert(s, keys[i], values[i], self.now());
-        if (ok) replicate(s, self.now(), LogOp::kUpsert, keys[i], &values[i]);
-        results[i] = ok;
+        auto sctx = core::hybrid_ctx(self, part.node);
+        results[i] = insert_body(sctx, primary_side(p), keys[i], values[i]);
       } else {
         cache_->begin_write(self, p, keys[i]);
         const Lane to = lane(p);
@@ -359,12 +338,8 @@ class PartitionedMap {
       const int p = partition_of(keys[i]);
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
-        V tmp{};
-        const bool hit = part.store.find(keys[i], &tmp);
-        core::charge_local(*ctx_, self, part.node, descent(part),
-                           hit ? wire_bytes(keys[i], tmp) : key_bytes(keys[i]),
-                           /*write=*/false);
-        if (hit) results[i] = std::move(tmp);
+        auto sctx = core::hybrid_ctx(self, part.node);
+        results[i] = find_body(sctx, primary_side(p), keys[i]);
       } else {
         V tmp{};
         bool present = false;
@@ -407,12 +382,8 @@ class PartitionedMap {
       const int p = partition_of(keys[i]);
       Partition& part = *partitions_[static_cast<std::size_t>(p)];
       if (part.node == self.node()) {
-        core::charge_local(*ctx_, self, part.node, descent(part),
-                           key_bytes(keys[i]), /*write=*/true);
-        const Side s = primary_side(p);
-        const bool ok = apply_erase(s, keys[i]);
-        replicate(s, self.now(), LogOp::kErase, keys[i], nullptr);
-        results[i] = ok;
+        auto sctx = core::hybrid_ctx(self, part.node);
+        results[i] = erase_body(sctx, primary_side(p), keys[i]);
       } else {
         cache_->begin_write(self, p, keys[i]);
         const Lane to = lane(p);
@@ -526,9 +497,8 @@ class PartitionedMap {
     serial::save(out, arg);
     auto raw = out.take();
     if (part.node == self.node()) {
-      core::charge_local(*ctx_, self, part.node, descent(part),
-                         key_bytes(key) + raw.size(), /*write=*/true);
-      return apply_mutator(primary_side(p), key, mutator, raw, init).fresh;
+      auto sctx = core::hybrid_ctx(self, part.node);
+      return apply_body(sctx, primary_side(p), key, mutator, raw, init);
     }
     return core::routed<bool>(
         *ctx_, self, lane(p, &key), apply_,
@@ -557,9 +527,8 @@ class PartitionedMap {
     auto raw = out.take();
     std::vector<std::byte> bytes;
     if (part.node == self.node()) {
-      core::charge_local(*ctx_, self, part.node, descent(part),
-                         key_bytes(key) + raw.size(), /*write=*/true);
-      bytes = apply_mutator(primary_side(p), key, mutator, raw, init).result;
+      auto sctx = core::hybrid_ctx(self, part.node);
+      bytes = apply_fetch_body(sctx, primary_side(p), key, mutator, raw, init);
     } else {
       bytes = core::routed<std::vector<std::byte>>(
           *ctx_, self, lane(p, &key), apply_fetch_,
@@ -612,42 +581,17 @@ class PartitionedMap {
     bool staged_present = false;
     tp.read_intent(key, &staged_hit, &staged_present, out);
     if (staged_hit) return staged_present;
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    if (ctx_->fabric().node_down(part.node)) {
-      throw HclError(Status::Unavailable("txn read: partition node is down"));
-    }
-    if (part.node == self.node()) {
-      // Epoch BEFORE the read, the same conservative rule the find stub uses.
-      const std::uint64_t epoch = part.epoch.load(std::memory_order_acquire);
-      V tmp{};
-      const bool hit = part.store.find(key, &tmp);
-      core::charge_local(*ctx_, self, part.node, descent(part),
-                         hit ? wire_bytes(key, tmp) : key_bytes(key),
-                         /*write=*/false);
-      tp.note_read(stripe_of(key), epoch);
-      if (hit && out != nullptr) *out = std::move(tmp);
-      return hit;
-    }
-    try {
-      ctx_->op_stats().remote_invocations.fetch_add(1,
-                                                    std::memory_order_relaxed);
-      auto future = ctx_->rpc().template async_invoke<std::optional<V>>(
-          self, part.node, find_.primary, p, key);
-      auto result = future.get(self);
-      tp.note_read(stripe_of(key), future.response_epoch());
-      if (!result.has_value()) return false;
-      if (out != nullptr) *out = std::move(*result);
-      return true;
-    } catch (const HclError& e) {
-      if (e.code() == StatusCode::kAborted ||
-          (e.code() == StatusCode::kUnavailable &&
-           ctx_->fabric().node_down(part.node))) {
-        throw;
-      }
-      // Transient transport failure: surface as a retryable txn abort so
-      // run() re-stages the whole transaction.
-      throw HclError(Status::Aborted(e.what()));
-    }
+    std::uint64_t epoch = 0;
+    auto result = core::txn_read<std::optional<V>>(
+        *ctx_, self, lane(p),
+        [&](rpc::ServerCtx& sctx) {
+          return find_body(sctx, primary_side(p), key);
+        },
+        &epoch, find_.primary, key);
+    tp.note_read(stripe_of(key), epoch);
+    if (!result.has_value()) return false;
+    if (out != nullptr) *out = std::move(*result);
+    return true;
   }
 
   /// Diagnostics: does any prepared transaction hold a stripe of partition
@@ -1329,19 +1273,9 @@ class PartitionedMap {
 
   /// Table I's structure term for an access to `part` (its store's
   /// descent: L, or L·log N for the ordered store), charged by
-  /// core::charge_local / core::charge_server.
+  /// core::charge_server.
   [[nodiscard]] core::Descent descent(const Partition& part) const {
     return part.store.descent(ctx_->model());
-  }
-  void charge_resize(sim::Actor& self, Partition& part) {
-    // Table I: every entry is read and rewritten (Store::resize_bytes).
-    const auto n = static_cast<std::int64_t>(part.store.size());
-    const std::int64_t bytes = part.store.resize_bytes();
-    ctx_->op_stats().local_ops.fetch_add(1, std::memory_order_relaxed);
-    ctx_->op_stats().local_reads.fetch_add(n, std::memory_order_relaxed);
-    ctx_->op_stats().local_writes.fetch_add(n, std::memory_order_relaxed);
-    sim::Nanos t = ctx_->fabric().local_read(part.node, self.now(), bytes);
-    self.advance_to(ctx_->fabric().local_write(part.node, t, bytes));
   }
 
   // ---- serving sides (DESIGN.md §5f) ---------------------------------
@@ -1672,91 +1606,108 @@ class PartitionedMap {
     return true;
   }
 
+  // ---- data op server bodies -----------------------------------------
+  // Each written once: bind_twins binds it as the primary stub and its
+  // failover twin, and a co-located caller runs it in its own thread
+  // against core::hybrid_ctx (§III.C.5).
+
+  bool insert_body(rpc::ServerCtx& sctx, const Side& s, const K& key,
+                   const V& value) {
+    const sim::Nanos ready =
+        core::charge_server(*ctx_, sctx, descent(s.host),
+                            wire_bytes(key, value), /*write=*/true);
+    const bool ok = apply_insert(s, key, value, ready);
+    if (ok) replicate(s, ready, LogOp::kUpsert, key, &value);
+    sctx.epoch = epoch_of(s);
+    return ok;
+  }
+  bool upsert_body(rpc::ServerCtx& sctx, const Side& s, const K& key,
+                   const V& value) {
+    const sim::Nanos ready =
+        core::charge_server(*ctx_, sctx, descent(s.host),
+                            wire_bytes(key, value), /*write=*/true);
+    const bool fresh = apply_upsert(s, key, value, ready);
+    replicate(s, ready, LogOp::kUpsert, key, &value);
+    sctx.epoch = epoch_of(s);
+    return fresh;
+  }
+  std::optional<V> find_body(rpc::ServerCtx& sctx, const Side& s,
+                             const K& key) {
+    // Epoch BEFORE the read: a concurrent write can only make the
+    // piggybacked epoch conservatively stale, never too fresh.
+    sctx.epoch = epoch_of(s);
+    V value{};
+    const bool hit = s.store().find(key, &value);
+    core::charge_server(*ctx_, sctx, descent(s.host),
+                        hit ? wire_bytes(key, value) : key_bytes(key),
+                        /*write=*/false);
+    return hit ? std::optional<V>(std::move(value)) : std::nullopt;
+  }
+  bool erase_body(rpc::ServerCtx& sctx, const Side& s, const K& key) {
+    const sim::Nanos ready =
+        core::charge_server(*ctx_, sctx, descent(s.host), key_bytes(key),
+                            /*write=*/true);
+    const bool ok = apply_erase(s, key);
+    replicate(s, ready, LogOp::kErase, key, nullptr);
+    sctx.epoch = epoch_of(s);
+    return ok;
+  }
+  /// Table I resize, F + N(R + W): every entry is read and rewritten
+  /// (Store::resize_bytes); no L.
+  bool resize_body(rpc::ServerCtx& sctx, const int& p,
+                   const std::uint64_t& buckets) {
+    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    const auto n = static_cast<std::int64_t>(part.store.size());
+    const std::int64_t bytes = part.store.resize_bytes();
+    const sim::Nanos t =
+        ctx_->fabric().local_read(sctx.node, sctx.start, bytes);
+    core::finish_at(sctx, ctx_->fabric().local_write(sctx.node, t, bytes));
+    ctx_->op_stats().local_reads.fetch_add(n, std::memory_order_relaxed);
+    ctx_->op_stats().local_writes.fetch_add(n, std::memory_order_relaxed);
+    part.store.reserve(static_cast<std::size_t>(buckets));
+    sctx.epoch = part.epoch.load(std::memory_order_acquire);
+    return true;
+  }
+  bool apply_body(rpc::ServerCtx& sctx, const Side& s, const K& key,
+                  const std::uint32_t& mutator,
+                  const std::vector<std::byte>& raw, const V& init) {
+    core::charge_server(*ctx_, sctx, descent(s.host),
+                        key_bytes(key) + static_cast<std::int64_t>(raw.size()),
+                        /*write=*/true);
+    const bool fresh = apply_mutator(s, key, mutator, raw, init).fresh;
+    sctx.epoch = epoch_of(s);
+    return fresh;
+  }
+  std::vector<std::byte> apply_fetch_body(rpc::ServerCtx& sctx, const Side& s,
+                                          const K& key,
+                                          const std::uint32_t& mutator,
+                                          const std::vector<std::byte>& raw,
+                                          const V& init) {
+    core::charge_server(*ctx_, sctx, descent(s.host),
+                        key_bytes(key) + static_cast<std::int64_t>(raw.size()),
+                        /*write=*/true);
+    auto result = apply_mutator(s, key, mutator, raw, init).result;
+    sctx.epoch = epoch_of(s);
+    return result;
+  }
+
   void bind_handlers() {
     auto& engine = ctx_->rpc();
     insert_ = bind_twins<bool, K, V>(
-        [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
-               const V& value) {
-          const sim::Nanos ready =
-              core::charge_server(*ctx_, sctx, descent(s.host),
-                                  wire_bytes(key, value), /*write=*/true);
-          const bool ok = apply_insert(s, key, value, ready);
-          if (ok) replicate(s, ready, LogOp::kUpsert, key, &value);
-          sctx.epoch = epoch_of(s);
-          return ok;
-        });
+        [this](auto&&... a) { return insert_body(a...); });
     upsert_ = bind_twins<bool, K, V>(
-        [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
-               const V& value) {
-          const sim::Nanos ready =
-              core::charge_server(*ctx_, sctx, descent(s.host),
-                                  wire_bytes(key, value), /*write=*/true);
-          const bool fresh = apply_upsert(s, key, value, ready);
-          replicate(s, ready, LogOp::kUpsert, key, &value);
-          sctx.epoch = epoch_of(s);
-          return fresh;
-        });
+        [this](auto&&... a) { return upsert_body(a...); });
     find_ = bind_twins<std::optional<V>, K>(
-        [this](rpc::ServerCtx& sctx, const Side& s, const K& key) {
-          // Epoch BEFORE the read: a concurrent write can only make the
-          // piggybacked epoch conservatively stale, never too fresh.
-          sctx.epoch = epoch_of(s);
-          V value{};
-          const bool hit = s.store().find(key, &value);
-          core::charge_server(*ctx_, sctx, descent(s.host),
-                              hit ? wire_bytes(key, value) : key_bytes(key),
-                              /*write=*/false);
-          return hit ? std::optional<V>(std::move(value)) : std::nullopt;
-        });
+        [this](auto&&... a) { return find_body(a...); });
     erase_ = bind_twins<bool, K>(
-        [this](rpc::ServerCtx& sctx, const Side& s, const K& key) {
-          const sim::Nanos ready =
-              core::charge_server(*ctx_, sctx, descent(s.host), key_bytes(key),
-                                  /*write=*/true);
-          const bool ok = apply_erase(s, key);
-          replicate(s, ready, LogOp::kErase, key, nullptr);
-          sctx.epoch = epoch_of(s);
-          return ok;
-        });
+        [this](auto&&... a) { return erase_body(a...); });
     resize_id_ = engine.bind<bool, int, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const int& p, const std::uint64_t& buckets) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
-          const auto n = static_cast<std::int64_t>(part.store.size());
-          const std::int64_t bytes = part.store.resize_bytes();
-          sim::Nanos t = ctx_->fabric().local_read(sctx.node, sctx.start, bytes);
-          sctx.finish = ctx_->fabric().local_write(sctx.node, t, bytes);
-          ctx_->op_stats().local_reads.fetch_add(n, std::memory_order_relaxed);
-          ctx_->op_stats().local_writes.fetch_add(n, std::memory_order_relaxed);
-          part.store.reserve(static_cast<std::size_t>(buckets));
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
-          return true;
-        });
+        [this](auto&&... a) { return resize_body(a...); });
     apply_ = bind_twins<bool, K, std::uint32_t, std::vector<std::byte>, V>(
-        [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
-               const std::uint32_t& mutator, const std::vector<std::byte>& raw,
-               const V& init) {
-          core::charge_server(
-              *ctx_, sctx, descent(s.host),
-              key_bytes(key) + static_cast<std::int64_t>(raw.size()),
-              /*write=*/true);
-          const bool fresh = apply_mutator(s, key, mutator, raw, init).fresh;
-          sctx.epoch = epoch_of(s);
-          return fresh;
-        });
-    apply_fetch_ =
-        bind_twins<std::vector<std::byte>, K, std::uint32_t,
-                   std::vector<std::byte>, V>(
-            [this](rpc::ServerCtx& sctx, const Side& s, const K& key,
-                   const std::uint32_t& mutator,
-                   const std::vector<std::byte>& raw, const V& init) {
-              core::charge_server(
-                  *ctx_, sctx, descent(s.host),
-                  key_bytes(key) + static_cast<std::int64_t>(raw.size()),
-                  /*write=*/true);
-              auto result = apply_mutator(s, key, mutator, raw, init).result;
-              sctx.epoch = epoch_of(s);
-              return result;
-            });
+        [this](auto&&... a) { return apply_body(a...); });
+    apply_fetch_ = bind_twins<std::vector<std::byte>, K, std::uint32_t,
+                              std::vector<std::byte>, V>(
+        [this](auto&&... a) { return apply_fetch_body(a...); });
     replica_upsert_id_ = engine.bind<bool, int, K, V>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key, const V& value) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];

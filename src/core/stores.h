@@ -12,6 +12,11 @@
 //   * SkipListStore (hcl::map)           — lf::SkipListMap, O(log n) descent
 //   * FifoStore     (hcl::queue)         — lf::MsQueue, flat O(1) cost
 //   * HeapStore     (hcl::priority_queue)— lf::PriorityQueue, O(log n) push
+//
+// Beside them sits the one Table I charging function both cores' server
+// bodies call, charge_server(). A co-located caller runs those same bodies
+// in its own thread against hybrid_ctx() (§III.C.5), so each op is written
+// and charged once, whichever path delivers it.
 #pragma once
 
 #include <cstdint>
@@ -43,31 +48,35 @@ inline Descent log_descent(std::size_t n, const sim::CostModel& model) {
   return {levels, static_cast<sim::Nanos>(levels) * model.mem_level_ns};
 }
 
-/// Hybrid-path charging (§III.C.5) for `elements` elements written (insert
-/// base term) or read (find base term) on `node`: the structure-op base term
-/// plus the descent `d`, then the memory-channel byte cost.
-inline void charge_local(Context& ctx, sim::Actor& self, sim::NodeId node,
-                         Descent d, std::int64_t bytes, bool write,
-                         std::int64_t elements = 1) {
-  auto& stats = ctx.op_stats();
-  stats.local_ops.fetch_add(d.ops, std::memory_order_relaxed);
-  const auto& m = ctx.model();
-  if (write) {
-    stats.local_writes.fetch_add(elements, std::memory_order_relaxed);
-    self.advance_to(ctx.fabric().local_write(
-        node, self.now() + m.mem_insert_base_ns + d.ns, bytes));
-  } else {
-    stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
-    self.advance_to(ctx.fabric().local_read(
-        node, self.now() + m.mem_find_base_ns + d.ns, bytes));
-  }
+/// The hybrid path (§III.C.5): a caller co-located with `node` skips the RPC
+/// and runs the op's own server body in its thread, against this context. It
+/// starts at the caller's clock, and `caller` makes the body's charge
+/// (finish_at) advance that clock at the charge point — a ClockWindow
+/// throttle point: before a write's apply and replication, after a read.
+inline rpc::ServerCtx hybrid_ctx(sim::Actor& self, sim::NodeId node) {
+  rpc::ServerCtx sctx;
+  sctx.node = node;
+  sctx.start = self.now();
+  sctx.finish = sctx.start;
+  sctx.caller = &self;
+  return sctx;
 }
 
-/// Server-stub charging (runs on the NIC core; advances and returns
-/// sctx.finish), shaped like charge_local. Inside a coalesced bundle only
-/// the first constituent pays the structure-op base term — Table I's bulk
-/// shape F + L + E·W: one L (setup, hash tables warm in cache), then
-/// per-element byte costs. The descent is per-op and charged for every one.
+/// End a server body's charge at `t`: its finish and, on the hybrid path,
+/// the caller's clock.
+inline sim::Nanos finish_at(rpc::ServerCtx& sctx, sim::Nanos t) {
+  sctx.finish = t;
+  if (sctx.caller != nullptr) sctx.caller->advance_to(t);
+  return t;
+}
+
+/// Table I's charge for one server body, on the NIC core or a co-located
+/// caller's (hybrid_ctx): `elements` elements written (insert base term) or
+/// read (find base term) on sctx.node — the structure-op base term plus the
+/// descent `d`, then the memory-channel byte cost. Inside a coalesced bundle
+/// only the first constituent pays the base term — Table I's bulk shape
+/// F + L + E·W: one L (setup, hash tables warm in cache), then per-element
+/// byte costs. The descent is per-op and charged for every one.
 inline sim::Nanos charge_server(Context& ctx, rpc::ServerCtx& sctx, Descent d,
                                 std::int64_t bytes, bool write,
                                 std::int64_t elements = 1) {
@@ -78,15 +87,13 @@ inline sim::Nanos charge_server(Context& ctx, rpc::ServerCtx& sctx, Descent d,
   if (write) {
     stats.local_writes.fetch_add(elements, std::memory_order_relaxed);
     const sim::Nanos base = first ? m.mem_insert_base_ns : 0;
-    sctx.finish =
-        ctx.fabric().local_write(sctx.node, sctx.start + base + d.ns, bytes);
-  } else {
-    stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
-    const sim::Nanos base = first ? m.mem_find_base_ns : 0;
-    sctx.finish =
-        ctx.fabric().local_read(sctx.node, sctx.start + base + d.ns, bytes);
+    return finish_at(sctx, ctx.fabric().local_write(
+                               sctx.node, sctx.start + base + d.ns, bytes));
   }
-  return sctx.finish;
+  stats.local_reads.fetch_add(elements, std::memory_order_relaxed);
+  const sim::Nanos base = first ? m.mem_find_base_ns : 0;
+  return finish_at(sctx, ctx.fabric().local_read(
+                             sctx.node, sctx.start + base + d.ns, bytes));
 }
 
 // ---- map stores: insert/upsert/update_fn/find/erase/for_each/size -------

@@ -46,7 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "fabric/fabric.h"
 #include "obs/trace.h"
 #include "rpc/future.h"
@@ -148,6 +147,10 @@ struct ServerCtx {
   /// left as the handler set it — without paying for an unwind. Routine
   /// outcomes (OCC aborts) refuse; exceptions stay for real faults.
   Status status;
+  /// The co-located caller running this stub in its own thread (the hybrid
+  /// path, §III.C.5), whose clock the stub's charge advances; null for every
+  /// context the engine builds.
+  sim::Actor* caller = nullptr;
 };
 
 /// Type-erased server stub: (ctx, request payload) -> response payload.
@@ -215,14 +218,6 @@ class Engine {
         [this](ServerCtx& ctx, std::span<const std::byte> request) {
           return run_batch(ctx, request);
         });
-    // Failover policy defaults are intentionally DISTINCT from the transient
-    // policy: a node-down NACK is deterministic, so probing the primary more
-    // than a couple of times before re-routing only adds simulated latency,
-    // and the standby (which is up) needs no long backoff ramp.
-    failover_options_.max_retries = env_number("HCL_FAILOVER_RETRIES", 2, 0);
-    failover_options_.backoff_ns = env_number<sim::Nanos>(
-        "HCL_FAILOVER_BACKOFF_NS", sim::kMicrosecond, 0);
-    failover_options_.max_backoff_ns = 100 * sim::kMicrosecond;
   }
 
   Engine(const Engine&) = delete;
@@ -265,15 +260,6 @@ class Engine {
   }
   [[nodiscard]] const InvokeOptions& default_options() const noexcept {
     return default_options_;
-  }
-
-  /// Reliability policy for the FAILOVER path (probing a suspected-dead
-  /// primary, and invoking the promoted standby). Separate from
-  /// default_options so operators can tune detection aggressiveness
-  /// (HCL_FAILOVER_RETRIES / HCL_FAILOVER_BACKOFF_NS) without touching the
-  /// transient-fault backoff that fault-free workloads rely on.
-  [[nodiscard]] const InvokeOptions& failover_options() const noexcept {
-    return failover_options_;
   }
 
   /// This engine's (per-rank-shared) membership routing hints.
@@ -371,7 +357,7 @@ class Engine {
                                   FuncId id, const Args&... args) {
     fabric_->nic(standby).counters().failovers.fetch_add(
         1, std::memory_order_relaxed);
-    return start<R>(caller, standby, id, {}, failover_options_,
+    return start<R>(caller, standby, id, {}, kFailoverOptions,
                     obs::SpanKind::kFailover, args...);
   }
 
@@ -382,7 +368,7 @@ class Engine {
   template <typename R, typename... Args>
   Future<R> async_invoke_repair(sim::Actor& caller, sim::NodeId primary,
                                 FuncId id, const Args&... args) {
-    return start<R>(caller, primary, id, {}, failover_options_,
+    return start<R>(caller, primary, id, {}, kFailoverOptions,
                     obs::SpanKind::kRepair, args...);
   }
 
@@ -1247,7 +1233,16 @@ class Engine {
   std::unordered_map<FuncId, RawHandler> registry_;
   std::atomic<FuncId> next_id_{1};
   InvokeOptions default_options_{};
-  InvokeOptions failover_options_{};
+  /// Reliability policy for the FAILOVER path (probing a suspected-dead
+  /// primary, and invoking the promoted standby), distinct from the
+  /// transient policy: a node-down NACK is deterministic, so probing the
+  /// primary more than a couple of times before re-routing only adds
+  /// simulated latency, and the standby (which is up) needs no long backoff
+  /// ramp.
+  static constexpr InvokeOptions kFailoverOptions{
+      .max_retries = 2,
+      .backoff_ns = sim::kMicrosecond,
+      .max_backoff_ns = 100 * sim::kMicrosecond};
   RouteTable route_;
   FuncId batch_exec_id_ = 0;
 };
