@@ -502,6 +502,12 @@ TYPED_TEST(MapContract, HybridParity) {
     both("find missing", [&](Keys k, int) {
       return std::vector<int>{m.find(k[1])};
     });
+    both("async_insert", [&](Keys k, int) {
+      return std::vector<int>{m.async_insert(k[1], 3).get(self)};
+    });
+    both("async_find", [&](Keys k, int) {
+      return std::vector<int>{m.async_find(k[1]).get(self).value_or(-1)};
+    });
     both("apply", [&](Keys k, int) {
       return std::vector<int>{m.apply(k[2], add, 5, 10)};
     });
