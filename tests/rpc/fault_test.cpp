@@ -444,6 +444,24 @@ TEST_F(FaultTest, RouteTableMarksAndClears) {
   EXPECT_FALSE(route.is_down(1));
 }
 
+TEST(RouteTable, NodesSixtyFourApartDoNotAlias) {
+  RouteTable route(130);
+  route.mark_down(0);
+  EXPECT_TRUE(route.is_down(0));
+  EXPECT_FALSE(route.is_down(64));
+  EXPECT_FALSE(route.is_down(128));
+  // The reverse: marking and clearing node 64 leaves node 0's mark alone.
+  route.mark_down(64);
+  EXPECT_TRUE(route.is_down(64));
+  route.mark_up(64);
+  EXPECT_FALSE(route.is_down(64));
+  EXPECT_TRUE(route.is_down(0));
+  route.mark_down(129);
+  route.reset();
+  EXPECT_FALSE(route.is_down(0));
+  EXPECT_FALSE(route.is_down(129));
+}
+
 TEST_F(FaultTest, FailoverInvokeBumpsStandbyCounter) {
   const FuncId echo =
       engine.bind<int, int>([](ServerCtx&, const int& v) { return v; });
