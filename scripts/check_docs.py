@@ -18,7 +18,11 @@
    reference table, and every --flag row in that table must still be
    parsed somewhere in bench/ — same no-rot/no-invention contract as
    the env table.
-5. Thread spawners: no std::thread / std::jthread in src/ outside
+5. Exercised knobs: every HCL_* variable read in src/ must be named by a
+   CI leg, test, bench or script (.github/, tests/, bench/, perfbench/,
+   scripts/). A knob nothing sets is dead configuration surface: delete
+   the read, or exercise it.
+6. Thread spawners: no std::thread / std::jthread in src/ outside
    src/sim/. The rank runners there are the only legitimate spawners;
    the NIC, RPC engine and containers run inline on rank threads, so a
    thread anywhere else is a resident cost every Context would pay.
@@ -90,6 +94,29 @@ def check_env_parser(errors):
         if name != ENV_PARSER and GETENV_RE.search(text):
             errors.append(f"{name}: calls getenv; read HCL_* variables "
                           f"through {ENV_PARSER}")
+
+
+EXERCISE_DIRS = (".github", "tests", "bench", "perfbench", "scripts")
+
+
+def check_env_exercised(errors):
+    texts = []
+    for top in EXERCISE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(ROOT, top)):
+            for filename in sorted(filenames):
+                path = os.path.join(dirpath, filename)
+                if path == os.path.abspath(__file__):
+                    continue
+                try:
+                    texts.append(open(path, encoding="utf-8").read())
+                except (UnicodeDecodeError, OSError):
+                    continue
+    corpus = "\n".join(texts)
+    for var in sorted(env_vars_in_src()):
+        if not re.search(r"\b" + var + r"\b", corpus):
+            errors.append(
+                f"src/: {var} is read, but no CI leg, test, bench or script "
+                f"names it")
 
 
 def check_thread_spawners(errors):
@@ -165,6 +192,7 @@ def main():
     check_links(errors)
     check_env_table(errors)
     check_env_parser(errors)
+    check_env_exercised(errors)
     check_bench_handbook(errors)
     check_bench_flag_table(errors)
     check_thread_spawners(errors)
@@ -173,8 +201,8 @@ def main():
     if errors:
         print(f"{len(errors)} docs violation(s)")
         return 1
-    print("docs ok: links resolve, operator table matches src/, "
-          "bench handbook and flag table match bench/, "
+    print("docs ok: links resolve, operator table matches src/, every "
+          "knob is exercised, bench handbook and flag table match bench/, "
           "no thread spawners outside src/sim/")
     return 0
 

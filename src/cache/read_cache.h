@@ -81,9 +81,9 @@ struct CachePolicy {
 
 /// Session-wide default for ContainerOptions::cache: off unless the build
 /// (-DHCL_CACHE_DEFAULT_ON=ON) or the environment turns it on. The CI
-/// cache-on matrix leg sets HCL_CACHE_MODE=invalidate|update (optionally
-/// HCL_CACHE_TTL_NS / HCL_CACHE_CAPACITY) to run the whole container and
-/// property suites with caching enabled, so coherence regressions fail CI.
+/// cache-on matrix leg sets HCL_CACHE_MODE=invalidate|update to run the
+/// whole container and property suites with caching enabled, so coherence
+/// regressions fail CI.
 inline CachePolicy default_policy() {
   static const CachePolicy policy = [] {
     CachePolicy p;
@@ -98,9 +98,6 @@ inline CachePolicy default_policy() {
     } else if (mode == "off") {
       p.mode = CacheMode::kOff;
     }
-    p.ttl_ns = env_number<sim::Nanos>("HCL_CACHE_TTL_NS", p.ttl_ns, 0);
-    p.capacity = env_number<std::size_t>("HCL_CACHE_CAPACITY", p.capacity, 0,
-                                         std::size_t{1} << 30);
     return p;
   }();
   return policy;

@@ -58,9 +58,8 @@ class Context {
     /// (the CI trace-on matrix leg).
     obs::TracePolicy trace = obs::default_trace_policy();
     /// Shared-memory transport tier (DESIGN.md §5i). Off by default;
-    /// default_shm_policy() honors HCL_SHM / HCL_SHM_POD /
-    /// HCL_SHM_RING_SLOTS so whole suites can run with pod-local traffic on
-    /// the ring (the tier1-shm CI leg).
+    /// default_shm_policy() honors HCL_SHM / HCL_SHM_POD so whole suites can
+    /// run with pod-local traffic on the ring (the tier1-shm CI leg).
     shm::ShmPolicy shm = shm::default_shm_policy();
   };
 
@@ -228,16 +227,15 @@ struct ContainerOptions {
   /// each per-destination bundle ships when this policy trips.
   rpc::BatchPolicy batch{};
   /// Client-side read cache with epoch leases (DESIGN.md §5d). Off by
-  /// default; default_policy() honors HCL_CACHE_MODE / HCL_CACHE_TTL_NS /
-  /// HCL_CACHE_CAPACITY and -DHCL_CACHE_DEFAULT_ON so whole suites can run
-  /// cache-on without code changes (the CI cache-on matrix leg).
+  /// default; default_policy() honors HCL_CACHE_MODE and
+  /// -DHCL_CACHE_DEFAULT_ON so whole suites can run cache-on without code
+  /// changes (the CI cache-on matrix leg).
   cache::CachePolicy cache = cache::default_policy();
   /// Heat-driven shard rebalancing (DESIGN.md §5g). Off by default — routing
   /// stays the static hash % P and split/merge/migrate throw
-  /// FailedPrecondition. default_rebalance_policy() honors HCL_REBALANCE /
-  /// HCL_REBALANCE_SLOTS / HCL_REBALANCE_HOT_FACTOR / HCL_REBALANCE_MIN_OPS /
-  /// HCL_REBALANCE_COOLDOWN_OPS so whole suites can run with the indirection
-  /// layer live (the tier1-rebalance CI leg).
+  /// FailedPrecondition. default_rebalance_policy() honors HCL_REBALANCE so
+  /// whole suites can run with the indirection layer live (the
+  /// tier1-rebalance CI leg).
   core::RebalancePolicy rebalance = core::default_rebalance_policy();
   /// Span tracing for this container's cache hit/miss path (DESIGN.md §5e).
   /// Only consulted when the owning Context's tracer is enabled; the policy

@@ -55,21 +55,12 @@ struct RebalancePolicy {
 
 /// Session-wide default for ContainerOptions::rebalance: off unless the
 /// environment turns it on. The tier1-rebalance CI leg sets HCL_REBALANCE=1
-/// (optionally HCL_REBALANCE_SLOTS / HCL_REBALANCE_HOT_FACTOR /
-/// HCL_REBALANCE_MIN_OPS / HCL_REBALANCE_COOLDOWN_OPS) to run the whole
-/// suite with the indirection layer live, so routing regressions fail CI.
+/// to run the whole suite with the indirection layer live, so routing
+/// regressions fail CI.
 inline RebalancePolicy default_rebalance_policy() {
   static const RebalancePolicy policy = [] {
     RebalancePolicy p;
     p.enabled = env_bool("HCL_REBALANCE", p.enabled);
-    p.slots_per_partition = env_number("HCL_REBALANCE_SLOTS",
-                                       p.slots_per_partition, 1, 1 << 16);
-    p.hot_factor =
-        env_number("HCL_REBALANCE_HOT_FACTOR", p.hot_factor, 1.0, 1e6);
-    p.min_ops =
-        env_number<std::int64_t>("HCL_REBALANCE_MIN_OPS", p.min_ops, 0);
-    p.cooldown_ops = env_number<std::int64_t>("HCL_REBALANCE_COOLDOWN_OPS",
-                                              p.cooldown_ops, 0);
     return p;
   }();
   return policy;

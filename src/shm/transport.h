@@ -40,13 +40,11 @@ struct ShmPolicy {
 /// Process-wide default, read once from the environment:
 ///   HCL_SHM=1|on|true      enable the tier
 ///   HCL_SHM_POD=N          pod size in nodes (default 1 = same-node only)
-///   HCL_SHM_RING_SLOTS=N   slots per destination ring (default 32, max 64)
 inline const ShmPolicy& default_shm_policy() {
   static const ShmPolicy policy = [] {
     ShmPolicy p;
     p.enabled = env_bool("HCL_SHM", p.enabled);
     p.pod_nodes = env_number("HCL_SHM_POD", p.pod_nodes, 1);
-    p.ring_slots = env_number("HCL_SHM_RING_SLOTS", p.ring_slots, 1, 64);
     return p;
   }();
   return policy;

@@ -18,7 +18,7 @@
 //
 // Two interchangeable engines implement parking:
 //   * MultiplexPool — ucontext fibers; each rank gets a heap stack
-//     (HCL_SIM_STACK_KB, default 128) and suspends/resumes mid-call-stack.
+//     (128 KiB) and suspends/resumes mid-call-stack.
 //     2560-rank topologies run on a dozen workers.
 //   * GatedPool — sanitizer fallback (fiber.h compiles fibers out under
 //     ASan/TSan): one real thread per rank, but at most `threads` hold run
@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.h"
 #include "sim/actor.h"
 #include "sim/clock_window.h"
 #include "sim/fiber.h"
@@ -46,14 +45,10 @@ namespace hcl::sim {
 
 namespace detail {
 
-/// Per-rank fiber stack bytes (HCL_SIM_STACK_KB, floor 64 KiB). The deepest
-/// sim stacks are container op paths plus the serializer; 128 KiB clears
-/// them several times over while keeping 2560 ranks near 300 MB.
-inline std::size_t fiber_stack_bytes() {
-  static const std::size_t bytes =
-      env_number<std::size_t>("HCL_SIM_STACK_KB", 128, 64, 1 << 20) * 1024;
-  return bytes;
-}
+/// Per-rank fiber stack bytes. The deepest sim stacks are container op
+/// paths plus the serializer; 128 KiB clears them several times over while
+/// keeping 2560 ranks near 300 MB.
+inline constexpr std::size_t kFiberStackBytes = std::size_t{128} << 10;
 
 }  // namespace detail
 
@@ -157,7 +152,7 @@ class MultiplexPool final : public detail::ThrottleParker {
 
   void drive(Task* t) {
     if (t->fiber == nullptr) {
-      t->fiber = std::make_unique<Fiber>(detail::fiber_stack_bytes(),
+      t->fiber = std::make_unique<Fiber>(detail::kFiberStackBytes,
                                          [this, t] {
                                            ActorScope scope(*t->actor);
                                            fn_(*t->actor);

@@ -90,8 +90,8 @@ inline constexpr Refusal kKeyMoved{&fabric::NicCounters::txn_abort_moved,
 inline constexpr Refusal kUnderflow{&fabric::NicCounters::txn_abort_underflow,
                                     "txn prepare: queue underflow"};
 
-/// Coordinator knobs. default_txn_policy() honors HCL_TXN_RETRIES and
-/// HCL_TXN_BACKOFF_NS so whole suites can be tuned without code changes.
+/// Coordinator knobs. default_txn_policy() honors HCL_TXN_RETRIES so whole
+/// suites can be tuned without code changes.
 struct TxnPolicy {
   /// Abort-then-retry attempts run() makes after a validation conflict
   /// (kAborted). Other failures surface immediately.
@@ -111,8 +111,6 @@ inline TxnPolicy default_txn_policy() {
   static const TxnPolicy policy = [] {
     TxnPolicy p;
     p.max_retries = env_number("HCL_TXN_RETRIES", p.max_retries, 0);
-    p.backoff_ns =
-        env_number<sim::Nanos>("HCL_TXN_BACKOFF_NS", p.backoff_ns, 0);
     return p;
   }();
   return policy;
