@@ -6,8 +6,9 @@
 // This bench performs one operation per row, reads the library's operation
 // counters, and prints measured counts against the paper's formula. Hybrid
 // rows verify the hybrid model: a co-located operation runs the same server
-// body, so it costs the remote row's L/R/W with 0 F. Every row carries its
-// expected counts; the bench exits 1 if any measured count differs.
+// body, so it costs the remote row's L/R/W with 0 F — for the async shapes
+// too. Every row carries its expected counts; the bench exits 1 if any
+// measured count differs.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -88,6 +89,19 @@ int main(int argc, char** argv) {
     ctx.run_one(0, [&](sim::Actor&) { m.erase(lk); });
     report("unordered_map", "erase (hybrid)", "L + W (no F)",
            {0, 1, 0, 1}, ctx);
+    // The async shapes run the same server bodies (§III.C.4).
+    ctx.run_one(0, [&](sim::Actor& self) { m.async_insert(rk, 2).get(self); });
+    report("unordered_map", "async_insert (remote)", "F + L + W",
+           {1, 1, 0, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { m.async_find(rk).get(self); });
+    report("unordered_map", "async_find (remote)", "F + L + R",
+           {1, 1, 1, 0}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { m.async_insert(lk, 2).get(self); });
+    report("unordered_map", "async_insert (hybrid)", "L + W (no F)",
+           {0, 1, 0, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { m.async_find(lk).get(self); });
+    report("unordered_map", "async_find (hybrid)", "L + R (no F)",
+           {0, 1, 1, 0}, ctx);
   }
 
   // ---- map (ordered) -----------------------------------------------------
@@ -146,6 +160,10 @@ int main(int argc, char** argv) {
       q.pop(&out, 4);
     });
     report("queue", "pop bulk E=4", "F + L + E*R", {1, 1, 4, 0}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { q.async_push(8).get(self); });
+    report("queue", "async_push (remote)", "F + L + W", {1, 1, 0, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { q.async_pop().get(self); });
+    report("queue", "async_pop (remote)", "F + L + R", {1, 1, 1, 0}, ctx);
   }
   {
     queue<int> q(ctx);  // hosted on rank 0's node
@@ -163,6 +181,10 @@ int main(int argc, char** argv) {
       q.pop(&out, 4);
     });
     report("queue", "pop bulk (hybrid)", "L + E*R (no F)", {0, 1, 4, 0}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { q.async_push(8).get(self); });
+    report("queue", "async_push (hybrid)", "L + W (no F)", {0, 1, 0, 1}, ctx);
+    ctx.run_one(0, [&](sim::Actor& self) { q.async_pop().get(self); });
+    report("queue", "async_pop (hybrid)", "L + R (no F)", {0, 1, 1, 0}, ctx);
   }
 
   // ---- priority_queue --------------------------------------------------------
@@ -178,10 +200,10 @@ int main(int argc, char** argv) {
     report("priority_queue", "pop (remote)", "F + L + R", {1, 1, 1, 0}, ctx);
   }
 
-  std::printf("%-16s %-18s %-18s %4s %4s %4s %4s\n", "structure", "operation",
+  std::printf("%-16s %-22s %-18s %4s %4s %4s %4s\n", "structure", "operation",
               "paper formula", "F", "L", "R", "W");
   for (const auto& row : g_rows) {
-    std::printf("%-16s %-18s %-18s %4" PRId64 " %4" PRId64 " %4" PRId64
+    std::printf("%-16s %-22s %-18s %4" PRId64 " %4" PRId64 " %4" PRId64
                 " %4" PRId64 "\n",
                 row.structure, row.op, row.formula, row.got.remote_invocations,
                 row.got.local_ops, row.got.local_reads, row.got.local_writes);

@@ -1,11 +1,15 @@
 // Shared bulk-operation plumbing for both container cores (Table I's bulk
 // rows).
 //
-// Every *_batch API follows the same shape: co-located ops run inline on the
-// hybrid shared-memory path, remote ops enqueue into a per-destination
-// rpc::Batcher, and settle_batch() flushes the bundles and fans the per-op
-// outcomes back into the caller's result slots. One bundle = one remote
-// invocation (F paid once per bundle, not once per element).
+// Every *_batch API follows the same shape. Each element takes the one
+// client route (core::route in core/failover.h), which makes the per-element
+// choice for both cores: an element co-located with its primary runs its
+// server body inline on the hybrid shared-memory path; any other element is
+// enqueued into a per-destination rpc::Batcher at the target batch_route
+// chose (the standby's twin while the primary is marked down). Then
+// settle_batch() flushes the bundles and fans the per-op outcomes back into
+// the caller's result slots. One bundle = one remote invocation (F paid once
+// per bundle, not once per element).
 //
 // Failure semantics: with `statuses == nullptr` the first failed op throws
 // HclError (scalar semantics). With a `statuses` vector, every op's own
