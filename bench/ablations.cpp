@@ -119,12 +119,13 @@ int main(int argc, char** argv) {
   {
     Context ctx({.num_nodes = 2, .procs_per_node = clients});
     auto& engine = ctx.rpc();
-    const auto stage = engine.bind_raw(
-        [&](rpc::ServerCtx& sctx, std::span<const std::byte> prev) {
-          sctx.finish = ctx.fabric().local_write(
-              sctx.node, sctx.start + ctx.model().mem_insert_base_ns, 512);
-          return std::vector<std::byte>(prev.begin(), prev.end());
-        });
+    const auto stage = engine.bind_raw([&](rpc::ServerCtx& sctx,
+                                           std::span<const std::byte> prev,
+                                           serial::OutArchive& out) {
+      sctx.finish = ctx.fabric().local_write(
+          sctx.node, sctx.start + ctx.model().mem_insert_base_ns, 512);
+      out.raw_bytes(prev.data(), prev.size());
+    });
     constexpr int kStages = 4;
     ctx.reset_measurement();
     ctx.run([&](sim::Actor& self) {

@@ -293,6 +293,33 @@ std::vector<Record> decode_records(std::span<const std::byte> blob, Op last,
   return recs;
 }
 
+/// The blob decode_records reads, written straight into a request as the
+/// `std::vector<std::byte>` argument its stub takes (a u64 byte count,
+/// then one word per byte) without building that vector: a u64 record
+/// count, then `write(ar, rec)` per record. Saving only. The records are
+/// encoded into a scratch archive from the thread's buffer pool and widened
+/// from there.
+template <typename Record, typename Write>
+struct RecordBlob {
+  std::span<const Record> recs;
+  Write write;
+
+  template <typename Ar>
+  void serialize(Ar& ar) const {
+    serial::OutArchive blob;
+    blob.u64(recs.size());
+    for (const Record& rec : recs) write(blob, rec);
+    ar.u64(blob.size());
+    serial::save_word_run(ar, std::span<const std::byte>(blob.buffer()));
+  }
+};
+
+template <typename Record, typename Write>
+RecordBlob<Record, Write> record_blob(const std::vector<Record>& recs,
+                                      Write write) {
+  return {recs, write};
+}
+
 /// One partition's failover state: the promotion flag and term, the fenced
 /// epoch stream the promoted standby publishes, and the journal of ops it
 /// accepted while the primary was down. Mutated only under `mutex` — and the

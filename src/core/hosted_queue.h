@@ -426,7 +426,7 @@ class HostedQueue {
       owner->fo_.repair(
           *owner->ctx_, self, *this, owner->repair_id_,
           [](const std::vector<FoRecord>& delta, std::uint64_t) {
-            return std::make_tuple(encode_intents(delta));
+            return std::make_tuple(intent_blob(delta));
           },
           [](std::uint64_t) {});
     }
@@ -471,16 +471,13 @@ class HostedQueue {
   // ---- transaction internals (DESIGN.md §5h) ------------------------
 
   /// Intent records on the wire, in staging order (pushes carry a value,
-  /// pops are bare ops). Same record shape the failover journal uses.
-  static std::vector<std::byte> encode_intents(
-      const std::vector<FoRecord>& recs) {
-    serial::OutArchive out;
-    out.u64(static_cast<std::uint64_t>(recs.size()));
-    for (const FoRecord& rec : recs) {
+  /// pops are bare ops), written straight into the request
+  /// (core::RecordBlob). Same record shape the failover journal uses.
+  static auto intent_blob(const std::vector<FoRecord>& recs) {
+    return core::record_blob(recs, [](auto& out, const FoRecord& rec) {
       out.u64(static_cast<std::uint64_t>(rec.op));
       if (rec.op == LogOp::kPush) serial::save(out, rec.value);
-    }
-    return out.take();
+    });
   }
   /// Commit order (see the public txn notes): every staged pop, then every
   /// staged push, each in staging order.
@@ -510,6 +507,9 @@ class HostedQueue {
     explicit TxnParticipant(HostedQueue* owner)
         : core::Participant<Lane>(*owner->ctx_, Lane{owner},
                                   owner->txn_commit_, owner->txn_abort_) {}
+    ~TxnParticipant() override {
+      VectorPool<FoRecord>::give(std::move(intents_));
+    }
 
     void stage(LogOp op, const T* value) {
       intents_.push_back(FoRecord{op, value != nullptr ? *value : T{}});
@@ -539,7 +539,7 @@ class HostedQueue {
                          std::uint64_t txn_id) override {
       this->enqueue_prepare_call(self, batch,
                                  this->lane_.owner->txn_prepare_id_, txn_id,
-                                 expected_epoch_, encode_intents(intents_));
+                                 expected_epoch_, intent_blob(intents_));
     }
 
     [[nodiscard]] std::shared_mutex* latch() const noexcept override {
@@ -548,12 +548,12 @@ class HostedQueue {
 
    private:
     std::uint64_t expected_epoch_ = txn::kBlindEpoch;
-    std::vector<FoRecord> intents_;
+    std::vector<FoRecord> intents_ = VectorPool<FoRecord>::take();
   };
 
   TxnParticipant& participant(txn::Txn& t) {
     return t.template participant<TxnParticipant>(
-        this, 0, [&] { return std::make_unique<TxnParticipant>(this); });
+        this, 0, [&] { return txn::make_participant<TxnParticipant>(this); });
   }
 
   /// Bind one op's server body twice, from the one `body(sctx, side,

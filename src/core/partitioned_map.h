@@ -763,7 +763,7 @@ class PartitionedMap {
         on.part().fo.repair(
             *owner->ctx_, self, on, owner->repair_id_,
             [](const std::vector<FoRecord>& delta, std::uint64_t fence) {
-              return std::make_tuple(encode_intents(delta), fence);
+              return std::make_tuple(intent_blob(delta), fence);
             },
             [&](std::uint64_t epoch) {
               owner->cache_->fence_partition(self, q, epoch);
@@ -777,17 +777,14 @@ class PartitionedMap {
 
   /// Intent records on the wire: the prepare bundle carries them packed so
   /// one RDMA_SEND validates + locks a partition no matter how many keys
-  /// the txn touches there. Same record shape the failover journal uses.
-  static std::vector<std::byte> encode_intents(
-      const std::vector<FoRecord>& recs) {
-    serial::OutArchive out;
-    out.u64(static_cast<std::uint64_t>(recs.size()));
-    for (const FoRecord& rec : recs) {
+  /// the txn touches there, written straight into the request
+  /// (core::RecordBlob). Same record shape the failover journal uses.
+  static auto intent_blob(const std::vector<FoRecord>& recs) {
+    return core::record_blob(recs, [](auto& out, const FoRecord& rec) {
       out.u64(static_cast<std::uint64_t>(rec.op));
       serial::save(out, rec.key);
       if (rec.op != LogOp::kErase) serial::save(out, rec.value);
-    }
-    return out.take();
+    });
   }
   static std::vector<FoRecord> decode_intents(
       const std::vector<std::byte>& blob) {
@@ -810,6 +807,10 @@ class PartitionedMap {
     TxnParticipant(PartitionedMap* owner, int p)
         : core::Participant<Lane>(*owner->ctx_, Lane{owner, p},
                                   owner->txn_commit_, owner->txn_abort_) {}
+    ~TxnParticipant() override {
+      VectorPool<FoRecord>::give(std::move(intents_));
+      VectorPool<std::uint64_t>::give(std::move(reads_));
+    }
 
     // -- client-side staging (txn_put / txn_erase / txn_find) ---------
 
@@ -861,7 +862,7 @@ class PartitionedMap {
                          std::uint64_t txn_id) override {
       this->enqueue_prepare_call(self, batch,
                                  this->lane_.owner->txn_prepare_id_, txn_id,
-                                 reads_, encode_intents(intents_));
+                                 reads_, intent_blob(intents_));
     }
 
     /// Opens the cache write window of every staged key first.
@@ -883,9 +884,11 @@ class PartitionedMap {
     /// Close the begin_write window opened in enqueue_commit: committed
     /// values (or definite absences) re-enter the cache under the commit
     /// epoch. Abort paths never get here, so the entries stay invalidated
-    /// — an aborted intent can never be served from a lease.
+    /// — an aborted intent can never be served from a lease. With the
+    /// cache off there is nothing to close, so no value is copied.
     void committed(sim::Actor& self, std::uint64_t epoch) override {
       auto& cache = *this->lane_.owner->cache_;
+      if (!cache.enabled()) return;
       for (const FoRecord& rec : intents_) {
         const std::optional<V> known = rec.op == LogOp::kErase
                                            ? std::nullopt
@@ -894,14 +897,14 @@ class PartitionedMap {
       }
     }
 
-    std::vector<FoRecord> intents_;
+    std::vector<FoRecord> intents_ = VectorPool<FoRecord>::take();
     /// Flattened (stripe, epoch) pairs, one per stripe read.
-    std::vector<std::uint64_t> reads_;
+    std::vector<std::uint64_t> reads_ = VectorPool<std::uint64_t>::take();
   };
 
   TxnParticipant& participant(txn::Txn& t, int p) {
     return t.template participant<TxnParticipant>(
-        this, p, [&] { return std::make_unique<TxnParticipant>(this, p); });
+        this, p, [&] { return txn::make_participant<TxnParticipant>(this, p); });
   }
 
   // ---- shard rebalancing internals (DESIGN.md §5g) ------------------
@@ -1753,6 +1756,7 @@ class PartitionedMap {
               Prepared entry;
               entry.txn_id = txn_id;
               entry.intents = decode_intents(blob);
+              entry.stripes.reserve(reads.size() / 2 + entry.intents.size());
               for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
                 entry.stripes.push_back(
                     static_cast<std::uint32_t>(reads[i] & (kStripes - 1)));

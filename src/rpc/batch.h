@@ -3,11 +3,12 @@
 // Table I; cf. Brock et al.: RPC beats one-sided RDMA exactly when requests
 // are aggregated).
 //
-// A Batcher keeps one pending queue per destination node. enqueue() appends
-// a serialized op and returns its Future immediately; the queue ships as ONE
-// bundled RDMA_SEND (Engine::send_batch) when any BatchPolicy threshold
-// trips — op count, queued bytes, or the simulated-time linger window — or
-// when the owner calls flush()/flush_all(). FIFO order within a destination
+// A Batcher keeps one pending bundle per destination node. enqueue()
+// serializes an op straight into its destination's bundle framing and
+// returns its Future immediately; the bundle ships as ONE RDMA_SEND
+// (Engine::send_batch) when any BatchPolicy threshold trips — op count,
+// queued bytes, or the simulated-time linger window — or when the owner
+// calls flush()/flush_all(). FIFO order within a destination
 // is preserved across automatic flush chunks, so two ops on the same key
 // observe each other in enqueue order.
 //
@@ -46,50 +47,54 @@ class Batcher {
 
   ~Batcher() { fail_pending(); }
 
-  /// Serialize one op for `target` and coalesce it. Returns the op's future
-  /// right away; it resolves when its bundle ships and executes. May flush
-  /// the destination's bundle inline if this enqueue trips the policy.
+  /// Serialize one op for `target` straight into its destination's bundle
+  /// (its id, payload length and payload: the bytes that go on the wire)
+  /// and coalesce it. Returns the op's future right away; it resolves when
+  /// its bundle ships and executes. May flush the destination's bundle
+  /// inline if this enqueue trips the policy.
   template <typename R, typename... Args>
   Future<R> enqueue(sim::Actor& caller, sim::NodeId target, FuncId id,
                     const Args&... args) {
-    serial::OutArchive out;
-    (serial::save(out, args), ...);
-    auto state = std::make_shared<detail::FutureState>();
-
-    std::vector<detail::PendingOp> ready;
+    auto state = detail::new_state();
+    Flight ready;
     {
       std::lock_guard<std::mutex> guard(mutex_);
       Pending& dest = pending_[target];
-      if (dest.ops.empty()) dest.opened_at = caller.now();
-      dest.bytes += out.size() + kPerOpHeaderBytes;
-      dest.ops.push_back(detail::PendingOp{id, out.take(), state, caller.now()});
-      if (tripped(dest, caller.now())) ready = take_locked(dest);
+      serial::OutArchive& bundle = dest.bundle;
+      if (dest.ops.empty()) {
+        dest.opened_at = caller.now();
+        bundle.u64(0);  // the op count, written when the bundle ships
+      }
+      bundle.u64(id);
+      const std::size_t len_at = bundle.size();
+      bundle.u64(0);
+      serial::write_sized(bundle,
+                          [&](auto& ar) { (serial::save(ar, args), ...); });
+      serial::RawBackend::store(bundle.data() + len_at,
+                                bundle.size() - len_at - 8);
+      dest.ops.push_back(detail::PendingOp{id, state, caller.now()});
+      if (tripped(dest, caller.now())) take_locked(target, dest, ready);
     }
-    if (!ready.empty()) ship(caller, target, std::move(ready));
-    return Future<R>(state, engine_, target);
+    if (!ready.ops.empty()) ship(caller, ready);
+    return Future<R>(std::move(state), engine_, target);
   }
 
   /// Ship `target`'s pending bundle now (no-op when empty).
   void flush(sim::Actor& caller, sim::NodeId target) {
-    std::vector<detail::PendingOp> ready;
+    Flight ready;
     {
       std::lock_guard<std::mutex> guard(mutex_);
       auto it = pending_.find(target);
-      if (it != pending_.end()) ready = take_locked(it->second);
+      if (it != pending_.end() && !it->second.ops.empty()) {
+        take_locked(target, it->second, ready);
+      }
     }
-    if (!ready.empty()) ship(caller, target, std::move(ready));
+    if (!ready.ops.empty()) ship(caller, ready);
   }
 
   /// Ship every destination's pending bundle.
   void flush_all(sim::Actor& caller) {
-    std::vector<std::pair<sim::NodeId, std::vector<detail::PendingOp>>> ready;
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      for (auto& [node, dest] : pending_) {
-        if (!dest.ops.empty()) ready.emplace_back(node, take_locked(dest));
-      }
-    }
-    for (auto& [node, ops] : ready) ship(caller, node, std::move(ops));
+    take_all(caller, [](const Pending& dest) { return !dest.ops.empty(); });
   }
 
   /// Re-check the simulated-time linger window on every destination — the
@@ -97,17 +102,10 @@ class Batcher {
   /// no background flusher: simulated time only advances with its actor.)
   void poll(sim::Actor& caller) {
     if (policy_.max_delay_ns <= 0) return;
-    std::vector<std::pair<sim::NodeId, std::vector<detail::PendingOp>>> ready;
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      for (auto& [node, dest] : pending_) {
-        if (!dest.ops.empty() &&
-            caller.now() - dest.opened_at >= policy_.max_delay_ns) {
-          ready.emplace_back(node, take_locked(dest));
-        }
-      }
-    }
-    for (auto& [node, ops] : ready) ship(caller, node, std::move(ops));
+    take_all(caller, [&](const Pending& dest) {
+      return !dest.ops.empty() &&
+             caller.now() - dest.opened_at >= policy_.max_delay_ns;
+    });
   }
 
   /// Ops queued (not yet shipped) for one destination.
@@ -125,54 +123,88 @@ class Batcher {
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
 
  private:
-  // Mirrors Engine's per-op bundle framing (func id + payload length).
-  static constexpr std::size_t kPerOpHeaderBytes = 16;
+  // The bundle's leading op-count word (not counted against max_bytes).
+  static constexpr std::size_t kCountBytes = 8;
 
+  using OpList = std::vector<detail::PendingOp>;
+
+  /// One destination's open bundle: its ops' futures, and the request
+  /// bytes framed so far. Both keep their storage across flushes: a flush
+  /// swaps them for spares from the thread's pools.
   struct Pending {
-    std::vector<detail::PendingOp> ops;
-    std::size_t bytes = 0;
+    ~Pending() { VectorPool<detail::PendingOp>::give(std::move(ops)); }
+
+    OpList ops = VectorPool<detail::PendingOp>::take();
+    serial::OutArchive bundle;
     sim::Nanos opened_at = 0;  // caller clock at the bundle's first enqueue
+  };
+
+  /// A bundle taken out of its Pending to ship outside the lock.
+  struct Flight {
+    Flight() = default;
+    Flight(Flight&&) = default;
+    Flight& operator=(Flight&&) = default;
+    ~Flight() { VectorPool<detail::PendingOp>::give(std::move(ops)); }
+
+    sim::NodeId target = 0;
+    OpList ops;
+    serial::OutArchive bundle;
   };
 
   [[nodiscard]] bool tripped(const Pending& dest, sim::Nanos now) const {
     return dest.ops.size() >= policy_.max_ops ||
-           dest.bytes >= policy_.max_bytes ||
+           dest.bundle.size() - kCountBytes >= policy_.max_bytes ||
            (policy_.max_delay_ns > 0 &&
             now - dest.opened_at >= policy_.max_delay_ns);
   }
 
-  static std::vector<detail::PendingOp> take_locked(Pending& dest) {
-    std::vector<detail::PendingOp> ops;
-    ops.swap(dest.ops);
-    dest.bytes = 0;
-    return ops;
+  /// Move `dest`'s bundle into `out`, leaving `dest` the spares `out` held.
+  static void take_locked(sim::NodeId target, Pending& dest, Flight& out) {
+    out.target = target;
+    out.ops.swap(dest.ops);
+    dest.ops = VectorPool<detail::PendingOp>::take();
+    out.bundle = std::move(dest.bundle);  // swaps the two buffers
   }
 
-  void ship(sim::Actor& caller, sim::NodeId target,
-            std::vector<detail::PendingOp> ops) {
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    engine_->send_batch(caller, target, std::move(ops), options_);
-  }
-
-  /// Settle every op still pending at destruction with a refusal. Costs
-  /// nothing (no allocation) in the common case of no orphans.
-  void fail_pending() {
-    std::vector<std::vector<detail::PendingOp>> orphaned;
+  /// Take every bundle `pick` selects under one lock, in the map's order,
+  /// then ship them in that order.
+  template <typename Pick>
+  void take_all(sim::Actor& caller, Pick&& pick) {
+    std::vector<Flight> ready = VectorPool<Flight>::take();
     {
       std::lock_guard<std::mutex> guard(mutex_);
       for (auto& [node, dest] : pending_) {
-        if (!dest.ops.empty()) orphaned.push_back(take_locked(dest));
+        if (pick(dest)) take_locked(node, dest, ready.emplace_back());
       }
     }
-    if (orphaned.empty()) return;
-    const Status status = Status::FailedPrecondition(
-        "Batcher destroyed with pending batched ops (flush() them first)");
-    // Aborted ops never shipped, so hand every future a pre-charged pull:
-    // awaiting one costs nothing and still yields a definite status.
-    auto no_pull = std::make_shared<detail::BatchPull>();
-    no_pull->charged = true;
-    for (auto& ops : orphaned) {
-      for (auto& op : ops) {
+    for (Flight& flight : ready) ship(caller, flight);
+    VectorPool<Flight>::give(std::move(ready));
+  }
+
+  void ship(sim::Actor& caller, Flight& flight) {
+    flushes_.fetch_add(1, std::memory_order_relaxed);
+    engine_->send_batch(caller, flight.target, flight.ops, flight.bundle,
+                        options_);
+  }
+
+  /// Settle every op still pending at destruction with a refusal. Costs
+  /// nothing (no allocation) in the common case of no orphans. Runs with no
+  /// other user of the Batcher left, so it takes no lock.
+  void fail_pending() {
+    std::shared_ptr<detail::BatchPull> no_pull;
+    Status status;
+    for (auto& [node, dest] : pending_) {
+      for (auto& op : dest.ops) {
+        // Aborted ops never shipped, so hand every future a pre-charged
+        // pull: awaiting one costs nothing and still yields a definite
+        // status.
+        if (no_pull == nullptr) {
+          no_pull = make_pooled<detail::BatchPull>();
+          no_pull->charged = true;
+          status = Status::FailedPrecondition(
+              "Batcher destroyed with pending batched ops (flush() them "
+              "first)");
+        }
         op.state->batch_pull = no_pull;
         op.state->fulfill({}, 0, status);
       }
@@ -183,7 +215,12 @@ class Batcher {
   BatchPolicy policy_;
   InvokeOptions options_;
   mutable std::mutex mutex_;
-  std::unordered_map<sim::NodeId, Pending> pending_;
+  /// Destinations in hash order — the order flush_all ships them. Nodes
+  /// and buckets come from the thread's PoolAllocator free lists.
+  std::unordered_map<
+      sim::NodeId, Pending, std::hash<sim::NodeId>, std::equal_to<>,
+      PoolAllocator<std::pair<const sim::NodeId, Pending>>>
+      pending_;
   std::atomic<std::int64_t> flushes_{0};
 };
 

@@ -37,12 +37,11 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <stdexcept>
 #include <span>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -166,9 +165,12 @@ struct ServerCtx {
   sim::Actor* caller = nullptr;
 };
 
-/// Type-erased server stub: (ctx, request payload) -> response payload.
-using RawHandler =
-    std::function<std::vector<std::byte>(ServerCtx&, std::span<const std::byte>)>;
+/// Type-erased server stub: reads its request payload and appends its
+/// result to `out` — the scalar response, or its slot in a bundle's packed
+/// response (DESIGN.md §5b). A stub that fails or refuses may leave partial
+/// bytes; the engine cuts them.
+using RawHandler = std::function<void(ServerCtx&, std::span<const std::byte>,
+                                      serial::OutArchive&)>;
 
 namespace detail {
 
@@ -193,6 +195,39 @@ inline void write_batch_slot(serial::OutArchive& out, const BatchSlot& slot) {
   }
 }
 
+/// A slot's fixed words when its status carries no message: code, message
+/// length, ready, epoch and payload length.
+inline constexpr std::size_t kSlotHeaderBytes = 40;
+
+/// Open a slot whose payload a handler appends in place: reserve its header
+/// words and return where the slot starts.
+inline std::size_t open_batch_slot(serial::OutArchive& out) {
+  const std::size_t at = out.size();
+  (void)out.extend(kSlotHeaderBytes);
+  return at;
+}
+
+/// Close the slot opened at `at`: an OK op keeps the payload written after
+/// the header and gets its words patched in; a failed one is rewritten as
+/// a payload-less slot carrying its message. Same bytes as
+/// write_batch_slot either way.
+inline void close_batch_slot(serial::OutArchive& out, std::size_t at,
+                             Status status, sim::Nanos ready,
+                             std::uint64_t epoch) {
+  if (!status.ok()) {
+    out.truncate(at);
+    write_batch_slot(out, {std::move(status), ready, epoch, {}});
+    return;
+  }
+  const std::uint64_t words[5] = {
+      static_cast<std::uint64_t>(StatusCode::kOk), 0,
+      serial::zigzag_encode(ready), epoch,
+      out.size() - at - kSlotHeaderBytes};
+  for (int i = 0; i < 5; ++i) {
+    serial::RawBackend::store(out.data() + at + 8 * i, words[i]);
+  }
+}
+
 /// Decode one slot as a view into `in`'s buffer. Every length is checked
 /// against the bytes that remain before anything is allocated; a torn or
 /// inflated slot throws HclError(kInvalidArgument).
@@ -209,15 +244,97 @@ inline BatchSlot read_batch_slot(serial::InArchive& in) {
   return slot;
 }
 
-/// One coalesced-but-unsent op: its registry id, its serialized argument
-/// payload, and the future state the eventual per-op status fans out to.
+/// One coalesced-but-unsent op: its registry id and the future state the
+/// eventual per-op status fans out to. Its request bytes are already framed
+/// in its bundle (Batcher).
 struct PendingOp {
   FuncId id = 0;
-  std::vector<std::byte> request;
   std::shared_ptr<FutureState> state;
   /// Simulated time the op entered the coalescer — the constituent span's
   /// issue point, so client-side linger shows up in its inject/wire stages.
   sim::Nanos enqueued_at = 0;
+};
+
+/// The invocation registry (§III.B): a FuncId-indexed table whose slots
+/// never move, so dispatch reads a handler with two acquire loads — no lock
+/// and no copy. Ids count up from 1 and are never reused. bind publishes a
+/// handler with a release store; unbind clears its slot and destroys it, so
+/// an id must not be unbound while one of its ops is in flight (containers
+/// unbind when they are destroyed, after their traffic drained; a handler
+/// outliving its container would run against freed state anyway). A leaf
+/// whose ids have all been bound and unbound is freed, so a process that
+/// builds and drops containers keeps memory proportional to the handlers
+/// bound now, not to every id ever issued.
+class HandlerTable {
+ public:
+  static constexpr std::size_t kLeafSlots = 1024;
+  static constexpr std::size_t kLeaves = 4096;  // 4 Mi ids
+
+  HandlerTable() : leaves_(new std::atomic<Leaf*>[kLeaves]()) {}
+  HandlerTable(const HandlerTable&) = delete;
+  HandlerTable& operator=(const HandlerTable&) = delete;
+  ~HandlerTable() {
+    for (std::size_t i = 0; i < kLeaves; ++i) {
+      Leaf* leaf = leaves_[i].load(std::memory_order_relaxed);
+      if (leaf == nullptr) continue;
+      for (auto& slot : leaf->slots) delete slot.load(std::memory_order_relaxed);
+      delete leaf;
+    }
+  }
+
+  FuncId add(RawHandler handler) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    const FuncId id = next_;
+    const std::size_t at = id / kLeafSlots;
+    if (at >= kLeaves) {
+      throw HclError(Status::Capacity("rpc registry: FuncId space exhausted"));
+    }
+    Leaf* leaf = leaves_[at].load(std::memory_order_relaxed);
+    if (leaf == nullptr) {
+      leaf = new Leaf();
+      leaves_[at].store(leaf, std::memory_order_release);
+    }
+    leaf->slots[id % kLeafSlots].store(new RawHandler(std::move(handler)),
+                                       std::memory_order_release);
+    ++next_;
+    return id;
+  }
+
+  void remove(FuncId id) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    if (id == 0 || id >= next_) return;
+    const std::size_t at = id / kLeafSlots;
+    Leaf* leaf = leaves_[at].load(std::memory_order_relaxed);
+    if (leaf == nullptr) return;
+    RawHandler* handler = leaf->slots[id % kLeafSlots].exchange(
+        nullptr, std::memory_order_acq_rel);
+    if (handler == nullptr) return;
+    delete handler;
+    if (++leaf->retired == kLeafSlots) {
+      leaves_[at].store(nullptr, std::memory_order_release);
+      delete leaf;
+    }
+  }
+
+  /// The handler bound to `id`, or null.
+  [[nodiscard]] const RawHandler* find(FuncId id) const noexcept {
+    const std::size_t at = id / kLeafSlots;
+    if (at >= kLeaves) return nullptr;
+    const Leaf* leaf = leaves_[at].load(std::memory_order_acquire);
+    return leaf == nullptr
+               ? nullptr
+               : leaf->slots[id % kLeafSlots].load(std::memory_order_acquire);
+  }
+
+ private:
+  struct Leaf {
+    std::atomic<RawHandler*> slots[kLeafSlots] = {};
+    std::size_t retired = 0;  // slots bound and then unbound (under mutex_)
+  };
+
+  std::mutex mutex_;
+  FuncId next_ = 1;
+  std::unique_ptr<std::atomic<Leaf*>[]> leaves_;
 };
 
 }  // namespace detail
@@ -228,10 +345,11 @@ class Engine {
       : fabric_(&fabric), route_(fabric.topology().num_nodes()) {
     // The batch executor is a built-in stub: one delivered bundle runs its
     // constituent ops back-to-back on the NIC core that dispatched it.
-    batch_exec_id_ = bind_raw(
-        [this](ServerCtx& ctx, std::span<const std::byte> request) {
-          return run_batch(ctx, request);
-        });
+    batch_exec_id_ = bind_raw([this](ServerCtx& ctx,
+                                     std::span<const std::byte> request,
+                                     serial::OutArchive& out) {
+      run_batch(ctx, request, out);
+    });
   }
 
   Engine(const Engine&) = delete;
@@ -285,41 +403,33 @@ class Engine {
   // ------------------------------------------------------------------
 
   FuncId bind_raw(RawHandler handler) {
-    const FuncId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock lock(registry_mutex_);
-    registry_.emplace(id, std::move(handler));
-    return id;
+    return registry_.add(std::move(handler));
   }
 
-  /// Bind a typed function `R fn(ServerCtx&, const Args&...)`.
+  /// Bind a typed function `R fn(ServerCtx&, const Args&...)`. Its result
+  /// is serialized straight into the response the engine hands the stub.
   template <typename R, typename... Args, typename F>
   FuncId bind(F fn) {
-    return bind_raw(
-        [fn = std::move(fn)](ServerCtx& ctx,
-                             std::span<const std::byte> request) mutable
-            -> std::vector<std::byte> {
-          serial::InArchive in(request);
-          std::tuple<std::decay_t<Args>...> args;
-          std::apply([&in](auto&... unpacked) { (serial::load(in, unpacked), ...); },
-                     args);
-          if constexpr (std::is_void_v<R>) {
-            std::apply(
-                [&](auto&... unpacked) { fn(ctx, unpacked...); }, args);
-            return {};
-          } else {
-            R result = std::apply(
-                [&](auto&... unpacked) { return fn(ctx, unpacked...); }, args);
-            serial::OutArchive out;
-            serial::save(out, result);
-            return out.take();
-          }
-        });
+    return bind_raw([fn = std::move(fn)](ServerCtx& ctx,
+                                         std::span<const std::byte> request,
+                                         serial::OutArchive& out) mutable {
+      serial::InArchive in(request);
+      std::tuple<std::decay_t<Args>...> args;
+      std::apply([&in](auto&... unpacked) { (serial::load(in, unpacked), ...); },
+                 args);
+      if constexpr (std::is_void_v<R>) {
+        std::apply([&](auto&... unpacked) { fn(ctx, unpacked...); }, args);
+      } else {
+        serial::save(out, std::apply(
+                              [&](auto&... unpacked) { return fn(ctx, unpacked...); },
+                              args));
+      }
+    });
   }
 
-  void unbind(FuncId id) {
-    std::unique_lock lock(registry_mutex_);
-    registry_.erase(id);
-  }
+  /// Remove `id` from the registry. Its ops must have drained (see
+  /// detail::HandlerTable); a later invoke of `id` resolves kNotFound.
+  void unbind(FuncId id) { registry_.remove(id); }
 
   // ------------------------------------------------------------------
   // Client stubs
@@ -417,33 +527,33 @@ class Engine {
 
   /// Ship `ops` to `target` as ONE bundled RDMA_SEND, execute them
   /// back-to-back on a single NIC-core dispatch, and fan the packed response
-  /// out to every constituent's future. Failure semantics:
+  /// out to every constituent's future. `bundle` is the request exactly as
+  /// it goes on the wire — a count word, then per op its id, payload length
+  /// and payload (Batcher frames each op there as it is enqueued); this
+  /// writes the count. Failure semantics:
   ///   * batch-level transport faults (drop, NACK, deadline) go through the
   ///     normal retry policy in `options`; what survives resolves EVERY
   ///     constituent with that status,
   ///   * per-op faults (OpClass::kBatchOp draws) and handler failures
   ///     resolve only the op they touch — the rest of the bundle completes.
   /// All constituent futures share one BatchPull, so awaiting them charges
-  /// exactly one response pull. A single-op bundle degenerates to a plain
-  /// scalar invocation (no bundle framing, no sub-dispatch charge).
+  /// exactly one response pull, and each reads its slot in place from the
+  /// packed response the pull holds. A single-op bundle degenerates to a
+  /// plain scalar invocation (no bundle framing, no sub-dispatch charge).
   void send_batch(sim::Actor& caller, sim::NodeId target,
-                  std::vector<detail::PendingOp> ops,
-                  const InvokeOptions& options) {
+                  std::span<const detail::PendingOp> ops,
+                  serial::OutArchive& bundle, const InvokeOptions& options) {
     if (ops.empty()) return;
     if (ops.size() == 1) {
       auto& op = ops.front();
       issue(caller, target, op.id, {}, options, *op.state,
-            obs::SpanKind::kScalar, /*shm_ok=*/true, Serialized{op.request});
+            obs::SpanKind::kScalar, /*shm_ok=*/true,
+            Serialized{std::span<const std::byte>(bundle.buffer())
+                           .subspan(kBundleOpOffset)});
       return;
     }
     const std::size_t bundle_size = ops.size();
-    serial::OutArchive bundle;
-    bundle.u64(ops.size());
-    for (const auto& op : ops) {
-      bundle.u64(op.id);
-      bundle.u64(op.request.size());
-      bundle.raw_bytes(op.request.data(), op.request.size());
-    }
+    serial::RawBackend::store(bundle.data(), bundle_size);
 
     // A bundle may ride the shm ring only if EVERY constituent's container
     // allows it — the batch executor id itself is engine-level and never
@@ -468,8 +578,8 @@ class Engine {
       parent.span->bundle_ops = static_cast<std::uint32_t>(bundle_size);
     }
 
-    auto pull = std::make_shared<detail::BatchPull>();
-    pull->total_bytes = parent.payload.size();
+    auto pull = make_pooled<detail::BatchPull>();
+    pull->total_bytes = parent.bytes.size();
     pull->ready = parent.response_ready_ns;
     pull->span = parent.span;  // the ONE shared pull is recorded there
     pull->via_shm = parent.via_shm;
@@ -482,7 +592,8 @@ class Engine {
       }
       return;
     }
-    serial::InArchive in{std::span<const std::byte>(parent.payload)};
+    pull->response = parent.take_payload();
+    serial::InArchive in{std::span<const std::byte>(pull->response)};
     std::size_t next = 0;
     // Constituent spans: the server records each op's finish time in its
     // packed slot, so client-side we can reconstruct the bundle's internal
@@ -517,9 +628,8 @@ class Engine {
           tracer_->commit(span);
         }
         ops[next].state->batch_pull = pull;
-        ops[next].state->fulfill(
-            std::vector<std::byte>(slot.payload.begin(), slot.payload.end()),
-            op_ready, std::move(slot.status), slot.epoch);
+        ops[next].state->fulfill_view(slot.payload, op_ready,
+                                      std::move(slot.status), slot.epoch);
       }
     } catch (const std::exception& e) {
       // A torn packed response must still resolve every remaining future.
@@ -572,7 +682,7 @@ class Engine {
       arrival = fabric_->local_write(target, arrival, ring.wire_bytes);
       consumer = &ring.slot.ring()->consumer();
     } else {
-      write(out);
+      serial::write_sized(out, write);
       request = out.buffer();
       if (origin != target) {
         arrival += fabric_->model().net_base_latency_ns;
@@ -615,7 +725,7 @@ class Engine {
   void charge_pull(sim::Actor& caller, sim::NodeId target,
                    detail::FutureState& state) {
     const auto bytes =
-        static_cast<std::int64_t>(state.payload.size() + kResponseHeaderBytes);
+        static_cast<std::int64_t>(state.bytes.size() + kResponseHeaderBytes);
     if (state.via_shm) {
       // The response sits in pod-shared memory: read it at local-memory
       // rates — no 3x net_base_latency RDMA_READ, no packets (§5i).
@@ -672,13 +782,13 @@ class Engine {
                             const R& value) {
     serial::OutArchive out;
     serial::save(out, value);
-    auto state = std::make_shared<detail::FutureState>();
-    auto no_pull = std::make_shared<detail::BatchPull>();
+    auto state = detail::new_state();
+    auto no_pull = make_pooled<detail::BatchPull>();
     no_pull->charged = true;
     no_pull->ready = caller.now();
     no_pull->completion = caller.now();
     state->batch_pull = std::move(no_pull);
-    state->fulfill(out.take(), caller.now(), Status::Ok());
+    state->fulfill(out.release(), caller.now(), Status::Ok());
     return Future<R>(std::move(state), this, node);
   }
 
@@ -693,12 +803,16 @@ class Engine {
 
  private:
   static constexpr std::size_t kHeaderBytes = 24;          // id + lens + caller
+  /// Where a bundle's first op payload starts: count, id and length words.
+  static constexpr std::size_t kBundleOpOffset = 24;
   static constexpr std::size_t kResponseHeaderBytes = 24;  // status + len + epoch
 
   /// Outcome of one server-side execution: a well-formed status plus the
   /// simulated time the response buffer was written. Never an exception.
+  /// `payload` is the response archive the stub wrote into; its buffer
+  /// moves into the op's future, or back to the pool with the Completion.
   struct Completion {
-    std::vector<std::byte> payload;
+    serial::OutArchive payload;
     sim::Nanos ready = 0;
     sim::Nanos exec_start = 0;  // handler start = NIC dispatch completion
     Status status = Status::Ok();
@@ -795,7 +909,7 @@ class Engine {
                   const std::vector<FuncId>& chain,
                   const InvokeOptions& options, obs::SpanKind kind,
                   const Args&... args) {
-    auto state = std::make_shared<detail::FutureState>();
+    auto state = detail::new_state();
     issue(caller, target, id, chain, options, *state, kind, /*shm_ok=*/true,
           [&](auto& ar) { (serial::save(ar, args), ...); });
     return Future<R>(std::move(state), this, target);
@@ -806,9 +920,11 @@ class Engine {
   /// payload STRAIGHT into an acquired ring slot, so a small pod-local op
   /// touches no heap on the request side (DESIGN.md §5i). Otherwise — no
   /// route, a full ring, or an op oversize for a slot chunk — it is
-  /// serialized into a local buffer for RDMA and does not retry the ring.
-  /// The buffer may live on the stack: run_attempts resolves `state` before
-  /// it returns, because handlers execute inline.
+  /// serialized for RDMA into a buffer checked out of the thread's pool,
+  /// sized by a counting pass first so it grows at most once, and does not
+  /// retry the ring. The buffer goes back to the pool when issue returns:
+  /// run_attempts resolves `state` before that, because handlers execute
+  /// inline.
   template <typename Write>
   void issue(sim::Actor& caller, sim::NodeId target, FuncId id,
              const std::vector<FuncId>& chain, const InvokeOptions& options,
@@ -827,7 +943,7 @@ class Engine {
                    rdma_bytes(chain, write.bytes), options, state, kind, {});
     } else {
       serial::OutArchive out;
-      write(out);
+      serial::write_sized(out, write);
       run_attempts(caller, target, id, chain, out.buffer(),
                    rdma_bytes(chain, out.buffer()), options, state, kind, {});
     }
@@ -1004,7 +1120,7 @@ class Engine {
         return;
       }
       finish_span(done.ready, done.status.code());
-      state.fulfill(std::move(done.payload), done.ready, std::move(done.status),
+      state.fulfill(done.payload.release(), done.ready, std::move(done.status),
                     done.epoch);
       return;
     }
@@ -1036,45 +1152,41 @@ class Engine {
   }
 
   /// The one execution step (DESIGN.md §5b): look up `id` and run it on
-  /// `ctx` against `arg`. Every scalar stub, chain stage and bundle
-  /// constituent (its in-slot duplicate twin included) runs through here,
-  /// so this is the one place a failure is contained: a missing handler, a
-  /// refusal (ServerCtx::status), a thrown HclError, a foreign exception or
-  /// a non-exception throw all become a well-formed Status with an empty
-  /// payload — nothing ever unwinds across the stub boundary, so no waiter
-  /// can be left blocked on an unfulfilled future. A non-null `injected`
-  /// throws a fault-plan handler crash with that message once the handler
-  /// is found. `ready` and `epoch` are the handler's `ctx.finish` and
-  /// `ctx.epoch`, whatever the outcome.
-  Completion run_op(ServerCtx& ctx, FuncId id, std::span<const std::byte> arg,
-                    const char* injected = nullptr) {
-    Completion done;
-    const RawHandler handler = find(id);
-    if (!handler) {
-      done.status =
-          Status::NotFound("no handler bound for id " + std::to_string(id));
-    } else {
-      try {
-        if (injected != nullptr) throw std::runtime_error(injected);
-        done.payload = handler(ctx, arg);
-        if (!ctx.status.ok()) {
-          // A refusal reports the code and `to_string()` message a caught
-          // HclError(status) yields, so the packed batch response — and
-          // the simulated wire time it costs — is the same either way.
-          done.payload.clear();
-          done.status = Status(ctx.status.code(), ctx.status.to_string());
-        }
-      } catch (const HclError& e) {
-        done.status = Status(e.code(), e.what());
-      } catch (const std::exception& e) {
-        done.status = Status::Internal(std::string("handler threw: ") + e.what());
-      } catch (...) {
-        done.status = Status::Internal("handler threw a non-exception type");
-      }
+  /// `ctx` against `arg`, appending its result to `out`. Every scalar stub,
+  /// chain stage and bundle constituent (its in-slot duplicate twin
+  /// included) runs through here, so this is the one place a failure is
+  /// contained: a missing handler, a refusal (ServerCtx::status), a thrown
+  /// HclError, a foreign exception or a non-exception throw all become a
+  /// well-formed Status with nothing appended — nothing ever unwinds across
+  /// the stub boundary, so no waiter can be left blocked on an unfulfilled
+  /// future. A non-null `injected` throws a fault-plan handler crash with
+  /// that message once the handler is found.
+  Status run_op(ServerCtx& ctx, FuncId id, std::span<const std::byte> arg,
+                serial::OutArchive& out, const char* injected = nullptr) {
+    const RawHandler* handler = registry_.find(id);
+    if (handler == nullptr) {
+      return Status::NotFound("no handler bound for id " + std::to_string(id));
     }
-    done.ready = ctx.finish;
-    done.epoch = ctx.epoch;
-    return done;
+    const std::size_t mark = out.size();
+    Status status;
+    try {
+      if (injected != nullptr) throw std::runtime_error(injected);
+      (*handler)(ctx, arg, out);
+      if (!ctx.status.ok()) {
+        // A refusal reports the code and `to_string()` message a caught
+        // HclError(status) yields, so the packed batch response — and
+        // the simulated wire time it costs — is the same either way.
+        status = Status(ctx.status.code(), ctx.status.to_string());
+      }
+    } catch (const HclError& e) {
+      status = Status(e.code(), e.what());
+    } catch (const std::exception& e) {
+      status = Status::Internal(std::string("handler threw: ") + e.what());
+    } catch (...) {
+      status = Status::Internal("handler threw a non-exception type");
+    }
+    if (!status.ok()) out.truncate(mark);
+    return status;
   }
 
   /// Run the server stub (plus chain) for one delivered request: dispatch
@@ -1114,22 +1226,25 @@ class Engine {
                                            std::memory_order_relaxed);
     }
 
-    Completion done = run_op(ctx, id, request,
-                             inject_throw ? "injected handler fault" : nullptr);
+    Completion done;
+    done.status = run_op(ctx, id, request, done.payload,
+                         inject_throw ? "injected handler fault" : nullptr);
     // Server-side callback chain: each stage consumes the previous stage's
     // serialized result, on the same NIC core, de-marshal cost included
     // (charged as one dispatch per stage). A failed or refused stage ends
     // it; a missing stage ends it before it is dispatched.
     for (FuncId next : chain) {
       if (!done.status.ok()) break;
-      if (!bound(next)) {
+      if (registry_.find(next) == nullptr) {
         done.payload.clear();
         done.status = Status::NotFound("chained handler missing");
         break;
       }
       const sim::Nanos prev_finish = ctx.finish;
       dispatch(ctx.finish);
-      done = run_op(ctx, next, done.payload);
+      serial::OutArchive stage_out;
+      done.status = run_op(ctx, next, done.payload.buffer(), stage_out);
+      done.payload = std::move(stage_out);
       if (tracing()) {
         // One span per chained stage: "arrives" when the previous stage
         // finished, re-dispatches on the same NIC core, runs to finish.
@@ -1154,6 +1269,8 @@ class Engine {
     counters.handler_busy_ns.fetch_add(ctx.finish - dispatch_start,
                                        std::memory_order_relaxed);
     counters.busy.add(dispatch_start, ctx.finish - dispatch_start);
+    done.ready = ctx.finish;
+    done.epoch = ctx.epoch;
     done.exec_start = dispatch_start;
     return done;
   }
@@ -1164,9 +1281,11 @@ class Engine {
   /// dispatch), draws its own OpClass::kBatchOp fault, and runs through
   /// run_op like a scalar stub — one op's crash, drop, or NACK poisons only
   /// its own slot in the packed response. The enclosing execute() accounts
-  /// the whole span as NIC-core busy time via ctx.finish.
-  std::vector<std::byte> run_batch(ServerCtx& ctx,
-                                   std::span<const std::byte> request) {
+  /// the whole span as NIC-core busy time via ctx.finish. Each
+  /// constituent's result is written straight into its slot of `out`, the
+  /// packed response.
+  void run_batch(ServerCtx& ctx, std::span<const std::byte> request,
+                 serial::OutArchive& out) {
     serial::InArchive in(request);
     const std::uint64_t count = in.u64();
     fabric::FaultPlan* plan = fabric_->fault_plan();
@@ -1176,7 +1295,6 @@ class Engine {
                                        std::memory_order_relaxed);
     const sim::Nanos pickup = fabric_->model().nic_batch_op_ns;
 
-    serial::OutArchive out;
     sim::Nanos cursor = ctx.start;
     for (std::uint64_t i = 0; i < count; ++i) {
       const FuncId id = in.u64();
@@ -1193,13 +1311,14 @@ class Engine {
       op_ctx.batch_index = static_cast<std::uint32_t>(i);
       op_ctx.start = cursor + pickup;
       op_ctx.finish = op_ctx.start;
-      Completion done;
+      const std::size_t slot = detail::open_batch_slot(out);
+      Status status;
       if (fault.drop) {
         // The work item fell off the bundle's queue: the op never ran, no
         // side effects, and only THIS slot reports the loss.
-        done.status = Status::Unavailable("batched op dropped from the bundle");
+        status = Status::Unavailable("batched op dropped from the bundle");
       } else if (fault.unavailable) {
-        done.status = Status::Unavailable(
+        status = Status::Unavailable(
             fault.node_down ? "node down"
                             : "injected transient fault (batched op)");
       } else {
@@ -1211,41 +1330,27 @@ class Engine {
           // first and one result is kept (idempotence contract, as scalar).
           // A twin that fails or refuses ends the op, like a throw.
           ServerCtx twin = op_ctx;
-          done = run_op(twin, id, arg, injected);
-          if (done.status.ok()) {
+          status = run_op(twin, id, arg, out, injected);
+          out.truncate(slot + detail::kSlotHeaderBytes);
+          if (status.ok()) {
             op_ctx.start = std::max(op_ctx.start, twin.finish);
             op_ctx.finish = op_ctx.start;
           }
         }
-        if (done.status.ok()) done = run_op(op_ctx, id, arg, injected);
+        if (status.ok()) status = run_op(op_ctx, id, arg, out, injected);
       }
       // A twin's finish and epoch are not the op's: charge op_ctx's.
       cursor = std::max(op_ctx.finish, cursor + pickup) + fault.delay_ns;
-      detail::write_batch_slot(
-          out, {std::move(done.status), cursor, op_ctx.epoch, done.payload});
+      detail::close_batch_slot(out, slot, std::move(status), cursor,
+                               op_ctx.epoch);
     }
     ctx.finish = std::max(ctx.finish, cursor);
-    return out.take();
-  }
-
-  /// True if `id` has a handler (a chain stage is checked before dispatch).
-  bool bound(FuncId id) {
-    std::shared_lock lock(registry_mutex_);
-    return registry_.contains(id);
-  }
-
-  RawHandler find(FuncId id) {
-    std::shared_lock lock(registry_mutex_);
-    auto it = registry_.find(id);
-    return it == registry_.end() ? RawHandler{} : it->second;
   }
 
   fabric::Fabric* fabric_;
   obs::Tracer* tracer_ = nullptr;
   shm::Transport* shm_ = nullptr;
-  std::shared_mutex registry_mutex_;
-  std::unordered_map<FuncId, RawHandler> registry_;
-  std::atomic<FuncId> next_id_{1};
+  detail::HandlerTable registry_;
   InvokeOptions default_options_{};
   /// Reliability policy for the FAILOVER path (probing a suspected-dead
   /// primary, and invoking the promoted standby), distinct from the
@@ -1272,7 +1377,7 @@ R Future<R>::get(sim::Actor& caller) {
   if constexpr (std::is_void_v<R>) {
     return;
   } else {
-    serial::InArchive in(std::span<const std::byte>(state_->payload));
+    serial::InArchive in(state_->bytes);
     R out{};
     serial::load(in, out);
     return out;

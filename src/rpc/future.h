@@ -22,8 +22,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/pool.h"
 #include "common/status.h"
 #include "obs/trace.h"
+#include "serial/archive.h"
 #include "sim/time.h"
 #include "sim/topology.h"
 
@@ -37,6 +39,8 @@ namespace detail {
 /// to that pull's completion. Without this, awaiting N coalesced ops would
 /// re-pay N wire overheads and erase the batching win.
 struct BatchPull {
+  ~BatchPull() { serial::recycle(std::move(response)); }
+
   std::mutex mutex;
   bool charged = false;
   sim::Nanos completion = 0;     // caller-side availability after the pull
@@ -50,15 +54,22 @@ struct BatchPull {
   /// shared pull reads the packed response out of local memory — no wire
   /// latency, no packets.
   bool via_shm = false;
+  /// The packed response itself. Every constituent future reads its slot
+  /// as a view into these bytes, which live as long as the last of them.
+  std::vector<std::byte> response;
 };
 
 /// Type-erased completion state shared between the thread that ran the
 /// server stub (producer) and the client (consumer).
 struct FutureState {
+  ~FutureState() { serial::recycle(std::move(payload)); }
+
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
-  std::vector<std::byte> payload;     // serialized response
+  /// The serialized response: `payload` for a scalar op, or a view of this
+  /// op's slot in its bundle's packed response (BatchPull::response).
+  std::span<const std::byte> bytes;
   sim::Nanos response_ready_ns = 0;   // when the response buffer was written
   Status status = Status::Ok();       // handler-level failure
   /// Partition mutation epoch piggybacked on the response (DESIGN.md §5d:
@@ -79,20 +90,25 @@ struct FutureState {
   bool via_shm = false;
   std::vector<std::function<void(const FutureState&)>> continuations;
 
-  void fulfill(std::vector<std::byte> bytes, sim::Nanos ready, Status st,
+  /// Resolve with a response this state owns: a buffer an archive released,
+  /// given back to the pool when the state dies.
+  void fulfill(std::vector<std::byte> response, sim::Nanos ready, Status st,
                std::uint64_t response_epoch = 0) {
-    std::vector<std::function<void(const FutureState&)>> to_run;
-    {
-      std::lock_guard<std::mutex> guard(mutex);
-      payload = std::move(bytes);
-      response_ready_ns = ready;
-      status = std::move(st);
-      epoch = response_epoch;
-      done = true;
-      to_run.swap(continuations);
-    }
-    cv.notify_all();
-    for (auto& fn : to_run) fn(*this);
+    publish(std::move(response), {}, ready, std::move(st), response_epoch);
+  }
+
+  /// Resolve with a view into bytes another owner keeps alive (a slot of
+  /// the packed response `batch_pull` holds).
+  void fulfill_view(std::span<const std::byte> view, sim::Nanos ready,
+                    Status st, std::uint64_t response_epoch = 0) {
+    publish({}, view, ready, std::move(st), response_epoch);
+  }
+
+  /// Move an owned response out (send_batch hands a bundle's packed
+  /// response to its BatchPull); `bytes` stops viewing it.
+  [[nodiscard]] std::vector<std::byte> take_payload() noexcept {
+    bytes = {};
+    return std::move(payload);
   }
 
   void wait() {
@@ -117,7 +133,32 @@ struct FutureState {
     }
     fn(*this);
   }
+
+ private:
+  std::vector<std::byte> payload;
+
+  void publish(std::vector<std::byte> owned, std::span<const std::byte> view,
+               sim::Nanos ready, Status st, std::uint64_t response_epoch) {
+    std::vector<std::function<void(const FutureState&)>> to_run;
+    {
+      std::lock_guard<std::mutex> guard(mutex);
+      payload = std::move(owned);
+      bytes = payload.empty() ? view : std::span<const std::byte>(payload);
+      response_ready_ns = ready;
+      status = std::move(st);
+      epoch = response_epoch;
+      done = true;
+      to_run.swap(continuations);
+    }
+    cv.notify_all();
+    for (auto& fn : to_run) fn(*this);
+  }
 };
+
+/// A fresh shared state from the running thread's pool (common/pool.h).
+[[nodiscard]] inline std::shared_ptr<FutureState> new_state() {
+  return make_pooled<FutureState>();
+}
 
 }  // namespace detail
 

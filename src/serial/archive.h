@@ -1,22 +1,36 @@
 // Binary archives: the byte-level reader/writer DataBoxes serialize through.
 //
-// BasicOutArchive appends to an owned byte vector; BasicInArchive consumes a
-// non-owning view. Both are parameterized by a SerializerBackend that
-// controls integer encoding. `operator&` supports cereal-style symmetric
-// `serialize(Ar&)` methods on user types (paper: "users can define their own
-// custom serialization function").
+// BasicOutArchive appends to a byte vector drawn from its thread's
+// BufferPool; BasicInArchive consumes a non-owning view. Both are
+// parameterized by a SerializerBackend that controls integer encoding.
+// `operator&` supports cereal-style symmetric `serialize(Ar&)` methods on
+// user types (paper: "users can define their own custom serialization
+// function").
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/pool.h"
 #include "serial/backend.h"
 
 namespace hcl::serial {
+
+/// Byte buffers every heap archive draws from and returns to (DESIGN.md
+/// §5b): an op's request, response or bundle bytes reuse capacity an
+/// earlier op grew instead of re-growing it from empty.
+using BufferPool = VectorPool<std::byte>;
+
+/// Give a buffer released from an archive back to this thread's pool.
+inline void recycle(std::vector<std::byte>&& bytes) noexcept {
+  BufferPool::give(std::move(bytes));
+}
 
 template <SerializerBackend Backend = RawBackend>
 class BasicOutArchive {
@@ -25,8 +39,19 @@ class BasicOutArchive {
   static constexpr bool is_loading = false;
   using backend_type = Backend;
 
-  BasicOutArchive() = default;
-  explicit BasicOutArchive(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
+  BasicOutArchive() noexcept : buf_(BufferPool::take()) {}
+  ~BasicOutArchive() { recycle(std::move(buf_)); }
+
+  BasicOutArchive(BasicOutArchive&& other) noexcept
+      : buf_(std::move(other.buf_)) {}
+  /// Swaps, so the buffer this archive held goes back to the pool with
+  /// `other` instead of being freed.
+  BasicOutArchive& operator=(BasicOutArchive&& other) noexcept {
+    buf_.swap(other.buf_);
+    return *this;
+  }
+  BasicOutArchive(const BasicOutArchive&) = delete;
+  BasicOutArchive& operator=(const BasicOutArchive&) = delete;
 
   void raw_bytes(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::byte*>(p);
@@ -47,9 +72,31 @@ class BasicOutArchive {
   void f64(double v) { raw_bytes(&v, sizeof(v)); }
   void f32(float v) { raw_bytes(&v, sizeof(v)); }
 
+  /// Make room for `n` more bytes in at most one allocation (geometric, so
+  /// repeated appends still grow amortized).
+  void reserve_more(std::size_t n) {
+    const std::size_t need = buf_.size() + n;
+    if (need > buf_.capacity()) {
+      buf_.reserve(std::max(need, 2 * buf_.capacity()));
+    }
+  }
+  /// Drop everything written after the first `n` bytes (keeps capacity).
+  void truncate(std::size_t n) noexcept { buf_.resize(n); }
+
   [[nodiscard]] const std::vector<std::byte>& buffer() const noexcept { return buf_; }
+  /// Written bytes, writable in place (a length patched after its payload).
+  [[nodiscard]] std::byte* data() noexcept { return buf_.data(); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::vector<std::byte> take() noexcept { return std::move(buf_); }
+  /// A right-sized copy of the bytes; the pooled buffer stays with the
+  /// archive, so a caller that keeps the result holds no spare capacity.
+  [[nodiscard]] std::vector<std::byte> take() const {
+    return std::vector<std::byte>(buf_.begin(), buf_.end());
+  }
+  /// Hand the pooled buffer itself over; its new owner gives it back with
+  /// recycle() once the bytes are consumed.
+  [[nodiscard]] std::vector<std::byte> release() noexcept {
+    return std::move(buf_);
+  }
   void clear() noexcept { buf_.clear(); }
 
   /// Symmetric-serialize support: `ar & field` writes when saving.

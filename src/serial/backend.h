@@ -24,6 +24,8 @@ namespace hcl::serial {
 /// What a serializer backend must provide. The cursor-based put_u64 writes
 /// into a caller-owned fixed buffer (the arena fast path, DESIGN.md §5i) and
 /// reports overflow instead of growing; the vector overload always succeeds.
+/// size_u64 is the byte count put_u64 writes for `v` (the counting archive,
+/// serialize.h).
 template <typename B>
 concept SerializerBackend = requires(std::vector<std::byte>& out,
                                      const std::byte*& cursor,
@@ -32,6 +34,7 @@ concept SerializerBackend = requires(std::vector<std::byte>& out,
   { B::put_u64(out, v) } -> std::same_as<void>;
   { B::put_u64(wcursor, wend, v) } -> std::same_as<bool>;
   { B::get_u64(cursor, end) } -> std::same_as<std::uint64_t>;
+  { B::size_u64(v) } -> std::same_as<std::size_t>;
   { B::name() } -> std::convertible_to<const char*>;
 };
 
@@ -62,6 +65,8 @@ struct RawBackend {
     return v;
   }
 
+  static constexpr std::size_t size_u64(std::uint64_t) noexcept { return 8; }
+
   static void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
     std::byte b[8];
     store(b, v);
@@ -86,6 +91,11 @@ struct RawBackend {
 /// LEB128 varint encoding (msgpack-spirited compact integers).
 struct PackedBackend {
   static constexpr const char* name() noexcept { return "packed"; }
+
+  /// One byte per started 7-bit group; 0 still takes one byte.
+  static constexpr std::size_t size_u64(std::uint64_t v) noexcept {
+    return v == 0 ? 1 : static_cast<std::size_t>(std::bit_width(v) + 6) / 7;
+  }
 
   static void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
     while (v >= 0x80) {

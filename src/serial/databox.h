@@ -22,6 +22,20 @@
 
 namespace hcl::serial {
 
+/// Measure the wire size of a value: constant for byte-copyable types, one
+/// counting pass (BasicSizeArchive, nothing stored) otherwise.
+template <typename T, SerializerBackend Backend = RawBackend>
+[[nodiscard]] std::size_t packed_size(const T& v) {
+  if constexpr (is_fixed_wire_size_v<T>) {
+    (void)v;
+    return sizeof(T);
+  } else {
+    BasicSizeArchive<Backend> count;
+    save(count, v);
+    return count.size();
+  }
+}
+
 template <typename T, SerializerBackend Backend = RawBackend>
 class DataBox {
  public:
@@ -50,18 +64,10 @@ class DataBox {
     return DataBox(unpack<T, Backend>(bytes));
   }
 
-  /// Number of bytes the boxed value occupies on the wire. Under the raw
-  /// backend, fixed-size types cost sizeof(T) without serializing; variable
-  /// sizes (and all packed-backend values, whose integer width is
-  /// data-dependent) are measured by encoding.
+  /// Number of bytes the boxed value occupies on the wire, counted without
+  /// encoding (serial::packed_size).
   [[nodiscard]] std::size_t packed_size() const {
-    if constexpr (is_fixed_wire_size_v<T>) {
-      return sizeof(T);  // raw-memcpy representation
-    } else if constexpr (kFixedSize) {
-      return pack<T, Backend>(value_).size();  // constant but backend-encoded
-    } else {
-      return to_bytes().size();
-    }
+    return serial::packed_size<T, Backend>(value_);
   }
 
   friend bool operator==(const DataBox& a, const DataBox& b) {
@@ -71,17 +77,5 @@ class DataBox {
  private:
   T value_{};
 };
-
-/// Measure the wire size of a value without keeping the encoding. Cheap for
-/// byte-copyable types (constant), one encoding pass otherwise.
-template <typename T, SerializerBackend Backend = RawBackend>
-[[nodiscard]] std::size_t packed_size(const T& v) {
-  if constexpr (is_fixed_wire_size_v<T>) {
-    (void)v;
-    return sizeof(T);
-  } else {
-    return pack<T, Backend>(v).size();
-  }
-}
 
 }  // namespace hcl::serial

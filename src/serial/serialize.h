@@ -181,6 +181,23 @@ constexpr std::size_t min_wire_size() {
 // save
 // ---------------------------------------------------------------------------
 
+/// The elements of a word-scalar sequence, without its count: under the
+/// fixed-width backend claimed in one extend and stored in one loop, under
+/// any other one word at a time.
+template <OutputArchive Ar, typename E>
+void save_word_run(Ar& ar, std::span<const E> run) {
+  if constexpr (std::is_same_v<typename Ar::backend_type, RawBackend>) {
+    if (std::byte* at = ar.extend(run.size() * 8)) {
+      for (const E e : run) {
+        RawBackend::store(at, to_word(e));
+        at += 8;
+      }
+    }
+  } else {
+    for (const E e : run) ar.u64(to_word(e));
+  }
+}
+
 template <OutputArchive Ar, typename T>
 void save(Ar& ar, const T& v) {
   if constexpr (HasMemberSerialize<T, Ar>) {
@@ -209,12 +226,7 @@ void save(Ar& ar, const T& v) {
                   is_spec_v<T, std::vector>) {
       ar.raw_bytes(v.data(), v.size() * sizeof(typename T::value_type));
     } else if constexpr (is_word_vector_v<Ar, T>) {
-      if (std::byte* at = ar.extend(v.size() * 8)) {
-        for (const auto e : v) {
-          RawBackend::store(at, to_word(e));
-          at += 8;
-        }
-      }
+      save_word_run(ar, std::span<const typename T::value_type>(v));
     } else {
       for (const auto& e : v) save(ar, e);
     }
@@ -391,6 +403,63 @@ template <typename T>
 BasicInArchive<B>& BasicInArchive<B>::operator&(T& v) {
   load(*this, v);
   return *this;
+}
+
+// ---------------------------------------------------------------------------
+// Counting archive
+// ---------------------------------------------------------------------------
+
+/// Runs the same save() dispatch as the heap and arena archives but stores
+/// nothing: every write adds its encoded length to a counter, so the count
+/// equals the bytes a real archive of the same backend would hold.
+template <SerializerBackend Backend = RawBackend>
+class BasicSizeArchive {
+ public:
+  static constexpr bool is_saving = true;
+  static constexpr bool is_loading = false;
+  using backend_type = Backend;
+
+  void raw_bytes(const void*, std::size_t n) noexcept { size_ += n; }
+  void u64(std::uint64_t v) noexcept { size_ += Backend::size_u64(v); }
+  void i64(std::int64_t v) noexcept { u64(zigzag_encode(v)); }
+  /// Counts the run and returns null, so the in-place fill is skipped.
+  std::byte* extend(std::size_t n) noexcept {
+    size_ += n;
+    return nullptr;
+  }
+  void f64(double) noexcept { size_ += sizeof(double); }
+  void f32(float) noexcept { size_ += sizeof(float); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  template <typename T>
+  BasicSizeArchive& operator&(const T& v) {
+    save(*this, v);
+    return *this;
+  }
+  template <typename T>
+  BasicSizeArchive& operator<<(const T& v) {
+    return *this & v;
+  }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+using SizeArchive = BasicSizeArchive<RawBackend>;
+using PackedSizeArchive = BasicSizeArchive<PackedBackend>;
+
+static_assert(OutputArchive<SizeArchive>);
+static_assert(OutputArchive<PackedSizeArchive>);
+
+/// Append what `write(ar)` emits to `out` with at most one growth step: a
+/// counting pass over the same writer sizes the buffer first.
+template <SerializerBackend B, typename Write>
+void write_sized(BasicOutArchive<B>& out, const Write& write) {
+  BasicSizeArchive<B> count;
+  write(count);
+  out.reserve_more(count.size());
+  write(out);
 }
 
 // ---------------------------------------------------------------------------

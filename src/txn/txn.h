@@ -39,16 +39,18 @@
 // plus one txn_commits or txn_aborts count on the coordinator's NIC.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <shared_mutex>
 #include <utility>
 #include <vector>
 
 #include "common/env.h"
+#include "common/pool.h"
 #include "core/context.h"
 #include "rpc/batch.h"
 
@@ -154,22 +156,53 @@ class ParticipantBase {
   [[nodiscard]] virtual std::shared_mutex* latch() const noexcept = 0;
 };
 
+/// Frees a participant into its type's PoolAllocator free list.
+struct ParticipantDelete {
+  void (*destroy)(ParticipantBase*) = nullptr;
+  void operator()(ParticipantBase* p) const noexcept { destroy(p); }
+};
+using ParticipantPtr = std::unique_ptr<ParticipantBase, ParticipantDelete>;
+
+/// Build a P (a container's participant) in a block from the thread's
+/// PoolAllocator<P> free list, so a transaction's participants reuse the
+/// storage an earlier transaction's freed.
+template <typename P, typename... A>
+ParticipantPtr make_participant(A&&... args) {
+  PoolAllocator<P> alloc;
+  P* p = alloc.allocate(1);
+  try {
+    ::new (static_cast<void*>(p)) P(std::forward<A>(args)...);
+  } catch (...) {
+    alloc.deallocate(p, 1);
+    throw;
+  }
+  return ParticipantPtr(p, ParticipantDelete{[](ParticipantBase* base) {
+                          P* q = static_cast<P*>(base);
+                          q->~P();
+                          PoolAllocator<P>{}.deallocate(q, 1);
+                        }});
+}
+
 /// A staged transaction: client-side read/write intents per touched
 /// (container, partition). Cheap to create and to throw away — nothing
 /// leaves the client until TxnCoordinator::commit ships the prepare bundle.
+/// Its participant list and the participants themselves come from the
+/// thread's pools (common/pool.h).
 class Txn {
  public:
   explicit Txn(std::uint64_t id) noexcept : id_(id) {}
+  ~Txn() { VectorPool<Entry>::give(std::move(entries_)); }
 
   Txn(const Txn&) = delete;
   Txn& operator=(const Txn&) = delete;
   Txn(Txn&&) = default;
-  Txn& operator=(Txn&&) = default;
+  Txn& operator=(Txn&&) = delete;
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   /// Find-or-create the participant for (container, partition). `make`
-  /// builds the container-specific participant on first touch.
+  /// builds the container-specific participant on first touch
+  /// (make_participant).
   template <typename P, typename Make>
   P& participant(const void* container, int partition, Make&& make) {
     for (auto& e : entries_) {
@@ -181,11 +214,11 @@ class Txn {
     return static_cast<P&>(*entries_.back().part);
   }
 
-  [[nodiscard]] std::vector<ParticipantBase*> participants() const {
-    std::vector<ParticipantBase*> out;
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) out.push_back(e.part.get());
-    return out;
+  /// Call `fn(ParticipantBase&)` for every participant, in first-touch
+  /// order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& e : entries_) fn(*e.part);
   }
 
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
@@ -194,11 +227,11 @@ class Txn {
   struct Entry {
     const void* container;
     int partition;
-    std::unique_ptr<ParticipantBase> part;
+    ParticipantPtr part;
   };
 
   std::uint64_t id_;
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_ = VectorPool<Entry>::take();
 };
 
 /// Drives the two-phase epoch-validated commit. One coordinator is shared by
@@ -223,32 +256,23 @@ class TxnCoordinator {
   /// down. Either way every intent slot has been released.
   Status commit(sim::Actor& self, Txn& txn, std::uint64_t* csn = nullptr) {
     const sim::Nanos start = self.now();
-    const auto parts = txn.participants();
 
-    // Fence shard moves: collect the distinct container latches and hold
-    // them shared for the whole commit. Address order prevents two
-    // opposite-direction transfers from deadlocking on each other's latch.
-    std::vector<std::shared_mutex*> latches;
-    for (auto* p : parts) {
-      if (auto* l = p->latch(); l != nullptr) latches.push_back(l);
-    }
-    std::sort(latches.begin(), latches.end());
-    latches.erase(std::unique(latches.begin(), latches.end()), latches.end());
-    std::vector<std::shared_lock<std::shared_mutex>> held;
-    held.reserve(latches.size());
-    for (auto* l : latches) held.emplace_back(*l);
+    // Fence shard moves: hold every distinct container latch shared for the
+    // whole commit.
+    const LatchHold held(txn);
 
     // Phase 1: validate + lock. One bundle per target node.
     {
       rpc::Batcher prep(ctx_->rpc(), policy_.batch);
-      for (auto* p : parts) p->enqueue_prepare(self, prep, txn.id());
+      txn.for_each(
+          [&](ParticipantBase& p) { p.enqueue_prepare(self, prep, txn.id()); });
       prep.flush_all(self);
     }
     Status bad = Status::Ok();
-    for (auto* p : parts) {
-      const Status st = p->settle_prepare(self);
+    txn.for_each([&](ParticipantBase& p) {
+      const Status st = p.settle_prepare(self);
       if (!st.ok() && bad.ok()) bad = st;
-    }
+    });
     const sim::Nanos validated = self.now();
     if (!bad.ok()) {
       // Abort EVERY participant, including ones whose prepare "failed": a
@@ -268,13 +292,14 @@ class TxnCoordinator {
     const sim::Nanos committing = self.now();
     {
       rpc::Batcher apply(ctx_->rpc(), policy_.batch);
-      for (auto* p : parts) p->enqueue_commit(self, apply, txn.id());
+      txn.for_each(
+          [&](ParticipantBase& p) { p.enqueue_commit(self, apply, txn.id()); });
       apply.flush_all(self);
     }
-    for (auto* p : parts) {
-      const Status st = p->settle_commit(self, txn.id());
+    txn.for_each([&](ParticipantBase& p) {
+      const Status st = p.settle_commit(self, txn.id());
       if (!st.ok() && bad.ok()) bad = st;
-    }
+    });
     if (!bad.ok()) {
       // A commit leg failed terminally (possible only when a partition with
       // no replica died mid-commit — documented limitation). Release any
@@ -300,7 +325,10 @@ class TxnCoordinator {
   /// max_retries times; anything else surfaces immediately.
   template <typename Fn>
   Status run(sim::Actor& self, Fn&& fn, std::uint64_t* csn = nullptr) {
-    Status last = Status::Aborted("txn retry budget exhausted");
+    if (policy_.max_retries < 0) {
+      return Status::Aborted("txn retry budget exhausted");
+    }
+    Status last;  // every attempt sets it
     for (int attempt = 0; attempt <= policy_.max_retries; ++attempt) {
       if (attempt > 0) {
         retries_.fetch_add(1, std::memory_order_relaxed);
@@ -428,11 +456,49 @@ class TxnCoordinator {
   [[nodiscard]] const TxnPolicy& policy() const noexcept { return policy_; }
 
  private:
+  /// Holds the distinct rebalance latches of a txn's participants shared
+  /// for its lifetime. Address order prevents two opposite-direction
+  /// transfers from deadlocking on each other's latch; each pass picks the
+  /// next latch above the last one taken, so nothing is collected.
+  class LatchHold {
+   public:
+    explicit LatchHold(const Txn& txn) : txn_(txn) {
+      each([](std::shared_mutex& l) { l.lock_shared(); });
+    }
+    ~LatchHold() {
+      each([](std::shared_mutex& l) { l.unlock_shared(); });
+    }
+    LatchHold(const LatchHold&) = delete;
+    LatchHold& operator=(const LatchHold&) = delete;
+
+   private:
+    template <typename Fn>
+    void each(Fn&& fn) const {
+      const std::less<const std::shared_mutex*> before;
+      const std::shared_mutex* last = nullptr;
+      for (;;) {
+        std::shared_mutex* next = nullptr;
+        txn_.for_each([&](ParticipantBase& p) {
+          std::shared_mutex* l = p.latch();
+          if (l != nullptr && (last == nullptr || before(last, l)) &&
+              (next == nullptr || before(l, next))) {
+            next = l;
+          }
+        });
+        if (next == nullptr) return;
+        fn(*next);
+        last = next;
+      }
+    }
+
+    const Txn& txn_;
+  };
+
   /// Fan the abort out to EVERY participant. Idempotent at every receiver:
   /// a slot held by a rival txn, an already-committed txn, or no txn at all
   /// is left untouched.
   void abort_all(sim::Actor& self, Txn& txn) noexcept {
-    for (auto* p : txn.participants()) p->send_abort(self, txn.id());
+    txn.for_each([&](ParticipantBase& p) { p.send_abort(self, txn.id()); });
   }
 
   /// Record one attempt's outcome: exactly one kTxn span and exactly one

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace hcl::rpc {
@@ -111,6 +112,56 @@ TEST_F(RpcTest, UnbindMakesIdUnknown) {
   EXPECT_EQ(f.wait(client).code(), StatusCode::kNotFound);
 }
 
+TEST_F(RpcTest, DispatchRacesBindAndUnbindOfOtherIds) {
+  // Dispatch reads the registry with no lock: binds and unbinds of other
+  // ids (whole leaves of the table retired and freed included) must not
+  // disturb an in-flight id. The TSan leg checks the publication order.
+  const FuncId echo =
+      engine.bind<int, int>([](ServerCtx&, const int& v) { return v + 1; });
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    while (!stop.load()) {
+      const FuncId id =
+          engine.bind<int, int>([](ServerCtx&, const int& v) { return v; });
+      engine.unbind(id);
+    }
+  });
+  std::vector<std::thread> clients;
+  std::atomic<int> wrong{0};
+  for (int t = 0; t < 3; ++t) {
+    clients.emplace_back([&, t] {
+      Actor client(t, 0, 1);
+      for (int i = 0; i < 2000; ++i) {
+        if (engine.invoke<int>(client, 1, echo, i) != i + 1) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  stop.store(true);
+  churn.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_F(RpcTest, UnboundLeafIsFreedAndItsIdsStayUnknown) {
+  // Bind and unbind a full leaf's worth of ids: the leaf is freed, and an
+  // invoke of any of them still resolves kNotFound.
+  std::vector<FuncId> ids;
+  for (std::size_t i = 0; i < 2 * detail::HandlerTable::kLeafSlots; ++i) {
+    ids.push_back(
+        engine.bind<int, int>([](ServerCtx&, const int& v) { return v; }));
+  }
+  for (const FuncId id : ids) engine.unbind(id);
+  Actor client(0, 0, 1);
+  for (const FuncId id : {ids.front(), ids[ids.size() / 2], ids.back()}) {
+    EXPECT_EQ(engine.async_invoke<int>(client, 1, id, 1).wait(client).code(),
+              StatusCode::kNotFound);
+  }
+  const FuncId fresh =
+      engine.bind<int, int>([](ServerCtx&, const int& v) { return v * 3; });
+  EXPECT_GT(fresh, ids.back());
+  EXPECT_EQ(engine.invoke<int>(client, 1, fresh, 5), 15);
+}
+
 TEST_F(RpcTest, HandlerErrorPropagatesAsStatus) {
   const FuncId boom = engine.bind<int>([](ServerCtx&) -> int {
     throw HclError(Status::Capacity("partition full"));
@@ -127,15 +178,14 @@ TEST_F(RpcTest, ServerSideCallbackChain) {
   // serialized result (the paper's "multiple operations in one call").
   const FuncId produce =
       engine.bind<int, int>([](ServerCtx&, const int& v) { return v * 2; });
-  const FuncId add_ten = engine.bind_raw(
-      [](ServerCtx&, std::span<const std::byte> prev) -> std::vector<std::byte> {
-        serial::InArchive in(prev);
-        int v;
-        serial::load(in, v);
-        serial::OutArchive out;
-        serial::save(out, v + 10);
-        return out.take();
-      });
+  const FuncId add_ten = engine.bind_raw([](ServerCtx&,
+                                            std::span<const std::byte> prev,
+                                            serial::OutArchive& out) {
+    serial::InArchive in(prev);
+    int v;
+    serial::load(in, v);
+    serial::save(out, v + 10);
+  });
   Actor client(0, 0, 1);
   EXPECT_EQ((engine.invoke_chain<int>(client, 1, produce, {add_ten, add_ten}, 5)),
             5 * 2 + 10 + 10);
@@ -145,8 +195,8 @@ TEST_F(RpcTest, ChainCostsOneWireCrossing) {
   const FuncId produce =
       engine.bind<int, int>([](ServerCtx&, const int& v) { return v; });
   const FuncId identity = engine.bind_raw(
-      [](ServerCtx&, std::span<const std::byte> prev) {
-        return std::vector<std::byte>(prev.begin(), prev.end());
+      [](ServerCtx&, std::span<const std::byte> prev, serial::OutArchive& out) {
+        out.raw_bytes(prev.data(), prev.size());
       });
   Actor client(0, 0, 1);
   (void)engine.invoke_chain<int>(client, 1, produce, {identity, identity, identity}, 1);

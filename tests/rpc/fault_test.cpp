@@ -57,7 +57,7 @@ TEST_F(FaultTest, RuntimeErrorHandlerResolvesInternal) {
 
 TEST_F(FaultTest, NonExceptionThrowResolvesInternal) {
   const FuncId weird = engine.bind_raw(
-      [](ServerCtx&, std::span<const std::byte>) -> std::vector<std::byte> {
+      [](ServerCtx&, std::span<const std::byte>, serial::OutArchive&) {
         throw 42;  // NOLINT: deliberately not a std::exception
       });
   Actor client(0, 0, 1);
@@ -69,7 +69,7 @@ TEST_F(FaultTest, ThrowingChainedStageResolvesAsStatus) {
   const FuncId produce =
       engine.bind<int, int>([](ServerCtx&, const int& v) { return v; });
   const FuncId bad_stage = engine.bind_raw(
-      [](ServerCtx&, std::span<const std::byte>) -> std::vector<std::byte> {
+      [](ServerCtx&, std::span<const std::byte>, serial::OutArchive&) {
         throw std::runtime_error("stage died");
       });
   Actor client(0, 0, 1);

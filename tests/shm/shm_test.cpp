@@ -312,15 +312,14 @@ TEST_F(ShmEngineTest, RetriesRedoorbellTheSameSlot) {
 TEST_F(ShmEngineTest, ChainRidesRingInOneDelivery) {
   const FuncId produce =
       engine.bind<int, int>([](ServerCtx&, const int& v) { return v * 2; });
-  const FuncId add_ten = engine.bind_raw(
-      [](ServerCtx&, std::span<const std::byte> prev) -> std::vector<std::byte> {
-        serial::InArchive in(prev);
-        int v;
-        serial::load(in, v);
-        serial::OutArchive out;
-        serial::save(out, v + 10);
-        return out.take();
-      });
+  const FuncId add_ten = engine.bind_raw([](ServerCtx&,
+                                            std::span<const std::byte> prev,
+                                            serial::OutArchive& out) {
+    serial::InArchive in(prev);
+    int v;
+    serial::load(in, v);
+    serial::save(out, v + 10);
+  });
   Actor client(0, 0, 1);
   EXPECT_EQ((engine.invoke_chain<int>(client, 1, produce, {add_ten}, 5)), 20);
   const auto& c = fabric.nic(1).counters();

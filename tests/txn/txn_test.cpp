@@ -42,14 +42,16 @@ Status prepare_by_hand(Context& ctx, Actor& self, txn::Txn& t) {
   const txn::TxnPolicy policy;
   {
     rpc::Batcher prep(ctx.rpc(), policy.batch);
-    for (auto* p : t.participants()) p->enqueue_prepare(self, prep, t.id());
+    t.for_each([&](txn::ParticipantBase& p) {
+      p.enqueue_prepare(self, prep, t.id());
+    });
     prep.flush_all(self);
   }
   Status first = Status::Ok();
-  for (auto* p : t.participants()) {
-    const Status st = p->settle_prepare(self);
+  t.for_each([&](txn::ParticipantBase& p) {
+    const Status st = p.settle_prepare(self);
     if (!st.ok() && first.ok()) first = st;
-  }
+  });
   return first;
 }
 
@@ -57,19 +59,21 @@ Status commit_by_hand(Context& ctx, Actor& self, txn::Txn& t) {
   const txn::TxnPolicy policy;
   {
     rpc::Batcher apply(ctx.rpc(), policy.batch);
-    for (auto* p : t.participants()) p->enqueue_commit(self, apply, t.id());
+    t.for_each([&](txn::ParticipantBase& p) {
+      p.enqueue_commit(self, apply, t.id());
+    });
     apply.flush_all(self);
   }
   Status first = Status::Ok();
-  for (auto* p : t.participants()) {
-    const Status st = p->settle_commit(self, t.id());
+  t.for_each([&](txn::ParticipantBase& p) {
+    const Status st = p.settle_commit(self, t.id());
     if (!st.ok() && first.ok()) first = st;
-  }
+  });
   return first;
 }
 
 void abort_by_hand(Actor& self, txn::Txn& t) {
-  for (auto* p : t.participants()) p->send_abort(self, t.id());
+  t.for_each([&](txn::ParticipantBase& p) { p.send_abort(self, t.id()); });
 }
 
 /// Every abort-cause counter, summed over the cluster's NICs.
