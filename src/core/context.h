@@ -22,6 +22,8 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "cache/read_cache.h"
 #include "core/shard_map.h"
@@ -94,14 +96,6 @@ class Context {
 
   /// The shm transport tier (DESIGN.md §5i); null when Config.shm is off.
   [[nodiscard]] shm::Transport* shm_transport() noexcept { return shm_.get(); }
-
-  /// Per-container shm opt-out (ContainerOptions.shm.enabled == false): the
-  /// container registers its bound FuncIds here so its ops ride RDMA even
-  /// when pod-local. No-op when the tier itself is off.
-  void shm_opt_out(const std::vector<rpc::FuncId>& ids) {
-    if (shm_ == nullptr) return;
-    for (auto id : ids) shm_->deny(id);
-  }
 
   /// The pipeline tracer (DESIGN.md §5e): per-node/per-op-class latency and
   /// stage histograms plus sampled spans for the Chrome-trace exporter.
@@ -271,6 +265,32 @@ inline sim::NodeId partition_node(const ContainerOptions& options,
 struct Twins {
   rpc::FuncId primary = 0;
   rpc::FuncId standby = 0;
+};
+
+/// Every FuncId one container binds, recorded as it is bound: unbound when
+/// the container dies, and denied the shm tier (when that tier is on) for a
+/// container that opted out of it (ContainerOptions.shm, DESIGN.md §5i), so
+/// its ops ride RDMA even when pod-local.
+class Bindings {
+ public:
+  Bindings(Context& ctx, bool shm) : ctx_(&ctx), shm_(shm) {}
+  Bindings(const Bindings&) = delete;
+  Bindings& operator=(const Bindings&) = delete;
+  ~Bindings() { for (const rpc::FuncId id : ids_) ctx_->rpc().unbind(id); }
+
+  /// Engine::bind<R, Args...>(fn), recorded.
+  template <typename R, typename... Args, typename F>
+  rpc::FuncId bind(F fn) {
+    const rpc::FuncId id = ctx_->rpc().template bind<R, Args...>(std::move(fn));
+    ids_.push_back(id);
+    if (!shm_ && ctx_->shm_transport()) ctx_->shm_transport()->deny(id);
+    return id;
+  }
+
+ private:
+  Context* ctx_;
+  bool shm_;
+  std::vector<rpc::FuncId> ids_;
 };
 
 /// log2-style level count for ordered-structure cost charging.

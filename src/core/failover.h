@@ -1,7 +1,8 @@
 // Shared failover and transaction-participant layer for both container cores
 // (DESIGN.md §5f/§5h): the one client route every entry point takes, the
 // failover state and its repair pass, the txn read leg and participant legs,
-// and move charging — written once.
+// move charging, and the records they carry (the journal and intent codec,
+// the persist journal, the standby's staged txns) — written once.
 //
 // A core describes one of its partitions to this layer as a *lane*, a small
 // value with four members:
@@ -21,25 +22,29 @@
 // route() chose.
 //
 // Nothing here knows which core called it; a queue is a one-partition caller
-// of the same code. Wire shapes, intent records and cache hooks stay with
-// the cores.
+// of the same code. Wire shapes and cache hooks stay with the cores, and each
+// declares its record shape once, as a core::Record.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/context.h"
+#include "core/persist_log.h"
 #include "core/stores.h"
 #include "rpc/batch.h"
 #include "rpc/engine.h"
+#include "serial/databox.h"
 #include "txn/txn.h"
 
 namespace hcl::core {
@@ -272,53 +277,189 @@ R txn_read(Context& ctx, sim::Actor& self, const Lane& lane, Body&& body,
   }
 }
 
-/// The one decoder of intent and repair blobs: a u64 record count, then
-/// per record a u64 op code in [1, last] and what `load(in, op)` reads. A
-/// count the bytes left cannot hold (8 per record), an unknown op code or
-/// a truncated blob throws HclError(kInvalidArgument) before allocating.
-template <typename Record, typename Op, typename Load>
-std::vector<Record> decode_records(std::span<const std::byte> blob, Op last,
-                                   Load&& load) {
+/// The key of a shape whose records have none (a queue's): no wire bytes.
+struct NoKey {};
+
+/// One record of a core's record shape, declared over its op enum (codes
+/// 1..Last). On the wire: the op code as a u64, the key (NoKey writes
+/// nothing), then the value unless the op is Bare. A journal entry is one
+/// record; a blob is a u64 record count, then the records.
+template <typename Op, Op Last, Op Bare, typename K, typename V>
+struct Record {
+  using op_type = Op;
+  using key_type = K;
+  using value_type = V;
+
+  Op op{};
+  [[no_unique_address]] K key{};
+  V value{};
+
+  Record() = default;
+  /// `v` is null for the bare op.
+  Record(Op o, const K& k, const V* v)
+      : op(o), key(k), value(v != nullptr ? *v : V{}) {}
+
+  /// Write one record from its fields; `*v` is read only when `o` carries a
+  /// value, so a write is journaled without copying its value.
+  template <typename Ar>
+  static void write(Ar& ar, Op o, const K& k, const V* v) {
+    ar.u64(static_cast<std::uint64_t>(o));
+    serial::save(ar, k);
+    if (o != Bare) serial::save(ar, *v);
+  }
+
+  /// Read one record; an op code outside [1, Last] or a truncated record
+  /// throws HclError(kInvalidArgument).
+  static Record read(serial::InArchive& in) {
+    const std::uint64_t code = in.u64();
+    if (code == 0 || code > static_cast<std::uint64_t>(Last)) {
+      throw HclError(Status::InvalidArgument("record: unknown op"));
+    }
+    Record rec;
+    rec.op = static_cast<Op>(code);
+    serial::load(in, rec.key);
+    if (rec.op != Bare) serial::load(in, rec.value);
+    return rec;
+  }
+};
+
+/// The one decoder of intent and repair blobs. A count the bytes left cannot
+/// hold (8 per record), an unknown op code or a truncated blob throws
+/// HclError(kInvalidArgument) before allocating.
+template <typename Rec>
+std::vector<Rec> decode_records(std::span<const std::byte> blob) {
   serial::InArchive in(blob);
   const std::size_t count = serial::load_count(in, 8);
-  std::vector<Record> recs;
+  std::vector<Rec> recs;
   recs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t code = in.u64();
-    if (code == 0 || code > static_cast<std::uint64_t>(last)) {
-      throw HclError(Status::InvalidArgument("intent record: unknown op"));
-    }
-    recs.push_back(load(in, static_cast<Op>(code)));
-  }
+  for (std::size_t i = 0; i < count; ++i) recs.push_back(Rec::read(in));
   return recs;
 }
 
 /// The blob decode_records reads, written straight into a request as the
-/// `std::vector<std::byte>` argument its stub takes (a u64 byte count,
-/// then one word per byte) without building that vector: a u64 record
-/// count, then `write(ar, rec)` per record. Saving only. The records are
-/// encoded into a scratch archive from the thread's buffer pool and widened
-/// from there.
-template <typename Record, typename Write>
+/// `std::vector<std::byte>` argument its stub takes (a u64 byte count, then
+/// one word per byte) without building that vector. Saving only. The
+/// fixed-width counting pass counts the records without storing them; any
+/// other archive gets them encoded once into a pooled scratch archive and
+/// widened from there.
+template <typename Rec>
 struct RecordBlob {
-  std::span<const Record> recs;
-  Write write;
+  std::span<const Rec> recs;
+
+  template <typename Ar>
+  void write(Ar& ar) const {
+    ar.u64(recs.size());
+    for (const Rec& rec : recs) Rec::write(ar, rec.op, rec.key, &rec.value);
+  }
 
   template <typename Ar>
   void serialize(Ar& ar) const {
-    serial::OutArchive blob;
-    blob.u64(recs.size());
-    for (const Record& rec : recs) write(blob, rec);
-    ar.u64(blob.size());
-    serial::save_word_run(ar, std::span<const std::byte>(blob.buffer()));
+    if constexpr (std::is_same_v<Ar, serial::SizeArchive>) {
+      serial::SizeArchive blob;
+      write(blob);
+      ar.u64(blob.size());
+      ar.extend(blob.size() * 8);
+    } else {
+      serial::OutArchive blob;
+      write(blob);
+      ar.u64(blob.size());
+      serial::save_word_run(ar, std::span<const std::byte>(blob.buffer()));
+    }
   }
 };
 
-template <typename Record, typename Write>
-RecordBlob<Record, Write> record_blob(const std::vector<Record>& recs,
-                                      Write write) {
-  return {recs, write};
+template <typename Rec>
+RecordBlob<Rec> record_blob(const std::vector<Rec>& recs) {
+  return {recs};
 }
+
+/// A partition's persist journal (§III.C.6): one record per write its
+/// primary applied.
+template <typename Rec>
+class Journal {
+ public:
+  /// Open the journal at `path` and hand each record in it to `apply`, in
+  /// append order; a record the shape refuses throws, failing the
+  /// container's construction.
+  template <typename Apply>
+  void open(mem::NodeMemory& memory, const std::string& path,
+            mem::SyncMode mode, Apply&& apply) {
+    auto log = PersistLog::open(memory, path, mode);
+    throw_if_error(log.status());
+    log_ = std::move(log.value());
+    log_->replay([&](std::span<const std::byte> bytes) {
+      serial::InArchive in(bytes);
+      apply(Rec::read(in));
+    });
+  }
+
+  /// Journal one applied write; a no-op when the container does not persist.
+  void append(typename Rec::op_type op, const typename Rec::key_type& key,
+              const typename Rec::value_type* value) {
+    if (log_ == nullptr) return;
+    serial::OutArchive out;
+    Rec::write(out, op, key, value);
+    throw_if_error(log_->append(std::span<const std::byte>(out.buffer())));
+  }
+
+ private:
+  std::unique_ptr<PersistLog> log_;
+};
+
+/// The standby half of txn participation (§5h), one per replica host: the
+/// intent records a prepare staged here, keyed by (txn id, primary
+/// partition; a queue is partition 0), so a promoted standby can replay a
+/// prepared-but-uncommitted txn (the commit's failover twin) or drop it.
+/// Its mutex is a leaf (nothing is locked under it), so a caller may hold
+/// its host's txn_mutex or not.
+template <typename Rec>
+class StagingLedger {
+ public:
+  /// The stage stub's body: charge the blob's write on the host (descent
+  /// `d`), then keep its records.
+  bool stage(Context& ctx, rpc::ServerCtx& sctx, Descent d,
+             std::uint64_t txn_id, int p, const std::vector<std::byte>& blob) {
+    charge_server(ctx, sctx, d, static_cast<std::int64_t>(blob.size()),
+                  /*write=*/true);
+    std::vector<Rec> recs = decode_records<Rec>(blob);
+    std::lock_guard<std::mutex> guard(mutex_);
+    staged_[{txn_id, p}] = std::move(recs);
+    return true;
+  }
+
+  /// The body of the resolve stub and of the abort's failover twin: charge a
+  /// 16-byte write, then drop what the txn staged. Not a failover write, so
+  /// it never promotes the standby.
+  bool drop(Context& ctx, rpc::ServerCtx& sctx, Descent d,
+            std::uint64_t txn_id, int p) {
+    charge_server(ctx, sctx, d, 16, /*write=*/true);
+    std::lock_guard<std::mutex> guard(mutex_);
+    staged_.erase({txn_id, p});
+    return true;
+  }
+
+  /// What the commit's failover twin applies, removed (none when re-sent).
+  std::vector<Rec> take(std::uint64_t txn_id, int p) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto staged = staged_.extract({txn_id, p});
+    return staged ? std::move(staged.mapped()) : std::vector<Rec>{};
+  }
+
+  /// Presumed abort (repair): whatever was staged before a crash is dead.
+  void clear() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    staged_.clear();
+  }
+
+  [[nodiscard]] bool empty() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return staged_.empty();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::pair<std::uint64_t, int>, std::vector<Rec>> staged_;
+};
 
 /// One partition's failover state: the promotion flag and term, the fenced
 /// epoch stream the promoted standby publishes, and the journal of ops it
@@ -359,13 +500,14 @@ struct FailoverState {
 
   /// Anti-entropy repair: replay the journal into the lane's rejoined
   /// primary as ONE repair RPC to stub `id`, whose arguments after its prefix
-  /// are `wire(delta, fence)` (a tuple); `adopted(epoch)` then sees the
-  /// epoch the primary adopted. Racing repairers serialize on the mutex
-  /// (losers see no promotion and return). On failure (the primary died
-  /// again) the journal and promotion flag are restored for a later pass.
-  template <typename Lane, typename Wire, typename Adopted>
+  /// are the journal as a record blob, then the tuple `extra(fence)`;
+  /// `adopted(epoch)` then sees the epoch the primary adopted. Racing
+  /// repairers serialize on the mutex (losers see no promotion and return).
+  /// On failure (the primary died again) the journal and promotion flag are
+  /// restored for a later pass.
+  template <typename Lane, typename Extra, typename Adopted>
   void repair(Context& ctx, sim::Actor& self, const Lane& lane, rpc::FuncId id,
-              Wire&& wire, Adopted&& adopted) {
+              Extra&& extra, Adopted&& adopted) {
     std::lock_guard<std::mutex> guard(mutex);
     if (!promoted) return;
     std::vector<Record> delta;
@@ -378,7 +520,8 @@ struct FailoverState {
             return ctx.rpc().template async_invoke_repair<std::uint64_t>(
                 self, lane.node(), id, args...);
           },
-          std::tuple_cat(lane.prefix(), wire(delta, term << 32)));
+          std::tuple_cat(lane.prefix(), std::make_tuple(record_blob(delta)),
+                         extra(term << 32)));
       (void)future.get(self);
       adopted(future.response_epoch());
     } catch (...) {
@@ -398,6 +541,23 @@ struct FailoverState {
     return journal.size();
   }
 };
+
+/// The repair stub's shell on the rejoined primary (§5f): decode the
+/// promoted standby's journal delta, hand it to `replay` (the core's apply,
+/// charge and slot release), drop the intents `staged` held from before the
+/// crash (presumed abort, §5h), count the replayed ops on the serving NIC,
+/// and answer how many there were.
+template <typename Rec, typename Replay>
+std::uint64_t repair_stub(Context& ctx, rpc::ServerCtx& sctx,
+                          const std::vector<std::byte>& blob,
+                          StagingLedger<Rec>& staged, Replay&& replay) {
+  const std::vector<Rec> delta = decode_records<Rec>(blob);
+  replay(delta);
+  staged.clear();
+  ctx.fabric().nic(sctx.node).counters().repair_ops.fetch_add(
+      static_cast<std::int64_t>(delta.size()), std::memory_order_relaxed);
+  return delta.size();
+}
 
 /// Bulk-path charging and observability for a completed move (DESIGN.md
 /// §5g): a read at the source, one wire transfer, a write at the
@@ -432,9 +592,10 @@ inline void charge_move(Context& ctx, const ContainerOptions& options,
 }
 
 /// The transaction-participant legs both cores share (DESIGN.md §5h), for
-/// one lane. A core derives its participant from this, stages intents,
-/// enqueues its own prepare (its wire shape) and may hook the commit.
-template <typename Lane>
+/// one lane and the core's record shape. A core derives its participant
+/// from this, stages its intent records into `intents_`, enqueues its own
+/// prepare (its wire shape) and may hook the commit.
+template <typename Lane, typename Rec>
 class Participant : public txn::ParticipantBase {
  public:
   /// `commit` is the commit stub and its failover twin; `abort` pairs the
@@ -442,6 +603,7 @@ class Participant : public txn::ParticipantBase {
   /// records prepare staged there without promoting it.
   Participant(Context& ctx, Lane lane, const Twins& commit, const Twins& abort)
       : ctx_(&ctx), lane_(lane), commit_op_(commit), abort_op_(abort) {}
+  ~Participant() override { VectorPool<Rec>::give(std::move(intents_)); }
 
   Status settle_prepare(sim::Actor& self) override {
     if (node_down_) return Status::Unavailable("txn: participant node is down");
@@ -510,10 +672,10 @@ class Participant : public txn::ParticipantBase {
   /// The commit applied; `epoch` is the epoch its response carried.
   virtual void committed(sim::Actor&, std::uint64_t) {}
 
-  /// Enqueue the prepare stub `id` with `args` after the lane's prefix,
-  /// repairing a rejoined primary first (a commit on its un-repaired store
-  /// would be overwritten by the replay); a primary already down fails fast
-  /// in settle_prepare instead.
+  /// Enqueue the prepare stub `id` with `args`, then the intents as a record
+  /// blob, after the lane's prefix, repairing a rejoined primary first (a
+  /// commit on its un-repaired store would be overwritten by the replay); a
+  /// primary already down fails fast in settle_prepare instead.
   template <typename... Args>
   void enqueue_prepare_call(sim::Actor& self, rpc::Batcher& batch,
                             rpc::FuncId id, const Args&... args) {
@@ -523,11 +685,14 @@ class Participant : public txn::ParticipantBase {
     }
     repair_stale(*ctx_, self, lane_);
     ctx_->op_stats().remote_invocations.fetch_add(1, std::memory_order_relaxed);
-    prepare_ = enqueue_at_primary(self, batch, id, args...);
+    prepare_ = enqueue_at_primary(self, batch, id, args...,
+                                  record_blob(intents_));
   }
 
   Context* ctx_;
   Lane lane_;
+  /// The staged intent records.
+  std::vector<Rec> intents_ = VectorPool<Rec>::take();
 
  private:
   template <typename... Args>

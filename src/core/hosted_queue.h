@@ -19,15 +19,13 @@
 // With replication the standby mirrors the host and takes over while it is
 // down (DESIGN.md §5f); every op's server body is written once against a
 // serving side and bound twice, as its primary FuncId and failover twin.
-// Routing, failover state, repair and the txn participant legs come from
-// core/failover.h, for which the queue is a one-partition lane.
+// Routing, failover state, repair, txn participant legs and the record format
+// come from core/failover.h, for which the queue is a one-partition lane.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -38,7 +36,6 @@
 #include "core/bulk.h"
 #include "core/context.h"
 #include "core/failover.h"
-#include "core/persist_log.h"
 #include "core/stores.h"
 #include "rpc/batch.h"
 #include "rpc/engine.h"
@@ -61,7 +58,8 @@ class HostedQueue {
         node_(core::partition_node(options, ctx.topology(), 0)),
         standby_node_((core::partition_node(options, ctx.topology(), 0) + 1) %
                       ctx.topology().num_nodes()),
-        options_(options) {
+        options_(options),
+        bindings_(ctx, options.shm.enabled) {
     // Degenerate replica placement (DESIGN.md §5f): a mirror co-located
     // with the host would vanish with it on one node loss.
     if (options_.replication >= 1 && standby_node_ == node_) {
@@ -70,12 +68,18 @@ class HostedQueue {
           "add nodes or drop replication"));
     }
     if (!options_.persist_path.empty()) {
-      auto log = core::PersistLog::open(
-          ctx_->fabric().memory(node_),
-          options_.persist_path + Store::kJournalSuffix, options_.sync_mode);
-      throw_if_error(log.status());
-      log_ = std::move(log.value());
-      recover();
+      // Sequential replay: a push inserts, a pop removes the then-front (or
+      // then-minimum) — converging exactly to the survivors for every
+      // store, since pop-min depends on WHICH elements were live then.
+      journal_.open(ctx_->fabric().memory(node_),
+                    options_.persist_path + Store::kJournalSuffix,
+                    options_.sync_mode, [&](Record rec) {
+                      if (rec.op == LogOp::kPush) {
+                        impl_.push(std::move(rec.value));
+                      } else {
+                        (void)impl_.pop(&rec.value);  // discarded
+                      }
+                    });
     }
     bind_handlers();
   }
@@ -83,9 +87,10 @@ class HostedQueue {
   HostedQueue(const HostedQueue&) = delete;
   HostedQueue& operator=(const HostedQueue&) = delete;
 
-  ~HostedQueue() {
-    for (auto id : bound_ids_) ctx_->rpc().unbind(id);
-  }
+  /// The queue's record shape (core/failover.h) for its journals and intent
+  /// blobs: a push carries its value, a pop nothing.
+  enum class LogOp : std::uint8_t { kPush = 1, kPop = 2 };
+  using Record = core::Record<LogOp, LogOp::kPop, LogOp::kPop, core::NoKey, T>;
 
   /// Push one element. Cost: F + L + W (remote), L + W (co-located).
   bool push(const T& value) {
@@ -254,7 +259,7 @@ class HostedQueue {
       // Prepared intents pin the host: moving it would orphan the intent
       // slot and the standby's staged records (DESIGN.md §5h).
       std::lock_guard<std::mutex> txn_guard(txn_mutex_);
-      if (txn_holder_ != 0 || !txn_staged_.empty()) {
+      if (txn_holder_ != 0 || !staged_.empty()) {
         throw HclError(Status::FailedPrecondition(
             "rebalance: transaction intents pending"));
       }
@@ -275,8 +280,6 @@ class HostedQueue {
   }
 
  private:
-  enum class LogOp : std::uint8_t { kPush = 1, kPop = 2 };
-
   /// Stores whose pop target moves after the first staged pop
   /// (Store::kOneStagedPop) accept one staged pop per transaction.
   static void check_pop_limit(std::size_t) {}
@@ -288,13 +291,6 @@ class HostedQueue {
           "txn pop: priority queue supports one staged pop per transaction"));
     }
   }
-
-  /// One op accepted by the promoted standby while the host was down,
-  /// replayed into the rejoined host by the anti-entropy repair pass.
-  struct FoRecord {
-    LogOp op = LogOp::kPush;
-    T value{};
-  };
 
   static std::int64_t bytes_of(const T& v) {
     return static_cast<std::int64_t>(serial::packed_size(v));
@@ -334,38 +330,15 @@ class HostedQueue {
     return ok;
   }
 
-  /// Journal one applied op: the persist log plus an epoch bump (primary),
-  /// or the failover journal (standby).
+  /// Journal one applied op: the persist journal plus an epoch bump
+  /// (primary), or the failover journal (standby).
   void record(Side s, LogOp op, const T* value) {
     if (s == Side::kStandby) {
-      fo_.journal.push_back(FoRecord{op, value != nullptr ? *value : T{}});
+      fo_.journal.emplace_back(op, core::NoKey{}, value);
       return;
     }
-    if (log_ != nullptr) {
-      serial::OutArchive out;
-      out.u64(static_cast<std::uint64_t>(op));
-      if (value != nullptr) serial::save(out, *value);
-      throw_if_error(log_->append(std::span<const std::byte>(out.buffer())));
-    }
+    journal_.append(op, {}, value);
     epoch_.fetch_add(1, std::memory_order_release);
-  }
-
-  /// Sequential replay: a push inserts, a pop removes the then-front (or
-  /// then-minimum) — converging exactly to the survivors for every store,
-  /// since pop-min depends on WHICH elements were live at the time.
-  void recover() {
-    log_->replay([&](std::span<const std::byte> record) {
-      serial::InArchive in(record);
-      const auto op = static_cast<LogOp>(in.u64());
-      if (op == LogOp::kPush) {
-        T v{};
-        serial::load(in, v);
-        impl_.push(std::move(v));
-      } else {
-        T discard{};
-        (void)impl_.pop(&discard);
-      }
-    });
   }
 
   /// The one record-apply loop — txn_commit on either side and the repair
@@ -374,9 +347,9 @@ class HostedQueue {
   /// guarantee. With `mirrored`, each applied op is mirrored at `ready`
   /// (primary side only); the repair replay passes false, because the
   /// mirror already holds every op it replays.
-  void apply_records(Side s, const std::vector<FoRecord>& recs,
+  void apply_records(Side s, const std::vector<Record>& recs,
                      sim::Nanos ready, bool mirrored) {
-    for (const FoRecord& rec : recs) {
+    for (const Record& rec : recs) {
       T scratch{};
       if (rec.op == LogOp::kPush) {
         apply_push(s, rec.value);
@@ -386,9 +359,9 @@ class HostedQueue {
       if (mirrored) mirror(s, ready, rec.op, &rec.value);
     }
   }
-  static std::int64_t record_bytes(const std::vector<FoRecord>& recs) {
+  static std::int64_t record_bytes(const std::vector<Record>& recs) {
     std::int64_t bytes = 0;
-    for (const FoRecord& rec : recs) {
+    for (const Record& rec : recs) {
       bytes += rec.op == LogOp::kPush ? bytes_of(rec.value) : 8;
     }
     return bytes;
@@ -425,10 +398,7 @@ class HostedQueue {
     void repair(sim::Actor& self) const {
       owner->fo_.repair(
           *owner->ctx_, self, *this, owner->repair_id_,
-          [](const std::vector<FoRecord>& delta, std::uint64_t) {
-            return std::make_tuple(intent_blob(delta));
-          },
-          [](std::uint64_t) {});
+          [](std::uint64_t) { return std::tuple<>(); }, [](std::uint64_t) {});
     }
   };
   [[nodiscard]] Lane lane() { return Lane{this}; }
@@ -470,57 +440,36 @@ class HostedQueue {
 
   // ---- transaction internals (DESIGN.md §5h) ------------------------
 
-  /// Intent records on the wire, in staging order (pushes carry a value,
-  /// pops are bare ops), written straight into the request
-  /// (core::RecordBlob). Same record shape the failover journal uses.
-  static auto intent_blob(const std::vector<FoRecord>& recs) {
-    return core::record_blob(recs, [](auto& out, const FoRecord& rec) {
-      out.u64(static_cast<std::uint64_t>(rec.op));
-      if (rec.op == LogOp::kPush) serial::save(out, rec.value);
-    });
+  static std::size_t pops(const std::vector<Record>& recs) {
+    return static_cast<std::size_t>(
+        std::count_if(recs.begin(), recs.end(),
+                      [](const Record& rec) { return rec.op == LogOp::kPop; }));
   }
   /// Commit order (see the public txn notes): every staged pop, then every
   /// staged push, each in staging order.
-  static std::vector<FoRecord> in_commit_order(std::vector<FoRecord> intents) {
+  static std::vector<Record> in_commit_order(std::vector<Record> intents) {
     std::stable_partition(
         intents.begin(), intents.end(),
-        [](const FoRecord& rec) { return rec.op == LogOp::kPop; });
+        [](const Record& rec) { return rec.op == LogOp::kPop; });
     return intents;
-  }
-
-  static std::vector<FoRecord> decode_intents(
-      const std::vector<std::byte>& blob) {
-    return core::decode_records<FoRecord>(
-        blob, LogOp::kPop, [](serial::InArchive& in, LogOp op) {
-          FoRecord rec;
-          rec.op = op;
-          if (op == LogOp::kPush) serial::load(in, rec.value);
-          return rec;
-        });
   }
 
   /// The queue's participant: the shared legs (core::Participant) over its
   /// one lane, plus staging. The intent list is an ordered log; see the
   /// public txn section for the visibility contract.
-  class TxnParticipant : public core::Participant<Lane> {
+  class TxnParticipant : public core::Participant<Lane, Record> {
    public:
     explicit TxnParticipant(HostedQueue* owner)
-        : core::Participant<Lane>(*owner->ctx_, Lane{owner},
-                                  owner->txn_commit_, owner->txn_abort_) {}
-    ~TxnParticipant() override {
-      VectorPool<FoRecord>::give(std::move(intents_));
-    }
+        : core::Participant<Lane, Record>(*owner->ctx_, Lane{owner},
+                                          owner->txn_commit_,
+                                          owner->txn_abort_) {}
 
     void stage(LogOp op, const T* value) {
-      intents_.push_back(FoRecord{op, value != nullptr ? *value : T{}});
+      this->intents_.emplace_back(op, core::NoKey{}, value);
     }
 
     [[nodiscard]] std::size_t staged_pops() const {
-      std::size_t n = 0;
-      for (const FoRecord& rec : intents_) {
-        if (rec.op == LogOp::kPop) ++n;
-      }
-      return n;
+      return pops(this->intents_);
     }
 
     /// Capture the queue epoch at first contact; a later read observing a
@@ -539,7 +488,7 @@ class HostedQueue {
                          std::uint64_t txn_id) override {
       this->enqueue_prepare_call(self, batch,
                                  this->lane_.owner->txn_prepare_id_, txn_id,
-                                 expected_epoch_, intent_blob(intents_));
+                                 expected_epoch_);
     }
 
     [[nodiscard]] std::shared_mutex* latch() const noexcept override {
@@ -548,7 +497,6 @@ class HostedQueue {
 
    private:
     std::uint64_t expected_epoch_ = txn::kBlindEpoch;
-    std::vector<FoRecord> intents_ = VectorPool<FoRecord>::take();
   };
 
   TxnParticipant& participant(txn::Txn& t) {
@@ -561,13 +509,12 @@ class HostedQueue {
   /// `standby` on the promoted mirror. Both take the same wire arguments.
   template <typename R, typename... Args, typename Body>
   core::Twins bind_twins(Body body) {
-    auto& engine = ctx_->rpc();
     core::Twins op;
-    op.primary = engine.bind<R, Args...>(
+    op.primary = bindings_.bind<R, Args...>(
         [body](rpc::ServerCtx& sctx, const Args&... args) {
           return body(sctx, Side::kPrimary, args...);
         });
-    op.standby = engine.bind<R, Args...>(
+    op.standby = bindings_.bind<R, Args...>(
         [this, body](rpc::ServerCtx& sctx, const Args&... args) {
           const auto guard = fo_.enter_standby(
               ctx_->fabric(), node_, "queue host is up; repair and retry");
@@ -582,13 +529,9 @@ class HostedQueue {
   /// standby — the host died after prepare-ack — takes the records that
   /// prepare staged on it.
   bool take_intents(Side s, std::uint64_t txn_id,
-                    std::vector<FoRecord>* intents) {
+                    std::vector<Record>* intents) {
     if (s == Side::kStandby) {
-      auto it = txn_staged_.find(txn_id);
-      if (it != txn_staged_.end()) {
-        *intents = std::move(it->second);
-        txn_staged_.erase(it);
-      }
+      *intents = staged_.take(txn_id, 0);
       return true;
     }
     if (last_committed_txn_ == txn_id) return false;
@@ -666,7 +609,6 @@ class HostedQueue {
   }
 
   void bind_handlers() {
-    auto& engine = ctx_->rpc();
     push_ = bind_twins<bool, T>(
         [this](auto&&... a) { return push_body(a...); });
     push_bulk_ = bind_twins<bool, std::vector<T>>(
@@ -679,13 +621,13 @@ class HostedQueue {
     // lock-step with the host; order is preserved because server_invoke
     // executes inline on the issuing thread.
     replica_push_id_ =
-        engine.bind<bool, T>([this](rpc::ServerCtx& sctx, const T& value) {
+        bindings_.bind<bool, T>([this](rpc::ServerCtx& sctx, const T& value) {
           core::charge_server(*ctx_, sctx, descent(true), bytes_of(value),
                               /*write=*/true);
           mirror_.push(value);
           return true;
         });
-    replica_pop_id_ = engine.bind<bool>([this](rpc::ServerCtx& sctx) {
+    replica_pop_id_ = bindings_.bind<bool>([this](rpc::ServerCtx& sctx) {
       core::charge_server(*ctx_, sctx, descent(true), 8, /*write=*/true);
       T scratch{};
       mirror_.pop(&scratch);
@@ -693,31 +635,27 @@ class HostedQueue {
     });
     // Anti-entropy repair (host side): replay through the record-apply
     // loop so the delta lands in the persist log too.
-    repair_id_ = engine.bind<std::uint64_t, std::vector<std::byte>>(
+    repair_id_ = bindings_.bind<std::uint64_t, std::vector<std::byte>>(
         [this](rpc::ServerCtx& sctx, const std::vector<std::byte>& blob) {
-          const std::vector<FoRecord> delta = decode_intents(blob);
-          apply_records(Side::kPrimary, delta, sctx.start, /*mirrored=*/false);
-          core::charge_server(*ctx_, sctx, descent(true),
-                              8 + record_bytes(delta), /*write=*/true,
-                              static_cast<std::int64_t>(delta.size()));
-          // Presumed abort (§5h): intent state from before the crash is dead.
-          {
-            std::lock_guard<std::mutex> guard(txn_mutex_);
-            txn_holder_ = 0;
-            txn_intents_.clear();
-            txn_staged_.clear();
-          }
-          ctx_->fabric().nic(sctx.node).counters().repair_ops.fetch_add(
-              static_cast<std::int64_t>(delta.size()),
-              std::memory_order_relaxed);
-          return static_cast<std::uint64_t>(delta.size());
+          return core::repair_stub(
+              *ctx_, sctx, blob, staged_, [&](const std::vector<Record>& delta) {
+                apply_records(Side::kPrimary, delta, sctx.start,
+                              /*mirrored=*/false);
+                core::charge_server(*ctx_, sctx, descent(true),
+                                    8 + record_bytes(delta), /*write=*/true,
+                                    static_cast<std::int64_t>(delta.size()));
+                // Presumed abort (§5h): the slot from before the crash is dead.
+                std::lock_guard<std::mutex> guard(txn_mutex_);
+                txn_holder_ = 0;
+                txn_intents_.clear();
+              });
         });
     // ---- transaction stubs (DESIGN.md §5h; protocol notes in
     // core::PartitionedMap). txn_mutex_ is released before standby fan-out.
-    txn_peek_id_ = engine.bind<std::optional<T>, std::uint64_t>(
+    txn_peek_id_ = bindings_.bind<std::optional<T>, std::uint64_t>(
         [this](auto&&... a) { return txn_peek_body(a...); });
     txn_prepare_id_ =
-        engine.bind<std::uint64_t, std::uint64_t, std::uint64_t,
+        bindings_.bind<std::uint64_t, std::uint64_t, std::uint64_t,
                     std::vector<std::byte>>(
             [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id,
                    const std::uint64_t& expected,
@@ -725,11 +663,7 @@ class HostedQueue {
               const sim::Nanos ready = core::charge_server(
                   *ctx_, sctx, descent(true),
                   static_cast<std::int64_t>(blob.size()) + 16, /*write=*/true);
-              const std::vector<FoRecord> intents = decode_intents(blob);
-              std::size_t pops = 0;
-              for (const FoRecord& rec : intents) {
-                if (rec.op == LogOp::kPop) ++pops;
-              }
+              const auto intents = core::decode_records<Record>(blob);
               std::uint64_t cur = 0;
               {
                 std::lock_guard<std::mutex> guard(txn_mutex_);
@@ -743,7 +677,7 @@ class HostedQueue {
                   no = &txn::kSlotHeld;
                 } else if (expected != txn::kBlindEpoch && cur != expected) {
                   no = &txn::kEpochConflict;
-                } else if (pops > impl_.size()) {
+                } else if (pops(intents) > impl_.size()) {
                   no = &txn::kUnderflow;
                 }
                 if (no != nullptr) {
@@ -765,7 +699,7 @@ class HostedQueue {
     // replays the records that prepare staged on the standby.
     txn_commit_ = bind_twins<std::uint64_t, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, Side s, const std::uint64_t& txn_id) {
-          std::vector<FoRecord> intents;
+          std::vector<Record> intents;
           {
             std::lock_guard<std::mutex> guard(txn_mutex_);
             if (!take_intents(s, txn_id, &intents)) {
@@ -788,7 +722,7 @@ class HostedQueue {
               s == Side::kPrimary ? epoch_.load(std::memory_order_acquire) : 0;
           return sctx.epoch;
         });
-    txn_abort_.primary = engine.bind<bool, std::uint64_t>(
+    txn_abort_.primary = bindings_.bind<bool, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
           core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
           bool held = false;
@@ -808,46 +742,20 @@ class HostedQueue {
           sctx.epoch = epoch_.load(std::memory_order_acquire);
           return held;
         });
+    // Standby staging (core::StagingLedger): the resolve stub and the
+    // abort's failover twin both drop the records a prepare staged; neither
+    // enters the standby side (no promotion).
     replica_txn_stage_id_ =
-        engine.bind<bool, std::uint64_t, std::vector<std::byte>>(
+        bindings_.bind<bool, std::uint64_t, std::vector<std::byte>>(
             [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id,
                    const std::vector<std::byte>& blob) {
-              core::charge_server(*ctx_, sctx, descent(true),
-                                  static_cast<std::int64_t>(blob.size()),
-                                  /*write=*/true);
-              std::vector<FoRecord> intents = decode_intents(blob);
-              std::lock_guard<std::mutex> guard(txn_mutex_);
-              txn_staged_[txn_id] = std::move(intents);
-              return true;
+              return staged_.stage(*ctx_, sctx, descent(true), txn_id, 0, blob);
             });
-    replica_txn_resolve_id_ = engine.bind<bool, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
-          std::lock_guard<std::mutex> guard(txn_mutex_);
-          txn_staged_.erase(txn_id);
-          return true;
-        });
-    // The abort's failover twin, without a shared body: dropping the
-    // records a prepare staged on the standby is not a failover write, so
-    // it never enters the standby side (no promotion).
-    txn_abort_.standby = engine.bind<bool, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
-          // No promotion: dropping staged intents is not a failover write.
-          std::lock_guard<std::mutex> guard(txn_mutex_);
-          txn_staged_.erase(txn_id);
-          return true;
-        });
-    bound_ids_ = {push_.primary,     push_.standby,       push_bulk_.primary,
-                  push_bulk_.standby, pop_.primary,        pop_.standby,
-                  pop_bulk_.primary, pop_bulk_.standby,   replica_push_id_,
-                  replica_pop_id_,   repair_id_,          txn_peek_id_,
-                  txn_prepare_id_,   txn_commit_.primary, txn_commit_.standby,
-                  txn_abort_.primary, replica_txn_stage_id_,
-                  replica_txn_resolve_id_, txn_abort_.standby};
-    // Per-container shm opt-out (DESIGN.md §5i): route this queue's ops over
-    // RDMA even when pod-local.
-    if (!options_.shm.enabled) ctx_->shm_opt_out(bound_ids_);
+    const auto drop = [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
+      return staged_.drop(*ctx_, sctx, descent(true), txn_id, 0);
+    };
+    replica_txn_resolve_id_ = bindings_.bind<bool, std::uint64_t>(drop);
+    txn_abort_.standby = bindings_.bind<bool, std::uint64_t>(drop);
   }
 
   Context* ctx_;
@@ -858,21 +766,22 @@ class HostedQueue {
   /// Standby-side mirror of impl_, maintained by the replica stubs and
   /// served by the failover twins while the host is down (DESIGN.md §5f).
   Store mirror_;
-  std::unique_ptr<core::PersistLog> log_;
-  core::FailoverState<FoRecord> fo_;
+  core::Journal<Record> journal_;
+  core::FailoverState<Record> fo_;
   /// Mutation epoch (DESIGN.md §5h): bumped by every applied push/pop and
   /// by migrate, validated by txn prepare against the read-time capture.
   std::atomic<std::uint64_t> epoch_{0};
   /// Serializes payload-moving pops against txn_peek traversals (the
   /// MsQueue peek/pop external-serialization contract).
   std::mutex pop_mutex_;
-  /// Transaction intent slot + standby staging (semantics match the maps'
-  /// per-partition fields; see core::PartitionedMap::Partition).
+  /// Transaction intent slot (semantics match the maps' per-partition
+  /// fields; see core::PartitionedMap::Partition) and the records prepares
+  /// staged here while this node was the standby.
   std::mutex txn_mutex_;
   std::uint64_t txn_holder_ = 0;
-  std::vector<FoRecord> txn_intents_;
+  std::vector<Record> txn_intents_;
   std::uint64_t last_committed_txn_ = 0;
-  std::map<std::uint64_t, std::vector<FoRecord>> txn_staged_;
+  core::StagingLedger<Record> staged_;
   /// Replicated ops: each primary FuncId and its failover twin, bound from
   /// one server body (bind_twins); txn_abort_ pairs the host's abort with
   /// the standby's fo_txn_abort.
@@ -880,7 +789,7 @@ class HostedQueue {
   rpc::FuncId replica_push_id_ = 0, replica_pop_id_ = 0, repair_id_ = 0,
               txn_peek_id_ = 0, txn_prepare_id_ = 0,
               replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0;
-  std::vector<rpc::FuncId> bound_ids_;
+  core::Bindings bindings_;
 };
 
 }  // namespace core

@@ -25,8 +25,8 @@
 //     promoted replica while a primary is down (DESIGN.md §5f): every
 //     replicated op's server body is written ONCE against a serving side
 //     and bound twice — its primary FuncId and its failover twin; routing,
-//     failover state, repair and the txn participant legs come from
-//     core/failover.h, one lane per partition,
+//     failover state, repair, txn participant legs and the record format
+//     come from core/failover.h, one lane per partition,
 //   * per-operation durability through a memory-mapped journal (§III.C.6),
 //   * explicit per-partition resize (Table I),
 //   * registered *mutators* — named server-side read-modify-write functions
@@ -38,7 +38,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,7 +45,6 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -55,7 +53,6 @@
 #include "core/bulk.h"
 #include "core/context.h"
 #include "core/failover.h"
-#include "core/persist_log.h"
 #include "core/stores.h"
 #include "rpc/batch.h"
 #include "rpc/engine.h"
@@ -85,19 +82,24 @@ class PartitionedMap {
         options_(options),
         num_partitions_(core::resolve_partitions(options, ctx.topology())),
         shard_map_(num_partitions_,
-                   std::max(1, options.rebalance.slots_per_partition)) {
+                   std::max(1, options.rebalance.slots_per_partition)),
+        bindings_(ctx, options.shm.enabled) {
     partitions_.reserve(static_cast<std::size_t>(num_partitions_));
     for (int p = 0; p < num_partitions_; ++p) {
       auto part = std::make_unique<Partition>();
       part->node = core::partition_node(options_, ctx_->topology(), p);
       part->store.reserve(options_.initial_buckets);
       if (!options_.persist_path.empty()) {
-        auto log = core::PersistLog::open(
-            ctx_->fabric().memory(part->node),
-            options_.persist_path + ".p" + std::to_string(p), options_.sync_mode);
-        throw_if_error(log.status());
-        part->log = std::move(log.value());
-        recover(*part);
+        Store& store = part->store;
+        part->journal.open(ctx_->fabric().memory(part->node),
+                           options_.persist_path + ".p" + std::to_string(p),
+                           options_.sync_mode, [&](const Record& rec) {
+                             if (rec.op == LogOp::kErase) {
+                               store.erase(rec.key);
+                             } else {
+                               store.upsert(rec.key, rec.value);
+                             }
+                           });
       }
       partitions_.push_back(std::move(part));
     }
@@ -139,8 +141,13 @@ class PartitionedMap {
 
   ~PartitionedMap() {
     if (cache_hook_ != 0) ctx_->unregister_cache_hook(cache_hook_);
-    for (auto id : bound_ids_) ctx_->rpc().unbind(id);
   }
+
+  /// The map's record shape (core/failover.h) for its journals and intent
+  /// blobs: insert and upsert carry the key and value, erase the key alone.
+  /// Journal replay and the repair replay apply inserts as upserts.
+  enum class LogOp : std::uint8_t { kInsert = 1, kUpsert = 2, kErase = 3 };
+  using Record = core::Record<LogOp, LogOp::kErase, LogOp::kErase, K, V>;
 
   // ------------------------------------------------------------------
   // Synchronous API (paper Table I)
@@ -411,17 +418,9 @@ class PartitionedMap {
       std::lock_guard<std::mutex> fo_guard(part.fo.mutex);
       n += static_cast<std::int64_t>(part.store.size());
       if (!part.fo.promoted) continue;
-      std::unordered_set<K, HashFn> seen;
-      for (auto it = part.fo.journal.rbegin(); it != part.fo.journal.rend();
-           ++it) {
-        if (!seen.insert(it->key).second) continue;  // later op already won
+      for (const auto& [k, v] : overlay(part)) {
         V tmp{};
-        const bool in_base = part.store.find(it->key, &tmp);
-        if (it->op == LogOp::kErase) {
-          if (in_base) --n;
-        } else if (!in_base) {
-          ++n;
-        }
+        n += (v.has_value() ? 1 : 0) - (part.store.find(k, &tmp) ? 1 : 0);
       }
     }
     return static_cast<std::size_t>(n);
@@ -473,18 +472,11 @@ class PartitionedMap {
         part.store.for_each(fn);
         continue;
       }
-      std::unordered_map<K, std::optional<V>, HashFn> overlay;
-      for (auto it = part.fo.journal.rbegin(); it != part.fo.journal.rend();
-           ++it) {
-        if (overlay.find(it->key) != overlay.end()) continue;
-        overlay.emplace(it->key, it->op == LogOp::kErase
-                                     ? std::nullopt
-                                     : std::optional<V>(it->value));
-      }
+      const auto last = overlay(part);
       part.store.for_each([&](const K& k, const V& v) {
-        if (overlay.find(k) == overlay.end()) fn(k, v);
+        if (last.find(k) == last.end()) fn(k, v);
       });
-      for (const auto& [k, v] : overlay) {
+      for (const auto& [k, v] : last) {
         if (v.has_value()) fn(k, *v);
       }
     }
@@ -653,16 +645,6 @@ class PartitionedMap {
   }
 
  private:
-  enum class LogOp : std::uint8_t { kInsert = 1, kUpsert = 2, kErase = 3 };
-
-  /// One op accepted by a promoted replica while its primary was down,
-  /// replayed into the rejoined primary by the anti-entropy repair pass.
-  struct FoRecord {
-    LogOp op = LogOp::kUpsert;
-    K key{};
-    V value{};
-  };
-
   /// Stripes per partition in the transaction table (DESIGN.md §5h),
   /// indexed by the top bits of the routing hash: slot routing takes
   /// `hash % slots`, so one partition's keys still spread over every
@@ -686,14 +668,14 @@ class PartitionedMap {
   struct Prepared {
     std::uint64_t txn_id = 0;
     std::vector<std::uint32_t> stripes;
-    std::vector<FoRecord> intents;
+    std::vector<Record> intents;
   };
 
   struct Partition {
     sim::NodeId node = 0;
     Store store;
     Store replicas;
-    std::unique_ptr<core::PersistLog> log;
+    core::Journal<Record> journal;
     /// Mutation epoch (DESIGN.md §5d): bumped by every state change —
     /// insert/erase that took effect, every upsert/mutator, every batched
     /// constituent, and replication writes landing here. Piggybacked on
@@ -703,20 +685,18 @@ class PartitionedMap {
     /// (primary) partition but semantically owned by whichever standby is
     /// promoted for it; its fenced epoch stream is what failover responses
     /// piggyback.
-    core::FailoverState<FoRecord> fo;
+    core::FailoverState<Record> fo;
     /// Key-granular transaction state (DESIGN.md §5h). `stripes` points at
     /// the stripe table, allocated at the partition's first prepare (maps
     /// that never see a transaction pay nothing). `fence` is the epoch of
     /// the last migrate/split/merge or repair adoption: a read older than
     /// it is refused. `prepared` holds each validated txn until its commit
     /// applies or its abort drops it; `recent_commits` is a ring of the last
-    /// committed ids. txn_staged holds OTHER partitions' intents staged onto
-    /// this replica host, keyed by (txn id, primary partition), so a standby
-    /// promotion can replay a prepared-but-uncommitted txn (the commit's
-    /// failover twin) or drop it (fo_txn_abort). Holders, `prepared`, the
-    /// ring and txn_staged mutate only under txn_mutex — which is NEVER held
-    /// across a replica fan-out (two crossing prepares would deadlock on
-    /// each other's host mutex).
+    /// committed ids. Holders, `prepared` and the ring mutate only under
+    /// txn_mutex — which is NEVER held across a replica fan-out (its stubs
+    /// run inline, on this thread, against other hosts' state).
+    /// `staged` holds OTHER partitions' intents staged onto this replica
+    /// host (core::StagingLedger).
     std::mutex txn_mutex;
     std::atomic<Stripe*> stripes{nullptr};
     std::unique_ptr<Stripe[]> stripe_table;
@@ -724,7 +704,7 @@ class PartitionedMap {
     std::vector<Prepared> prepared;
     std::array<std::uint64_t, kRecentCommits> recent_commits{};
     std::size_t recent_next = 0;
-    std::map<std::pair<std::uint64_t, int>, std::vector<FoRecord>> txn_staged;
+    core::StagingLedger<Record> staged;
   };
 
   // ---- failover & recovery (DESIGN.md §5f) --------------------------
@@ -762,9 +742,7 @@ class PartitionedMap {
         if (on.node() != node()) continue;
         on.part().fo.repair(
             *owner->ctx_, self, on, owner->repair_id_,
-            [](const std::vector<FoRecord>& delta, std::uint64_t fence) {
-              return std::make_tuple(intent_blob(delta), fence);
-            },
+            [](std::uint64_t fence) { return std::make_tuple(fence); },
             [&](std::uint64_t epoch) {
               owner->cache_->fence_partition(self, q, epoch);
             });
@@ -773,57 +751,48 @@ class PartitionedMap {
   };
   [[nodiscard]] Lane lane(int p) { return Lane{this, p}; }
 
-  // ---- transaction internals (DESIGN.md §5h) ------------------------
+  /// The final op per key in a promoted partition's failover journal
+  /// (fo.mutex held): the value it leaves, or nullopt for an erase.
+  static std::unordered_map<K, std::optional<V>, HashFn> overlay(
+      const Partition& part) {
+    std::unordered_map<K, std::optional<V>, HashFn> last;
+    for (auto it = part.fo.journal.rbegin(); it != part.fo.journal.rend();
+         ++it) {
+      if (last.find(it->key) != last.end()) continue;  // a later op won
+      last.emplace(it->key, it->op == LogOp::kErase
+                                ? std::nullopt
+                                : std::optional<V>(it->value));
+    }
+    return last;
+  }
 
-  /// Intent records on the wire: the prepare bundle carries them packed so
-  /// one RDMA_SEND validates + locks a partition no matter how many keys
-  /// the txn touches there, written straight into the request
-  /// (core::RecordBlob). Same record shape the failover journal uses.
-  static auto intent_blob(const std::vector<FoRecord>& recs) {
-    return core::record_blob(recs, [](auto& out, const FoRecord& rec) {
-      out.u64(static_cast<std::uint64_t>(rec.op));
-      serial::save(out, rec.key);
-      if (rec.op != LogOp::kErase) serial::save(out, rec.value);
-    });
-  }
-  static std::vector<FoRecord> decode_intents(
-      const std::vector<std::byte>& blob) {
-    return core::decode_records<FoRecord>(
-        blob, LogOp::kErase, [](serial::InArchive& in, LogOp op) {
-          FoRecord rec;
-          rec.op = op;
-          serial::load(in, rec.key);
-          if (op != LogOp::kErase) serial::load(in, rec.value);
-          return rec;
-        });
-  }
+  // ---- transaction internals (DESIGN.md §5h) ------------------------
 
   /// The participant for one partition of this map: the shared legs
   /// (core::Participant) over its lane, plus staged intents and the read
   /// set as (stripe, observed epoch) pairs. Lives inside the Txn; the
   /// coordinator drives it through the txn::ParticipantBase interface.
-  class TxnParticipant : public core::Participant<Lane> {
+  class TxnParticipant : public core::Participant<Lane, Record> {
    public:
     TxnParticipant(PartitionedMap* owner, int p)
-        : core::Participant<Lane>(*owner->ctx_, Lane{owner, p},
-                                  owner->txn_commit_, owner->txn_abort_) {}
+        : core::Participant<Lane, Record>(*owner->ctx_, Lane{owner, p},
+                                          owner->txn_commit_,
+                                          owner->txn_abort_) {}
     ~TxnParticipant() override {
-      VectorPool<FoRecord>::give(std::move(intents_));
       VectorPool<std::uint64_t>::give(std::move(reads_));
     }
 
     // -- client-side staging (txn_put / txn_erase / txn_find) ---------
 
     void stage(LogOp op, const K& key, const V* value) {
-      for (FoRecord& rec : intents_) {
+      for (Record& rec : this->intents_) {
         if (rec.key == key) {
           rec.op = op;
           rec.value = value != nullptr ? *value : V{};
           return;
         }
       }
-      intents_.push_back(
-          FoRecord{op, key, value != nullptr ? *value : V{}});
+      this->intents_.emplace_back(op, key, value);
     }
 
     /// Read-your-writes: *hit = this txn staged `key`; *present = it stages
@@ -831,7 +800,7 @@ class PartitionedMap {
     void read_intent(const K& key, bool* hit, bool* present, V* out) const {
       *hit = false;
       *present = false;
-      for (const FoRecord& rec : intents_) {
+      for (const Record& rec : this->intents_) {
         if (rec.key != key) continue;
         *hit = true;
         if (rec.op != LogOp::kErase) {
@@ -862,16 +831,16 @@ class PartitionedMap {
                          std::uint64_t txn_id) override {
       this->enqueue_prepare_call(self, batch,
                                  this->lane_.owner->txn_prepare_id_, txn_id,
-                                 reads_, intent_blob(intents_));
+                                 reads_);
     }
 
     /// Opens the cache write window of every staged key first.
     void enqueue_commit(sim::Actor& self, rpc::Batcher& batch,
                         std::uint64_t txn_id) override {
-      for (const FoRecord& rec : intents_) {
+      for (const Record& rec : this->intents_) {
         this->lane_.owner->cache_->begin_write(self, this->lane_.p, rec.key);
       }
-      core::Participant<Lane>::enqueue_commit(self, batch, txn_id);
+      core::Participant<Lane, Record>::enqueue_commit(self, batch, txn_id);
     }
 
     [[nodiscard]] std::shared_mutex* latch() const noexcept override {
@@ -889,7 +858,7 @@ class PartitionedMap {
     void committed(sim::Actor& self, std::uint64_t epoch) override {
       auto& cache = *this->lane_.owner->cache_;
       if (!cache.enabled()) return;
-      for (const FoRecord& rec : intents_) {
+      for (const Record& rec : this->intents_) {
         const std::optional<V> known = rec.op == LogOp::kErase
                                            ? std::nullopt
                                            : std::optional<V>(rec.value);
@@ -897,7 +866,6 @@ class PartitionedMap {
       }
     }
 
-    std::vector<FoRecord> intents_ = VectorPool<FoRecord>::take();
     /// Flattened (stripe, epoch) pairs, one per stripe read.
     std::vector<std::uint64_t> reads_ = VectorPool<std::uint64_t>::take();
   };
@@ -952,7 +920,7 @@ class PartitionedMap {
             "rebalance: partition promoted; heal() first"));
       }
       std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
-      if (!part.prepared.empty() || !part.txn_staged.empty()) {
+      if (!part.prepared.empty() || !part.staged.empty()) {
         throw HclError(Status::FailedPrecondition(
             "rebalance: transaction intents pending"));
       }
@@ -1343,52 +1311,24 @@ class PartitionedMap {
   void record(const Side& s, LogOp op, const K& key, const V* value) {
     Partition& part = s.owner;
     if (s.standby) {
-      part.fo.journal.push_back(
-          FoRecord{op, key, value != nullptr ? *value : V{}});
+      part.fo.journal.emplace_back(op, key, value);
       ++part.fo.epoch;
       return;
     }
-    if (part.log != nullptr) {
-      serial::OutArchive out;
-      out.u64(static_cast<std::uint64_t>(op));
-      serial::save(out, key);
-      if (value != nullptr) serial::save(out, *value);
-      throw_if_error(part.log->append(std::span<const std::byte>(out.buffer())));
-    }
+    part.journal.append(op, key, value);
     const std::uint64_t epoch = part.epoch.fetch_add(1) + 1;
     if (Stripe* table = part.stripes.load()) {
       raise(table[stripe_of(key)].stamp, epoch);
     }
   }
 
-  void recover(Partition& part) {
-    part.log->replay([&](std::span<const std::byte> record) {
-      serial::InArchive in(record);
-      const auto op = static_cast<LogOp>(in.u64());
-      K key{};
-      serial::load(in, key);
-      switch (op) {
-        case LogOp::kInsert:
-        case LogOp::kUpsert: {
-          V value{};
-          serial::load(in, value);
-          part.store.upsert(key, value);
-          break;
-        }
-        case LogOp::kErase:
-          part.store.erase(key);
-          break;
-      }
-    });
-  }
-
   /// The one record-apply loop — txn_commit on either side and the repair
   /// replay: every record lands through the journaling apply_* paths at
   /// `ready` and fans out to the replicas (primary side only). Inserts
   /// replay as upserts.
-  void apply_records(const Side& s, const std::vector<FoRecord>& recs,
+  void apply_records(const Side& s, const std::vector<Record>& recs,
                      sim::Nanos ready) {
-    for (const FoRecord& rec : recs) {
+    for (const Record& rec : recs) {
       if (rec.op == LogOp::kErase) {
         apply_erase(s, rec.key);
       } else {
@@ -1397,9 +1337,9 @@ class PartitionedMap {
       replicate(s, ready, rec.op, rec.key, &rec.value);
     }
   }
-  static std::int64_t record_bytes(const std::vector<FoRecord>& recs) {
+  static std::int64_t record_bytes(const std::vector<Record>& recs) {
     std::int64_t bytes = 0;
-    for (const FoRecord& rec : recs) {
+    for (const Record& rec : recs) {
       bytes += rec.op == LogOp::kErase ? key_bytes(rec.key)
                                        : wire_bytes(rec.key, rec.value);
     }
@@ -1444,13 +1384,12 @@ class PartitionedMap {
   /// the standby side of p hosted by partition q.
   template <typename R, typename... Args, typename Body>
   core::Twins bind_twins(Body body) {
-    auto& engine = ctx_->rpc();
     core::Twins op;
-    op.primary = engine.bind<R, int, Args...>(
+    op.primary = bindings_.bind<R, int, Args...>(
         [this, body](rpc::ServerCtx& sctx, const int& p, const Args&... args) {
           return body(sctx, primary_side(p), args...);
         });
-    op.standby = engine.bind<R, int, int, Args...>(
+    op.standby = bindings_.bind<R, int, int, Args...>(
         [this, body](rpc::ServerCtx& sctx, const int& p, const int& q,
                      const Args&... args) {
           Partition& owner = *partitions_[static_cast<std::size_t>(p)];
@@ -1471,13 +1410,9 @@ class PartitionedMap {
   /// prepare staged on it; a re-sent commit finds none and returns the
   /// fenced epoch unchanged.
   bool take_intents(const Side& s, std::uint64_t txn_id,
-                    std::vector<FoRecord>* intents) {
+                    std::vector<Record>* intents) {
     if (s.standby) {
-      auto it = s.host.txn_staged.find({txn_id, s.p});
-      if (it != s.host.txn_staged.end()) {
-        *intents = std::move(it->second);
-        s.host.txn_staged.erase(it);
-      }
+      *intents = s.host.staged.take(txn_id, s.p);
       return true;
     }
     Partition& part = s.owner;
@@ -1514,7 +1449,7 @@ class PartitionedMap {
     if (part.fence.load(std::memory_order_acquire) > oldest_read) {
       return &txn::kFenced;
     }
-    for (const FoRecord& rec : entry.intents) {
+    for (const Record& rec : entry.intents) {
       if (route_partition(rec.key) != p) return &txn::kKeyMoved;
     }
     return nullptr;
@@ -1555,7 +1490,7 @@ class PartitionedMap {
   /// its write records move to *intents when non-null. False when txn_id
   /// holds nothing here.
   static bool release_prepared(Partition& part, std::uint64_t txn_id,
-                               std::vector<FoRecord>* intents) {
+                               std::vector<Record>* intents) {
     auto it = std::find_if(
         part.prepared.begin(), part.prepared.end(),
         [&](const Prepared& e) { return e.txn_id == txn_id; });
@@ -1654,7 +1589,6 @@ class PartitionedMap {
   }
 
   void bind_handlers() {
-    auto& engine = ctx_->rpc();
     insert_ = bind_twins<bool, K, V>(
         [this](auto&&... a) { return insert_body(a...); });
     upsert_ = bind_twins<bool, K, V>(
@@ -1663,14 +1597,14 @@ class PartitionedMap {
         [this](auto&&... a) { return find_body(a...); });
     erase_ = bind_twins<bool, K>(
         [this](auto&&... a) { return erase_body(a...); });
-    resize_.primary = engine.bind<bool, int, std::uint64_t>(
+    resize_.primary = bindings_.bind<bool, int, std::uint64_t>(
         [this](auto&&... a) { return resize_body(a...); });
     apply_ = bind_twins<bool, K, std::uint32_t, std::vector<std::byte>, V>(
         [this](auto&&... a) { return apply_body(a...); });
     apply_fetch_ = bind_twins<std::vector<std::byte>, K, std::uint32_t,
                               std::vector<std::byte>, V>(
         [this](auto&&... a) { return apply_fetch_body(a...); });
-    replica_upsert_id_ = engine.bind<bool, int, K, V>(
+    replica_upsert_id_ = bindings_.bind<bool, int, K, V>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key, const V& value) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];
           core::charge_server(*ctx_, sctx, descent(part),
@@ -1682,7 +1616,7 @@ class PartitionedMap {
           sctx.epoch = part.epoch.load(std::memory_order_acquire);
           return true;
         });
-    replica_erase_id_ = engine.bind<bool, int, K>(
+    replica_erase_id_ = bindings_.bind<bool, int, K>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];
           core::charge_server(*ctx_, sctx, descent(part), key_bytes(key),
@@ -1699,49 +1633,44 @@ class PartitionedMap {
     // rejoined primary's piggybacks would compare stale against fenced
     // leases forever (see Context::run).
     repair_id_ =
-        engine.bind<std::uint64_t, int, std::vector<std::byte>, std::uint64_t>(
+        bindings_.bind<std::uint64_t, int, std::vector<std::byte>, std::uint64_t>(
             [this](rpc::ServerCtx& sctx, const int& p,
                    const std::vector<std::byte>& blob,
                    const std::uint64_t& fence) {
               Partition& part = *partitions_[static_cast<std::size_t>(p)];
-              const std::vector<FoRecord> delta = decode_intents(blob);
-              apply_records(primary_side(p), delta, sctx.start);
-              core::charge_server(*ctx_, sctx, descent(part),
-                                  8 + record_bytes(delta), /*write=*/true);
-              const std::uint64_t adopted =
-                  std::max(part.epoch.load(std::memory_order_acquire), fence) + 1;
-              part.epoch.store(adopted, std::memory_order_release);
-              raise(part.fence, adopted);
-              // Presumed abort (§5h): any held stripes or staged records
-              // left from before the crash are dead — their coordinators saw
-              // the node down and either committed through the commit's
-              // failover twin (the journal just replayed those writes) or
-              // aborted.
-              {
-                std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
-                while (!part.prepared.empty()) {
-                  release_prepared(part, part.prepared.back().txn_id, nullptr);
-                }
-                part.txn_staged.clear();
-              }
-              ctx_->fabric().nic(sctx.node).counters().repair_ops.fetch_add(
-                  static_cast<std::int64_t>(delta.size()),
-                  std::memory_order_relaxed);
-              sctx.epoch = adopted;
-              return static_cast<std::uint64_t>(delta.size());
+              return core::repair_stub(
+                  *ctx_, sctx, blob, part.staged,
+                  [&](const std::vector<Record>& delta) {
+                    apply_records(primary_side(p), delta, sctx.start);
+                    core::charge_server(*ctx_, sctx, descent(part),
+                                        8 + record_bytes(delta),
+                                        /*write=*/true);
+                    sctx.epoch = 1 + std::max(fence, part.epoch.load());
+                    part.epoch.store(sctx.epoch, std::memory_order_release);
+                    raise(part.fence, sctx.epoch);
+                    // Presumed abort (§5h): stripes held from before the
+                    // crash are dead — their coordinators saw the node down
+                    // and either committed through the commit's failover
+                    // twin (the journal just replayed those writes) or
+                    // aborted.
+                    std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
+                    while (!part.prepared.empty()) {
+                      release_prepared(part, part.prepared.back().txn_id,
+                                       nullptr);
+                    }
+                  });
             });
     // ---- transaction stubs (DESIGN.md §5h). Slot state mutates under
     // txn_mutex, which is RELEASED before any replica fan-out: staging and
-    // resolve RPCs execute inline on this thread and take the HOST
-    // partition's txn_mutex, so holding ours across the call would deadlock
-    // two concurrent prepares whose replica chains cross.
+    // resolve RPCs execute inline on this thread against the replica host's
+    // state, and no partition lock is held across another host's stub.
     // Prepare locks the stripes of every key the participant read or
     // writes (no-wait: a rival holder refuses, never queues), then
     // validates: each read's stripe stamp must not postdate the epoch the
     // read observed, no move may have fenced the partition since the oldest
     // read, and every write must still route here.
     txn_prepare_id_ =
-        engine.bind<std::uint64_t, int, std::uint64_t,
+        bindings_.bind<std::uint64_t, int, std::uint64_t,
                     std::vector<std::uint64_t>, std::vector<std::byte>>(
             [this](rpc::ServerCtx& sctx, const int& p,
                    const std::uint64_t& txn_id,
@@ -1755,13 +1684,13 @@ class PartitionedMap {
                   /*write=*/true);
               Prepared entry;
               entry.txn_id = txn_id;
-              entry.intents = decode_intents(blob);
+              entry.intents = core::decode_records<Record>(blob);
               entry.stripes.reserve(reads.size() / 2 + entry.intents.size());
               for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
                 entry.stripes.push_back(
                     static_cast<std::uint32_t>(reads[i] & (kStripes - 1)));
               }
-              for (const FoRecord& rec : entry.intents) {
+              for (const Record& rec : entry.intents) {
                 entry.stripes.push_back(stripe_of(rec.key));
               }
               std::sort(entry.stripes.begin(), entry.stripes.end());
@@ -1812,7 +1741,7 @@ class PartitionedMap {
     txn_commit_ = bind_twins<std::uint64_t, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const Side& s,
                const std::uint64_t& txn_id) {
-          std::vector<FoRecord> intents;
+          std::vector<Record> intents;
           {
             std::lock_guard<std::mutex> guard(s.host.txn_mutex);
             if (!take_intents(s, txn_id, &intents)) {
@@ -1838,7 +1767,7 @@ class PartitionedMap {
           sctx.epoch = epoch_of(s);
           return sctx.epoch;
         });
-    txn_abort_.primary = engine.bind<bool, int, std::uint64_t>(
+    txn_abort_.primary = bindings_.bind<bool, int, std::uint64_t>(
         [this](rpc::ServerCtx& sctx, const int& p,
                const std::uint64_t& txn_id) {
           Partition& part = *partitions_[static_cast<std::size_t>(p)];
@@ -1856,54 +1785,30 @@ class PartitionedMap {
           sctx.epoch = part.epoch.load(std::memory_order_acquire);
           return held;
         });
+    // Standby staging on replica host q for primary partition p
+    // (core::StagingLedger). The abort's failover twin takes the standby
+    // prefix (p, q); dropping staged records is not a failover write, so it
+    // never enters the standby side (no promotion).
     replica_txn_stage_id_ =
-        engine.bind<bool, int, int, std::uint64_t, std::vector<std::byte>>(
+        bindings_.bind<bool, int, int, std::uint64_t, std::vector<std::byte>>(
             [this](rpc::ServerCtx& sctx, const int& q, const int& p,
                    const std::uint64_t& txn_id,
                    const std::vector<std::byte>& blob) {
               Partition& host = *partitions_[static_cast<std::size_t>(q)];
-              core::charge_server(*ctx_, sctx, descent(host),
-                                  static_cast<std::int64_t>(blob.size()),
-                                  /*write=*/true);
-              std::vector<FoRecord> intents = decode_intents(blob);
-              std::lock_guard<std::mutex> guard(host.txn_mutex);
-              host.txn_staged[{txn_id, p}] = std::move(intents);
-              sctx.epoch = host.epoch.load(std::memory_order_acquire);
-              return true;
+              return host.staged.stage(*ctx_, sctx, descent(host), txn_id, p,
+                                       blob);
             });
-    replica_txn_resolve_id_ = engine.bind<bool, int, int, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const int& q, const int& p,
-               const std::uint64_t& txn_id) {
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          core::charge_server(*ctx_, sctx, descent(host), 16, /*write=*/true);
-          std::lock_guard<std::mutex> guard(host.txn_mutex);
-          host.txn_staged.erase({txn_id, p});
-          sctx.epoch = host.epoch.load(std::memory_order_acquire);
-          return true;
-        });
-    // The abort's failover twin, without a shared body: dropping the
-    // records a prepare staged on the standby host is not a failover write,
-    // so it never enters the standby side (no promotion).
-    txn_abort_.standby = engine.bind<bool, int, int, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const int& p, const int& q,
-               const std::uint64_t& txn_id) {
-          Partition& host = *partitions_[static_cast<std::size_t>(q)];
-          core::charge_server(*ctx_, sctx, descent(host), 16, /*write=*/true);
-          std::lock_guard<std::mutex> guard(host.txn_mutex);
-          host.txn_staged.erase({txn_id, p});
-          return true;
-        });
-    bound_ids_ = {insert_.primary,      insert_.standby,   upsert_.primary,
-                  upsert_.standby,      find_.primary,     find_.standby,
-                  erase_.primary,       erase_.standby,    resize_.primary,
-                  apply_.primary,       apply_.standby,    apply_fetch_.primary,
-                  apply_fetch_.standby, replica_upsert_id_, replica_erase_id_,
-                  repair_id_,           txn_prepare_id_,   txn_commit_.primary,
-                  txn_commit_.standby,  txn_abort_.primary, txn_abort_.standby,
-                  replica_txn_stage_id_, replica_txn_resolve_id_};
-    // Per-container shm opt-out (DESIGN.md §5i): route this map's ops over
-    // RDMA even when pod-local.
-    if (!options_.shm.enabled) ctx_->shm_opt_out(bound_ids_);
+    const auto drop = [this](rpc::ServerCtx& sctx, int q, int p,
+                             std::uint64_t txn_id) {
+      Partition& host = *partitions_[static_cast<std::size_t>(q)];
+      return host.staged.drop(*ctx_, sctx, descent(host), txn_id, p);
+    };
+    replica_txn_resolve_id_ = bindings_.bind<bool, int, int, std::uint64_t>(
+        [drop](rpc::ServerCtx& sctx, const int& q, const int& p,
+               const std::uint64_t& txn_id) { return drop(sctx, q, p, txn_id); });
+    txn_abort_.standby = bindings_.bind<bool, int, int, std::uint64_t>(
+        [drop](rpc::ServerCtx& sctx, const int& p, const int& q,
+               const std::uint64_t& txn_id) { return drop(sctx, q, p, txn_id); });
   }
 
   Context* ctx_;
@@ -1929,13 +1834,13 @@ class PartitionedMap {
   rpc::FuncId replica_upsert_id_ = 0, replica_erase_id_ = 0,
               repair_id_ = 0, txn_prepare_id_ = 0, replica_txn_stage_id_ = 0,
               replica_txn_resolve_id_ = 0;
-  std::vector<rpc::FuncId> bound_ids_;
   HashFn hash_;
 
   /// Client-side read cache (DESIGN.md §5d); constructed even when disabled
   /// so call sites stay branch-free (every method no-ops off).
   std::unique_ptr<cache::ReadCache<K, V, HashFn>> cache_;
   std::uint64_t cache_hook_ = 0;
+  core::Bindings bindings_;
 };
 
 }  // namespace core

@@ -94,14 +94,12 @@ class PersistLog {
  private:
   /// Find the end of the existing journal on open (recovery).
   [[nodiscard]] std::size_t scan_tail() const {
-    std::size_t cursor = 0;
-    while (cursor + 4 <= segment_.size()) {
-      std::uint32_t len = 0;
-      std::memcpy(&len, segment_.at(cursor), 4);
-      if (len == 0 || cursor + 4 + len > segment_.size()) break;
-      cursor += 4 + len;
-    }
-    return cursor;
+    std::size_t end = 0;
+    replay([&](std::span<const std::byte> record) {
+      end = static_cast<std::size_t>(record.data() - segment_.at(0)) +
+            record.size();
+    });
+    return end;
   }
 
   PersistLog() = default;

@@ -1,8 +1,8 @@
-// core::decode_records, the one decoder of txn intent and repair blobs both
-// cores call: every hostile blob — a huge record count, an unknown op code,
-// any truncation, random bit flips — must end in records or
-// HclError(kInvalidArgument), never a crash or an allocation the input
-// cannot back.
+// core::decode_records, the one decoder of txn intent and repair blobs, over
+// both cores' real record shapes (core/failover.h): every hostile blob — a
+// huge record count, an unknown op code, any truncation, random bit flips —
+// must end in records or HclError(kInvalidArgument), never a crash or an
+// allocation the input cannot back.
 #include "core/failover.h"
 
 #include <gtest/gtest.h>
@@ -14,49 +14,33 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/hcl.h"
 #include "serial/serialize.h"
 
 namespace hcl::core {
 namespace {
 
-/// The map's record shape: an op, a key, and a value unless it erases.
-enum class Op : std::uint8_t { kInsert = 1, kUpsert = 2, kErase = 3 };
+/// The map's shape: an op, a key, and a value unless it erases.
+using MapRecord = unordered_map<std::string, std::vector<int>>::Record;
+using MapOp = MapRecord::op_type;
+/// The queue's shape: an op, and a value when it pushes.
+using QueueRecord = queue<std::vector<int>>::Record;
+using QueueOp = QueueRecord::op_type;
 
-struct Record {
-  Op op = Op::kUpsert;
-  std::string key;
-  std::vector<int> value;
-};
-
-std::vector<std::byte> encode(const std::vector<Record>& recs) {
-  serial::OutArchive out;
-  out.u64(recs.size());
-  for (const Record& rec : recs) {
-    out.u64(static_cast<std::uint64_t>(rec.op));
-    serial::save(out, rec.key);
-    if (rec.op != Op::kErase) serial::save(out, rec.value);
-  }
-  return out.take();
+/// The blob bytes decode_records reads, as core::RecordBlob writes them
+/// into a request.
+template <typename Rec>
+std::vector<std::byte> encode(const std::vector<Rec>& recs) {
+  return serial::unpack<std::vector<std::byte>>(
+      serial::pack(core::record_blob(recs)));
 }
 
-std::vector<Record> decode(std::span<const std::byte> blob) {
-  return decode_records<Record>(blob, Op::kErase,
-                                [](serial::InArchive& in, Op op) {
-                                  Record rec;
-                                  rec.op = op;
-                                  serial::load(in, rec.key);
-                                  if (op != Op::kErase) {
-                                    serial::load(in, rec.value);
-                                  }
-                                  return rec;
-                                });
-}
-
-/// Decode `blob`; true when it decoded, false on kInvalidArgument (any
-/// other outcome fails the test).
+/// Decode `blob` in shape Rec; true when it decoded, false on
+/// kInvalidArgument (any other outcome fails the test).
+template <typename Rec>
 bool decodes(std::span<const std::byte> blob) {
   try {
-    (void)decode(blob);
+    (void)decode_records<Rec>(blob);
     return true;
   } catch (const HclError& e) {
     EXPECT_EQ(e.code(), StatusCode::kInvalidArgument) << e.what();
@@ -64,10 +48,26 @@ bool decodes(std::span<const std::byte> blob) {
   }
 }
 
-std::vector<Record> sample() {
-  return {{Op::kInsert, "alpha", {1, 2, 3}},
-          {Op::kErase, "beta", {}},
-          {Op::kUpsert, "gamma", {-7}}};
+std::vector<MapRecord> map_sample() {
+  const std::vector<int> one{1, 2, 3};
+  const std::vector<int> three{-7};
+  return {MapRecord(MapOp::kInsert, "alpha", &one),
+          MapRecord(MapOp::kErase, "beta", nullptr),
+          MapRecord(MapOp::kUpsert, "gamma", &three)};
+}
+
+std::vector<QueueRecord> queue_sample() {
+  const std::vector<int> pushed{4, 5};
+  return {QueueRecord(QueueOp::kPush, {}, &pushed),
+          QueueRecord(QueueOp::kPop, {}, nullptr),
+          QueueRecord(QueueOp::kPush, {}, &pushed)};
+}
+
+/// Run `check(blob, decodes)` over both shapes' sample blobs.
+template <typename Check>
+void for_each_shape(Check&& check) {
+  check(encode(map_sample()), &decodes<MapRecord>);
+  check(encode(queue_sample()), &decodes<QueueRecord>);
 }
 
 void put_u64(std::vector<std::byte>& blob, std::size_t at, std::uint64_t v) {
@@ -75,53 +75,71 @@ void put_u64(std::vector<std::byte>& blob, std::size_t at, std::uint64_t v) {
 }
 
 TEST(IntentDecode, RoundTripsARealBlob) {
-  const auto recs = decode(encode(sample()));
+  const auto recs = decode_records<MapRecord>(encode(map_sample()));
   ASSERT_EQ(recs.size(), 3u);
-  EXPECT_EQ(recs[0].op, Op::kInsert);
+  EXPECT_EQ(recs[0].op, MapOp::kInsert);
   EXPECT_EQ(recs[0].value, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(recs[1].op, Op::kErase);
+  EXPECT_EQ(recs[1].op, MapOp::kErase);
   EXPECT_EQ(recs[1].key, "beta");
   EXPECT_EQ(recs[2].value, std::vector<int>{-7});
-  EXPECT_TRUE(decode(encode({})).empty());
+  EXPECT_TRUE(decode_records<MapRecord>(encode<MapRecord>({})).empty());
+
+  const auto queued = decode_records<QueueRecord>(encode(queue_sample()));
+  ASSERT_EQ(queued.size(), 3u);
+  EXPECT_EQ(queued[0].op, QueueOp::kPush);
+  EXPECT_EQ(queued[0].value, (std::vector<int>{4, 5}));
+  EXPECT_EQ(queued[1].op, QueueOp::kPop);
+  EXPECT_TRUE(queued[1].value.empty());
+  EXPECT_EQ(queued[2].value, (std::vector<int>{4, 5}));
 }
 
 TEST(IntentDecode, HugeCountIsRefusedBeforeAllocating) {
-  for (const std::uint64_t count :
-       {std::uint64_t{4}, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
-    auto blob = encode(sample());
-    put_u64(blob, 0, count);
-    EXPECT_FALSE(decodes(blob)) << count;
-  }
+  for_each_shape([](std::vector<std::byte> blob, auto decodes) {
+    for (const std::uint64_t count :
+         {std::uint64_t{4}, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      put_u64(blob, 0, count);
+      EXPECT_FALSE(decodes(blob)) << count;
+    }
+  });
 }
 
 TEST(IntentDecode, UnknownOpIsRefused) {
+  // Op 0, the code past each shape's last op, and a huge code.
   for (const std::uint64_t code :
        {std::uint64_t{0}, std::uint64_t{4}, std::uint64_t{1} << 63}) {
-    auto blob = encode(sample());
+    auto blob = encode(map_sample());
     put_u64(blob, 8, code);  // the first record's op code
-    EXPECT_FALSE(decodes(blob)) << code;
+    EXPECT_FALSE(decodes<MapRecord>(blob)) << code;
+  }
+  for (const std::uint64_t code :
+       {std::uint64_t{0}, std::uint64_t{3}, std::uint64_t{1} << 63}) {
+    auto blob = encode(queue_sample());
+    put_u64(blob, 8, code);
+    EXPECT_FALSE(decodes<QueueRecord>(blob)) << code;
   }
 }
 
 TEST(IntentDecode, EveryTruncationIsRefused) {
-  const auto blob = encode(sample());
-  for (std::size_t n = 0; n < blob.size(); ++n) {
-    EXPECT_FALSE(decodes(std::span<const std::byte>(blob.data(), n))) << n;
-  }
+  for_each_shape([](const std::vector<std::byte>& blob, auto decodes) {
+    for (std::size_t n = 0; n < blob.size(); ++n) {
+      EXPECT_FALSE(decodes(std::span<const std::byte>(blob.data(), n))) << n;
+    }
+  });
 }
 
 TEST(IntentDecode, SeededBitFlipsEndInRecordsOrInvalidArgument) {
   Rng rng(21);
-  const auto good = encode(sample());
-  for (int round = 0; round < 500; ++round) {
-    auto bad = good;
-    const auto flips = 1 + rng.next_below(4);
-    for (std::uint64_t i = 0; i < flips; ++i) {
-      const auto bit = rng.next_below(bad.size() * 8);
-      bad[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  for_each_shape([&](const std::vector<std::byte>& good, auto decodes) {
+    for (int round = 0; round < 500; ++round) {
+      auto bad = good;
+      const auto flips = 1 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < flips; ++i) {
+        const auto bit = rng.next_below(bad.size() * 8);
+        bad[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      }
+      (void)decodes(bad);
     }
-    (void)decodes(bad);
-  }
+  });
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/failover.h"
 #include "serial/databox.h"
 
 namespace hcl::serial {
@@ -117,6 +118,23 @@ TEST(PackedSize, MemberSerialize) {
   expect_sizes(Custom{});
   expect_sizes(Custom{1ULL << 40, "custom", {1, -1, 100000}});
   expect_sizes(std::vector<Custom>{Custom{3, "x", {}}, Custom{}});
+}
+
+/// A txn intent blob (core::RecordBlob): its counting pass counts the
+/// records without encoding them, and must agree with the encoding.
+TEST(PackedSize, RecordBlob) {
+  enum class Op : std::uint8_t { kPut = 1, kDrop = 2 };
+  using Keyed = core::Record<Op, Op::kDrop, Op::kDrop, std::string, Custom>;
+  using Keyless = core::Record<Op, Op::kDrop, Op::kDrop, core::NoKey,
+                               std::vector<std::int64_t>>;
+  const Custom value{9, "value", {1, -300}};
+  const std::vector<std::int64_t> words{-1, 1LL << 40};
+  expect_sizes(core::record_blob(std::vector<Keyed>{}));
+  expect_sizes(core::record_blob(std::vector<Keyed>{
+      Keyed(Op::kPut, "k", &value), Keyed(Op::kDrop, std::string(200, 'x'),
+                                          nullptr)}));
+  expect_sizes(core::record_blob(std::vector<Keyless>{
+      Keyless(Op::kPut, {}, &words), Keyless(Op::kDrop, {}, nullptr)}));
 }
 
 TEST(PackedSize, DataBoxAgrees) {
