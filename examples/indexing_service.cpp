@@ -5,12 +5,15 @@
 // Every rank ingests documents; the index maps each term to its posting
 // list. Updates go through a registered mutator (one invocation per
 // posting, no client-side read-modify-write), and every partition journals
-// through a real memory-mapped file, so the index survives a restart.
+// through a real memory-mapped file, so the index survives a restart. Exits
+// non-zero unless the recovered index equals the one built, term for term
+// and posting for posting.
 //
 //   ./indexing_service [docs_per_rank]
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +25,16 @@ namespace {
 
 /// A posting list: document ids that contain the term.
 using Postings = std::vector<std::uint64_t>;
+using Index = hcl::unordered_map<std::string, Postings>;
+
+/// Every term of `index` and its posting list, ordered by term.
+std::map<std::string, Postings> contents(Index& index) {
+  std::map<std::string, Postings> out;
+  index.for_each([&](const std::string& term, const Postings& postings) {
+    out[term] = postings;
+  });
+  return out;
+}
 
 std::vector<std::string> tokenize(const std::string& text) {
   std::vector<std::string> words;
@@ -57,14 +70,14 @@ int main(int argc, char** argv) {
     std::filesystem::remove(store + ".p" + std::to_string(p));
   }
 
-  std::size_t indexed_terms = 0;
+  std::map<std::string, Postings> indexed;
 
   // ---- Phase 1: build the index, then "crash" ---------------------------
   {
     hcl::Context ctx({.num_nodes = 4, .procs_per_node = 4});
     hcl::core::ContainerOptions options;
     options.persist_path = store;  // journal through mmap'd files
-    hcl::unordered_map<std::string, Postings> index(ctx, options);
+    Index index(ctx, options);
 
     // One invocation appends a document id to a term's posting list —
     // the procedural-paradigm primitive (registered mutator).
@@ -83,19 +96,22 @@ int main(int argc, char** argv) {
         }
       }
     });
-    indexed_terms = index.size();
+    indexed = contents(index);
     std::printf("indexed %d docs/rank across 16 ranks -> %zu terms, %.3f ms simulated\n",
-                docs_per_rank, indexed_terms, ctx.elapsed_seconds() * 1e3);
+                docs_per_rank, indexed.size(), ctx.elapsed_seconds() * 1e3);
   }  // index and context destroyed here — simulated crash
 
   // ---- Phase 2: recover from the journals and query ----------------------
+  bool recovered_equal = false;
   {
     hcl::Context ctx({.num_nodes = 4, .procs_per_node = 4});
     hcl::core::ContainerOptions options;
     options.persist_path = store;
-    hcl::unordered_map<std::string, Postings> index(ctx, options);
+    Index index(ctx, options);
+    const auto recovered = contents(index);
+    recovered_equal = recovered == indexed;
     std::printf("recovered %zu terms from the memory-mapped journals (expected %zu)\n",
-                index.size(), indexed_terms);
+                recovered.size(), indexed.size());
 
     ctx.run_one(0, [&](hcl::sim::Actor&) {
       for (const char* term : {"rdma", "genome", "latency"}) {
@@ -110,6 +126,10 @@ int main(int argc, char** argv) {
 
   for (int p = 0; p < 8; ++p) {
     std::filesystem::remove(store + ".p" + std::to_string(p));
+  }
+  if (!recovered_equal) {
+    std::printf("FAILED: the recovered terms or posting lists differ\n");
+    return 1;
   }
   std::printf("ok\n");
   return 0;

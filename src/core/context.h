@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "cache/read_cache.h"
+#include "core/persist_log.h"
 #include "core/shard_map.h"
 #include "fabric/fabric.h"
-#include "memory/segment.h"
 #include "rpc/engine.h"
 #include "core/op_stats.h"
 #include "shm/transport.h"

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -106,14 +107,14 @@ rpc::Future<R> enqueue(rpc::Batcher& batcher, sim::Actor& self,
 template <typename Lane>
 void rejoin(Context& ctx, sim::Actor& self, const Lane& lane) {
   lane.repair(self);
-  ctx.rpc().route().mark_up(lane.node());
+  ctx.rpc().route().erase(lane.node());
 }
 
 /// Repair a rejoined primary whose route mark outlived the fault, so no
 /// entry point reads or writes its un-repaired store.
 template <typename Lane>
 void repair_stale(Context& ctx, sim::Actor& self, const Lane& lane) {
-  if (ctx.rpc().route().is_down(lane.node()) &&
+  if (ctx.rpc().route().contains(lane.node()) &&
       !ctx.fabric().node_down(lane.node())) {
     rejoin(ctx, self, lane);
   }
@@ -144,7 +145,7 @@ auto routed(Context& ctx, sim::Actor& self, const Lane& lane, const Twins& op,
   auto& route = ctx.rpc().route();
   for (int round = 0;; ++round) {
     repair_stale(ctx, self, lane);
-    if (!route.is_down(lane.node())) {
+    if (!route.contains(lane.node())) {
       try {
         return call(std::nullopt);
       } catch (const HclError& e) {
@@ -158,7 +159,7 @@ auto routed(Context& ctx, sim::Actor& self, const Lane& lane, const Twins& op,
     if (!to) {
       throw HclError(Status::Unavailable("primary down and no live standby"));
     }
-    route.mark_down(lane.node());
+    route.insert(lane.node());
     try {
       return call(to);
     } catch (const HclError& e) {
@@ -174,7 +175,7 @@ auto routed(Context& ctx, sim::Actor& self, const Lane& lane, const Twins& op,
 template <typename Lane>
 StandbyOf<Lane> batch_route(Context& ctx, sim::Actor& self, const Lane& lane) {
   repair_stale(ctx, self, lane);
-  if (ctx.rpc().route().is_down(lane.node())) return lane.standby();
+  if (ctx.rpc().route().contains(lane.node())) return lane.standby();
   return std::nullopt;
 }
 
@@ -231,7 +232,7 @@ rpc::Future<R> rescue(Context& ctx, sim::Actor& self, const Lane& lane,
   if (!ctx.fabric().node_down(lane.node())) return {};
   const auto to = lane.standby();
   if (!to) return {};
-  ctx.rpc().route().mark_down(lane.node());
+  ctx.rpc().route().insert(lane.node());
   return send<R>(ctx.rpc(), self, lane, to, op, args...);
 }
 
@@ -459,6 +460,21 @@ class StagingLedger {
  private:
   std::mutex mutex_;
   std::map<std::pair<std::uint64_t, int>, std::vector<Rec>> staged_;
+};
+
+/// The txn ids a primary committed last, so a re-sent commit or prepare of
+/// an already-committed txn (a lost response, a transient fault) is
+/// recognized while later txns commit. Guarded by its owner's txn mutex.
+class RecentCommits {
+ public:
+  void add(std::uint64_t txn_id) { ids_[next_++ % ids_.size()] = txn_id; }
+  [[nodiscard]] bool contains(std::uint64_t txn_id) const {
+    return std::find(ids_.begin(), ids_.end(), txn_id) != ids_.end();
+  }
+
+ private:
+  std::array<std::uint64_t, 64> ids_{};
+  std::size_t next_ = 0;
 };
 
 /// One partition's failover state: the promotion flag and term, the fenced
@@ -713,7 +729,7 @@ class Participant : public txn::ParticipantBase {
     if (!to) {
       return Status::Unavailable("txn commit: primary down, no live standby");
     }
-    ctx_->rpc().route().mark_down(lane_.node());
+    ctx_->rpc().route().insert(lane_.node());
     try {
       committed(self, send<std::uint64_t>(ctx_->rpc(), self, lane_, to,
                                           commit_op_, txn_id)

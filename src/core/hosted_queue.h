@@ -534,14 +534,14 @@ class HostedQueue {
       *intents = staged_.take(txn_id, 0);
       return true;
     }
-    if (last_committed_txn_ == txn_id) return false;
+    if (recent_commits_.contains(txn_id)) return false;
     if (txn_holder_ != txn_id) {
       throw HclError(Status::FailedPrecondition(
           "txn commit: intent slot not held (presumed abort)"));
     }
     intents->swap(txn_intents_);
     txn_holder_ = 0;
-    last_committed_txn_ = txn_id;
+    recent_commits_.add(txn_id);
     return true;
   }
 
@@ -668,7 +668,7 @@ class HostedQueue {
               {
                 std::lock_guard<std::mutex> guard(txn_mutex_);
                 cur = epoch_.load(std::memory_order_acquire);
-                if (last_committed_txn_ == txn_id) {
+                if (recent_commits_.contains(txn_id)) {
                   sctx.epoch = cur;
                   return cur;
                 }
@@ -780,7 +780,7 @@ class HostedQueue {
   std::mutex txn_mutex_;
   std::uint64_t txn_holder_ = 0;
   std::vector<Record> txn_intents_;
-  std::uint64_t last_committed_txn_ = 0;
+  core::RecentCommits recent_commits_;
   core::StagingLedger<Record> staged_;
   /// Replicated ops: each primary FuncId and its failover twin, bound from
   /// one server body (bind_twins); txn_abort_ pairs the host's abort with

@@ -651,9 +651,6 @@ class PartitionedMap {
   /// stripe.
   static constexpr int kStripeBits = 10;
   static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
-  /// Commit ids each partition remembers, so a re-sent commit or prepare of
-  /// an already-committed txn is recognized while later txns commit.
-  static constexpr std::size_t kRecentCommits = 64;
 
   /// One stripe: the partition epoch the last write applied to any of its
   /// keys produced (only ever raised), and the no-wait holder — the txn id
@@ -691,8 +688,8 @@ class PartitionedMap {
     /// that never see a transaction pay nothing). `fence` is the epoch of
     /// the last migrate/split/merge or repair adoption: a read older than
     /// it is refused. `prepared` holds each validated txn until its commit
-    /// applies or its abort drops it; `recent_commits` is a ring of the last
-    /// committed ids. Holders, `prepared` and the ring mutate only under
+    /// applies or its abort drops it; `recent` remembers the last committed
+    /// ids. Holders, `prepared` and `recent` mutate only under
     /// txn_mutex — which is NEVER held across a replica fan-out (its stubs
     /// run inline, on this thread, against other hosts' state).
     /// `staged` holds OTHER partitions' intents staged onto this replica
@@ -702,8 +699,7 @@ class PartitionedMap {
     std::unique_ptr<Stripe[]> stripe_table;
     std::atomic<std::uint64_t> fence{0};
     std::vector<Prepared> prepared;
-    std::array<std::uint64_t, kRecentCommits> recent_commits{};
-    std::size_t recent_next = 0;
+    core::RecentCommits recent;
     core::StagingLedger<Record> staged;
   };
 
@@ -1416,12 +1412,12 @@ class PartitionedMap {
       return true;
     }
     Partition& part = s.owner;
-    if (committed_recently(part, txn_id)) return false;
+    if (part.recent.contains(txn_id)) return false;
     if (!release_prepared(part, txn_id, intents)) {
       throw HclError(Status::FailedPrecondition(
           "txn commit: intent slot not held (presumed abort)"));
     }
-    part.recent_commits[part.recent_next++ % kRecentCommits] = txn_id;
+    part.recent.add(txn_id);
     return true;
   }
 
@@ -1479,11 +1475,6 @@ class PartitionedMap {
     const std::uint64_t epoch = part.epoch.load();
     for (std::size_t i = 0; i < kStripes; ++i) raise(table[i].stamp, epoch);
     return table;
-  }
-
-  static bool committed_recently(const Partition& part, std::uint64_t txn_id) {
-    return std::find(part.recent_commits.begin(), part.recent_commits.end(),
-                     txn_id) != part.recent_commits.end();
   }
 
   /// Drop txn_id's prepared entry (txn_mutex held) and free its stripes;
@@ -1702,7 +1693,7 @@ class PartitionedMap {
               {
                 std::lock_guard<std::mutex> guard(part.txn_mutex);
                 cur = part.epoch.load(std::memory_order_acquire);
-                if (committed_recently(part, txn_id)) {
+                if (part.recent.contains(txn_id)) {
                   // Re-sent prepare of an already-committed txn: its stripes
                   // are long free, the outcome stands.
                   sctx.epoch = cur;

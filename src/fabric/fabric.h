@@ -75,8 +75,12 @@ class Fabric {
   // ------------------------------------------------------------------
 
   /// Install (or clear, with nullptr) the fabric-wide fault plan. Install
-  /// before traffic; swapping mid-run is safe only between phases.
+  /// before traffic; swapping mid-run is safe only between phases. A
+  /// topology past FaultPlan::kMaxNodes is refused.
   void set_fault_plan(std::shared_ptr<FaultPlan> plan) {
+    if (plan != nullptr && topology_.num_nodes() > FaultPlan::kMaxNodes) {
+      throw HclError(Status::InvalidArgument("fault plan: topology too large"));
+    }
     fault_plan_ = std::move(plan);
   }
   [[nodiscard]] FaultPlan* fault_plan() const noexcept {

@@ -112,6 +112,11 @@ struct FaultCounters {
 
 class FaultPlan {
  public:
+  /// The nodes a plan can take down or degrade: a plan is built before the
+  /// topology it will be installed on, so its node sets have this fixed
+  /// capacity, and Fabric refuses a larger topology.
+  static constexpr int kMaxNodes = 4096;
+
   explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
 
   FaultPlan(const FaultPlan&) = delete;
@@ -149,20 +154,17 @@ class FaultPlan {
   /// Take `node` down: every op targeting it is rejected (FaultDecision::
   /// node_down) until rejoin_node(). Unlike kUnavailable this is a *hard*
   /// failure — retrying the same target cannot succeed; clients must
-  /// fail over. Idempotent; callable mid-run from actor code.
-  void fail_node(sim::NodeId node) {
-    down_mask_.fetch_or(node_bit(node), std::memory_order_acq_rel);
-  }
+  /// fail over. Idempotent; callable mid-run from actor code. A node
+  /// outside [0, kMaxNodes) is refused.
+  void fail_node(sim::NodeId node) { down_.insert(node); }
 
   /// Bring `node` back. The node rejoins with whatever state it held at
   /// crash time — anti-entropy repair (core layer) replays what it missed.
-  void rejoin_node(sim::NodeId node) {
-    down_mask_.fetch_and(~node_bit(node), std::memory_order_acq_rel);
-  }
+  void rejoin_node(sim::NodeId node) { down_.erase(node); }
 
   /// The membership view: is `node` currently down?
   [[nodiscard]] bool node_down(sim::NodeId node) const noexcept {
-    return (down_mask_.load(std::memory_order_acquire) & node_bit(node)) != 0;
+    return down_.contains(node);
   }
 
   // ------------------------------------------------------------------
@@ -173,19 +175,14 @@ class FaultPlan {
   /// a poisoned ring): pod-local requests to or from it fall back to the
   /// RDMA path until restore_shm(). The node itself stays up — this is a
   /// tier outage, not a membership event. Idempotent; callable mid-run.
-  void degrade_shm(sim::NodeId node) {
-    shm_degraded_mask_.fetch_or(node_bit(node), std::memory_order_acq_rel);
-  }
+  void degrade_shm(sim::NodeId node) { shm_degraded_.insert(node); }
 
   /// Restore `node`'s shared-memory transport.
-  void restore_shm(sim::NodeId node) {
-    shm_degraded_mask_.fetch_and(~node_bit(node), std::memory_order_acq_rel);
-  }
+  void restore_shm(sim::NodeId node) { shm_degraded_.erase(node); }
 
   /// Is `node`'s shm tier currently degraded?
   [[nodiscard]] bool shm_degraded(sim::NodeId node) const noexcept {
-    return (shm_degraded_mask_.load(std::memory_order_acquire) &
-            node_bit(node)) != 0;
+    return shm_degraded_.contains(node);
   }
 
   // ------------------------------------------------------------------
@@ -255,11 +252,6 @@ class FaultPlan {
   }
 
  private:
-  static constexpr std::uint64_t node_bit(sim::NodeId node) noexcept {
-    // One bit per node; topologies beyond 64 nodes saturate on bit 63 (all
-    // sim topologies in this repo are far smaller).
-    return 1ULL << (static_cast<unsigned>(node) & 63u);
-  }
   static constexpr std::uint64_t node_class_key(sim::NodeId node,
                                                 OpClass cls) noexcept {
     return (static_cast<std::uint64_t>(node) << 8) |
@@ -308,8 +300,8 @@ class FaultPlan {
   }
 
   std::uint64_t seed_;
-  std::atomic<std::uint64_t> down_mask_{0};
-  std::atomic<std::uint64_t> shm_degraded_mask_{0};
+  sim::NodeSet down_{kMaxNodes};
+  sim::NodeSet shm_degraded_{kMaxNodes};
   std::mutex config_mutex_;
   std::array<FaultProbabilities, kNumOpClasses> defaults_{};
   std::unordered_map<std::uint64_t, FaultProbabilities> overrides_;

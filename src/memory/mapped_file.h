@@ -1,7 +1,7 @@
 // Real memory-mapped backing files for DataBox persistency (paper §III.C.6).
 //
-// This is one of the pieces that is NOT simulated: a persistent segment
-// really maps a file with mmap(2), and sync() really calls msync(2), so the
+// This is one of the pieces that is NOT simulated: a persist journal
+// (core/persist_log.h) really maps a file with mmap(2), and sync() really calls msync(2), so the
 // durability tests exercise the kernel path the paper describes ("map the
 // memory segments to a memory mapped file and let the kernel synchronize the
 // contents of the mapped memory region to the file").

@@ -1,12 +1,12 @@
 // Per-node memory accounting.
 //
-// Every registered segment on a simulated node reserves bytes against the
-// node's budget. This is how the paper's observation that "BCL runs out of
-// memory for operation sizes above 1 MB ... the overall capacity allocated
-// to BCL should not exceed 60% of the total node memory" (§IV.B.2) is
-// reproduced: BCL's static partitions plus per-client exclusive RDMA bounce
-// buffers exceed the budget first, while HCL's dynamically grown partitions
-// stay within it.
+// What a simulated node holds (container entries, persist journals, BCL
+// partitions and buffers) reserves bytes against the node's budget. This is
+// how the paper's observation that "BCL runs out of memory for operation
+// sizes above 1 MB ... the overall capacity allocated to BCL should not
+// exceed 60% of the total node memory" (§IV.B.2) is reproduced: BCL's static
+// partitions plus per-client exclusive RDMA bounce buffers exceed the budget
+// first, while HCL's dynamically grown partitions stay within it.
 #pragma once
 
 #include <atomic>

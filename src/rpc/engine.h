@@ -103,39 +103,8 @@ struct BatchPolicy {
 /// the detection probe. Marks are per-engine hints, not cluster consensus:
 /// a stale mark is corrected the first time the standby answers
 /// kFailedPrecondition ("primary is up") and the client retries the primary.
-/// One bit per node, in one atomic word per 64 nodes of the topology; the
-/// first word is inline, so a table of up to 64 nodes allocates nothing.
-class RouteTable {
- public:
-  explicit RouteTable(int num_nodes)
-      : more_(num_nodes > 64 ? static_cast<std::size_t>(num_nodes - 1) / 64
-                             : 0) {}
-
-  void mark_down(sim::NodeId node) noexcept {
-    word(node).fetch_or(bit(node), std::memory_order_acq_rel);
-  }
-  void mark_up(sim::NodeId node) noexcept {
-    word(node).fetch_and(~bit(node), std::memory_order_acq_rel);
-  }
-  [[nodiscard]] bool is_down(sim::NodeId node) const noexcept {
-    return (word(node).load(std::memory_order_acquire) & bit(node)) != 0;
-  }
-  void reset() noexcept {
-    first_.store(0, std::memory_order_release);
-    for (auto& w : more_) w.store(0, std::memory_order_release);
-  }
-
- private:
-  static constexpr std::uint64_t bit(sim::NodeId node) noexcept {
-    return 1ULL << (static_cast<unsigned>(node) % 64u);
-  }
-  std::atomic<std::uint64_t>& word(sim::NodeId node) const noexcept {
-    const auto w = static_cast<std::size_t>(node) / 64;
-    return w == 0 ? first_ : more_[w - 1];
-  }
-  mutable std::atomic<std::uint64_t> first_{0};
-  mutable std::vector<std::atomic<std::uint64_t>> more_;
-};
+/// One bit per node of the topology (sim::NodeSet).
+using RouteTable = sim::NodeSet;
 
 /// Execution context handed to every server stub.
 struct ServerCtx {

@@ -5,7 +5,11 @@
 // reproduces, optionally scaled down (DESIGN.md §2).
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -53,6 +57,50 @@ class Topology {
  private:
   int num_nodes_;
   int procs_per_node_;
+};
+
+/// A set of nodes that any thread may read and change: one bit per node,
+/// in one atomic word per 64 nodes of its capacity. A node outside
+/// [0, capacity) is refused (HclError kInvalidArgument) and is never in the
+/// set, so no two nodes share a bit.
+class NodeSet {
+ public:
+  explicit NodeSet(int capacity)
+      : words_(capacity > 0 ? (static_cast<std::size_t>(capacity) + 63) / 64
+                            : 0),
+        capacity_(capacity) {}
+
+  void insert(NodeId node) {
+    word(node).fetch_or(bit(node), std::memory_order_acq_rel);
+  }
+  void erase(NodeId node) {
+    word(node).fetch_and(~bit(node), std::memory_order_acq_rel);
+  }
+  [[nodiscard]] bool contains(NodeId node) const noexcept {
+    return node >= 0 && node < capacity_ &&
+           (words_[static_cast<std::size_t>(node) / 64].load(
+                std::memory_order_acquire) &
+            bit(node)) != 0;
+  }
+  void clear() noexcept {
+    for (auto& w : words_) w.store(0, std::memory_order_release);
+  }
+
+ private:
+  static std::uint64_t bit(NodeId node) noexcept {
+    return 1ULL << (static_cast<unsigned>(node) % 64u);
+  }
+  std::atomic<std::uint64_t>& word(NodeId node) {
+    if (node < 0 || node >= capacity_) {
+      throw HclError(Status::InvalidArgument(
+          "node " + std::to_string(node) + " is outside a set of " +
+          std::to_string(capacity_)));
+    }
+    return words_[static_cast<std::size_t>(node) / 64];
+  }
+
+  std::vector<std::atomic<std::uint64_t>> words_;
+  int capacity_;
 };
 
 }  // namespace hcl::sim

@@ -5,7 +5,9 @@
 //   * a journal record with an unknown op code fails container construction
 //     with kInvalidArgument, like a truncated one;
 //   * reopening over every prefix of a real journal, and over seeded bit
-//     flips of it, ends in an opened container or kInvalidArgument.
+//     flips of it, ends in an opened container or kInvalidArgument, and
+//     replays only records equal to the ones written;
+//   * a torn append (a record cut short) is not replayed.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -58,14 +60,17 @@ std::string hex(std::span<const std::byte> bytes) {
   return out;
 }
 
-/// Every record in the journal file at `file`, as hex.
-std::vector<std::string> journal_records(const std::string& file) {
+/// Every record in the journal file at `file`, as hex; `end` (when set)
+/// receives where the next append would go.
+std::vector<std::string> journal_records(const std::string& file,
+                                         std::size_t* end = nullptr) {
   mem::NodeMemory node(0, std::int64_t{64} << 20);
   auto log = core::PersistLog::open(node, file, mem::SyncMode::kRelaxed);
   EXPECT_TRUE(log.ok()) << log.status().to_string();
   std::vector<std::string> recs;
   if (log.ok()) {
     (*log)->replay([&](std::span<const std::byte> rec) { recs.push_back(hex(rec)); });
+    if (end != nullptr) *end = (*log)->bytes_logged();
   }
   return recs;
 }
@@ -294,12 +299,7 @@ std::vector<std::byte> real_journal(const Core& core,
   std::vector<std::byte> bytes(raw.size());
   std::memcpy(bytes.data(), raw.data(), raw.size());
   std::size_t end = 0;
-  while (end + 4 <= bytes.size()) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, bytes.data() + end, 4);
-    if (len == 0) break;
-    end += 4 + len;
-  }
+  (void)journal_records(core.file, &end);
   bytes.resize(end);
   return bytes;
 }
@@ -340,20 +340,34 @@ std::vector<std::byte> journal_of(const Core& core) {
   });
 }
 
+/// The records in `file` are the first ones of `written`, each unchanged.
+void expect_replays_a_prefix(const std::string& file,
+                             const std::vector<std::string>& written,
+                             const std::string& what) {
+  const auto replayed = journal_records(file);
+  ASSERT_LE(replayed.size(), written.size()) << what;
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    EXPECT_EQ(replayed[i], written[i]) << what << " record " << i;
+  }
+}
+
 TEST(JournalReplay, EveryPrefixOpensOrIsRefused) {
   for (const Core& core : cores("prefix")) {
     const auto good = journal_of(core);
     ASSERT_GT(good.size(), 40u) << core.name;
+    write_file(core.file, good);
+    const auto written = journal_records(core.file);
     Context ctx(zero_config(1));
-    int refused = 0;
     for (std::size_t n = 0; n <= good.size(); ++n) {
       write_file(core.file, std::span<const std::byte>(good.data(), n));
-      if (reopen([&] { core.make(ctx); }) == Reopen::kRefused) ++refused;
+      // A record cut short fails its checksum, so replay ends at the last
+      // whole record and every prefix opens.
+      expect_replays_a_prefix(core.file, written, core.name);
+      EXPECT_EQ(reopen([&] { core.make(ctx); }), Reopen::kOpened)
+          << core.name << " prefix " << n;
     }
-    // A record cut before its op word's first byte replays as op 0.
-    EXPECT_GT(refused, 0) << core.name;
     write_file(core.file, good);
-    EXPECT_EQ(reopen([&] { core.make(ctx); }), Reopen::kOpened) << core.name;
+    EXPECT_EQ(journal_records(core.file), written) << core.name;
     std::filesystem::remove(core.file);
   }
 }
@@ -362,6 +376,8 @@ TEST(JournalReplay, SeededBitFlipsOpenOrAreRefused) {
   Rng rng(23);
   for (const Core& core : cores("flips")) {
     const auto good = journal_of(core);
+    write_file(core.file, good);
+    const auto written = journal_records(core.file);
     Context ctx(zero_config(1));
     for (int round = 0; round < 200; ++round) {
       auto bad = good;
@@ -371,10 +387,46 @@ TEST(JournalReplay, SeededBitFlipsOpenOrAreRefused) {
         bad[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
       }
       write_file(core.file, bad);
+      expect_replays_a_prefix(core.file, written, core.name);
       (void)reopen([&] { core.make(ctx); });
     }
     std::filesystem::remove(core.file);
   }
+}
+
+TEST(JournalReplay, TornAppendIsNotReplayed) {
+  const std::string path = temp_path("hcl_journal_torn_map");
+  const std::string file = path + ".p0";
+  std::filesystem::remove(file);
+  {
+    Context ctx(zero_config(1));
+    Map map(ctx, persisted(path));
+    ctx.run_one(0, [&](Actor&) { map.insert(7, "seven"); });
+  }
+  // The record's length word reached the file, its last two bytes did not.
+  std::size_t end = 0;
+  ASSERT_EQ(journal_records(file, &end).size(), 1u);
+  std::filesystem::resize_file(file, end - 2);
+  {
+    Context ctx(zero_config(1));
+    Map map(ctx, persisted(path));
+    ctx.run_one(0, [&](Actor&) {
+      std::string v;
+      EXPECT_FALSE(map.find(7, &v)) << "replayed the torn value " << v;
+      map.insert(8, "eight");  // overwrites the torn record
+    });
+  }
+  {
+    Context ctx(zero_config(1));
+    Map map(ctx, persisted(path));
+    ctx.run_one(0, [&](Actor&) {
+      std::string v;
+      EXPECT_FALSE(map.find(7, &v));
+      ASSERT_TRUE(map.find(8, &v));
+      EXPECT_EQ(v, "eight");
+    });
+  }
+  std::filesystem::remove(file);
 }
 
 }  // namespace

@@ -431,35 +431,57 @@ TEST_F(FaultTest, InvokeAgainstDownNodeFailsFastUnavailable) {
 
 TEST_F(FaultTest, RouteTableMarksAndClears) {
   RouteTable& route = engine.route();
-  EXPECT_FALSE(route.is_down(1));
-  route.mark_down(1);
-  EXPECT_TRUE(route.is_down(1));
-  EXPECT_FALSE(route.is_down(0));
-  route.mark_up(1);
-  EXPECT_FALSE(route.is_down(1));
-  route.mark_down(0);
-  route.mark_down(1);
-  route.reset();
-  EXPECT_FALSE(route.is_down(0));
-  EXPECT_FALSE(route.is_down(1));
+  EXPECT_FALSE(route.contains(1));
+  route.insert(1);
+  EXPECT_TRUE(route.contains(1));
+  EXPECT_FALSE(route.contains(0));
+  route.erase(1);
+  EXPECT_FALSE(route.contains(1));
+  route.insert(0);
+  route.insert(1);
+  route.clear();
+  EXPECT_FALSE(route.contains(0));
+  EXPECT_FALSE(route.contains(1));
 }
 
 TEST(RouteTable, NodesSixtyFourApartDoNotAlias) {
   RouteTable route(130);
-  route.mark_down(0);
-  EXPECT_TRUE(route.is_down(0));
-  EXPECT_FALSE(route.is_down(64));
-  EXPECT_FALSE(route.is_down(128));
+  route.insert(0);
+  EXPECT_TRUE(route.contains(0));
+  EXPECT_FALSE(route.contains(64));
+  EXPECT_FALSE(route.contains(128));
   // The reverse: marking and clearing node 64 leaves node 0's mark alone.
-  route.mark_down(64);
-  EXPECT_TRUE(route.is_down(64));
-  route.mark_up(64);
-  EXPECT_FALSE(route.is_down(64));
-  EXPECT_TRUE(route.is_down(0));
-  route.mark_down(129);
-  route.reset();
-  EXPECT_FALSE(route.is_down(0));
-  EXPECT_FALSE(route.is_down(129));
+  route.insert(64);
+  EXPECT_TRUE(route.contains(64));
+  route.erase(64);
+  EXPECT_FALSE(route.contains(64));
+  EXPECT_TRUE(route.contains(0));
+  route.insert(129);
+  route.clear();
+  EXPECT_FALSE(route.contains(0));
+  EXPECT_FALSE(route.contains(129));
+  // A node past the topology is refused, not wrapped onto a real one.
+  EXPECT_THROW(route.insert(130), HclError);
+  EXPECT_THROW(route.insert(-1), HclError);
+  EXPECT_FALSE(route.contains(130));
+}
+
+TEST(FaultPlanNodes, NodesSixtyFourApartDoNotAlias) {
+  FaultPlan plan(7);
+  plan.fail_node(0);
+  plan.degrade_shm(1);
+  EXPECT_TRUE(plan.node_down(0));
+  EXPECT_TRUE(plan.shm_degraded(1));
+  EXPECT_FALSE(plan.node_down(64));
+  EXPECT_FALSE(plan.shm_degraded(65));
+  EXPECT_FALSE(plan.node_down(1));
+  EXPECT_FALSE(plan.shm_degraded(0));
+  plan.fail_node(64);
+  plan.rejoin_node(64);
+  EXPECT_TRUE(plan.node_down(0));
+  EXPECT_THROW(plan.fail_node(FaultPlan::kMaxNodes), HclError);
+  EXPECT_THROW(plan.degrade_shm(-1), HclError);
+  EXPECT_FALSE(plan.node_down(FaultPlan::kMaxNodes));
 }
 
 TEST_F(FaultTest, FailoverInvokeBumpsStandbyCounter) {

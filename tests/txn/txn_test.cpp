@@ -726,6 +726,33 @@ TEST(Txn, QueueAbortWhileHostDownDropsStagedIntents) {
   EXPECT_FALSE(q.txn_slot_held());
 }
 
+TEST(Txn, QueueRecognizesAReSentCommitAfterALaterCommit) {
+  Context ctx(zero_config(2, 1));
+  queue<int> q(ctx);
+  txn::TxnCoordinator coord(ctx);
+  ctx.run([&](Actor& self) {
+    if (self.rank() != 0) return;
+    txn::Txn a = coord.begin();
+    q.txn_push(a, 1);
+    ASSERT_TRUE(prepare_by_hand(ctx, self, a).ok());
+    ASSERT_TRUE(commit_by_hand(ctx, self, a).ok());
+    txn::Txn b = coord.begin();
+    q.txn_push(b, 2);
+    ASSERT_TRUE(prepare_by_hand(ctx, self, b).ok());
+    ASSERT_TRUE(commit_by_hand(ctx, self, b).ok());
+    // A's commit leg once more, as settle_commit re-sends it after a
+    // transient failure: A already applied, so it is Ok and pushes nothing.
+    const Status again = commit_by_hand(ctx, self, a);
+    EXPECT_TRUE(again.ok()) << again.to_string();
+    int v = 0;
+    EXPECT_TRUE(q.pop(&v));
+    EXPECT_EQ(v, 1);
+    EXPECT_TRUE(q.pop(&v));
+    EXPECT_EQ(v, 2);
+    EXPECT_FALSE(q.pop(&v));
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Rebalance interaction: pending intents pin the shard.
 // ---------------------------------------------------------------------------
