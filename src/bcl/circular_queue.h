@@ -105,13 +105,6 @@ class CircularQueue {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] sim::NodeId host_node() const noexcept { return node_; }
 
-  /// Approximate occupancy (diagnostics only; extra remote reads elided).
-  [[nodiscard]] std::size_t approx_size() const {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-    return t > h ? static_cast<std::size_t>(t - h) : 0;
-  }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> state{kFree};

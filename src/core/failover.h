@@ -1,8 +1,9 @@
 // Shared failover and transaction-participant layer for both container cores
 // (DESIGN.md §5f/§5h): the one client route every entry point takes, the
 // failover state and its repair pass, the txn read leg and participant legs,
-// move charging, and the records they carry (the journal and intent codec,
-// the persist journal, the standby's staged txns) — written once.
+// the server half of both (twin binding, intent table, txn stubs), move
+// charging, and the records they carry (the journal and intent codec, the
+// persist journal, the standby's staged txns) — written once.
 //
 // A core describes one of its partitions to this layer as a *lane*, a small
 // value with four members:
@@ -21,9 +22,26 @@
 // call_async() the async shape, and a batch element enqueues at the target
 // route() chose.
 //
-// Nothing here knows which core called it; a queue is a one-partition caller
-// of the same code. Wire shapes and cache hooks stay with the cores, and each
-// declares its record shape once, as a core::Record.
+// The server half is written here once too: each op's twin binding
+// (bind_twins), the intent table a prepare holds (IntentTable) and every txn
+// stub (TxnStubs). A core describes its serving sides as a *server*:
+//
+//   Prefix, StandbyPrefix, Check        its primary and twin wire prefixes
+//                                       (std::tuple), what a prepare checks
+//   primary(Prefix...), replica(StandbyPrefix...), enter(StandbyPrefix...)
+//                                       the Side a prefix names; enter also
+//                                       promotes the standby, under its lock
+//   table, standby, key, descent, epoch (of a Side)
+//                                       its host's IntentTable, standby?, its
+//                                       staging key, Table I descent, epoch
+//   each_replica(s, fn)                 fn(from, to, StandbyPrefix...) for
+//                                       each replica host of a primary
+//   check_bytes, stripes, validate, apply
+//                                       the core's prepare and commit rules
+//
+// Nothing here knows which core called it; a queue is a one-partition,
+// one-stripe caller of the same code. Wire shapes and cache hooks stay with
+// the cores, and each declares its record shape once, as a core::Record.
 #pragma once
 
 #include <algorithm>
@@ -412,7 +430,7 @@ class Journal {
 /// partition; a queue is partition 0), so a promoted standby can replay a
 /// prepared-but-uncommitted txn (the commit's failover twin) or drop it.
 /// Its mutex is a leaf (nothing is locked under it), so a caller may hold
-/// its host's txn_mutex or not.
+/// its IntentTable's txn mutex or not.
 template <typename Rec>
 class StagingLedger {
  public:
@@ -462,19 +480,298 @@ class StagingLedger {
   std::map<std::pair<std::uint64_t, int>, std::vector<Rec>> staged_;
 };
 
-/// The txn ids a primary committed last, so a re-sent commit or prepare of
-/// an already-committed txn (a lost response, a transient fault) is
-/// recognized while later txns commit. Guarded by its owner's txn mutex.
-class RecentCommits {
+/// One partition's intent table (§5h), the server half of txn participation
+/// both cores share: the txn mutex, the prepared txns it holds (each with the
+/// stripes it locked and the records its commit applies), the txns it
+/// committed last, and the records other primaries staged on this host. A
+/// map partition has 1,024 stripes, the queue one; validation stays with
+/// the core (Server::validate).
+template <typename Rec>
+class IntentTable {
  public:
-  void add(std::uint64_t txn_id) { ids_[next_++ % ids_.size()] = txn_id; }
-  [[nodiscard]] bool contains(std::uint64_t txn_id) const {
-    return std::find(ids_.begin(), ids_.end(), txn_id) != ids_.end();
+  /// A validated prepare: the stripes it locked and the records its commit
+  /// applies.
+  struct Held {
+    std::uint64_t txn_id = 0;
+    std::vector<std::uint32_t> stripes;
+    std::vector<Rec> intents;
+  };
+
+  explicit IntentTable(std::size_t stripes) : stripes_(stripes) {}
+
+  /// The txn mutex: guards the holds and the recent commits. A commit
+  /// applies under it; it is never held across a stage or resolve fan-out.
+  std::mutex mutex;
+  StagingLedger<Rec> staged;
+
+  /// Is txn_id among the last 64 commits here (mutex held)? Then a re-sent
+  /// commit or prepare (a lost response, a transient fault) is recognized
+  /// while later txns commit.
+  [[nodiscard]] bool committed(std::uint64_t txn_id) const {
+    return std::find(recent_.begin(), recent_.end(), txn_id) != recent_.end();
+  }
+
+  /// kSlotHeld when a rival txn holds one of `entry`'s stripes (mutex held).
+  [[nodiscard]] const txn::Refusal* rival(const Held& entry) const {
+    if (holders_ == nullptr) return nullptr;
+    for (const std::uint32_t stripe : entry.stripes) {
+      const std::uint64_t holder = holders_[stripe];
+      if (holder != 0 && holder != entry.txn_id) return &txn::kSlotHeld;
+    }
+    return nullptr;
+  }
+
+  /// Lock `entry`'s stripes for its txn (mutex held). A duplicate delivery
+  /// re-prepares: the first copy is dropped.
+  void hold(Held entry) {
+    release(entry.txn_id);
+    if (holders_ == nullptr) {
+      holders_ = std::make_unique<std::uint64_t[]>(stripes_);
+    }
+    for (const std::uint32_t stripe : entry.stripes) {
+      holders_[stripe] = entry.txn_id;
+    }
+    held_.push_back(std::move(entry));
+  }
+
+  /// Drop txn_id's hold and free its stripes (mutex held); its records move
+  /// to *intents when non-null. False when txn_id holds nothing here.
+  bool release(std::uint64_t txn_id, std::vector<Rec>* intents = nullptr) {
+    auto it = std::find_if(held_.begin(), held_.end(),
+                           [&](const Held& e) { return e.txn_id == txn_id; });
+    if (it == held_.end()) return false;
+    for (const std::uint32_t stripe : it->stripes) holders_[stripe] = 0;
+    if (intents != nullptr) intents->swap(it->intents);
+    if (it != held_.end() - 1) *it = std::move(held_.back());
+    held_.pop_back();
+    return true;
+  }
+
+  /// The records txn_id's commit applies, released (mutex held). False when
+  /// txn_id already committed (a re-sent commit after a lost response); a
+  /// txn holding nothing is refused kFailedPrecondition (presumed abort).
+  bool take(std::uint64_t txn_id, std::vector<Rec>* intents) {
+    if (committed(txn_id)) return false;
+    if (!release(txn_id, intents)) {
+      throw HclError(Status::FailedPrecondition(
+          "txn commit: intent slot not held (presumed abort)"));
+    }
+    recent_[next_++ % recent_.size()] = txn_id;
+    return true;
+  }
+
+  /// Presumed abort (repair): every hold and staged record from before a
+  /// crash is dead.
+  void clear() {
+    {
+      std::lock_guard<std::mutex> guard(mutex);
+      while (!held_.empty()) release(held_.back().txn_id);
+    }
+    staged.clear();
+  }
+
+  /// Does a prepared txn hold a stripe here?
+  [[nodiscard]] bool held() {
+    std::lock_guard<std::mutex> guard(mutex);
+    return !held_.empty();
+  }
+
+  /// A hold or a staged record pins the host against moves: moving it would
+  /// orphan them.
+  [[nodiscard]] bool pending() {
+    std::lock_guard<std::mutex> guard(mutex);
+    return !held_.empty() || !staged.empty();
   }
 
  private:
-  std::array<std::uint64_t, 64> ids_{};
+  std::size_t stripes_;
+  std::unique_ptr<std::uint64_t[]> holders_;
+  std::vector<Held> held_;
+  std::array<std::uint64_t, 64> recent_{};
   std::size_t next_ = 0;
+};
+
+/// Bind a stub whose wire arguments are the prefix `Pre` (a std::tuple of
+/// types) and then `Args`, as `body(sctx, (server.*side)(pre...), args...)`.
+template <typename Pre, typename R, typename... Args>
+struct Stub;
+template <typename... Pre, typename R, typename... Args>
+struct Stub<std::tuple<Pre...>, R, Args...> {
+  template <typename Server, typename SideOf, typename Body>
+  static rpc::FuncId bind(Bindings& b, Server server, SideOf side, Body body) {
+    return b.bind<R, Pre..., Args...>(
+        [server, side, body](rpc::ServerCtx& sctx, const Pre&... pre,
+                             const Args&... args) {
+          return body(sctx, (server.*side)(pre...), args...);
+        });
+  }
+};
+
+/// Bind one op's server body `body(sctx, side, args...)` twice: as the
+/// primary stub, on the side server.primary(prefix...) names, and as its
+/// failover twin, which promotes the standby (server.enter) and serves the
+/// side it returns under the failover mutex. Both take `Args` after their
+/// prefix.
+template <typename R, typename... Args, typename Server, typename Body>
+Twins bind_twins(Bindings& b, Server server, Body body) {
+  const auto standby = [body](rpc::ServerCtx& sctx, const auto& entered,
+                              const Args&... args) {
+    return body(sctx, entered.second, args...);
+  };
+  return {Stub<typename Server::Prefix, R, Args...>::bind(
+              b, server, &Server::primary, body),
+          Stub<typename Server::StandbyPrefix, R, Args...>::bind(
+              b, server, &Server::enter, standby)};
+}
+
+/// Every txn stub of one container (§5h), bound once over its server, in
+/// this order: the prepare shell, the commit stub and its failover twin,
+/// the abort stub, then on the replica hosts the stage and resolve stubs
+/// and the abort's failover twin (dropping staged records is no failover
+/// write, so it never promotes the standby).
+template <typename Server, typename Rec>
+class TxnStubs {
+  using Blob = std::vector<std::byte>;
+  using Check = typename Server::Check;
+
+ public:
+  void bind(Context& ctx, Bindings& b, Server server) {
+    ctx_ = &ctx;
+    server_ = server;
+    using Pre = typename Server::Prefix;
+    using StandbyPre = typename Server::StandbyPrefix;
+    const auto primary = &Server::primary;
+    const auto replica = &Server::replica;
+    prepare = Stub<Pre, std::uint64_t, std::uint64_t, Check, Blob>::bind(
+        b, server, primary, [this](auto&&... a) { return prepare_body(a...); });
+    commit = bind_twins<std::uint64_t, std::uint64_t>(
+        b, server, [this](auto&&... a) { return commit_body(a...); });
+    abort.primary = Stub<Pre, bool, std::uint64_t>::bind(
+        b, server, primary, [this](auto&&... a) { return abort_body(a...); });
+    stage_ = Stub<StandbyPre, bool, std::uint64_t, Blob>::bind(
+        b, server, replica,
+        [this](rpc::ServerCtx& sctx, const auto& s, const std::uint64_t& id,
+               const Blob& blob) {
+          return server_.table(s).staged.stage(*ctx_, sctx, server_.descent(s),
+                                               id, server_.key(s), blob);
+        });
+    const auto drop = [this](rpc::ServerCtx& sctx, const auto& s,
+                             const std::uint64_t& id) {
+      return server_.table(s).staged.drop(*ctx_, sctx, server_.descent(s), id,
+                                          server_.key(s));
+    };
+    resolve_ =
+        Stub<StandbyPre, bool, std::uint64_t>::bind(b, server, replica, drop);
+    abort.standby =
+        Stub<StandbyPre, bool, std::uint64_t>::bind(b, server, replica, drop);
+  }
+
+  rpc::FuncId prepare = 0;
+  Twins commit;
+  Twins abort;
+
+ private:
+  /// The prepare shell: charge, decode, and under the txn mutex let a txn
+  /// that already committed stand, refuse a rival hold or what the core's
+  /// validation refuses (no-wait: a refusal never queues), else hold; then
+  /// stage the writes on the replica hosts, for a promoted standby to
+  /// replay, with the txn mutex released.
+  template <typename Side>
+  std::uint64_t prepare_body(rpc::ServerCtx& sctx, const Side& s,
+                             const std::uint64_t& txn_id, const Check& check,
+                             const Blob& blob) {
+    const sim::Nanos ready = charge_server(
+        *ctx_, sctx, server_.descent(s),
+        static_cast<std::int64_t>(blob.size()) + server_.check_bytes(check) +
+            16,
+        /*write=*/true);
+    typename IntentTable<Rec>::Held entry{txn_id, {},
+                                          decode_records<Rec>(blob)};
+    entry.stripes = server_.stripes(check, entry.intents);
+    const bool writes = !entry.intents.empty();
+    IntentTable<Rec>& table = server_.table(s);
+    std::uint64_t cur = 0;
+    {
+      std::lock_guard<std::mutex> guard(table.mutex);
+      cur = server_.epoch(s);
+      if (table.committed(txn_id)) {
+        sctx.epoch = cur;
+        return cur;
+      }
+      const txn::Refusal* no = table.rival(entry);
+      if (no == nullptr) no = server_.validate(s, check, entry.intents, cur);
+      if (no != nullptr) {
+        no->refuse(sctx);
+        return cur;
+      }
+      table.hold(std::move(entry));
+    }
+    if (writes) fan_out(s, ready, stage_, txn_id, blob);
+    sctx.epoch = cur;
+    return cur;
+  }
+
+  /// The primary applies what its prepare held, under the txn mutex so no
+  /// rival prepare interleaves between two of its records (the core's apply
+  /// fans out to replica stubs, which take no txn mutex), then drops what
+  /// it staged. The twin, reached when the primary died after prepare-ack,
+  /// applies what prepare staged on this standby (nothing when re-sent).
+  template <typename Side>
+  std::uint64_t commit_body(rpc::ServerCtx& sctx, const Side& s,
+                            const std::uint64_t& txn_id) {
+    IntentTable<Rec>& table = server_.table(s);
+    std::vector<Rec> intents;
+    {
+      std::lock_guard<std::mutex> guard(table.mutex);
+      if (server_.standby(s)) {
+        intents = table.staged.take(txn_id, server_.key(s));
+        server_.apply(sctx, s, intents);
+      } else if (table.take(txn_id, &intents)) {
+        server_.apply(sctx, s, intents);
+      } else {
+        charge_server(*ctx_, sctx, server_.descent(s), 16, /*write=*/true);
+      }
+    }
+    if (!server_.standby(s) && !intents.empty()) {
+      fan_out(s, sctx.finish, resolve_, txn_id);
+    }
+    sctx.epoch = server_.epoch(s);
+    return sctx.epoch;
+  }
+
+  /// Release the hold and drop what prepare staged, unconditionally (a
+  /// prepare whose response was lost may have staged before the client gave
+  /// up). An abort bumps nothing: no epoch, journal or replica write.
+  template <typename Side>
+  bool abort_body(rpc::ServerCtx& sctx, const Side& s,
+                  const std::uint64_t& txn_id) {
+    charge_server(*ctx_, sctx, server_.descent(s), 16, /*write=*/true);
+    IntentTable<Rec>& table = server_.table(s);
+    bool held = false;
+    {
+      std::lock_guard<std::mutex> guard(table.mutex);
+      held = table.release(txn_id);
+    }
+    fan_out(s, sctx.finish, resolve_, txn_id);
+    sctx.epoch = server_.epoch(s);
+    return held;
+  }
+
+  /// Invoke stub `id` with `args` on every replica host of side `s`, inline
+  /// at `ready`.
+  template <typename Side, typename... Args>
+  void fan_out(const Side& s, sim::Nanos ready, rpc::FuncId id,
+               const Args&... args) {
+    server_.each_replica(s, [&](sim::NodeId from, sim::NodeId to,
+                                const auto&... pre) {
+      ctx_->rpc().server_invoke(from, to, ready, id, pre..., args...);
+    });
+  }
+
+  Context* ctx_ = nullptr;
+  Server server_{};
+  rpc::FuncId stage_ = 0;
+  rpc::FuncId resolve_ = 0;
 };
 
 /// One partition's failover state: the promotion flag and term, the fenced
@@ -559,17 +856,19 @@ struct FailoverState {
 };
 
 /// The repair stub's shell on the rejoined primary (§5f): decode the
-/// promoted standby's journal delta, hand it to `replay` (the core's apply,
-/// charge and slot release), drop the intents `staged` held from before the
-/// crash (presumed abort, §5h), count the replayed ops on the serving NIC,
-/// and answer how many there were.
+/// promoted standby's journal delta, hand it to `replay` (the core's apply
+/// and charge), clear `table` (presumed abort, §5h: the coordinators of
+/// holds from before the crash saw the node down and either committed
+/// through the commit's failover twin, whose writes the journal just
+/// replayed, or aborted), count the replayed ops on the serving NIC, and
+/// answer how many there were.
 template <typename Rec, typename Replay>
 std::uint64_t repair_stub(Context& ctx, rpc::ServerCtx& sctx,
                           const std::vector<std::byte>& blob,
-                          StagingLedger<Rec>& staged, Replay&& replay) {
+                          IntentTable<Rec>& table, Replay&& replay) {
   const std::vector<Rec> delta = decode_records<Rec>(blob);
   replay(delta);
-  staged.clear();
+  table.clear();
   ctx.fabric().nic(sctx.node).counters().repair_ops.fetch_add(
       static_cast<std::int64_t>(delta.size()), std::memory_order_relaxed);
   return delta.size();

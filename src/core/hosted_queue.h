@@ -19,8 +19,10 @@
 // With replication the standby mirrors the host and takes over while it is
 // down (DESIGN.md §5f); every op's server body is written once against a
 // serving side and bound twice, as its primary FuncId and failover twin.
-// Routing, failover state, repair, txn participant legs and the record format
-// come from core/failover.h, for which the queue is a one-partition lane.
+// Routing, failover state, repair, the twin binding, the txn participant
+// legs, intent table and stubs, and the record format come from
+// core/failover.h, for which the queue is a one-partition lane and an intent
+// table of one stripe; the queue keeps only its epoch and underflow check.
 #pragma once
 
 #include <algorithm>
@@ -208,10 +210,7 @@ class HostedQueue {
   }
 
   /// Diagnostic: is a prepared transaction's intent slot currently held?
-  [[nodiscard]] bool txn_slot_held() {
-    std::lock_guard<std::mutex> guard(txn_mutex_);
-    return txn_holder_ != 0;
-  }
+  [[nodiscard]] bool txn_slot_held() { return txn_.held(); }
 
   [[nodiscard]] sim::NodeId host_node() const noexcept { return node_; }
   [[nodiscard]] sim::NodeId standby_node() const noexcept { return standby_node_; }
@@ -255,14 +254,11 @@ class HostedQueue {
       throw HclError(Status::FailedPrecondition(
           "rebalance: queue promoted; heal() first"));
     }
-    {
-      // Prepared intents pin the host: moving it would orphan the intent
-      // slot and the standby's staged records (DESIGN.md §5h).
-      std::lock_guard<std::mutex> txn_guard(txn_mutex_);
-      if (txn_holder_ != 0 || !staged_.empty()) {
-        throw HclError(Status::FailedPrecondition(
-            "rebalance: transaction intents pending"));
-      }
+    // Prepared intents pin the host: moving it would orphan the intent
+    // slot and the standby's staged records (DESIGN.md §5h).
+    if (txn_.pending()) {
+      throw HclError(Status::FailedPrecondition(
+          "rebalance: transaction intents pending"));
     }
     if (node == node_) return false;
     const sim::Nanos start = self.now();
@@ -403,6 +399,61 @@ class HostedQueue {
   };
   [[nodiscard]] Lane lane() { return Lane{this}; }
 
+  /// The queue's serving sides as core/failover.h binds them: no stub takes
+  /// a prefix, and the queue is an intent table of one stripe, validated
+  /// against its epoch and length.
+  struct Server {
+    HostedQueue* owner;
+    using Prefix = std::tuple<>;
+    using StandbyPrefix = std::tuple<>;
+    /// The epoch the txn's reads observed, or txn::kBlindEpoch.
+    using Check = std::uint64_t;
+
+    Side primary() const { return Side::kPrimary; }
+    Side replica() const { return Side::kStandby; }
+    std::pair<std::unique_lock<std::mutex>, Side> enter() const {
+      return {owner->fo_.enter_standby(owner->ctx_->fabric(), owner->node_,
+                                       "queue host is up; repair and retry"),
+              Side::kStandby};
+    }
+    core::IntentTable<Record>& table(Side) const { return owner->txn_; }
+    bool standby(Side s) const { return s == Side::kStandby; }
+    int key(Side) const { return 0; }
+    core::Descent descent(Side) const { return owner->descent(true); }
+    /// The promoted mirror keeps no epoch.
+    std::uint64_t epoch(Side s) const {
+      return standby(s) ? 0 : owner->epoch_.load(std::memory_order_acquire);
+    }
+    template <typename Fn>
+    void each_replica(Side, Fn&& fn) const {
+      if (owner->has_standby()) fn(owner->node_, owner->standby_node_);
+    }
+    static std::int64_t check_bytes(Check) { return 0; }
+    static std::vector<std::uint32_t> stripes(Check,
+                                              const std::vector<Record>&) {
+      return {0};
+    }
+    const txn::Refusal* validate(Side, Check expected,
+                                 const std::vector<Record>& intents,
+                                 std::uint64_t cur) const {
+      if (expected != txn::kBlindEpoch && cur != expected) {
+        return &txn::kEpochConflict;
+      }
+      if (pops(intents) > owner->impl_.size()) return &txn::kUnderflow;
+      return nullptr;
+    }
+    /// Charge one write element per record, then apply them in commit order.
+    void apply(rpc::ServerCtx& sctx, Side s,
+               const std::vector<Record>& intents) const {
+      core::charge_server(*owner->ctx_, sctx, owner->descent(true),
+                          16 + record_bytes(intents), /*write=*/true,
+                          static_cast<std::int64_t>(intents.size()));
+      owner->apply_records(s, in_commit_order(intents), sctx.finish,
+                           /*mirrored=*/true);
+    }
+  };
+  [[nodiscard]] Server server() { return Server{this}; }
+
   /// The sync and async shapes of op `op`: its server body `body` on the
   /// host side, shipped with `args`, through the one client route.
   template <typename R, typename... Args>
@@ -461,8 +512,8 @@ class HostedQueue {
    public:
     explicit TxnParticipant(HostedQueue* owner)
         : core::Participant<Lane, Record>(*owner->ctx_, Lane{owner},
-                                          owner->txn_commit_,
-                                          owner->txn_abort_) {}
+                                          owner->txn_stubs_.commit,
+                                          owner->txn_stubs_.abort) {}
 
     void stage(LogOp op, const T* value) {
       this->intents_.emplace_back(op, core::NoKey{}, value);
@@ -487,7 +538,7 @@ class HostedQueue {
     void enqueue_prepare(sim::Actor& self, rpc::Batcher& batch,
                          std::uint64_t txn_id) override {
       this->enqueue_prepare_call(self, batch,
-                                 this->lane_.owner->txn_prepare_id_, txn_id,
+                                 this->lane_.owner->txn_stubs_.prepare, txn_id,
                                  expected_epoch_);
     }
 
@@ -502,47 +553,6 @@ class HostedQueue {
   TxnParticipant& participant(txn::Txn& t) {
     return t.template participant<TxnParticipant>(
         this, 0, [&] { return txn::make_participant<TxnParticipant>(this); });
-  }
-
-  /// Bind one op's server body twice, from the one `body(sctx, side,
-  /// args...)`: as `primary` on the host, and as its failover twin
-  /// `standby` on the promoted mirror. Both take the same wire arguments.
-  template <typename R, typename... Args, typename Body>
-  core::Twins bind_twins(Body body) {
-    core::Twins op;
-    op.primary = bindings_.bind<R, Args...>(
-        [body](rpc::ServerCtx& sctx, const Args&... args) {
-          return body(sctx, Side::kPrimary, args...);
-        });
-    op.standby = bindings_.bind<R, Args...>(
-        [this, body](rpc::ServerCtx& sctx, const Args&... args) {
-          const auto guard = fo_.enter_standby(
-              ctx_->fabric(), node_, "queue host is up; repair and retry");
-          return body(sctx, Side::kStandby, args...);
-        });
-    return op;
-  }
-
-  /// The intents a commit applies on side s, under txn_mutex_. The host
-  /// releases the slot its prepare validated; false means it already
-  /// committed txn_id (a re-sent commit after a lost response). The
-  /// standby — the host died after prepare-ack — takes the records that
-  /// prepare staged on it.
-  bool take_intents(Side s, std::uint64_t txn_id,
-                    std::vector<Record>* intents) {
-    if (s == Side::kStandby) {
-      *intents = staged_.take(txn_id, 0);
-      return true;
-    }
-    if (recent_commits_.contains(txn_id)) return false;
-    if (txn_holder_ != txn_id) {
-      throw HclError(Status::FailedPrecondition(
-          "txn commit: intent slot not held (presumed abort)"));
-    }
-    intents->swap(txn_intents_);
-    txn_holder_ = 0;
-    recent_commits_.add(txn_id);
-    return true;
   }
 
   // ---- op server bodies ------------------------------------------------
@@ -609,13 +619,15 @@ class HostedQueue {
   }
 
   void bind_handlers() {
-    push_ = bind_twins<bool, T>(
-        [this](auto&&... a) { return push_body(a...); });
-    push_bulk_ = bind_twins<bool, std::vector<T>>(
+    push_ = core::bind_twins<bool, T>(
+        bindings_, server(), [this](auto&&... a) { return push_body(a...); });
+    push_bulk_ = core::bind_twins<bool, std::vector<T>>(
+        bindings_, server(),
         [this](auto&&... a) { return push_bulk_body(a...); });
-    pop_ = bind_twins<std::optional<T>>(
-        [this](auto&&... a) { return pop_body(a...); });
-    pop_bulk_ = bind_twins<std::vector<T>, std::uint64_t>(
+    pop_ = core::bind_twins<std::optional<T>>(
+        bindings_, server(), [this](auto&&... a) { return pop_body(a...); });
+    pop_bulk_ = core::bind_twins<std::vector<T>, std::uint64_t>(
+        bindings_, server(),
         [this](auto&&... a) { return pop_bulk_body(a...); });
     // ---- mirror stubs (standby side): keep the standby's copy in
     // lock-step with the host; order is preserved because server_invoke
@@ -638,124 +650,17 @@ class HostedQueue {
     repair_id_ = bindings_.bind<std::uint64_t, std::vector<std::byte>>(
         [this](rpc::ServerCtx& sctx, const std::vector<std::byte>& blob) {
           return core::repair_stub(
-              *ctx_, sctx, blob, staged_, [&](const std::vector<Record>& delta) {
+              *ctx_, sctx, blob, txn_, [&](const std::vector<Record>& delta) {
                 apply_records(Side::kPrimary, delta, sctx.start,
                               /*mirrored=*/false);
                 core::charge_server(*ctx_, sctx, descent(true),
                                     8 + record_bytes(delta), /*write=*/true,
                                     static_cast<std::int64_t>(delta.size()));
-                // Presumed abort (§5h): the slot from before the crash is dead.
-                std::lock_guard<std::mutex> guard(txn_mutex_);
-                txn_holder_ = 0;
-                txn_intents_.clear();
               });
         });
-    // ---- transaction stubs (DESIGN.md §5h; protocol notes in
-    // core::PartitionedMap). txn_mutex_ is released before standby fan-out.
     txn_peek_id_ = bindings_.bind<std::optional<T>, std::uint64_t>(
         [this](auto&&... a) { return txn_peek_body(a...); });
-    txn_prepare_id_ =
-        bindings_.bind<std::uint64_t, std::uint64_t, std::uint64_t,
-                    std::vector<std::byte>>(
-            [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id,
-                   const std::uint64_t& expected,
-                   const std::vector<std::byte>& blob) {
-              const sim::Nanos ready = core::charge_server(
-                  *ctx_, sctx, descent(true),
-                  static_cast<std::int64_t>(blob.size()) + 16, /*write=*/true);
-              const auto intents = core::decode_records<Record>(blob);
-              std::uint64_t cur = 0;
-              {
-                std::lock_guard<std::mutex> guard(txn_mutex_);
-                cur = epoch_.load(std::memory_order_acquire);
-                if (recent_commits_.contains(txn_id)) {
-                  sctx.epoch = cur;
-                  return cur;
-                }
-                const txn::Refusal* no = nullptr;
-                if (txn_holder_ != 0 && txn_holder_ != txn_id) {
-                  no = &txn::kSlotHeld;
-                } else if (expected != txn::kBlindEpoch && cur != expected) {
-                  no = &txn::kEpochConflict;
-                } else if (pops(intents) > impl_.size()) {
-                  no = &txn::kUnderflow;
-                }
-                if (no != nullptr) {
-                  no->refuse(sctx);
-                  return cur;
-                }
-                txn_holder_ = txn_id;
-                txn_intents_ = intents;
-              }
-              if (has_standby() && !intents.empty()) {
-                ctx_->rpc().server_invoke(node_, standby_node_, ready,
-                                          replica_txn_stage_id_, txn_id, blob);
-              }
-              sctx.epoch = cur;
-              return cur;
-            });
-    // Commit: the host applies the intents its prepare validated; the
-    // failover twin — the host died between prepare-ack and commit —
-    // replays the records that prepare staged on the standby.
-    txn_commit_ = bind_twins<std::uint64_t, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, Side s, const std::uint64_t& txn_id) {
-          std::vector<Record> intents;
-          {
-            std::lock_guard<std::mutex> guard(txn_mutex_);
-            if (!take_intents(s, txn_id, &intents)) {
-              core::charge_server(*ctx_, sctx, descent(true), 16,
-                                  /*write=*/true);
-            } else {
-              core::charge_server(*ctx_, sctx, descent(true),
-                                  16 + record_bytes(intents), /*write=*/true,
-                                  static_cast<std::int64_t>(intents.size()));
-              apply_records(s, in_commit_order(intents), sctx.finish,
-                            /*mirrored=*/true);
-            }
-          }
-          if (s == Side::kPrimary && has_standby() && !intents.empty()) {
-            ctx_->rpc().server_invoke(node_, standby_node_, sctx.finish,
-                                      replica_txn_resolve_id_, txn_id);
-          }
-          // The promoted mirror keeps no epoch.
-          sctx.epoch =
-              s == Side::kPrimary ? epoch_.load(std::memory_order_acquire) : 0;
-          return sctx.epoch;
-        });
-    txn_abort_.primary = bindings_.bind<bool, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-          core::charge_server(*ctx_, sctx, descent(true), 16, /*write=*/true);
-          bool held = false;
-          {
-            std::lock_guard<std::mutex> guard(txn_mutex_);
-            if (txn_holder_ == txn_id) {
-              txn_holder_ = 0;
-              txn_intents_.clear();
-              held = true;
-            }
-          }
-          if (has_standby()) {
-            ctx_->rpc().server_invoke(node_, standby_node_, sctx.finish,
-                                      replica_txn_resolve_id_, txn_id);
-          }
-          // Aborts bump nothing: no epoch, no journal, no mirror writes.
-          sctx.epoch = epoch_.load(std::memory_order_acquire);
-          return held;
-        });
-    // Standby staging (core::StagingLedger): the resolve stub and the
-    // abort's failover twin both drop the records a prepare staged; neither
-    // enters the standby side (no promotion).
-    replica_txn_stage_id_ =
-        bindings_.bind<bool, std::uint64_t, std::vector<std::byte>>(
-            [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id,
-                   const std::vector<std::byte>& blob) {
-              return staged_.stage(*ctx_, sctx, descent(true), txn_id, 0, blob);
-            });
-    const auto drop = [this](rpc::ServerCtx& sctx, const std::uint64_t& txn_id) {
-      return staged_.drop(*ctx_, sctx, descent(true), txn_id, 0);
-    };
-    replica_txn_resolve_id_ = bindings_.bind<bool, std::uint64_t>(drop);
-    txn_abort_.standby = bindings_.bind<bool, std::uint64_t>(drop);
+    txn_stubs_.bind(*ctx_, bindings_, server());
   }
 
   Context* ctx_;
@@ -774,21 +679,15 @@ class HostedQueue {
   /// Serializes payload-moving pops against txn_peek traversals (the
   /// MsQueue peek/pop external-serialization contract).
   std::mutex pop_mutex_;
-  /// Transaction intent slot (semantics match the maps' per-partition
-  /// fields; see core::PartitionedMap::Partition) and the records prepares
-  /// staged here while this node was the standby.
-  std::mutex txn_mutex_;
-  std::uint64_t txn_holder_ = 0;
-  std::vector<Record> txn_intents_;
-  core::RecentCommits recent_commits_;
-  core::StagingLedger<Record> staged_;
+  /// The transaction intent slot, one stripe (core::IntentTable), and the
+  /// records prepares staged here while this node was the standby.
+  core::IntentTable<Record> txn_{1};
   /// Replicated ops: each primary FuncId and its failover twin, bound from
-  /// one server body (bind_twins); txn_abort_ pairs the host's abort with
-  /// the standby's fo_txn_abort.
-  core::Twins push_, push_bulk_, pop_, pop_bulk_, txn_commit_, txn_abort_;
+  /// one server body (core::bind_twins).
+  core::Twins push_, push_bulk_, pop_, pop_bulk_;
   rpc::FuncId replica_push_id_ = 0, replica_pop_id_ = 0, repair_id_ = 0,
-              txn_peek_id_ = 0, txn_prepare_id_ = 0,
-              replica_txn_stage_id_ = 0, replica_txn_resolve_id_ = 0;
+              txn_peek_id_ = 0;
+  core::TxnStubs<Server, Record> txn_stubs_;
   core::Bindings bindings_;
 };
 

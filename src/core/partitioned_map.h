@@ -25,8 +25,10 @@
 //     promoted replica while a primary is down (DESIGN.md §5f): every
 //     replicated op's server body is written ONCE against a serving side
 //     and bound twice — its primary FuncId and its failover twin; routing,
-//     failover state, repair, txn participant legs and the record format
-//     come from core/failover.h, one lane per partition,
+//     failover state, repair, the twin binding, the txn participant legs,
+//     intent table and stubs, and the record format come from
+//     core/failover.h, one lane per partition (the map keeps its stripe
+//     stamps, fence and read-set validation),
 //   * per-operation durability through a memory-mapped journal (§III.C.6),
 //   * explicit per-partition resize (Table I),
 //   * registered *mutators* — named server-side read-modify-write functions
@@ -112,8 +114,7 @@ class PartitionedMap {
         bool distinct = false;
         for (int r = 1; r <= options_.replication && !distinct; ++r) {
           const int q = (p + r) % num_partitions_;
-          distinct = partitions_[static_cast<std::size_t>(q)]->node !=
-                     partitions_[static_cast<std::size_t>(p)]->node;
+          distinct = partition(q).node != partition(p).node;
         }
         if (!distinct) {
           throw HclError(Status::InvalidArgument(
@@ -378,11 +379,7 @@ class PartitionedMap {
 
   /// Diagnostics: does any prepared transaction hold a stripe of partition
   /// `p` (§5h)?
-  [[nodiscard]] bool txn_slot_held(int p) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> guard(part.txn_mutex);
-    return !part.prepared.empty();
-  }
+  [[nodiscard]] bool txn_slot_held(int p) { return partition(p).txn.held(); }
 
   // ------------------------------------------------------------------
   // Introspection
@@ -390,7 +387,7 @@ class PartitionedMap {
 
   [[nodiscard]] int num_partitions() const noexcept { return num_partitions_; }
   [[nodiscard]] sim::NodeId partition_owner(int p) const {
-    return partitions_[static_cast<std::size_t>(p)]->node;
+    return partition(p).node;
   }
   /// Routing read through the shard map (DESIGN.md §5g). With rebalancing
   /// disabled (default) the slot table is frozen at `slot % P`, which makes
@@ -431,30 +428,26 @@ class PartitionedMap {
   /// failover write into this partition's replica set.
   [[nodiscard]] std::size_t replica_size(int p) {
     auto guard = op_guard();
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    Partition& part = partition(p);
     std::lock_guard<std::mutex> fo_guard(part.fo.mutex);
     return part.replicas.size();
   }
 
   /// Aggregate read-cache counters across all ranks (DESIGN.md §5d).
   [[nodiscard]] cache::CacheStats cache_stats() const { return cache_->stats(); }
-  [[nodiscard]] const cache::CachePolicy& cache_policy() const {
-    return cache_->policy();
-  }
 
   /// Current mutation epoch of partition `p` (diagnostics / tests).
   [[nodiscard]] std::uint64_t partition_epoch(int p) const {
-    return partitions_[static_cast<std::size_t>(p)]->epoch.load(
-        std::memory_order_acquire);
+    return partition(p).epoch.load(std::memory_order_acquire);
   }
 
   /// Failover diagnostics (DESIGN.md §5f): is partition p's standby
   /// currently promoted, and how many ops await anti-entropy repair?
   [[nodiscard]] bool partition_promoted(int p) {
-    return partitions_[static_cast<std::size_t>(p)]->fo.is_promoted();
+    return partition(p).fo.is_promoted();
   }
   [[nodiscard]] std::size_t repair_backlog(int p) {
-    return partitions_[static_cast<std::size_t>(p)]->fo.backlog();
+    return partition(p).fo.backlog();
   }
 
   /// Visit every (key, value) in every partition — local introspection for
@@ -567,7 +560,7 @@ class PartitionedMap {
     }
     std::unique_lock<std::shared_mutex> latch(rebalance_latch_);
     require_movable(p, p);
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    Partition& part = partition(p);
     if (part.node == node) return false;
     const sim::Nanos start = self.now();
     std::int64_t bytes = 0;
@@ -652,22 +645,6 @@ class PartitionedMap {
   static constexpr int kStripeBits = 10;
   static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
 
-  /// One stripe: the partition epoch the last write applied to any of its
-  /// keys produced (only ever raised), and the no-wait holder — the txn id
-  /// whose prepare locked it, 0 when free (guarded by txn_mutex).
-  struct Stripe {
-    std::atomic<std::uint64_t> stamp{0};
-    std::uint64_t holder = 0;
-  };
-
-  /// A validated prepare: the stripes it locked and the journal-backed
-  /// write records its commit applies.
-  struct Prepared {
-    std::uint64_t txn_id = 0;
-    std::vector<std::uint32_t> stripes;
-    std::vector<Record> intents;
-  };
-
   struct Partition {
     sim::NodeId node = 0;
     Store store;
@@ -683,25 +660,21 @@ class PartitionedMap {
     /// promoted for it; its fenced epoch stream is what failover responses
     /// piggyback.
     core::FailoverState<Record> fo;
-    /// Key-granular transaction state (DESIGN.md §5h). `stripes` points at
-    /// the stripe table, allocated at the partition's first prepare (maps
-    /// that never see a transaction pay nothing). `fence` is the epoch of
-    /// the last migrate/split/merge or repair adoption: a read older than
-    /// it is refused. `prepared` holds each validated txn until its commit
-    /// applies or its abort drops it; `recent` remembers the last committed
-    /// ids. Holders, `prepared` and `recent` mutate only under
-    /// txn_mutex — which is NEVER held across a replica fan-out (its stubs
-    /// run inline, on this thread, against other hosts' state).
-    /// `staged` holds OTHER partitions' intents staged onto this replica
-    /// host (core::StagingLedger).
-    std::mutex txn_mutex;
-    std::atomic<Stripe*> stripes{nullptr};
-    std::unique_ptr<Stripe[]> stripe_table;
+    /// Key-granular transaction state (DESIGN.md §5h). `stamps` points at
+    /// the stripe stamps, allocated at the first prepare (maps that never
+    /// see a transaction pay nothing): the epoch the last write to any key
+    /// of the stripe produced, only ever raised. `fence` is the epoch of the
+    /// last migrate/split/merge or repair adoption: a read older than it is
+    /// refused. `txn` is the intent table (core::IntentTable).
+    std::atomic<std::atomic<std::uint64_t>*> stamps{nullptr};
+    std::unique_ptr<std::atomic<std::uint64_t>[]> stamp_table;
     std::atomic<std::uint64_t> fence{0};
-    std::vector<Prepared> prepared;
-    core::RecentCommits recent;
-    core::StagingLedger<Record> staged;
+    core::IntentTable<Record> txn{kStripes};
   };
+
+  [[nodiscard]] Partition& partition(int p) const {
+    return *partitions_[static_cast<std::size_t>(p)];
+  }
 
   // ---- failover & recovery (DESIGN.md §5f) --------------------------
 
@@ -714,16 +687,12 @@ class PartitionedMap {
     PartitionedMap* owner;
     int p;
 
-    [[nodiscard]] Partition& part() const {
-      return *owner->partitions_[static_cast<std::size_t>(p)];
-    }
-    [[nodiscard]] sim::NodeId node() const { return part().node; }
+    [[nodiscard]] sim::NodeId node() const { return owner->partition(p).node; }
     [[nodiscard]] std::tuple<int> prefix() const { return {p}; }
     [[nodiscard]] std::optional<core::Standby<int, int>> standby() const {
       for (int r = 1; r <= owner->options_.replication; ++r) {
         const int q = (p + r) % owner->num_partitions_;
-        const sim::NodeId n =
-            owner->partitions_[static_cast<std::size_t>(q)]->node;
+        const sim::NodeId n = owner->partition(q).node;
         if (n != node() && !owner->ctx_->fabric().node_down(n)) {
           return core::Standby<int, int>{n, {p, q}};
         }
@@ -736,7 +705,7 @@ class PartitionedMap {
       for (int q = 0; q < owner->num_partitions_; ++q) {
         const Lane on{owner, q};
         if (on.node() != node()) continue;
-        on.part().fo.repair(
+        owner->partition(q).fo.repair(
             *owner->ctx_, self, on, owner->repair_id_,
             [](std::uint64_t fence) { return std::make_tuple(fence); },
             [&](std::uint64_t epoch) {
@@ -772,8 +741,8 @@ class PartitionedMap {
    public:
     TxnParticipant(PartitionedMap* owner, int p)
         : core::Participant<Lane, Record>(*owner->ctx_, Lane{owner, p},
-                                          owner->txn_commit_,
-                                          owner->txn_abort_) {}
+                                          owner->txn_stubs_.commit,
+                                          owner->txn_stubs_.abort) {}
     ~TxnParticipant() override {
       VectorPool<std::uint64_t>::give(std::move(reads_));
     }
@@ -826,7 +795,7 @@ class PartitionedMap {
     void enqueue_prepare(sim::Actor& self, rpc::Batcher& batch,
                          std::uint64_t txn_id) override {
       this->enqueue_prepare_call(self, batch,
-                                 this->lane_.owner->txn_prepare_id_, txn_id,
+                                 this->lane_.owner->txn_stubs_.prepare, txn_id,
                                  reads_);
     }
 
@@ -906,7 +875,7 @@ class PartitionedMap {
   /// died mid-protocol).
   void require_movable(int p, int q) {
     for (int part_id : {p, q}) {
-      Partition& part = *partitions_[static_cast<std::size_t>(part_id)];
+      Partition& part = partition(part_id);
       if (ctx_->fabric().node_down(part.node)) {
         throw HclError(
             Status::FailedPrecondition("rebalance: partition node is down"));
@@ -915,8 +884,7 @@ class PartitionedMap {
         throw HclError(Status::FailedPrecondition(
             "rebalance: partition promoted; heal() first"));
       }
-      std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
-      if (!part.prepared.empty() || !part.staged.empty()) {
+      if (part.txn.pending()) {
         throw HclError(Status::FailedPrecondition(
             "rebalance: transaction intents pending"));
       }
@@ -940,10 +908,8 @@ class PartitionedMap {
   }
 
   [[nodiscard]] std::int64_t nic_packets(int p) const {
-    return ctx_->fabric()
-        .nic(partitions_[static_cast<std::size_t>(p)]->node)
-        .counters()
-        .total_packets.load(std::memory_order_relaxed);
+    return ctx_->fabric().nic(partition(p).node).counters().total_packets.load(
+        std::memory_order_relaxed);
   }
 
   /// Routing read without the heat bump (introspection / migration scans).
@@ -963,8 +929,8 @@ class PartitionedMap {
   std::size_t move_slots(sim::Actor& self, const std::vector<int>& slots,
                          int src, int dst) {
     if (slots.empty() || src == dst) return 0;
-    Partition& from = *partitions_[static_cast<std::size_t>(src)];
-    Partition& to = *partitions_[static_cast<std::size_t>(dst)];
+    Partition& from = partition(src);
+    Partition& to = partition(dst);
     const sim::Nanos start = self.now();
     for (int slot : slots) shard_map_.set_owner(slot, dst);
     std::vector<std::pair<K, V>> moving;
@@ -977,10 +943,8 @@ class PartitionedMap {
       apply_erase(primary_side(src), key);
       apply_upsert(primary_side(dst), key, value, start);
       for (int r = 1; r <= options_.replication; ++r) {
-        partitions_[static_cast<std::size_t>((src + r) % num_partitions_)]
-            ->replicas.erase(key);
-        Partition& rep =
-            *partitions_[static_cast<std::size_t>((dst + r) % num_partitions_)];
+        partition((src + r) % num_partitions_).replicas.erase(key);
+        Partition& rep = partition((dst + r) % num_partitions_);
         rep.replicas.upsert(key, value);
         rep.epoch.fetch_add(1, std::memory_order_release);
       }
@@ -1035,7 +999,7 @@ class PartitionedMap {
   };
 
   Side primary_side(int p) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    Partition& part = partition(p);
     return Side{p, part, part, false};
   }
 
@@ -1044,6 +1008,7 @@ class PartitionedMap {
     return s.standby ? s.owner.fo.epoch
                      : s.owner.epoch.load(std::memory_order_acquire);
   }
+
 
   // ---- data ops, each declared once (DESIGN.md §5) ------------------
   // Twins, server body, wire arguments (key first) and cache hooks; run,
@@ -1300,10 +1265,10 @@ class PartitionedMap {
   /// Journal one applied write and bump the side's epoch: the persist log
   /// and partition epoch (primary), or the failover journal the repair pass
   /// replays and the fenced epoch (standby). A primary write also stamps
-  /// its key's stripe with the epoch it produced, once the stripe table
-  /// exists. The bump and the table load are seq_cst, pairing with
-  /// stripe_table(): a write that finds no table bumped the epoch before
-  /// the table was published, so the table's initial stamps cover it.
+  /// its key's stripe with the epoch it produced, once the stamps exist.
+  /// The bump and the stamps load are seq_cst, pairing with stamps_of(): a
+  /// write that finds no stamps bumped the epoch before they were
+  /// published, so their initial values cover it.
   void record(const Side& s, LogOp op, const K& key, const V* value) {
     Partition& part = s.owner;
     if (s.standby) {
@@ -1313,8 +1278,8 @@ class PartitionedMap {
     }
     part.journal.append(op, key, value);
     const std::uint64_t epoch = part.epoch.fetch_add(1) + 1;
-    if (Stripe* table = part.stripes.load()) {
-      raise(table[stripe_of(key)].stamp, epoch);
+    if (std::atomic<std::uint64_t>* stamps = part.stamps.load()) {
+      raise(stamps[stripe_of(key)], epoch);
     }
   }
 
@@ -1351,7 +1316,7 @@ class PartitionedMap {
     if (s.standby) return;
     for (int r = 1; r <= options_.replication; ++r) {
       const int target = (s.p + r) % num_partitions_;
-      const sim::NodeId to = partitions_[static_cast<std::size_t>(target)]->node;
+      const sim::NodeId to = partition(target).node;
       if (op == LogOp::kErase) {
         ctx_->rpc().server_invoke(s.owner.node, to, ready, replica_erase_id_,
                                   target, key);
@@ -1361,95 +1326,8 @@ class PartitionedMap {
       }
     }
   }
-  /// Drop txn_id's records staged on p's replica chain (commit or abort).
-  void resolve_staged(int p, sim::Nanos ready, std::uint64_t txn_id) {
-    for (int r = 1; r <= options_.replication; ++r) {
-      const int target = (p + r) % num_partitions_;
-      ctx_->rpc().server_invoke(
-          partitions_[static_cast<std::size_t>(p)]->node,
-          partitions_[static_cast<std::size_t>(target)]->node, ready,
-          replica_txn_resolve_id_, target, p, txn_id);
-    }
-  }
-
-  // ---- server stubs ---------------------------------------------------
-
-  /// Bind one data op's server body twice, from the one `body(sctx, side,
-  /// args...)`: as `primary` taking (p, args...) on partition p's primary
-  /// side, and as its failover twin `standby` taking (p, q, args...) on
-  /// the standby side of p hosted by partition q.
-  template <typename R, typename... Args, typename Body>
-  core::Twins bind_twins(Body body) {
-    core::Twins op;
-    op.primary = bindings_.bind<R, int, Args...>(
-        [this, body](rpc::ServerCtx& sctx, const int& p, const Args&... args) {
-          return body(sctx, primary_side(p), args...);
-        });
-    op.standby = bindings_.bind<R, int, int, Args...>(
-        [this, body](rpc::ServerCtx& sctx, const int& p, const int& q,
-                     const Args&... args) {
-          Partition& owner = *partitions_[static_cast<std::size_t>(p)];
-          const auto guard = owner.fo.enter_standby(
-              ctx_->fabric(), owner.node, "primary is up; repair and retry");
-          return body(sctx,
-                      Side{p, owner, *partitions_[static_cast<std::size_t>(q)],
-                           true},
-                      args...);
-        });
-    return op;
-  }
-
-  /// The intents a commit applies on side s, under s.host's txn_mutex.
-  /// The primary releases the stripes its prepare locked; false means it
-  /// already committed txn_id (a re-sent commit after a lost response). The
-  /// standby — its primary died after prepare-ack — takes the records that
-  /// prepare staged on it; a re-sent commit finds none and returns the
-  /// fenced epoch unchanged.
-  bool take_intents(const Side& s, std::uint64_t txn_id,
-                    std::vector<Record>* intents) {
-    if (s.standby) {
-      *intents = s.host.staged.take(txn_id, s.p);
-      return true;
-    }
-    Partition& part = s.owner;
-    if (part.recent.contains(txn_id)) return false;
-    if (!release_prepared(part, txn_id, intents)) {
-      throw HclError(Status::FailedPrecondition(
-          "txn commit: intent slot not held (presumed abort)"));
-    }
-    part.recent.add(txn_id);
-    return true;
-  }
 
   // ---- key-granular OCC (DESIGN.md §5h) -------------------------------
-
-  /// Why `entry` may not prepare on partition p (txn_mutex held), or null:
-  /// a rival holds one of its stripes, a read's stripe was stamped after
-  /// the epoch the read observed, a move fenced the partition after the
-  /// oldest read, or a written key no longer routes here (a shard move
-  /// between staging and prepare; blind writes carry no epoch).
-  const txn::Refusal* check_prepare(
-      const Partition& part, int p, const Stripe* table, const Prepared& entry,
-      const std::vector<std::uint64_t>& reads) const {
-    for (const std::uint32_t stripe : entry.stripes) {
-      const std::uint64_t holder = table[stripe].holder;
-      if (holder != 0 && holder != entry.txn_id) return &txn::kSlotHeld;
-    }
-    std::uint64_t oldest_read = ~std::uint64_t{0};
-    for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
-      if (table[reads[i] & (kStripes - 1)].stamp.load() > reads[i + 1]) {
-        return &txn::kEpochConflict;
-      }
-      oldest_read = std::min(oldest_read, reads[i + 1]);
-    }
-    if (part.fence.load(std::memory_order_acquire) > oldest_read) {
-      return &txn::kFenced;
-    }
-    for (const Record& rec : entry.intents) {
-      if (route_partition(rec.key) != p) return &txn::kKeyMoved;
-    }
-    return nullptr;
-  }
 
   /// Stamps and fences only move forward.
   static void raise(std::atomic<std::uint64_t>& a, std::uint64_t v) {
@@ -1463,36 +1341,112 @@ class PartitionedMap {
         mix64(hash_(key) ^ Store::kPartitionSalt) >> (64 - kStripeBits));
   }
 
-  /// The partition's stripe table (txn_mutex held), allocated on first use
-  /// with every stamp at the current epoch: no read can have observed a
-  /// write that predates the table without also observing that epoch.
-  static Stripe* stripe_table(Partition& part) {
-    Stripe* table = part.stripes.load(std::memory_order_relaxed);
-    if (table != nullptr) return table;
-    part.stripe_table = std::make_unique<Stripe[]>(kStripes);
-    table = part.stripe_table.get();
-    part.stripes.store(table);
+  /// The partition's stripe stamps (its txn mutex held), allocated on first
+  /// use at the current epoch: no read can have observed a write that
+  /// predates them without also observing that epoch.
+  static std::atomic<std::uint64_t>* stamps_of(Partition& part) {
+    std::atomic<std::uint64_t>* stamps =
+        part.stamps.load(std::memory_order_relaxed);
+    if (stamps != nullptr) return stamps;
+    part.stamp_table = std::make_unique<std::atomic<std::uint64_t>[]>(kStripes);
+    stamps = part.stamp_table.get();
+    part.stamps.store(stamps);
     const std::uint64_t epoch = part.epoch.load();
-    for (std::size_t i = 0; i < kStripes; ++i) raise(table[i].stamp, epoch);
-    return table;
+    for (std::size_t i = 0; i < kStripes; ++i) raise(stamps[i], epoch);
+    return stamps;
   }
 
-  /// Drop txn_id's prepared entry (txn_mutex held) and free its stripes;
-  /// its write records move to *intents when non-null. False when txn_id
-  /// holds nothing here.
-  static bool release_prepared(Partition& part, std::uint64_t txn_id,
-                               std::vector<Record>* intents) {
-    auto it = std::find_if(
-        part.prepared.begin(), part.prepared.end(),
-        [&](const Prepared& e) { return e.txn_id == txn_id; });
-    if (it == part.prepared.end()) return false;
-    Stripe* table = part.stripes.load(std::memory_order_relaxed);
-    for (const std::uint32_t stripe : it->stripes) table[stripe].holder = 0;
-    if (intents != nullptr) intents->swap(it->intents);
-    if (it != part.prepared.end() - 1) *it = std::move(part.prepared.back());
-    part.prepared.pop_back();
-    return true;
-  }
+  /// The map's serving sides as core/failover.h binds them: primary stubs
+  /// take (p), failover twins and replica-host stubs (p, q). Each partition
+  /// is an intent table of kStripes stripes.
+  struct Server {
+    PartitionedMap* owner;
+    using Prefix = std::tuple<int>;
+    using StandbyPrefix = std::tuple<int, int>;
+    /// The read set: flattened (stripe, observed epoch) pairs.
+    using Check = std::vector<std::uint64_t>;
+
+    Side primary(int p) const { return owner->primary_side(p); }
+    Side replica(int p, int q) const {
+      return Side{p, owner->partition(p), owner->partition(q), true};
+    }
+    std::pair<std::unique_lock<std::mutex>, Side> enter(int p, int q) const {
+      Partition& part = owner->partition(p);
+      return {part.fo.enter_standby(owner->ctx_->fabric(), part.node,
+                                    "primary is up; repair and retry"),
+              replica(p, q)};
+    }
+    core::IntentTable<Record>& table(const Side& s) const { return s.host.txn; }
+    bool standby(const Side& s) const { return s.standby; }
+    int key(const Side& s) const { return s.p; }
+    core::Descent descent(const Side& s) const {
+      return owner->descent(s.host);
+    }
+    std::uint64_t epoch(const Side& s) const { return owner->epoch_of(s); }
+    /// p's replica chain, the (p + r) % P walk replicate() takes.
+    template <typename Fn>
+    void each_replica(const Side& s, Fn&& fn) const {
+      for (int r = 1; r <= owner->options_.replication; ++r) {
+        const int q = (s.p + r) % owner->num_partitions_;
+        fn(s.owner.node, owner->partition(q).node, s.p, q);
+      }
+    }
+    static std::int64_t check_bytes(const Check& reads) {
+      return static_cast<std::int64_t>(8 * reads.size());
+    }
+
+    /// Every stripe a prepare locks: those its reads observed and those its
+    /// records write, sorted and distinct.
+    std::vector<std::uint32_t> stripes(
+        const Check& reads, const std::vector<Record>& intents) const {
+      std::vector<std::uint32_t> out;
+      out.reserve(reads.size() / 2 + intents.size());
+      for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
+        out.push_back(static_cast<std::uint32_t>(reads[i] & (kStripes - 1)));
+      }
+      for (const Record& rec : intents) {
+        out.push_back(owner->stripe_of(rec.key));
+      }
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+      return out;
+    }
+
+    /// Why a prepare no rival blocks may still not hold, or null: a read's
+    /// stripe was stamped after the epoch the read observed, a move fenced
+    /// the partition after the oldest read, or a written key no longer
+    /// routes here (a shard move between staging and prepare; blind writes
+    /// carry no epoch).
+    const txn::Refusal* validate(const Side& s, const Check& reads,
+                                 const std::vector<Record>& intents,
+                                 std::uint64_t) const {
+      const std::atomic<std::uint64_t>* stamps = stamps_of(s.owner);
+      std::uint64_t oldest_read = ~std::uint64_t{0};
+      for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
+        if (stamps[reads[i] & (kStripes - 1)].load() > reads[i + 1]) {
+          return &txn::kEpochConflict;
+        }
+        oldest_read = std::min(oldest_read, reads[i + 1]);
+      }
+      if (s.owner.fence.load(std::memory_order_acquire) > oldest_read) {
+        return &txn::kFenced;
+      }
+      for (const Record& rec : intents) {
+        if (owner->route_partition(rec.key) != s.p) return &txn::kKeyMoved;
+      }
+      return nullptr;
+    }
+
+    /// Charge the commit's write, then apply its records when it lands.
+    void apply(rpc::ServerCtx& sctx, const Side& s,
+               const std::vector<Record>& intents) const {
+      const sim::Nanos ready = core::charge_server(
+          *owner->ctx_, sctx, owner->descent(s.host),
+          16 + record_bytes(intents), /*write=*/true);
+      owner->apply_records(s, intents, ready);
+    }
+  };
+  [[nodiscard]] Server server() { return Server{this}; }
 
   // ---- data op server bodies -----------------------------------------
   // Each written once: bind_twins binds it as the primary stub and its
@@ -1544,7 +1498,7 @@ class PartitionedMap {
   /// (Store::resize_bytes); no L.
   bool resize_body(rpc::ServerCtx& sctx, const int& p,
                    const std::uint64_t& buckets) {
-    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    Partition& part = partition(p);
     const auto n = static_cast<std::int64_t>(part.store.size());
     const std::int64_t bytes = part.store.resize_bytes();
     const sim::Nanos t =
@@ -1580,24 +1534,27 @@ class PartitionedMap {
   }
 
   void bind_handlers() {
-    insert_ = bind_twins<bool, K, V>(
-        [this](auto&&... a) { return insert_body(a...); });
-    upsert_ = bind_twins<bool, K, V>(
-        [this](auto&&... a) { return upsert_body(a...); });
-    find_ = bind_twins<std::optional<V>, K>(
-        [this](auto&&... a) { return find_body(a...); });
-    erase_ = bind_twins<bool, K>(
-        [this](auto&&... a) { return erase_body(a...); });
+    insert_ = core::bind_twins<bool, K, V>(
+        bindings_, server(), [this](auto&&... a) { return insert_body(a...); });
+    upsert_ = core::bind_twins<bool, K, V>(
+        bindings_, server(), [this](auto&&... a) { return upsert_body(a...); });
+    find_ = core::bind_twins<std::optional<V>, K>(
+        bindings_, server(), [this](auto&&... a) { return find_body(a...); });
+    erase_ = core::bind_twins<bool, K>(
+        bindings_, server(), [this](auto&&... a) { return erase_body(a...); });
     resize_.primary = bindings_.bind<bool, int, std::uint64_t>(
         [this](auto&&... a) { return resize_body(a...); });
-    apply_ = bind_twins<bool, K, std::uint32_t, std::vector<std::byte>, V>(
-        [this](auto&&... a) { return apply_body(a...); });
-    apply_fetch_ = bind_twins<std::vector<std::byte>, K, std::uint32_t,
-                              std::vector<std::byte>, V>(
+    apply_ =
+        core::bind_twins<bool, K, std::uint32_t, std::vector<std::byte>, V>(
+            bindings_, server(),
+            [this](auto&&... a) { return apply_body(a...); });
+    apply_fetch_ = core::bind_twins<std::vector<std::byte>, K, std::uint32_t,
+                                    std::vector<std::byte>, V>(
+        bindings_, server(),
         [this](auto&&... a) { return apply_fetch_body(a...); });
     replica_upsert_id_ = bindings_.bind<bool, int, K, V>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key, const V& value) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
+          Partition& part = partition(p);
           core::charge_server(*ctx_, sctx, descent(part),
                               wire_bytes(key, value), /*write=*/true);
           part.replicas.upsert(key, value);
@@ -1609,7 +1566,7 @@ class PartitionedMap {
         });
     replica_erase_id_ = bindings_.bind<bool, int, K>(
         [this](rpc::ServerCtx& sctx, const int& p, const K& key) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
+          Partition& part = partition(p);
           core::charge_server(*ctx_, sctx, descent(part), key_bytes(key),
                               /*write=*/true);
           part.replicas.erase(key);
@@ -1628,9 +1585,9 @@ class PartitionedMap {
             [this](rpc::ServerCtx& sctx, const int& p,
                    const std::vector<std::byte>& blob,
                    const std::uint64_t& fence) {
-              Partition& part = *partitions_[static_cast<std::size_t>(p)];
+              Partition& part = partition(p);
               return core::repair_stub(
-                  *ctx_, sctx, blob, part.staged,
+                  *ctx_, sctx, blob, part.txn,
                   [&](const std::vector<Record>& delta) {
                     apply_records(primary_side(p), delta, sctx.start);
                     core::charge_server(*ctx_, sctx, descent(part),
@@ -1639,167 +1596,9 @@ class PartitionedMap {
                     sctx.epoch = 1 + std::max(fence, part.epoch.load());
                     part.epoch.store(sctx.epoch, std::memory_order_release);
                     raise(part.fence, sctx.epoch);
-                    // Presumed abort (§5h): stripes held from before the
-                    // crash are dead — their coordinators saw the node down
-                    // and either committed through the commit's failover
-                    // twin (the journal just replayed those writes) or
-                    // aborted.
-                    std::lock_guard<std::mutex> txn_guard(part.txn_mutex);
-                    while (!part.prepared.empty()) {
-                      release_prepared(part, part.prepared.back().txn_id,
-                                       nullptr);
-                    }
                   });
             });
-    // ---- transaction stubs (DESIGN.md §5h). Slot state mutates under
-    // txn_mutex, which is RELEASED before any replica fan-out: staging and
-    // resolve RPCs execute inline on this thread against the replica host's
-    // state, and no partition lock is held across another host's stub.
-    // Prepare locks the stripes of every key the participant read or
-    // writes (no-wait: a rival holder refuses, never queues), then
-    // validates: each read's stripe stamp must not postdate the epoch the
-    // read observed, no move may have fenced the partition since the oldest
-    // read, and every write must still route here.
-    txn_prepare_id_ =
-        bindings_.bind<std::uint64_t, int, std::uint64_t,
-                    std::vector<std::uint64_t>, std::vector<std::byte>>(
-            [this](rpc::ServerCtx& sctx, const int& p,
-                   const std::uint64_t& txn_id,
-                   const std::vector<std::uint64_t>& reads,
-                   const std::vector<std::byte>& blob) {
-              Partition& part = *partitions_[static_cast<std::size_t>(p)];
-              const sim::Nanos ready = core::charge_server(
-                  *ctx_, sctx, descent(part),
-                  static_cast<std::int64_t>(blob.size() + 8 * reads.size()) +
-                      16,
-                  /*write=*/true);
-              Prepared entry;
-              entry.txn_id = txn_id;
-              entry.intents = core::decode_records<Record>(blob);
-              entry.stripes.reserve(reads.size() / 2 + entry.intents.size());
-              for (std::size_t i = 0; i + 1 < reads.size(); i += 2) {
-                entry.stripes.push_back(
-                    static_cast<std::uint32_t>(reads[i] & (kStripes - 1)));
-              }
-              for (const Record& rec : entry.intents) {
-                entry.stripes.push_back(stripe_of(rec.key));
-              }
-              std::sort(entry.stripes.begin(), entry.stripes.end());
-              entry.stripes.erase(
-                  std::unique(entry.stripes.begin(), entry.stripes.end()),
-                  entry.stripes.end());
-              const bool writes = !entry.intents.empty();
-              std::uint64_t cur = 0;
-              {
-                std::lock_guard<std::mutex> guard(part.txn_mutex);
-                cur = part.epoch.load(std::memory_order_acquire);
-                if (part.recent.contains(txn_id)) {
-                  // Re-sent prepare of an already-committed txn: its stripes
-                  // are long free, the outcome stands.
-                  sctx.epoch = cur;
-                  return cur;
-                }
-                Stripe* table = stripe_table(part);
-                if (const txn::Refusal* no =
-                        check_prepare(part, p, table, entry, reads)) {
-                  no->refuse(sctx);
-                  return cur;
-                }
-                // A duplicate delivery re-prepares: drop the first copy.
-                release_prepared(part, txn_id, nullptr);
-                for (const std::uint32_t stripe : entry.stripes) {
-                  table[stripe].holder = txn_id;
-                }
-                part.prepared.push_back(std::move(entry));
-              }
-              // Stage onto the replica chain (txn_mutex released, see above)
-              // so a standby promotion can replay a prepared txn's writes.
-              if (writes) {
-                for (int r = 1; r <= options_.replication; ++r) {
-                  const int target = (p + r) % num_partitions_;
-                  ctx_->rpc().server_invoke(
-                      part.node,
-                      partitions_[static_cast<std::size_t>(target)]->node,
-                      ready, replica_txn_stage_id_, target, p, txn_id, blob);
-                }
-              }
-              sctx.epoch = cur;
-              return cur;
-            });
-    // Commit: the primary applies the intents its prepare validated; the
-    // failover twin — the primary died between prepare-ack and commit —
-    // replays the records that prepare staged on the standby host.
-    txn_commit_ = bind_twins<std::uint64_t, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const Side& s,
-               const std::uint64_t& txn_id) {
-          std::vector<Record> intents;
-          {
-            std::lock_guard<std::mutex> guard(s.host.txn_mutex);
-            if (!take_intents(s, txn_id, &intents)) {
-              // Idempotent re-commit after a lost response: already applied.
-              core::charge_server(*ctx_, sctx, descent(s.host), 16,
-                                  /*write=*/true);
-              sctx.epoch = epoch_of(s);
-              return sctx.epoch;
-            }
-            const sim::Nanos ready =
-                core::charge_server(*ctx_, sctx, descent(s.host),
-                                    16 + record_bytes(intents), /*write=*/true);
-            // Apply under the slot lock so a rival prepare cannot interleave
-            // between two of our intents; the replica fan-out takes no
-            // txn_mutex, so this cannot deadlock. Read-only participants (no
-            // intents) just release the slot — no epoch bump, no needless
-            // lease invalidation.
-            apply_records(s, intents, ready);
-          }
-          if (!s.standby && !intents.empty()) {
-            resolve_staged(s.p, sctx.finish, txn_id);
-          }
-          sctx.epoch = epoch_of(s);
-          return sctx.epoch;
-        });
-    txn_abort_.primary = bindings_.bind<bool, int, std::uint64_t>(
-        [this](rpc::ServerCtx& sctx, const int& p,
-               const std::uint64_t& txn_id) {
-          Partition& part = *partitions_[static_cast<std::size_t>(p)];
-          core::charge_server(*ctx_, sctx, descent(part), 16, /*write=*/true);
-          bool held = false;
-          {
-            std::lock_guard<std::mutex> guard(part.txn_mutex);
-            held = release_prepared(part, txn_id, nullptr);
-          }
-          // Drop staged replica records unconditionally: a prepare whose
-          // response was lost may have staged before the client gave up.
-          resolve_staged(p, sctx.finish, txn_id);
-          // Aborts bump NOTHING: no epoch, no journal, no replica writes —
-          // the "zero observable state" invariant the sweep asserts.
-          sctx.epoch = part.epoch.load(std::memory_order_acquire);
-          return held;
-        });
-    // Standby staging on replica host q for primary partition p
-    // (core::StagingLedger). The abort's failover twin takes the standby
-    // prefix (p, q); dropping staged records is not a failover write, so it
-    // never enters the standby side (no promotion).
-    replica_txn_stage_id_ =
-        bindings_.bind<bool, int, int, std::uint64_t, std::vector<std::byte>>(
-            [this](rpc::ServerCtx& sctx, const int& q, const int& p,
-                   const std::uint64_t& txn_id,
-                   const std::vector<std::byte>& blob) {
-              Partition& host = *partitions_[static_cast<std::size_t>(q)];
-              return host.staged.stage(*ctx_, sctx, descent(host), txn_id, p,
-                                       blob);
-            });
-    const auto drop = [this](rpc::ServerCtx& sctx, int q, int p,
-                             std::uint64_t txn_id) {
-      Partition& host = *partitions_[static_cast<std::size_t>(q)];
-      return host.staged.drop(*ctx_, sctx, descent(host), txn_id, p);
-    };
-    replica_txn_resolve_id_ = bindings_.bind<bool, int, int, std::uint64_t>(
-        [drop](rpc::ServerCtx& sctx, const int& q, const int& p,
-               const std::uint64_t& txn_id) { return drop(sctx, q, p, txn_id); });
-    txn_abort_.standby = bindings_.bind<bool, int, int, std::uint64_t>(
-        [drop](rpc::ServerCtx& sctx, const int& p, const int& q,
-               const std::uint64_t& txn_id) { return drop(sctx, q, p, txn_id); });
+    txn_stubs_.bind(*ctx_, bindings_, server());
   }
 
   Context* ctx_;
@@ -1818,13 +1617,10 @@ class PartitionedMap {
       mutators_;
 
   /// Replicated ops: each primary FuncId and its failover twin, bound from
-  /// one server body (bind_twins); txn_abort_ pairs the primary's abort
-  /// with the standby host's fo_txn_abort. resize_ has no twin.
-  core::Twins insert_, upsert_, find_, erase_, resize_, apply_, apply_fetch_,
-      txn_commit_, txn_abort_;
-  rpc::FuncId replica_upsert_id_ = 0, replica_erase_id_ = 0,
-              repair_id_ = 0, txn_prepare_id_ = 0, replica_txn_stage_id_ = 0,
-              replica_txn_resolve_id_ = 0;
+  /// one server body (core::bind_twins). resize_ has no twin.
+  core::Twins insert_, upsert_, find_, erase_, resize_, apply_, apply_fetch_;
+  rpc::FuncId replica_upsert_id_ = 0, replica_erase_id_ = 0, repair_id_ = 0;
+  core::TxnStubs<Server, Record> txn_stubs_;
   HashFn hash_;
 
   /// Client-side read cache (DESIGN.md §5d); constructed even when disabled

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/spin.h"
@@ -42,7 +43,7 @@
 namespace hcl::mem {
 
 enum class SyncMode : std::uint8_t {
-  kPerOp,    // msync after every append (strict durability)
+  kPerOp,    // msync each append's bytes (strict durability)
   kRelaxed,  // msync on demand (the paper's relaxed mode)
 };
 
@@ -83,7 +84,9 @@ class PersistLog {
 
   /// Append one non-empty serialized record; grows the file as needed
   /// (charging the growth first) and honors the SyncMode (kPerOp => msync
-  /// before returning). A failed append leaves the log appendable.
+  /// of the record's own bytes before returning, under the lock, since a
+  /// concurrent grow may remap the file). A failed append leaves the log
+  /// appendable.
   Status append(std::span<const std::byte> payload) {
     if (payload.empty() ||
         payload.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -104,8 +107,9 @@ class PersistLog {
     std::memcpy(at + kHeader + payload.size(), &terminator, 4);
     std::atomic_thread_fence(std::memory_order_release);
     std::memcpy(at, &len, 4);
-    tail_ = end;
-    return mode_ == mem::SyncMode::kPerOp ? file_.sync(true) : Status::Ok();
+    const std::size_t start = std::exchange(tail_, end);
+    return mode_ == mem::SyncMode::kPerOp ? file_.sync(start, end + 4 - start)
+                                          : Status::Ok();
   }
 
   /// Replay every valid record in append order, and answer where the next
@@ -129,7 +133,9 @@ class PersistLog {
   }
 
   /// Force a flush: MS_SYNC under kPerOp, MS_ASYNC under kRelaxed.
-  Status sync() { return file_.sync(mode_ == mem::SyncMode::kPerOp); }
+  Status sync() {
+    return file_.sync(0, file_.size(), mode_ == mem::SyncMode::kPerOp);
+  }
 
   [[nodiscard]] std::size_t bytes_logged() const noexcept { return tail_; }
 

@@ -124,12 +124,6 @@ class Ebr {
     return epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Number of deferred deleters not yet freed (diagnostics/tests).
-  [[nodiscard]] std::size_t limbo_size() {
-    std::lock_guard<SpinLock> guard(limbo_lock_);
-    return limbo_[0].size() + limbo_[1].size() + limbo_[2].size();
-  }
-
  private:
   static constexpr std::uint64_t kQuiescent = 0;
 

@@ -98,11 +98,19 @@ class MappedFile {
     return Status::Ok();
   }
 
-  /// Flush dirty pages to the device. `synchronous` maps to MS_SYNC (the
-  /// per-operation durability mode); otherwise MS_ASYNC (relaxed mode).
-  Status sync(bool synchronous = true) {
+  /// Flush the dirty pages of [offset, offset + length) to the device; the
+  /// start rounds down to its page, as msync(2) requires. `synchronous`
+  /// maps to MS_SYNC (the per-operation durability mode); otherwise
+  /// MS_ASYNC (relaxed mode). A range outside the mapping is refused.
+  Status sync(std::size_t offset, std::size_t length, bool synchronous = true) {
     if (data_ == nullptr) return Status::InvalidArgument("sync on closed mapping");
-    if (::msync(data_, size_, synchronous ? MS_SYNC : MS_ASYNC) != 0) {
+    if (offset > size_ || length > size_ - offset) {
+      return Status::InvalidArgument("sync: range outside the mapping");
+    }
+    const std::size_t start =
+        offset - offset % static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    if (::msync(data_ + start, offset + length - start,
+                synchronous ? MS_SYNC : MS_ASYNC) != 0) {
       return Status::Internal("msync: " + std::string(std::strerror(errno)));
     }
     return Status::Ok();

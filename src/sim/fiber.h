@@ -91,9 +91,6 @@ class Fiber {
   static void yield() { swapcontext(&tls_current_->callee_, &tls_current_->caller_); }
 
   [[nodiscard]] bool done() const noexcept { return done_; }
-  [[nodiscard]] static bool running_in_fiber() noexcept {
-    return tls_current_ != nullptr;
-  }
 
  private:
   static void trampoline(unsigned hi, unsigned lo) {

@@ -262,5 +262,40 @@ TEST(PersistLog, JournalPastFirstMiBRecoversEveryRecordAfterReopen) {
   std::filesystem::remove(path);
 }
 
+TEST(PersistLog, PerOpAppendsPastTheFirstMiBReopenIntact) {
+  // Each kPerOp append syncs its own record's bytes; records laid down after
+  // the mapping grew past its first MiB must survive a reopen like the rest.
+  NodeMemory node(0, 64 * kMiB);
+  const auto path = temp_path("hcl_persist_log_per_op_grown.bin");
+  constexpr int kRecords = 1'200;
+  std::vector<std::byte> payload(1'000);
+  std::size_t logged = 0;
+  {
+    auto log = PersistLog::open(node, path, SyncMode::kPerOp);
+    ASSERT_TRUE(log.ok()) << log.status().to_string();
+    for (int i = 0; i < kRecords; ++i) {
+      std::memcpy(payload.data(), &i, sizeof(i));
+      ASSERT_TRUE((*log)->append(payload).ok());
+    }
+    logged = (*log)->bytes_logged();
+    ASSERT_GT(logged, std::size_t{1} << 20);
+  }
+  {
+    auto log = PersistLog::open(node, path, SyncMode::kPerOp);
+    ASSERT_TRUE(log.ok()) << log.status().to_string();
+    EXPECT_EQ((*log)->bytes_logged(), logged);
+    int seen = 0;
+    (*log)->replay([&](std::span<const std::byte> rec) {
+      ASSERT_EQ(rec.size(), payload.size());
+      int id = -1;
+      std::memcpy(&id, rec.data(), sizeof(id));
+      EXPECT_EQ(id, seen);
+      ++seen;
+    });
+    EXPECT_EQ(seen, kRecords);
+  }  // unmap before unlink
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace hcl::core

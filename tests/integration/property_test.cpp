@@ -1771,6 +1771,133 @@ INSTANTIATE_TEST_SUITE_P(
                      606u}));
 
 // ---------------------------------------------------------------------------
+// The queue's transaction legs under faults (DESIGN.md §5h): every rank runs
+// TxnCoordinator::transfer from a replicated queue into a replicated map,
+// with no faults, with per-constituent kBatchOp faults inside the prepare and
+// commit bundles, or with the queue's host killed mid-run and rejoined. The
+// oracle is conservation: every pushed item ends up exactly once, in the map
+// (under its value) or left in the queue, and every attempt is one kTxn span
+// counted as one commit or one abort.
+// ---------------------------------------------------------------------------
+
+struct TransferCase {
+  bool batched;   // inject per-constituent kBatchOp faults
+  bool failover;  // kill the queue's host mid-run, then rejoin and heal
+  std::uint64_t seed;
+};
+
+class TxnTransferSweep : public ::testing::TestWithParam<TransferCase> {};
+
+TEST_P(TxnTransferSweep, EveryItemEndsUpExactlyOnce) {
+  const auto& param = GetParam();
+  const std::uint64_t seed = env_seed(param.seed);
+  SCOPED_TRACE(::testing::Message()
+               << "reproduce with HCL_SEED=" << seed
+               << " ctest -R TxnTransfer");
+  constexpr int kNodes = 3;
+  constexpr sim::NodeId kHost = 1;  // the queue's host; its mirror is node 2
+  constexpr std::uint64_t kItems = 64;
+  constexpr int kTransfersPerRank = 8;
+
+  auto plan = std::make_shared<fabric::FaultPlan>(seed);
+  if (param.batched) {
+    fabric::FaultProbabilities op_p;
+    op_p.drop = 0.02;
+    op_p.throw_handler = 0.02;
+    op_p.unavailable = 0.02;
+    plan->set(fabric::OpClass::kBatchOp, op_p);
+  }
+  Context::Config cfg;
+  cfg.num_nodes = kNodes;
+  cfg.procs_per_node = 2;
+  cfg.model = sim::CostModel::zero();
+  cfg.fault_plan = plan;
+  cfg.trace.enabled = true;  // exact kTxn span counts
+  cfg.trace.path.clear();
+  Context ctx(cfg);
+
+  core::ContainerOptions qopts;
+  qopts.first_node = kHost;
+  qopts.replication = 1;
+  queue<std::uint64_t> q(ctx, qopts);
+  unordered_map<std::uint64_t, std::uint64_t> m(
+      ctx, {.num_partitions = kNodes, .replication = 1});
+  txn::TxnCoordinator coord(ctx);
+  const auto value_of = [](std::uint64_t item) { return item * 3 + 1; };
+
+  ctx.run_one(0, [&](sim::Actor&) {
+    for (std::uint64_t i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
+  });
+  auto run_round = [&](int round) {
+    ctx.run([&](sim::Actor& self) {
+      if (param.failover && round == 1 && self.node() == kHost) {
+        return;  // SPMD ranks on the host cannot run once it dies
+      }
+      for (int i = 0; i < kTransfersPerRank; ++i) {
+        if (param.failover && round == 1 && self.rank() == 0 &&
+            i == kTransfersPerRank / 2) {
+          plan->fail_node(kHost);
+        }
+        const Status st = coord.transfer(self, q, m, [&](std::uint64_t item) {
+          return std::pair<std::uint64_t, std::uint64_t>(item, value_of(item));
+        });
+        // Only conflict exhaustion or a down participant may fail a
+        // transfer; anything else is a protocol bug.
+        EXPECT_TRUE(st.ok() || st.code() == StatusCode::kAborted ||
+                    st.code() == StatusCode::kUnavailable)
+            << st.to_string();
+      }
+    });
+  };
+  run_round(0);
+  run_round(1);
+  if (param.failover) {
+    plan->rejoin_node(kHost);
+    ctx.run_one(0, [&](sim::Actor& self) {
+      q.heal(self);
+      m.heal(self);
+    });
+    EXPECT_FALSE(q.promoted());
+    EXPECT_FALSE(q.txn_slot_held());
+  }
+
+  // Conservation: the map's keys and what is left in the queue partition
+  // the pushed items, and every moved item carries its value.
+  std::vector<int> seen(kItems, 0);
+  m.for_each([&](const std::uint64_t& key, const std::uint64_t& value) {
+    ASSERT_LT(key, kItems);
+    EXPECT_EQ(value, value_of(key)) << "item " << key;
+    ++seen[key];
+  });
+  ctx.run_one(0, [&](sim::Actor&) {
+    std::uint64_t item = 0;
+    while (q.pop(&item)) {
+      ASSERT_LT(item, kItems);
+      ++seen[item];
+    }
+  });
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(seen[i], 1) << "item " << i;
+  }
+
+  std::int64_t txn_spans = 0, nic_commits = 0, nic_aborts = 0;
+  for (int n = 0; n < kNodes; ++n) {
+    txn_spans += ctx.tracer().span_count(n, obs::SpanKind::kTxn);
+    nic_commits += ctx.fabric().nic(n).counters().txn_commits.load();
+    nic_aborts += ctx.fabric().nic(n).counters().txn_aborts.load();
+  }
+  EXPECT_EQ(txn_spans, coord.commits() + coord.aborts());
+  EXPECT_EQ(nic_commits, coord.commits());
+  EXPECT_EQ(nic_aborts, coord.aborts());
+  EXPECT_GT(coord.commits(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, TxnTransferSweep,
+                         ::testing::Values(TransferCase{false, false, 111u},
+                                           TransferCase{true, false, 222u},
+                                           TransferCase{false, true, 333u}));
+
+// ---------------------------------------------------------------------------
 // Shm-tier equivalence (DESIGN.md §5i): the shared-memory transport is a
 // pure routing/cost substitution — a twin running the identical phased
 // workload with the tier ON (whole cluster one pod, so every eligible op

@@ -42,7 +42,7 @@ TEST_F(MappedFileTest, WritesPersistAfterSync) {
     auto f = MappedFile::open(path, 64);
     ASSERT_TRUE(f.ok());
     std::memcpy(f->data(), "hello durable world", 19);
-    ASSERT_TRUE(f->sync(true).ok());
+    ASSERT_TRUE(f->sync(0, f->size(), true).ok());
   }  // destructor unmaps
   std::ifstream in(path, std::ios::binary);
   char buf[19] = {};
@@ -56,7 +56,7 @@ TEST_F(MappedFileTest, ReopenSeesPreviousContents) {
     auto f = MappedFile::open(path, 32);
     ASSERT_TRUE(f.ok());
     f->data()[0] = std::byte{0xAB};
-    ASSERT_TRUE(f->sync().ok());
+    ASSERT_TRUE(f->sync(0, f->size()).ok());
   }
   auto g = MappedFile::open(path, 32);
   ASSERT_TRUE(g.ok());
@@ -72,7 +72,7 @@ TEST_F(MappedFileTest, ReopenSmallerMapsWholeFile) {
     ASSERT_TRUE(f.ok());
     ASSERT_TRUE(f->resize(8192).ok());
     f->data()[8191] = std::byte{0x5A};
-    ASSERT_TRUE(f->sync().ok());
+    ASSERT_TRUE(f->sync(0, f->size()).ok());
   }
   auto g = MappedFile::open(path, 16);
   ASSERT_TRUE(g.ok());
@@ -91,7 +91,7 @@ TEST_F(MappedFileTest, ResizeGrowsPreservingContents) {
   EXPECT_EQ(std::memcmp(f->data(), "0123456789abcdef", 16), 0);
   // New region must be usable.
   f->data()[4095] = std::byte{0x7F};
-  EXPECT_TRUE(f->sync().ok());
+  EXPECT_TRUE(f->sync(0, f->size()).ok());
 }
 
 TEST_F(MappedFileTest, MoveTransfersOwnership) {
@@ -108,7 +108,7 @@ TEST_F(MappedFileTest, AsyncSyncAlsoReachesDisk) {
   auto f = MappedFile::open(path, 64);
   ASSERT_TRUE(f.ok());
   std::memset(f->data(), 0x42, 64);
-  EXPECT_TRUE(f->sync(false).ok());  // MS_ASYNC — must not error
+  EXPECT_TRUE(f->sync(0, f->size(), false).ok());  // MS_ASYNC: must not fail
 }
 
 TEST_F(MappedFileTest, OpenFailsOnBadPath) {
@@ -119,7 +119,20 @@ TEST_F(MappedFileTest, OpenFailsOnBadPath) {
 
 TEST_F(MappedFileTest, SyncOnClosedFails) {
   MappedFile f;
-  EXPECT_EQ(f.sync().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.sync(0, 0).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(MappedFileTest, SyncCoversARangeAndRefusesOneOutsideTheMapping) {
+  auto path = track(temp_path("hcl_mf_range.bin"));
+  auto f = MappedFile::open(path, 8192);
+  ASSERT_TRUE(f.ok());
+  std::memset(f->data() + 4000, 0x33, 200);
+  EXPECT_TRUE(f->sync(4000, 200).ok());  // unaligned, across a page edge
+  EXPECT_TRUE(f->sync(8192, 0).ok());    // empty, at the end
+  EXPECT_EQ(f->sync(8192, 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(f->sync(0, 8193).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(f->sync(8193, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(f->sync(~std::size_t{0}, 2).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

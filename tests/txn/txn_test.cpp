@@ -726,29 +726,83 @@ TEST(Txn, QueueAbortWhileHostDownDropsStagedIntents) {
   EXPECT_FALSE(q.txn_slot_held());
 }
 
-TEST(Txn, QueueRecognizesAReSentCommitAfterALaterCommit) {
+// The participant legs' contract, the same for both cores: a commit re-sent
+// after a later commit is Ok and applies nothing, a prepare re-sent for a
+// committed txn is Ok and holds nothing, a commit with nothing prepared is
+// refused, and an abort by a txn holding nothing leaves a rival's hold.
+TEST(Txn, BothCoresKeepTheLegContract) {
   Context ctx(zero_config(2, 1));
-  queue<int> q(ctx);
+  core::ContainerOptions opts;
+  opts.num_partitions = 2;
+  opts.rebalance.enabled = true;
+  unordered_map<int, int> m(ctx, opts);
+  queue<int> q(ctx, opts);
   txn::TxnCoordinator coord(ctx);
-  ctx.run([&](Actor& self) {
-    if (self.rank() != 0) return;
+  const int k = key_in_partition(m, 1);
+
+  // One core's legs: `stage(t, v)` stages a write of v, `state()` reads
+  // what the committed writes left, `held()` asks whether a prepare holds
+  // anything, and `move()` migrates the host.
+  auto check = [&](Actor& self, auto stage, auto state, auto held,
+                   auto move) {
     txn::Txn a = coord.begin();
-    q.txn_push(a, 1);
+    stage(a, 1);
     ASSERT_TRUE(prepare_by_hand(ctx, self, a).ok());
     ASSERT_TRUE(commit_by_hand(ctx, self, a).ok());
     txn::Txn b = coord.begin();
-    q.txn_push(b, 2);
+    stage(b, 2);
     ASSERT_TRUE(prepare_by_hand(ctx, self, b).ok());
     ASSERT_TRUE(commit_by_hand(ctx, self, b).ok());
+    const int before = state();
     // A's commit leg once more, as settle_commit re-sends it after a
-    // transient failure: A already applied, so it is Ok and pushes nothing.
+    // transient failure: A already applied, so it is Ok and applies nothing.
     const Status again = commit_by_hand(ctx, self, a);
     EXPECT_TRUE(again.ok()) << again.to_string();
+    EXPECT_EQ(state(), before);
+    // A's prepare once more: A stands committed, so it is Ok, holds nothing
+    // and pins nothing.
+    const Status reprepared = prepare_by_hand(ctx, self, a);
+    EXPECT_TRUE(reprepared.ok()) << reprepared.to_string();
+    EXPECT_FALSE(held());
+    EXPECT_NO_THROW(move());
+    // A commit with nothing prepared is a presumed abort.
+    txn::Txn c = coord.begin();
+    stage(c, 3);
+    EXPECT_EQ(commit_by_hand(ctx, self, c).code(),
+              StatusCode::kFailedPrecondition);
+    // E holds nothing, so its abort leaves D's hold in place.
+    txn::Txn d = coord.begin();
+    stage(d, 4);
+    ASSERT_TRUE(prepare_by_hand(ctx, self, d).ok());
+    txn::Txn e = coord.begin();
+    stage(e, 5);
+    abort_by_hand(self, e);
+    EXPECT_TRUE(held());
+    EXPECT_TRUE(commit_by_hand(ctx, self, d).ok());
+    EXPECT_FALSE(held());
+  };
+
+  ctx.run([&](Actor& self) {
+    if (self.rank() != 0) return;
+    check(
+        self, [&](txn::Txn& t, int v) { m.txn_put(t, k, v); },
+        [&] {
+          int v = 0;
+          return m.find(k, &v) ? v : -1;
+        },
+        [&] { return m.txn_slot_held(1); }, [&] { (void)m.migrate(1, 0); });
     int v = 0;
-    EXPECT_TRUE(q.pop(&v));
-    EXPECT_EQ(v, 1);
-    EXPECT_TRUE(q.pop(&v));
-    EXPECT_EQ(v, 2);
+    EXPECT_TRUE(m.find(k, &v));
+    EXPECT_EQ(v, 4);
+
+    check(
+        self, [&](txn::Txn& t, int v) { q.txn_push(t, v); },
+        [&] { return static_cast<int>(q.size()); },
+        [&] { return q.txn_slot_held(); }, [&] { (void)q.migrate(1); });
+    for (const int want : {1, 2, 4}) {
+      EXPECT_TRUE(q.pop(&v));
+      EXPECT_EQ(v, want);
+    }
     EXPECT_FALSE(q.pop(&v));
   });
 }
