@@ -42,7 +42,8 @@
 //       The tier's per-op floor must sit >=3x below the wire's.
 //
 // A6-A11 additionally drop BENCH_A<k>.json next to the binary so CI can diff
-// the perf trajectory across commits (ROADMAP item 5).
+// the perf trajectory across commits (DESIGN.md §4; EXPERIMENTS.md records
+// each row).
 //
 // JSON determinism contract: simulated time is integer nanoseconds, but the
 // reservation order of real threads can wobble a makespan by a few ns

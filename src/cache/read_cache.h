@@ -31,9 +31,9 @@
 // ttl_ns = 0 means every consult revalidates (exact consistency, identical
 // results to cache-off at the cost of the full RPC).
 //
-// Threading: each rank touches only its own store (the cluster drives one
-// thread per rank); invalidate_all runs between phases, after the runner
-// threads joined. Aggregate stats are atomics because ranks update them
+// Threading: each rank touches only its own store (one worker drives a
+// rank at a time); invalidate_all runs between phases, after the runner's
+// workers joined. Aggregate stats are atomics because ranks update them
 // concurrently.
 #pragma once
 

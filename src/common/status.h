@@ -133,12 +133,15 @@ class Status {
 /// the txn coordinator without an unwind on either side (DESIGN.md §5c).
 class HclError : public std::runtime_error {
  public:
-  explicit HclError(const Status& status)
-      : std::runtime_error(status.to_string()), code_(status.code()) {}
-  [[nodiscard]] StatusCode code() const noexcept { return code_; }
+  explicit HclError(Status status)
+      : std::runtime_error(status.to_string()), status_(std::move(status)) {}
+  [[nodiscard]] StatusCode code() const noexcept { return status_.code(); }
+  /// The status thrown. Pass this on rather than Status(code(), what()):
+  /// what() already carries the code, so rewrapping it repeats the code.
+  [[nodiscard]] const Status& status() const noexcept { return status_; }
 
  private:
-  StatusCode code_;
+  Status status_;
 };
 
 /// Result<T>: either a value or a failure Status. A minimal `expected`

@@ -55,7 +55,7 @@ void settle_batch(OpStats& stats, rpc::Batcher& batcher, sim::Actor& self,
     try {
       results[i] = future.get(self);
     } catch (const HclError& e) {
-      Status failure(e.code(), e.what());
+      Status failure = e.status();
       if (failure.code() == StatusCode::kUnavailable) {
         try {
           rpc::Future<R> again = rescue(i);

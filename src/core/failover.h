@@ -943,12 +943,13 @@ class Participant : public txn::ParticipantBase {
   /// Commit is idempotent server-side, so transient failures re-invoke
   /// directly; a primary that died after prepare-ack reroutes to the
   /// commit's failover twin, which replays the records prepare staged on
-  /// the standby.
+  /// the standby. A refusal for a txn holding nothing (presumed abort) is
+  /// final: a re-send would only be refused again.
   Status settle_commit(sim::Actor& self, std::uint64_t txn_id) override {
     for (int round = 0; round < 4; ++round) {
       try {
         const std::uint64_t epoch =
-            round == 0 && prepare_.valid() && commit_.valid()
+            round == 0 && commit_.valid()
                 ? commit_.get(self)
                 : send<std::uint64_t>(ctx_->rpc(), self, lane_, std::nullopt,
                                       commit_op_, txn_id)
@@ -960,7 +961,9 @@ class Participant : public txn::ParticipantBase {
             ctx_->fabric().node_down(lane_.node())) {
           return commit_failover(self, txn_id);
         }
-        if (round == 3) return Status(e.code(), e.what());
+        if (round == 3 || e.code() == StatusCode::kFailedPrecondition) {
+          return e.status();
+        }
       }
     }
     return Status::Internal("txn commit: unreachable");
@@ -1035,7 +1038,7 @@ class Participant : public txn::ParticipantBase {
                           .get(self));
       return Status::Ok();
     } catch (const HclError& e) {
-      return Status(e.code(), e.what());
+      return e.status();
     }
   }
 

@@ -68,17 +68,23 @@ class Actor {
 };
 
 namespace detail {
-inline thread_local Actor* tls_actor = nullptr;
+/// The running thread's current-actor slot, looked up afresh on every call
+/// for the reason tls_parker() gives (clock_window.h): a fiber that parked
+/// may resume on another worker.
+[[gnu::noipa]] inline Actor*& tls_actor() noexcept {
+  thread_local Actor* actor = nullptr;
+  return actor;
+}
 }  // namespace detail
 
 /// The actor the calling thread is currently driving, or nullptr outside a
 /// runner scope.
-inline Actor* current_actor() noexcept { return detail::tls_actor; }
+inline Actor* current_actor() noexcept { return detail::tls_actor(); }
 
 /// The current actor, failing loudly when called outside a rank context —
 /// container APIs use this so misuse is caught immediately.
 inline Actor& this_actor() {
-  Actor* a = detail::tls_actor;
+  Actor* a = detail::tls_actor();
   if (a == nullptr) {
     throw HclError(Status::InvalidArgument(
         "HCL container API called outside a rank context; "
@@ -92,8 +98,8 @@ inline Actor& this_actor() {
 class ActorScope {
  public:
   explicit ActorScope(Actor& actor) noexcept
-      : actor_(&actor), previous_(detail::tls_actor) {
-    detail::tls_actor = &actor;
+      : actor_(&actor), previous_(detail::tls_actor()) {
+    detail::tls_actor() = &actor;
     if (actor.window_ != nullptr) {
       actor.throttling_ = true;
       actor.window_->activate(actor.rank(), actor.now());
@@ -104,7 +110,7 @@ class ActorScope {
       actor_->window_->deactivate(actor_->rank());
       actor_->throttling_ = false;
     }
-    detail::tls_actor = previous_;
+    detail::tls_actor() = previous_;
   }
   ActorScope(const ActorScope&) = delete;
   ActorScope& operator=(const ActorScope&) = delete;

@@ -42,11 +42,11 @@ namespace hcl::sim {
 
 namespace detail {
 
-/// Cooperative-wait hook for multiplexed runners (cluster.h): when a rank
-/// must wait out the window, the runner parks the rank (yielding its worker
-/// thread to a pending or admissible rank) instead of sleeping. Installed
-/// per worker thread; null means "sleep for real" (the dedicated
-/// thread-per-rank mode).
+/// Cooperative-wait hook for the rank scheduler (multiplex.h): when a rank
+/// must wait out the window, the scheduler parks the rank (yielding its
+/// worker thread to a pending or admissible rank) instead of sleeping.
+/// Installed per worker thread while it drives a rank; null means "sleep
+/// for real" (a raw thread outside the scheduler, as in the unit tests).
 class ThrottleParker {
  public:
   virtual ~ThrottleParker() = default;
@@ -55,7 +55,14 @@ class ThrottleParker {
   virtual void park(int rank, Nanos now) = 0;
 };
 
-inline thread_local ThrottleParker* tls_parker = nullptr;
+/// The running thread's parker slot. Never inlined or analysed across
+/// calls: a rank's fiber may park on one worker and resume on another, so
+/// each use must look the slot up on the thread it runs on now, not through
+/// a thread pointer the compiler loaded before the park.
+[[gnu::noipa]] inline ThrottleParker*& tls_parker() noexcept {
+  thread_local ThrottleParker* parker = nullptr;
+  return parker;
+}
 
 }  // namespace detail
 
@@ -144,8 +151,8 @@ class ClockWindow {
     for (;;) {
       const Nanos f = current_floor();
       if (f == kNoFloor || now - kWindow <= f) return;
-      if (detail::tls_parker != nullptr) {
-        detail::tls_parker->park(rank, now);
+      if (detail::ThrottleParker* parker = detail::tls_parker()) {
+        parker->park(rank, now);
       } else {
         // Sleep, don't spin: waiting threads must cede the CPU to the
         // stragglers they are waiting on.

@@ -1,15 +1,14 @@
 // The simulated cluster: actors for every rank plus the parallel runner.
 //
 // Substitution note (DESIGN.md §2, §5j): the paper launches 2560 MPI ranks
-// over 64 physical nodes. Here a rank is an Actor. When the rank count is
-// small (micro-benchmarks: 40 clients) each rank gets its own OS thread, so
-// real concurrency exercises the lock-free structures. When the rank count
-// exceeds the thread cap (scaling studies: 2560 clients), ranks are
-// multiplexed over a bounded worker pool (sim/multiplex.h): every rank is
-// registered in the conservative clock window up front, and ranks park /
-// resume cooperatively at throttle points, so simulated-time queueing
-// through sim::Resource is identical to the thread-per-rank mode — only
-// wall-clock behaviour changes.
+// over 64 physical nodes. Here a rank is an Actor, and every rank runs on a
+// fiber of a bounded worker pool (sim/multiplex.h) of min(ranks, cap)
+// workers. Every rank is registered in the conservative clock window up
+// front, and ranks park / resume cooperatively at throttle points, so
+// simulated-time queueing through sim::Resource does not depend on the
+// worker count — only wall-clock behaviour changes. With as many workers as
+// ranks (micro-benchmarks: 40 clients) each rank keeps a worker to itself,
+// so real concurrency still exercises the lock-free structures.
 #pragma once
 
 #include <algorithm>
@@ -49,10 +48,9 @@ class Cluster {
   [[nodiscard]] Actor& actor(Rank rank) { return *actors_.at(static_cast<std::size_t>(rank)); }
 
   /// Run `fn(actor)` once for every rank, in parallel. Blocks until all
-  /// ranks finish. `max_threads == 0` picks a default: one thread per rank
-  /// up to max(128, 4x hardware concurrency) — overridable with the
-  /// HCL_SIM_THREADS env knob — multiplexed over a bounded worker pool
-  /// beyond that.
+  /// ranks finish. The ranks run on min(ranks, max_threads) pool workers;
+  /// `max_threads == 0` picks a default of max(128, 4x hardware
+  /// concurrency), overridable with the HCL_SIM_THREADS env knob.
   void run(const std::function<void(Actor&)>& fn, unsigned max_threads = 0) const {
     run_ranks(0, topology_.num_ranks(), fn, max_threads);
   }
@@ -66,34 +64,16 @@ class Cluster {
     const unsigned threads = std::min<unsigned>(static_cast<unsigned>(count),
                                                 std::max(1u, cap));
 
-    // Every rank is registered in the clock window BEFORE any worker runs,
-    // in BOTH modes: a rank the scheduler has not reached yet still holds
-    // the time-window floor — otherwise running ranks would race ahead in
-    // simulated time and the queueing contention they should experience
-    // would evaporate (the historical multiplexed-path bug).
+    // Every rank is registered in the clock window BEFORE any worker runs:
+    // a rank the scheduler has not reached yet still holds the time-window
+    // floor — otherwise running ranks would race ahead in simulated time
+    // and the queueing contention they should experience would evaporate
+    // (the historical multiplexed-path bug).
     for (Rank r = first; r < last; ++r) {
       Actor& a = *actors_[static_cast<std::size_t>(r)];
       if (a.window() != nullptr) a.window()->activate(r, a.now());
     }
-
-    if (threads == static_cast<unsigned>(count)) {
-      // One real thread per rank: full concurrency fidelity.
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (Rank r = first; r < last; ++r) {
-        pool.emplace_back([this, r, &fn] {
-          Actor& a = *actors_[static_cast<std::size_t>(r)];
-          ActorScope scope(a);  // re-activates (idempotent), deactivates on exit
-          fn(a);
-        });
-      }
-      for (auto& t : pool) t.join();
-      return;
-    }
-
-    // Multiplexed: a bounded worker pool drives all ranks, parking and
-    // resuming them cooperatively at throttle points (sim/multiplex.h).
-    run_multiplexed(actors_, first, last, fn, threads, &window_);
+    MultiplexPool(actors_, first, last, fn, threads, &window_).run();
   }
 
   /// BSP-style phased execution: every phase runs on all ranks, then clocks
@@ -133,10 +113,9 @@ class Cluster {
   }
 
  private:
-  /// Default real-thread cap: one thread per rank up to max(128, 4x
-  /// hardware concurrency) — per-rank threads are mostly throttled/blocked,
-  /// so oversubscription is cheap and keeps full queueing fidelity at bench
-  /// scales — multiplexed beyond that. HCL_SIM_THREADS overrides (README
+  /// Default worker cap: max(128, 4x hardware concurrency) — workers are
+  /// mostly parked or blocked, so oversubscription is cheap and keeps a
+  /// worker per rank at bench scales. HCL_SIM_THREADS overrides (README
   /// operator table); read once, env knobs don't change mid-process.
   static unsigned default_thread_cap() {
     static const unsigned cap = [] {

@@ -1,4 +1,4 @@
-// Stackful fibers (ucontext) for the multiplexed rank runner.
+// Stackful fibers (ucontext): the one way a simulated rank runs.
 //
 // At paper-scale topologies (2560 ranks) a thread per rank melts the host,
 // but a rank that must wait out the conservative time window cannot simply
@@ -7,34 +7,14 @@
 // yields its worker thread back to the scheduler at throttle points, so a
 // bounded pool drives thousands of ranks with full window fidelity.
 //
-// Sanitizers don't track ucontext stack switches (ASan false-positives,
-// TSan loses the happens-before spine), so fibers are compiled out under
-// -fsanitize and the runner falls back to permit-gated real threads
-// (cluster.h) — same scheduling contract, heavier footprint.
+// Sanitizer builds run the same fibers. The compiler's own
+// __SANITIZE_ADDRESS__ / __SANITIZE_THREAD__ macros switch in the stack
+// switch annotations: ASan is told which stack each swapcontext enters (so
+// it neither reports the fiber stack as a bad access nor loses track of the
+// worker's), and TSan gets one fiber context per Fiber, switched to right
+// before each swapcontext, so happens-before follows the rank across
+// workers.
 #pragma once
-
-#if !defined(HCL_SIM_HAS_FIBERS)
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define HCL_SIM_HAS_FIBERS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define HCL_SIM_HAS_FIBERS 0
-#endif
-#endif
-#endif
-#if !defined(HCL_SIM_HAS_FIBERS)
-#if defined(__has_include)
-#if __has_include(<ucontext.h>)
-#define HCL_SIM_HAS_FIBERS 1
-#else
-#define HCL_SIM_HAS_FIBERS 0
-#endif
-#else
-#define HCL_SIM_HAS_FIBERS 0
-#endif
-#endif
-
-#if HCL_SIM_HAS_FIBERS
 
 #include <ucontext.h>
 
@@ -45,6 +25,13 @@
 #include <memory>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace hcl::sim {
 
 class Fiber {
@@ -54,6 +41,7 @@ class Fiber {
   /// resident) every rank's whole stack on every run.
   Fiber(std::size_t stack_bytes, std::function<void()> body)
       : stack_(std::make_unique_for_overwrite<char[]>(stack_bytes)),
+        stack_bytes_(stack_bytes),
         body_(std::move(body)) {
     getcontext(&callee_);
     callee_.uc_stack.ss_sp = stack_.get();
@@ -71,6 +59,15 @@ class Fiber {
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop
 #endif
+#if defined(__SANITIZE_THREAD__)
+    tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+  }
+
+  ~Fiber() {
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsan_fiber_);
+#endif
   }
 
   Fiber(const Fiber&) = delete;
@@ -83,40 +80,80 @@ class Fiber {
   void resume() {
     Fiber* prev = tls_current_;
     tls_current_ = this;
+#if defined(__SANITIZE_ADDRESS__)
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, stack_.get(), stack_bytes_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    caller_tsan_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
     swapcontext(&caller_, &callee_);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
     tls_current_ = prev;
   }
 
   /// From inside a fiber body: suspend back to the resume() caller.
-  static void yield() { swapcontext(&tls_current_->callee_, &tls_current_->caller_); }
+  static void yield() { tls_current_->switch_out(false); }
 
   [[nodiscard]] bool done() const noexcept { return done_; }
 
  private:
+  /// Swap back to the resuming worker. `last` marks the body's final exit,
+  /// which tells ASan to drop the fiber's fake stack.
+  void switch_out([[maybe_unused]] bool last) {
+#if defined(__SANITIZE_ADDRESS__)
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(last ? nullptr : &fake_stack, caller_bottom_,
+                                   caller_size_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(caller_tsan_, 0);
+#endif
+    swapcontext(&callee_, &caller_);
+    // Resumed, possibly by another worker: learn that worker's stack.
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack, &caller_bottom_, &caller_size_);
+#endif
+  }
+
   static void trampoline(unsigned hi, unsigned lo) {
     auto* f = reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
                                        lo);
-    // Exception parity with the thread-per-rank runner: an exception
-    // escaping fn() on a std::thread terminates; unwinding through a
-    // makecontext frame is undefined, so terminate explicitly instead.
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(nullptr, &f->caller_bottom_,
+                                    &f->caller_size_);
+#endif
+    // An exception escaping a rank body terminates, as it would on a
+    // std::thread; unwinding through a makecontext frame is undefined, so
+    // terminate explicitly instead.
     try {
       f->body_();
     } catch (...) {
       std::terminate();
     }
     f->done_ = true;
-    yield();  // never returns
+    f->switch_out(true);  // never returns
   }
 
   inline static thread_local Fiber* tls_current_ = nullptr;
 
   std::unique_ptr<char[]> stack_;
+  std::size_t stack_bytes_;
   std::function<void()> body_;
   ucontext_t caller_{};
   ucontext_t callee_{};
   bool done_ = false;
+#if defined(__SANITIZE_ADDRESS__)
+  const void* caller_bottom_ = nullptr;
+  std::size_t caller_size_ = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* tsan_fiber_ = nullptr;
+  void* caller_tsan_ = nullptr;
+#endif
 };
 
 }  // namespace hcl::sim
-
-#endif  // HCL_SIM_HAS_FIBERS

@@ -1,6 +1,7 @@
-// Bounded worker pool multiplexing many simulated ranks over few threads.
+// The rank scheduler: a bounded worker pool running every simulated rank
+// on a fiber (sim/fiber.h), in every build, sanitizer builds included.
 //
-// Fidelity contract (DESIGN.md §5j): multiplexing must change wall-clock
+// Fidelity contract (DESIGN.md §5j): the worker count must change wall-clock
 // behaviour only, never simulated results. Two ingredients deliver that:
 //
 //   1. The caller (Cluster::run_ranks) registers EVERY rank in the
@@ -16,14 +17,9 @@
 //      are claimed whenever the ready queue is empty, and parked ranks are
 //      re-admitted as the floor rises.
 //
-// Two interchangeable engines implement parking:
-//   * MultiplexPool — ucontext fibers; each rank gets a heap stack
-//     (128 KiB) and suspends/resumes mid-call-stack.
-//     2560-rank topologies run on a dozen workers.
-//   * GatedPool — sanitizer fallback (fiber.h compiles fibers out under
-//     ASan/TSan): one real thread per rank, but at most `threads` hold run
-//     permits; parking releases the permit. Same scheduling contract,
-//     heavier footprint.
+// Each rank gets a heap stack (128 KiB) and suspends/resumes mid-call-stack,
+// possibly on another worker. 2560-rank topologies run on a dozen workers;
+// with as many workers as ranks every rank keeps a worker to itself.
 #pragma once
 
 #include <chrono>
@@ -52,8 +48,8 @@ inline constexpr std::size_t kFiberStackBytes = std::size_t{128} << 10;
 
 }  // namespace detail
 
-#if HCL_SIM_HAS_FIBERS
-
+/// Precondition: every rank in [first, last) is already activated in
+/// `window` (Cluster::run_ranks does this).
 class MultiplexPool final : public detail::ThrottleParker {
  public:
   MultiplexPool(const std::vector<std::unique_ptr<Actor>>& actors, Rank first,
@@ -69,7 +65,11 @@ class MultiplexPool final : public detail::ThrottleParker {
     tasks_.reserve(static_cast<std::size_t>(last - first));
   }
 
-  /// Blocks until every rank's fn has returned.
+  /// Blocks until every rank's fn has returned. The ranks run on fresh
+  /// worker threads, never on the caller: which host thread runs a rank
+  /// reaches simulated time through thread-keyed state (Resource's idle
+  /// lane origin, the skiplist's level RNG), and a fresh thread per worker
+  /// keeps that state the same from run to run.
   void run() {
     std::vector<std::thread> workers;
     workers.reserve(threads_);
@@ -87,7 +87,6 @@ class MultiplexPool final : public detail::ThrottleParker {
 
  private:
   struct Task {
-    Rank rank = 0;
     Actor* actor = nullptr;
     std::unique_ptr<Fiber> fiber;
     Nanos parked_at = 0;
@@ -124,7 +123,6 @@ class MultiplexPool final : public detail::ThrottleParker {
   Task* start_task_locked(Rank r) {
     tasks_.push_back(std::make_unique<Task>());
     Task* t = tasks_.back().get();
-    t->rank = r;
     t->actor = actors_[static_cast<std::size_t>(r)].get();
     return t;
   }
@@ -158,15 +156,17 @@ class MultiplexPool final : public detail::ThrottleParker {
                                            fn_(*t->actor);
                                          });
     }
-    detail::tls_parker = this;
+    detail::ThrottleParker*& parker = detail::tls_parker();
+    Actor*& actor = detail::tls_actor();
+    Actor* const saved = actor;
+    parker = this;
     tls_task_ = t;
-    Actor* saved = detail::tls_actor;
-    detail::tls_actor = t->published_actor;
+    actor = t->published_actor;
     t->fiber->resume();
-    t->published_actor = detail::tls_actor;
-    detail::tls_actor = saved;
+    t->published_actor = actor;
+    actor = saved;
     tls_task_ = nullptr;
-    detail::tls_parker = nullptr;
+    parker = nullptr;
     const bool done = t->fiber->done();
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -195,86 +195,5 @@ class MultiplexPool final : public detail::ThrottleParker {
   Rank next_pending_;
   int unfinished_;
 };
-
-#endif  // HCL_SIM_HAS_FIBERS
-
-/// Fallback engine: every rank is a real thread, but at most `threads` hold
-/// run permits at once. Parking releases the permit (after publishing the
-/// clock, so the floor is intact) and re-acquires after a nap, giving
-/// pending ranks the slot. Used under sanitizers where ucontext switching
-/// would confound the tooling; scheduling semantics match MultiplexPool.
-class GatedPool final : public detail::ThrottleParker {
- public:
-  GatedPool(const std::vector<std::unique_ptr<Actor>>& actors, Rank first,
-            Rank last, const std::function<void(Actor&)>& fn, unsigned threads,
-            ClockWindow* /*window*/)
-      : actors_(actors),
-        first_(first),
-        last_(last),
-        fn_(fn),
-        permits_(threads) {}
-
-  void run() {
-    std::vector<std::thread> all;
-    all.reserve(static_cast<std::size_t>(last_ - first_));
-    for (Rank r = first_; r < last_; ++r) {
-      all.emplace_back([this, r] {
-        acquire();
-        detail::tls_parker = this;
-        {
-          Actor& a = *actors_[static_cast<std::size_t>(r)];
-          ActorScope scope(a);
-          fn_(a);
-        }
-        detail::tls_parker = nullptr;
-        release();
-      });
-    }
-    for (auto& t : all) t.join();
-  }
-
-  void park(int /*rank*/, Nanos /*now*/) override {
-    release();
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    acquire();
-  }
-
- private:
-  void acquire() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] { return permits_ > 0; });
-    --permits_;
-  }
-  void release() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++permits_;
-    }
-    cv_.notify_one();
-  }
-
-  const std::vector<std::unique_ptr<Actor>>& actors_;
-  const Rank first_;
-  const Rank last_;
-  const std::function<void(Actor&)>& fn_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  unsigned permits_;
-};
-
-/// Entry point used by Cluster::run_ranks. Precondition: every rank in
-/// [first, last) is already activated in `window`.
-inline void run_multiplexed(const std::vector<std::unique_ptr<Actor>>& actors,
-                            Rank first, Rank last,
-                            const std::function<void(Actor&)>& fn,
-                            unsigned threads, ClockWindow* window) {
-#if HCL_SIM_HAS_FIBERS
-  MultiplexPool pool(actors, first, last, fn, threads, window);
-#else
-  GatedPool pool(actors, first, last, fn, threads, window);
-#endif
-  pool.run();
-}
 
 }  // namespace hcl::sim

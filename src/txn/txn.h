@@ -1,6 +1,6 @@
 // Cross-partition transactions with an epoch-validated optimistic commit
-// (DESIGN.md §5h; ROADMAP item 1, after Storm's argument that a fast
-// transactional dataplane is the step past one-shot remote ops).
+// (DESIGN.md §5h, after Storm's argument that a fast transactional
+// dataplane is the step past one-shot remote ops).
 //
 // The protocol composes parts the codebase already ships:
 //
@@ -346,7 +346,7 @@ class TxnCoordinator {
         // to roll back — record the abort and decide on retry.
         finish(self, start, self.now(), self.now(), /*committed=*/false,
                e.code());
-        last = Status(e.code(), e.what());
+        last = e.status();
         if (e.code() == StatusCode::kAborted) continue;
         return last;
       }
@@ -357,8 +357,8 @@ class TxnCoordinator {
   }
 
   // ------------------------------------------------------------------
-  // High-level multi-key ops (ROADMAP item 1's headline shapes). All are
-  // run() wrappers, so each inherits the abort-then-retry loop.
+  // High-level multi-key ops (DESIGN.md §5h). All are run() wrappers, so
+  // each inherits the abort-then-retry loop.
   // ------------------------------------------------------------------
 
   /// Atomically upsert every pair — all visible or none, across partitions

@@ -1,5 +1,5 @@
 // Multiplexing-equivalence suite (DESIGN.md §5j): running the same workload
-// at different real-thread caps must change wall-clock behaviour only —
+// at different worker counts must change wall-clock behaviour only —
 // per-rank simulated clocks and fabric counter totals must come out
 // byte-identical. The probe workload is contention-free by construction
 // (every rank's reservations land in its own pre-spaced slots), because
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fabric/fabric.h"
+#include "serial/archive.h"
 #include "sim/cluster.h"
 
 namespace hcl::sim {
@@ -76,8 +77,8 @@ RunResult run_spaced_workload(unsigned max_threads) {
 
 TEST(Multiplex, SimulatedResultsIndependentOfThreadCap) {
   const int ranks = kNodes * kProcs;
-  // Satellite acceptance: max_threads = num_ranks (thread per rank),
-  // num_ranks/4, and 2 — identical per-rank clocks and counter totals.
+  // max_threads = num_ranks (a worker per rank), num_ranks/4, and 2 —
+  // identical per-rank clocks and counter totals.
   const RunResult full = run_spaced_workload(static_cast<unsigned>(ranks));
   const RunResult quarter =
       run_spaced_workload(static_cast<unsigned>(ranks / 4));
@@ -152,6 +153,50 @@ TEST(Multiplex, ManyRanksOnTinyPoolAllComplete) {
       /*max_threads=*/4);
   EXPECT_EQ(visits.load(), 300);
   EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(Multiplex, ParkedRanksResumeWithTheirOwnActorAndBuffers) {
+  // Every step jumps a rank two windows ahead, so it parks until every rank
+  // reaches that step; the last to arrive is the first to jump next step,
+  // so each rank parks at least kSteps / 2 times. A parked fiber resumes on
+  // whichever of the three workers admits it, and in between its worker
+  // runs other ranks. After each park the rank must still see itself as
+  // the current actor, and a pooled buffer held across every park must keep
+  // its bytes while other ranks take and return buffers on the same
+  // workers.
+  constexpr int kSteps = 16;
+  const Topology topo(4, 16);  // 64 ranks
+  Cluster cluster(topo, 11);
+  std::atomic<int> wrong_actor{0};
+  std::atomic<int> torn_buffer{0};
+  cluster.run(
+      [&](Actor& a) {
+        serial::OutArchive held;
+        for (int step = 0; step < kSteps; ++step) {
+          held.u64(static_cast<std::uint64_t>(a.rank()) * kSteps + step);
+          {
+            serial::OutArchive churn;  // takes and returns a spare
+            churn.u64(~std::uint64_t{0});
+          }
+          a.advance(2 * ClockWindow::kWindow);
+          if (&this_actor() != &a || this_actor().rank() != a.rank()) {
+            wrong_actor.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        serial::InArchive in(held.buffer());
+        for (int step = 0; step < kSteps; ++step) {
+          if (in.u64() !=
+              static_cast<std::uint64_t>(a.rank()) * kSteps + step) {
+            torn_buffer.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      },
+      /*max_threads=*/3);
+  EXPECT_EQ(wrong_actor.load(), 0);
+  EXPECT_EQ(torn_buffer.load(), 0);
+  for (Rank r = 0; r < topo.num_ranks(); ++r) {
+    EXPECT_EQ(cluster.actor(r).now(), kSteps * 2 * ClockWindow::kWindow);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -804,6 +805,31 @@ TEST(Txn, BothCoresKeepTheLegContract) {
       EXPECT_EQ(v, want);
     }
     EXPECT_FALSE(q.pop(&v));
+  });
+}
+
+// A commit refused as a presumed abort is final: one commit RPC reaches the
+// participant, and the status names its code once.
+TEST(Txn, PresumedAbortCommitIsRefusedOnce) {
+  Context ctx(zero_config(2, 1));
+  unordered_map<int, int> m(ctx, {.num_partitions = 2});
+  txn::TxnCoordinator coord(ctx);
+  const int k = key_in_partition(m, 1);
+  // Partition 1 lives on node 1; rank 0 runs on node 0, so the commit
+  // leg is a real RPC there.
+  auto& rpcs = ctx.fabric().nic(1).counters().rpc_count;
+
+  ctx.run_one(0, [&](Actor& self) {
+    txn::Txn t = coord.begin();
+    m.txn_put(t, k, 1);
+    const std::int64_t before = rpcs.load();
+    const Status st = commit_by_hand(ctx, self, t);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(rpcs.load() - before, 1);
+    const std::string& text = st.message();
+    const std::string code = "FAILED_PRECONDITION";
+    EXPECT_EQ(text.find(code, text.find(code) + 1), std::string::npos) << text;
+    EXPECT_NE(text.find("presumed abort"), std::string::npos) << text;
   });
 }
 
