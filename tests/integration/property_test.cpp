@@ -1786,6 +1786,13 @@ struct TransferCase {
   std::uint64_t seed;
 };
 
+// gtest names each case by its printed value; without a printer it dumps
+// the raw bytes, padding included, so two listings of the suite disagree.
+void PrintTo(const TransferCase& c, std::ostream* os) {
+  *os << "batched=" << c.batched << " failover=" << c.failover
+      << " seed=" << c.seed;
+}
+
 class TxnTransferSweep : public ::testing::TestWithParam<TransferCase> {};
 
 TEST_P(TxnTransferSweep, EveryItemEndsUpExactlyOnce) {
